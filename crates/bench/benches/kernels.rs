@@ -10,7 +10,7 @@ use qp_core::manyone::{element_weights, place_for_client, ManyToOneConfig};
 use qp_core::strategy_lp::CapacitySweepSolver;
 use qp_core::{combinatorics, one_to_one, response, strategy_lp, ResponseModel};
 use qp_des::{EventQueue, ServiceStation, SimTime, TimeWheel};
-use qp_lp::{BasisKind, Model, Sense, SolverOptions};
+use qp_lp::{Model, Sense};
 use qp_protocol::{
     simulate, simulate_with_engine, ClientPopulation, ProtocolConfig, QuorumChoice, SimEngine,
 };
@@ -42,42 +42,16 @@ fn random_lp(vars: usize, rows: usize) -> Model {
 fn bench_lp_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_solver");
     group.sample_size(10);
-    // Three configurations over the same box-bounded random LPs:
-    //   dense_random          — seed dense inverse, Dantzig, bounds as rows;
-    //   factored_rows_dantzig — PR 3's sweep config (sparse LU only);
-    //   factored_random       — the full hot path (`SolverOptions::factored()`:
-    //                           sparse LU + devex + native bounds, so `m`
-    //                           drops from rows+vars to rows).
+    // Cold solves of box-bounded random LPs: the upper bounds stay on the
+    // columns, so `m` is just the row count.
     for &(vars, rows) in &[(50usize, 20usize), (200, 60), (800, 120)] {
-        for (label, options) in [
-            (
-                "dense_random",
-                SolverOptions {
-                    basis: BasisKind::Dense,
-                    ..SolverOptions::default()
-                },
-            ),
-            (
-                "factored_rows_dantzig",
-                SolverOptions {
-                    basis: BasisKind::Factored,
-                    ..SolverOptions::default()
-                },
-            ),
-            ("factored_random", SolverOptions::factored()),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{vars}v_{rows}r")),
-                &(vars, rows),
-                |b, &(vars, rows)| {
-                    b.iter(|| {
-                        random_lp(vars, rows)
-                            .solve_with(&options)
-                            .expect("feasible bounded LP")
-                    });
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("factored_random", format!("{vars}v_{rows}r")),
+            &(vars, rows),
+            |b, &(vars, rows)| {
+                b.iter(|| random_lp(vars, rows).solve().expect("feasible bounded LP"));
+            },
+        );
     }
 
     // Cold vs warm capacity sweep: the §7 shape — one constraint matrix,
@@ -118,11 +92,8 @@ fn bench_lp_solver(c: &mut Criterion) {
         });
     });
 
-    // The ISSUE-4 motivating workload: a daxlist-161 sweep prices a
-    // 16,100-column strategy LP. Same warm-sweep shape as above at paper
-    // scale, under PR 3's solver configuration (sparse LU + Dantzig +
-    // bounds-as-rows) vs the full hot path (devex partial pricing, native
-    // bounds, crash start, dual devex re-solves).
+    // The same warm-sweep shape at paper scale: a daxlist-161 sweep
+    // prices a 16,100-column strategy LP.
     let dax = datasets::daxlist_161();
     let dax_clients: Vec<NodeId> = dax.nodes().collect();
     let dax_sys = QuorumSystem::grid(7).unwrap();
@@ -132,32 +103,20 @@ fn bench_lp_solver(c: &mut Criterion) {
     let dax_ctx = EvalContext::new(&dax, &dax_clients);
     let dax_pq = dax_ctx.place(&dax_placement, &dax_quorums);
     let dax_cs = capacity_sweep(dax_l_opt, 10);
-    for (label, options) in [
-        (
-            "sweep_warm_daxlist161_pr3config",
-            SolverOptions {
-                basis: BasisKind::Factored,
-                ..SolverOptions::default()
-            },
-        ),
-        ("sweep_warm_daxlist161", SolverOptions::factored()),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let solver = CapacitySweepSolver::new_with_options(&dax_pq, options.clone())
-                    .expect("feasible at capacity 1");
-                dax_cs
-                    .iter()
-                    .map(|&cap| {
-                        solver
-                            .solve_uniform(cap)
-                            .map(|o| o.strategy.num_clients())
-                            .unwrap_or(0)
-                    })
-                    .sum::<usize>()
-            });
+    group.bench_function("sweep_warm_daxlist161", |b| {
+        b.iter(|| {
+            let solver = CapacitySweepSolver::new(&dax_pq).expect("feasible at capacity 1");
+            dax_cs
+                .iter()
+                .map(|&cap| {
+                    solver
+                        .solve_uniform(cap)
+                        .map(|o| o.strategy.num_clients())
+                        .unwrap_or(0)
+                })
+                .sum::<usize>()
         });
-    }
+    });
 
     // Column generation vs full enumeration, same daxlist-161 geometry —
     // the PR 7 scale-path A/B. Both kernels solve the identical strategy
@@ -558,11 +517,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
             qp_obs::uninstall();
         }
         group.bench_function(BenchmarkId::new("lp_800v_120r", recorder), |b| {
-            b.iter(|| {
-                random_lp(800, 120)
-                    .solve_with(&SolverOptions::factored())
-                    .unwrap()
-            });
+            b.iter(|| random_lp(800, 120).solve().unwrap());
         });
         group.bench_function(BenchmarkId::new("protocol_sim_50clients", recorder), |b| {
             b.iter(|| {

@@ -141,33 +141,7 @@ pub fn place_for_client(
     let effective_cap = |w: usize| caps.get(NodeId::new(w)) * config.capacity_slack;
 
     // ---- 1. Fractional LP. ----
-    let mut model = Model::new(Sense::Minimize);
-    let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(n);
-    for u in 0..n {
-        let mut row = Vec::with_capacity(v_count);
-        for w in 0..v_count {
-            let d = net.distance(v0, NodeId::new(w));
-            row.push(model.add_var(&format!("x_{u}_{w}"), 0.0, f64::INFINITY, weights[u] * d));
-        }
-        vars.push(row);
-    }
-    for row in &vars {
-        let terms: Vec<_> = row.iter().map(|&x| (x, 1.0)).collect();
-        model.add_eq(&terms, 1.0);
-    }
-    for w in 0..v_count {
-        let cap = effective_cap(w);
-        if cap.is_infinite() {
-            continue;
-        }
-        let terms: Vec<_> = (0..n)
-            .filter(|&u| weights[u] > 0.0)
-            .map(|u| (vars[u][w], weights[u]))
-            .collect();
-        if !terms.is_empty() {
-            model.add_le(&terms, cap);
-        }
-    }
+    let (model, vars) = placement_lp(net, v0, weights, &effective_cap);
     let sol = model.solve()?;
     let lp_objective = sol.objective();
     let mut x: Vec<Vec<f64>> = vars
@@ -296,6 +270,47 @@ pub fn place_for_client(
         rounded_objective,
         max_capacity_ratio,
     })
+}
+
+/// Step 1 of the pipeline: the fractional placement LP for anchor `v0`,
+/// with `vars[u][w]` the fraction of element `u` placed on node `w` and
+/// `cap(w)` node `w`'s capacity (rows are skipped for infinite ones).
+fn placement_lp(
+    net: &Network,
+    v0: NodeId,
+    weights: &[f64],
+    cap: &dyn Fn(usize) -> f64,
+) -> (Model, Vec<Vec<VarId>>) {
+    let n = weights.len();
+    let v_count = net.len();
+    let mut model = Model::new(Sense::Minimize);
+    let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(n);
+    for u in 0..n {
+        let mut row = Vec::with_capacity(v_count);
+        for w in 0..v_count {
+            let d = net.distance(v0, NodeId::new(w));
+            row.push(model.add_var(&format!("x_{u}_{w}"), 0.0, f64::INFINITY, weights[u] * d));
+        }
+        vars.push(row);
+    }
+    for row in &vars {
+        let terms: Vec<_> = row.iter().map(|&x| (x, 1.0)).collect();
+        model.add_eq(&terms, 1.0);
+    }
+    for w in 0..v_count {
+        let cap = cap(w);
+        if cap.is_infinite() {
+            continue;
+        }
+        let terms: Vec<_> = (0..n)
+            .filter(|&u| weights[u] > 0.0)
+            .map(|u| (vars[u][w], weights[u]))
+            .collect();
+        if !terms.is_empty() {
+            model.add_le(&terms, cap);
+        }
+    }
+    (model, vars)
 }
 
 /// Removes all cycles from the bipartite support graph of `x` by pushing
@@ -564,6 +579,20 @@ mod tests {
                 out.rounded_objective,
                 out.lp_objective
             );
+        }
+    }
+
+    #[test]
+    fn placement_lp_solutions_certify() {
+        let net = datasets::euclidean_random(12, 100.0, 5);
+        let g = QuorumSystem::grid(2).unwrap();
+        let quorums = g.enumerate(16).unwrap();
+        let weights = element_weights(&uniform_probs(4), &quorums, 4);
+        for cap in [0.8, f64::INFINITY] {
+            for v0 in 0..4 {
+                let (model, _) = placement_lp(&net, NodeId::new(v0), &weights, &|_| cap);
+                model.solve().unwrap().certify(&model).unwrap();
+            }
         }
     }
 

@@ -22,9 +22,8 @@
 //! All sweep points share one constraint matrix and differ only in the
 //! capacity-row right-hand sides, so the sweeps run on a
 //! [`CapacitySweepSolver`]: the LP is built and cold-solved **once** (at
-//! uniform capacity 1, the loosest point, with devex partial pricing and
-//! a slack crash start — [`qp_lp::SolverOptions::factored`]), and every
-//! sweep point re-solves through
+//! uniform capacity 1, the loosest point), and every sweep point
+//! re-solves through
 //! [`qp_lp::SimplexInstance::resolve_with_rhs`] — a borrow-only warm
 //! re-solve whose per-point cost is one rhs vector plus a few dual-devex
 //! pivots off the shared (pre-factorized) optimal basis. Each point is a
@@ -59,12 +58,11 @@
 //! master can be infeasible where the full LP is not; on an infeasible
 //! verdict the seed set grows by doubling each client's closest-quorum
 //! prefix, degenerating to full enumeration before an infeasibility is
-//! ever reported. Defaults ([`optimize_strategies_outcome`],
-//! [`CapacitySweepSolver`]) are untouched: column generation runs only
-//! through the `_with` entry points and [`ColGenSolver`].
+//! ever reported. Column generation runs only through the `_with` entry
+//! points and [`ColGenSolver`].
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
-use qp_lp::{LpError, Model, Sense, SimplexInstance, Solution, SolveStats, SolverOptions, VarId};
+use qp_lp::{LpError, Model, Sense, SimplexInstance, Solution, SolveStats, VarId};
 use qp_quorum::{Quorum, StrategyMatrix};
 use qp_topology::{Network, NodeId};
 
@@ -421,7 +419,7 @@ pub fn optimize_strategies_outcome(
     caps: &CapacityProfile,
 ) -> Result<StrategyLpOutcome, CoreError> {
     let (model, cap_rows) = build_strategy_model(pq, caps)?;
-    let sol = model.solve_with(&SolverOptions::default())?;
+    let sol = model.solve()?;
     StrategyLpOutcome::from_solution(
         &sol,
         pq.ctx().clients().len(),
@@ -756,7 +754,7 @@ impl<'a> ColGenSolver<'a> {
             cap_row_of[w] = Some(row);
             cap_rows.push((w, row, counts[w] as f64 + 1.0));
         }
-        let inst = SimplexInstance::new(model, SolverOptions::factored())?;
+        let inst = SimplexInstance::new(model)?;
         Ok(ColGenSolver {
             delta,
             weights,
@@ -1093,10 +1091,7 @@ pub struct CapacitySweepSolver {
 }
 
 impl CapacitySweepSolver {
-    /// Builds the LP for `pq` and cold-solves it at uniform capacity 1
-    /// with the full hot-path configuration ([`SolverOptions::factored`]:
-    /// sparse LU, devex partial pricing, native `[0, 1]` bounds on every
-    /// `p_vi`).
+    /// Builds the LP for `pq` and cold-solves it at uniform capacity 1.
     ///
     /// # Errors
     ///
@@ -1105,20 +1100,6 @@ impl CapacitySweepSolver {
     /// smaller capacity is then infeasible too. Construction errors
     /// propagate as for [`optimize_strategies`].
     pub fn new(pq: &PlacedQuorums<'_>) -> Result<Self, CoreError> {
-        Self::new_with_options(pq, SolverOptions::factored())
-    }
-
-    /// [`CapacitySweepSolver::new`] with explicit [`SolverOptions`] — the
-    /// knob benchmarks and regression tests use to compare pricing rules
-    /// (and bound handling) on the same sweep.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CapacitySweepSolver::new`].
-    pub fn new_with_options(
-        pq: &PlacedQuorums<'_>,
-        options: SolverOptions,
-    ) -> Result<Self, CoreError> {
         let net_len = pq.ctx().net().len();
         let loosest = CapacityProfile::uniform(net_len, 1.0);
         let (model, rows) = build_strategy_model(pq, &loosest)?;
@@ -1127,7 +1108,7 @@ impl CapacitySweepSolver {
             .into_iter()
             .map(|(w, row)| (w, row, counts[w] as f64 + 1.0))
             .collect();
-        let mut base = SimplexInstance::new(model, options)?;
+        let mut base = SimplexInstance::new(model)?;
         let sol = base.solve()?;
         Ok(CapacitySweepSolver {
             n_clients: pq.ctx().clients().len(),
@@ -1256,8 +1237,7 @@ pub struct SweepLpStats {
     /// Dual-simplex (or fallback) pivots across all feasible sweep points.
     pub resolve_iterations: usize,
     /// Bound flips across base solve + all feasible sweep points: nonbasic
-    /// variables jumping between bounds without any basis change (native
-    /// bounded-variable mode only).
+    /// variables jumping between bounds without any basis change.
     pub bound_flips: usize,
     /// Sweep points solved warm (dual simplex from the shared basis).
     pub warm_points: usize,
@@ -1666,6 +1646,11 @@ mod tests {
         let (net, clients, _sys, placement, quorums) = setup(3);
         let c = 0.7;
         let caps = CapacityProfile::uniform(net.len(), c);
+        // The cold solve behind the strategies certifies against its LP.
+        let ctx = EvalContext::new(&net, &clients);
+        let pq = ctx.place(&placement, &quorums);
+        let (model, _) = build_strategy_model(&pq, &caps).unwrap();
+        model.solve().unwrap().certify(&model).unwrap();
         let strategy = optimize_strategies(&net, &clients, &placement, &quorums, &caps).unwrap();
         let eval = evaluate_matrix(
             &net,
@@ -1886,7 +1871,8 @@ mod tests {
             .unwrap();
         assert_eq!(lp.conv_rows.len(), n);
         assert!(!lp.cap_rows.is_empty());
-        let sol = lp.model.solve_with(&SolverOptions::default()).unwrap();
+        let sol = lp.model.solve().unwrap();
+        sol.certify(&lp.model).unwrap();
         assert!(
             (sol.objective() - classic.delay_ms).abs() <= 1e-9 * (1.0 + classic.delay_ms),
             "weighted delay {} vs classic {}",
@@ -1973,10 +1959,9 @@ mod tests {
             let lp =
                 build_weighted_strategy_model(&delta, weights, &node_counts, net.len(), &cap_rhs)
                     .unwrap();
-            lp.model
-                .solve_with(&SolverOptions::default())
-                .unwrap()
-                .objective()
+            let sol = lp.model.solve().unwrap();
+            sol.certify(&lp.model).unwrap();
+            sol.objective()
         };
         // Unconstrained: objective = Σ_v ŵ_v · min_i δ(v,i); concentrating
         // all demand on the cheapest client can only lower it.
@@ -2160,7 +2145,8 @@ mod tests {
         let lp =
             build_weighted_strategy_model(&delta, &normalized, &node_counts, net.len(), &cap_rhs)
                 .unwrap();
-        let full = lp.model.solve_with(&SolverOptions::default()).unwrap();
+        let full = lp.model.solve().unwrap();
+        full.certify(&lp.model).unwrap();
 
         let mut solver =
             ColGenSolver::with_weights(&pq, &weights, ColumnGeneration::default()).unwrap();

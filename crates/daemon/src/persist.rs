@@ -443,10 +443,8 @@ pub fn recover(cfg: SessionConfig, dir: &Path) -> Result<(Session, RecoveryRepor
     }
     let degraded = session.degraded();
     let mut checked = false;
-    // A fresh symmetric session can tie between capacity grid points,
-    // and warm/cold sweeps may break the tie differently at the 1e-16
-    // level — there is also nothing recovered to verify. Cross-check
-    // only when the directory actually held state.
+    // An empty directory recovered nothing to verify: cross-check only
+    // when it actually held state.
     let recovered_anything = snapshot_seq > 0 || wal_deltas > 0;
     if !degraded && recovered_anything {
         let check = session.cold_check().map_err(PersistError::Session)?;

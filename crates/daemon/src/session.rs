@@ -6,7 +6,7 @@ use qp_core::strategy_lp::{
     build_weighted_strategy_model, ColGenSolver, ColGenStats, ColumnGeneration,
 };
 use qp_core::{CoreError, Placement};
-use qp_lp::{LpError, SimplexInstance, Solution, SolverOptions, VarId};
+use qp_lp::{LpError, SimplexInstance, Solution, VarId};
 use qp_quorum::Quorum;
 use qp_topology::Network;
 
@@ -357,7 +357,7 @@ impl Session {
             .collect();
         let lp = build_weighted_strategy_model(&delta_eff, &weights, &node_counts, n, &cap_rhs)
             .map_err(|e| SessionError::Config(e.to_string()))?;
-        let instance = SimplexInstance::new(lp.model, SolverOptions::factored())?;
+        let instance = SimplexInstance::new(lp.model)?;
 
         let mut session = Session {
             quorums: cfg.quorums,
@@ -755,7 +755,7 @@ impl Session {
         }
         // Step 2: warm sweep over the capacity grid.
         let grid = capacity_sweep(self.l_opt, self.sweep_steps);
-        let mut best: Option<(f64, f64)> = None; // (score, capacity)
+        let mut scored: Vec<(f64, f64)> = Vec::new(); // (capacity, score)
         for &c in &grid {
             let updates: Vec<(usize, f64)> = self
                 .cap_rows
@@ -777,11 +777,9 @@ impl Session {
                 &self.slowdown,
                 self.alpha,
             );
-            if best.is_none_or(|(s, _)| score < s) {
-                best = Some((score, c));
-            }
+            scored.push((c, score));
         }
-        let Some((_, best_c)) = best else {
+        let Some(best_c) = pick_capacity(&scored) else {
             return Err(SessionError::Infeasible(
                 "no sweep capacity admits a strategy — restore nodes".into(),
             ));
@@ -862,7 +860,7 @@ impl Session {
             });
         };
         let grid = capacity_sweep(self.l_opt, self.sweep_steps);
-        let mut best: Option<(f64, f64)> = None; // (score, capacity)
+        let mut scored: Vec<(f64, f64)> = Vec::new(); // (capacity, score)
         for &c in &grid {
             let outcome = match solver.solve_profile(&caps_at(c)) {
                 Ok(outcome) => outcome,
@@ -880,11 +878,9 @@ impl Session {
                 &self.slowdown,
                 self.alpha,
             );
-            if best.is_none_or(|(s, _)| score < s) {
-                best = Some((score, c));
-            }
+            scored.push((c, score));
         }
-        let Some((_, best_c)) = best else {
+        let Some(best_c) = pick_capacity(&scored) else {
             return Err(SessionError::Infeasible(
                 "no sweep capacity admits a strategy — restore nodes".into(),
             ));
@@ -1063,6 +1059,24 @@ fn weighted_response(
     total
 }
 
+/// Relative score band within which capacity grid points count as tied.
+/// Warm and cold re-solves can score the same point a few ulps apart
+/// (3e-16 observed), so a strict argmin could pick different points on
+/// the two paths and fail the cross-check.
+const TIE_REL: f64 = 1e-12;
+
+/// The capacity of the earliest grid point whose score is within
+/// [`TIE_REL`] (relative) of the minimum; `scored` pairs each feasible
+/// point's capacity with its score, in grid order. Outside near-ties this
+/// is the plain first argmin.
+fn pick_capacity(scored: &[(f64, f64)]) -> Option<f64> {
+    let min = scored.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
+    scored
+        .iter()
+        .find(|&&(_, s)| s <= min + TIE_REL * min.abs())
+        .map(|&(c, _)| c)
+}
+
 /// Recovers normalized per-client strategies `p = q / ŵ` (rows of a
 /// zero-weight client stay all-zero).
 fn strategies(q: &[Vec<f64>], weights: &[f64]) -> Vec<Vec<f64>> {
@@ -1091,8 +1105,7 @@ pub fn cold_recompute(inp: &ColdInputs) -> Result<(Answer, u64), SessionError> {
     let n = inp.weights.len();
     let grid = capacity_sweep(inp.l_opt, inp.sweep_steps);
     let mut pivots: u64 = 0;
-    let mut best: Option<(f64, f64)> = None;
-    let options = SolverOptions::factored();
+    let mut scored: Vec<(f64, f64)> = Vec::new(); // (capacity, score)
     let solve_at = |c: f64, pivots: &mut u64| -> Result<Option<Solution>, SessionError> {
         let cap_rhs: Vec<f64> = (0..n)
             .map(|w| {
@@ -1113,7 +1126,7 @@ pub fn cold_recompute(inp: &ColdInputs) -> Result<(Answer, u64), SessionError> {
             &cap_rhs,
         )
         .map_err(|e| SessionError::Config(e.to_string()))?;
-        match lp.model.solve_with(&options) {
+        match lp.model.solve() {
             Ok(sol) => {
                 *pivots += sol.stats().iterations as u64;
                 Ok(Some(sol))
@@ -1145,11 +1158,9 @@ pub fn cold_recompute(inp: &ColdInputs) -> Result<(Answer, u64), SessionError> {
             &inp.slowdown,
             inp.alpha,
         );
-        if best.is_none_or(|(s, _)| score < s) {
-            best = Some((score, c));
-        }
+        scored.push((c, score));
     }
-    let Some((_, best_c)) = best else {
+    let Some(best_c) = pick_capacity(&scored) else {
         return Err(SessionError::Infeasible(
             "no sweep capacity admits a strategy".into(),
         ));
@@ -1204,6 +1215,21 @@ mod tests {
 
     fn session(steps: usize) -> Session {
         session_with(steps, None)
+    }
+
+    #[test]
+    fn near_tied_capacity_scores_pick_the_same_grid_point() {
+        // Warm and cold sweeps have scored one grid point 3e-16 apart:
+        // either order must select the earlier point.
+        let lo = 1.25;
+        let hi = lo * (1.0 + 3e-16);
+        assert!(hi > lo);
+        for scored in [[(0.6, lo), (0.8, hi)], [(0.6, hi), (0.8, lo)]] {
+            assert_eq!(pick_capacity(&scored), Some(0.6));
+        }
+        // Outside near-ties the strict minimum still wins.
+        assert_eq!(pick_capacity(&[(0.6, 1.3), (0.8, 1.25)]), Some(0.8));
+        assert_eq!(pick_capacity(&[]), None);
     }
 
     #[test]

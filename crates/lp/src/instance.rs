@@ -3,8 +3,8 @@
 //! A `SimplexInstance` freezes one model's standard form (column layout,
 //! costs, row-sign normalization) and lets callers mutate right-hand sides
 //! and variable bounds *in place*, then [`SimplexInstance::resolve`] from
-//! the previous optimal basis with the dual simplex instead of re-pivoting
-//! from the all-artificial start. This is the classical parametric-LP
+//! the previous optimal basis with the dual simplex instead of re-running
+//! both phases from scratch. This is the classical parametric-LP
 //! answer to the §7 capacity sweeps: hundreds of LPs sharing one
 //! constraint matrix and differing only in capacity rhs values.
 //!
@@ -17,7 +17,7 @@
 use crate::model::Prepared;
 use crate::simplex::{
     prime_warm, resolve_dual, resolve_primal, solve_two_phase, DualOutcome, PrimalOutcome,
-    SolverOptions, WarmStart,
+    WarmStart,
 };
 use crate::{LpError, Model, Solution, VarId};
 
@@ -35,13 +35,13 @@ use crate::{LpError, Model, Solution, VarId};
 /// # Examples
 ///
 /// ```
-/// use qp_lp::{Model, Sense, SolverOptions};
+/// use qp_lp::{Model, Sense};
 ///
 /// let mut m = Model::new(Sense::Minimize);
 /// let x = m.add_var("x", 0.0, f64::INFINITY, 2.0);
 /// let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
 /// let demand = m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
-/// let mut inst = m.instance(&SolverOptions::default())?;
+/// let mut inst = m.instance()?;
 /// let cold = inst.solve()?;
 /// assert!((cold.objective() - 8.0).abs() < 1e-7);
 ///
@@ -55,7 +55,6 @@ use crate::{LpError, Model, Solution, VarId};
 pub struct SimplexInstance {
     model: Model,
     prepared: Prepared,
-    options: SolverOptions,
     /// Optimal (dual-feasible) warm-start point — basis plus the
     /// nonbasic-at-upper-bound flags — of the last successful solve.
     warm: Option<WarmStart>,
@@ -68,18 +67,16 @@ pub struct SimplexInstance {
 
 impl SimplexInstance {
     /// Builds an instance owning `model`, performing the standard-form
-    /// conversion once (native bounded variables when the options ask for
-    /// them).
+    /// conversion once.
     ///
     /// # Errors
     ///
     /// Propagates standard-form construction failures.
-    pub fn new(model: Model, options: SolverOptions) -> Result<Self, LpError> {
-        let prepared = Prepared::from_model(&model, options.native_bounds)?;
+    pub fn new(model: Model) -> Result<Self, LpError> {
+        let prepared = Prepared::from_model(&model)?;
         Ok(SimplexInstance {
             model,
             prepared,
-            options,
             warm: None,
             costs_dirty: false,
         })
@@ -234,14 +231,9 @@ impl SimplexInstance {
     ///
     /// As for [`Model::solve`].
     pub fn solve(&mut self) -> Result<Solution, LpError> {
-        match solve_two_phase(
-            &self.prepared,
-            &self.prepared.b,
-            &self.options,
-            self.model.num_vars(),
-        ) {
+        match solve_two_phase(&self.prepared, &self.prepared.b, self.model.num_vars()) {
             Ok((sol, mut warm)) => {
-                prime_warm(&self.prepared, &self.options, &mut warm);
+                prime_warm(&self.prepared, &mut warm);
                 self.warm = Some(warm);
                 self.costs_dirty = false;
                 Ok(sol)
@@ -287,7 +279,6 @@ impl SimplexInstance {
             let outcome = resolve_primal(
                 &self.prepared,
                 &self.prepared.b,
-                &self.options,
                 self.model.num_vars(),
                 warm,
             );
@@ -307,7 +298,6 @@ impl SimplexInstance {
         let outcome = resolve_dual(
             &self.prepared,
             &self.prepared.b,
-            &self.options,
             self.model.num_vars(),
             warm,
         );
@@ -320,12 +310,7 @@ impl SimplexInstance {
                 // Confirm with a cold solve: the dual-unbounded test and the
                 // phase-1 infeasibility test use different tolerance paths,
                 // and sweep drivers key behavior off this verdict.
-                match solve_two_phase(
-                    &self.prepared,
-                    &self.prepared.b,
-                    &self.options,
-                    self.model.num_vars(),
-                ) {
+                match solve_two_phase(&self.prepared, &self.prepared.b, self.model.num_vars()) {
                     Err(LpError::Infeasible) => {
                         // Keep the dual-feasible point: the next parameter
                         // point can still re-solve warm.
@@ -381,20 +366,12 @@ impl SimplexInstance {
             .warm
             .as_ref()
             .filter(|w| !self.costs_dirty && w.basis.iter().all(|&j| j < n_cols));
-        let cold = || {
-            solve_two_phase(&self.prepared, &b, &self.options, self.model.num_vars())
-                .map(|(sol, _)| sol)
-        };
+        let cold =
+            || solve_two_phase(&self.prepared, &b, self.model.num_vars()).map(|(sol, _)| sol);
         let Some(warm) = warm else {
             return cold();
         };
-        match resolve_dual(
-            &self.prepared,
-            &b,
-            &self.options,
-            self.model.num_vars(),
-            warm,
-        ) {
+        match resolve_dual(&self.prepared, &b, self.model.num_vars(), warm) {
             DualOutcome::Optimal(sol, _) => Ok(sol),
             // Cold-confirm the infeasibility verdict, mirroring `resolve`.
             DualOutcome::Infeasible(_) => cold(),
@@ -405,7 +382,7 @@ impl SimplexInstance {
 
 #[cfg(test)]
 mod tests {
-    use crate::{LpError, Model, Sense, SolverOptions};
+    use crate::{LpError, Model, Sense};
 
     fn classic() -> (Model, (crate::VarId, crate::VarId), [usize; 3]) {
         let mut m = Model::new(Sense::Maximize);
@@ -420,7 +397,7 @@ mod tests {
     #[test]
     fn warm_resolve_matches_cold_after_rhs_change() {
         let (m, _, rows) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
 
         let mut cold_model = m.clone();
@@ -440,7 +417,7 @@ mod tests {
     #[test]
     fn tightening_rhs_reoptimizes_with_dual_pivots() {
         let (m, (x, y), rows) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 36.0).abs() < 1e-7);
 
@@ -460,7 +437,7 @@ mod tests {
     #[test]
     fn unchanged_rhs_resolves_in_zero_iterations() {
         let (m, _, _) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         let cold = inst.solve().unwrap();
         let warm = inst.resolve().unwrap();
         assert_eq!(warm.stats().iterations, 0);
@@ -476,7 +453,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         let lo = m.add_ge(&[(x, 1.0)], 1.0);
         let _hi = m.add_le(&[(x, 1.0)], 5.0);
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
         inst.set_rhs(lo, 6.0);
         assert_eq!(inst.resolve().unwrap_err(), LpError::Infeasible);
@@ -492,7 +469,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 7.0, 2.0);
         let y = m.add_var("y", 0.0, 3.0, 1.0);
         m.add_le(&[(x, 1.0), (y, 1.0)], 8.0);
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 15.0).abs() < 1e-7); // x=7, y=1
 
@@ -515,7 +492,7 @@ mod tests {
     fn bound_pattern_change_is_rejected() {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 0.0, 1.0, 1.0);
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         let err = inst.set_var_bounds(x, 0.0, f64::INFINITY).unwrap_err();
         assert!(matches!(err, LpError::InvalidModel { .. }));
     }
@@ -528,7 +505,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 0.0, 1.0, 1.0);
         let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
-        let mut inst = m.instance(&SolverOptions::factored()).unwrap();
+        let mut inst = m.instance().unwrap();
         let err = inst.set_var_bounds(x, 0.0, f64::INFINITY).unwrap_err();
         assert!(matches!(err, LpError::InvalidModel { .. }));
         let err = inst.set_var_bounds(y, 0.0, 2.0).unwrap_err();
@@ -546,7 +523,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 7.0, 2.0);
         let y = m.add_var("y", 0.0, 3.0, 1.0);
         m.add_le(&[(x, 1.0), (y, 1.0)], 8.0);
-        let mut inst = m.instance(&SolverOptions::factored()).unwrap();
+        let mut inst = m.instance().unwrap();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 15.0).abs() < 1e-7); // x=7, y=1
 
@@ -563,32 +540,30 @@ mod tests {
 
     #[test]
     fn set_var_bounds_rejects_nan_and_crossed_without_mutating() {
-        for opts in [SolverOptions::default(), SolverOptions::factored()] {
-            let mut m = Model::new(Sense::Minimize);
-            let x = m.add_var("x", 0.0, 5.0, 1.0);
-            m.add_ge(&[(x, 1.0)], 1.0);
-            let mut inst = m.instance(&opts).unwrap();
-            inst.solve().unwrap();
-            for (lo, hi) in [
-                (f64::NAN, 5.0),
-                (0.0, f64::NAN),
-                (f64::NAN, f64::NAN),
-                (3.0, 2.0),
-            ] {
-                let err = inst.set_var_bounds(x, lo, hi).unwrap_err();
-                assert!(matches!(err, LpError::InvalidModel { .. }), "({lo}, {hi})");
-            }
-            // The instance survives the rejected deltas untouched.
-            assert_eq!(inst.model().var_bounds(x), (0.0, 5.0));
-            let sol = inst.resolve().unwrap();
-            assert!((sol.objective() - 1.0).abs() < 1e-7);
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, 5.0, 1.0);
+        m.add_ge(&[(x, 1.0)], 1.0);
+        let mut inst = m.instance().unwrap();
+        inst.solve().unwrap();
+        for (lo, hi) in [
+            (f64::NAN, 5.0),
+            (0.0, f64::NAN),
+            (f64::NAN, f64::NAN),
+            (3.0, 2.0),
+        ] {
+            let err = inst.set_var_bounds(x, lo, hi).unwrap_err();
+            assert!(matches!(err, LpError::InvalidModel { .. }), "({lo}, {hi})");
         }
+        // The instance survives the rejected deltas untouched.
+        assert_eq!(inst.model().var_bounds(x), (0.0, 5.0));
+        let sol = inst.resolve().unwrap();
+        assert!((sol.objective() - 1.0).abs() < 1e-7);
     }
 
     #[test]
     fn set_objective_rejects_nonfinite() {
         let (m, (x, _), _) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let err = inst.set_objective(x, bad).unwrap_err();
@@ -600,37 +575,36 @@ mod tests {
 
     #[test]
     fn objective_change_resolves_warm_with_primal_pivots() {
-        for opts in [SolverOptions::default(), SolverOptions::factored()] {
-            let (m, (x, y), _) = classic();
-            let mut inst = m.instance(&opts).unwrap();
-            let cold = inst.solve().unwrap();
-            assert!((cold.objective() - 36.0).abs() < 1e-7);
+        let (m, (x, y), _) = classic();
+        let mut inst = m.instance().unwrap();
+        let cold = inst.solve().unwrap();
+        assert!((cold.objective() - 36.0).abs() < 1e-7);
 
-            // Flip the profit balance: max 5x + y now prefers x=4.
-            inst.set_objective(x, 5.0).unwrap();
-            inst.set_objective(y, 1.0).unwrap();
-            let warm = inst.resolve().unwrap();
-            assert!(warm.stats().warm, "expected the primal warm path");
+        // Flip the profit balance: max 5x + y now prefers x=4.
+        inst.set_objective(x, 5.0).unwrap();
+        inst.set_objective(y, 1.0).unwrap();
+        let warm = inst.resolve().unwrap();
+        assert!(warm.stats().warm, "expected the primal warm path");
 
-            let mut cold_model = m.clone();
-            cold_model.set_objective(x, 5.0);
-            cold_model.set_objective(y, 1.0);
-            let re = cold_model.solve_with(&opts).unwrap();
-            assert!(
-                (warm.objective() - re.objective()).abs() <= 1e-9 * (1.0 + re.objective().abs()),
-                "warm {} vs cold {}",
-                warm.objective(),
-                re.objective()
-            );
-            assert!((warm.value(x) - re.value(x)).abs() < 1e-7);
-            assert!((warm.value(y) - re.value(y)).abs() < 1e-7);
-        }
+        let mut cold_model = m.clone();
+        cold_model.set_objective(x, 5.0);
+        cold_model.set_objective(y, 1.0);
+        let re = cold_model.solve().unwrap();
+        assert!(
+            (warm.objective() - re.objective()).abs() <= 1e-9 * (1.0 + re.objective().abs()),
+            "warm {} vs cold {}",
+            warm.objective(),
+            re.objective()
+        );
+        assert!((warm.value(x) - re.value(x)).abs() < 1e-7);
+        assert!((warm.value(y) - re.value(y)).abs() < 1e-7);
+        warm.certify(inst.model()).unwrap();
     }
 
     #[test]
     fn unchanged_objective_resolves_in_zero_iterations() {
         let (m, (x, _), _) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         let cold = inst.solve().unwrap();
         // Setting the same coefficient keeps the dual warm path (no dirty
         // flag), and the re-solve costs zero pivots.
@@ -642,8 +616,8 @@ mod tests {
 
     #[test]
     fn mixed_rhs_and_objective_deltas_match_cold() {
-        let (m, (x, y), rows) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let (m, (_, y), rows) = classic();
+        let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
 
         inst.set_rhs(rows[2], 24.0);
@@ -662,8 +636,11 @@ mod tests {
             warm.objective(),
             cold.objective()
         );
-        assert!((warm.value(x) - cold.value(x)).abs() < 1e-7);
-        assert!((warm.value(y) - cold.value(y)).abs() < 1e-7);
+        // The new objective 3x + 2y is parallel to the row 3x + 2y ≤ 24,
+        // so warm and cold may stop at different optimal vertices: certify
+        // both instead of comparing values.
+        warm.certify(inst.model()).unwrap();
+        cold.certify(&cold_model).unwrap();
     }
 
     #[test]
@@ -672,7 +649,7 @@ mod tests {
         // non-mutating sweep path falls back to a cold solve until the
         // owner resolves the objective change.
         let (m, (x, _), rows) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
         inst.set_objective(x, 10.0).unwrap();
 
@@ -702,7 +679,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
         m.add_ge(&[(x, 1.0)], 1.0);
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
         inst.set_objective(x, -1.0).unwrap();
         assert_eq!(inst.resolve().unwrap_err(), LpError::Unbounded);
@@ -714,38 +691,36 @@ mod tests {
 
     #[test]
     fn add_column_warm_resolve_matches_cold_rebuild() {
-        for opts in [SolverOptions::default(), SolverOptions::factored()] {
-            // min 2x + 3y, x + y ≥ 4 → x = 4, obj 8.
-            let mut m = Model::new(Sense::Minimize);
-            let x = m.add_var("x", 0.0, f64::INFINITY, 2.0);
-            let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
-            let demand = m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
-            let mut inst = m.instance(&opts).unwrap();
-            let before = inst.solve().unwrap();
-            assert!((before.objective() - 8.0).abs() < 1e-7);
+        // min 2x + 3y, x + y ≥ 4 → x = 4, obj 8.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, f64::INFINITY, 2.0);
+        let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
+        let demand = m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
+        let mut inst = m.instance().unwrap();
+        let before = inst.solve().unwrap();
+        assert!((before.objective() - 8.0).abs() < 1e-7);
 
-            // A cheaper column covering the same demand takes over.
-            let z = inst.add_column("z", 1.0, &[(demand, 1.0)]).unwrap();
-            let warm = inst.resolve().unwrap();
-            assert!(
-                (warm.objective() - 4.0).abs() < 1e-7,
-                "{}",
-                warm.objective()
-            );
-            assert!((warm.value(z) - 4.0).abs() < 1e-7);
-            assert!((warm.value(x)).abs() < 1e-7);
+        // A cheaper column covering the same demand takes over.
+        let z = inst.add_column("z", 1.0, &[(demand, 1.0)]).unwrap();
+        let warm = inst.resolve().unwrap();
+        assert!(
+            (warm.objective() - 4.0).abs() < 1e-7,
+            "{}",
+            warm.objective()
+        );
+        assert!((warm.value(z) - 4.0).abs() < 1e-7);
+        assert!((warm.value(x)).abs() < 1e-7);
+        warm.certify(inst.model()).unwrap();
 
-            let mut cold_model = m.clone();
-            let _ = cold_model.add_column("z", 1.0, &[(demand, 1.0)]).unwrap();
-            let cold = cold_model.solve_with(&opts).unwrap();
-            assert!(
-                (warm.objective() - cold.objective()).abs()
-                    <= 1e-9 * (1.0 + cold.objective().abs()),
-                "warm {} vs cold {}",
-                warm.objective(),
-                cold.objective()
-            );
-        }
+        let mut cold_model = m.clone();
+        let _ = cold_model.add_column("z", 1.0, &[(demand, 1.0)]).unwrap();
+        let cold = cold_model.solve().unwrap();
+        assert!(
+            (warm.objective() - cold.objective()).abs() <= 1e-9 * (1.0 + cold.objective().abs()),
+            "warm {} vs cold {}",
+            warm.objective(),
+            cold.objective()
+        );
     }
 
     #[test]
@@ -753,7 +728,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
         let r = m.add_le(&[(x, 1.0)], 4.0);
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 12.0).abs() < 1e-7);
         let z = inst.add_column("z", 5.0, &[(r, 1.0)]).unwrap();
@@ -772,7 +747,7 @@ mod tests {
         let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
         let r0 = m.add_eq(&[(x, 1.0)], 2.0);
         let r1 = m.add_eq(&[(x, 1.0)], 2.0);
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         let first = inst.solve().unwrap();
         assert!((first.objective() - 2.0).abs() < 1e-7);
 
@@ -786,7 +761,7 @@ mod tests {
     #[test]
     fn add_column_rejects_bad_inputs_without_mutating() {
         let (m, _, rows) = classic();
-        let mut inst = m.instance(&SolverOptions::default()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
         assert!(matches!(
             inst.add_column("z", f64::NAN, &[(rows[0], 1.0)]),
@@ -808,7 +783,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 0.0, f64::INFINITY, 10.0);
         let cover = m.add_ge(&[(x, 1.0)], 6.0);
-        let mut inst = m.instance(&SolverOptions::factored()).unwrap();
+        let mut inst = m.instance().unwrap();
         let mut obj = inst.solve().unwrap().objective();
         assert!((obj - 60.0).abs() < 1e-7);
         for (cost, expect) in [(6.0, 36.0), (3.0, 18.0), (1.5, 9.0)] {
@@ -823,7 +798,7 @@ mod tests {
     #[test]
     fn clone_is_independent() {
         let (m, _, rows) = classic();
-        let mut base = m.instance(&SolverOptions::default()).unwrap();
+        let mut base = m.instance().unwrap();
         base.solve().unwrap();
         let mut a = base.clone();
         let mut b = base.clone();

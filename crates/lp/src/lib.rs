@@ -5,45 +5,37 @@
 //! The paper solves its placement and access-strategy linear programs with
 //! GNU MathProg + `glpsol`; this crate replaces that external toolchain with
 //! a pure-Rust solver so the whole reproduction is self-contained. The
-//! crate is organized in three cooperating layers:
+//! solver has exactly one configuration, and the crate is organized in
+//! three cooperating layers:
 //!
 //! 1. **Solver core** (the private `simplex`, `pricing`, and `factor`
 //!    modules) — a two-phase *revised simplex* over a compressed
-//!    sparse-column (CSC) constraint matrix, with three orthogonal
-//!    performance switches on [`SolverOptions`]:
+//!    sparse-column (CSC) constraint matrix:
 //!
-//!    * **Basis algebra** ([`BasisKind`]): a sparse LU factorization at
-//!      refactorization points with product-form (eta-file) updates
-//!      between them (`Factored`), or the seed's dense explicit
-//!      `O(m²)`-per-iteration inverse (`Dense`, still the default for
-//!      one-shot `Model::solve` calls so their pivot paths and the
-//!      repository's pinned goldens stay bit-for-bit).
-//!    * **Pricing** ([`Pricing`], the `pricing` module): the seed's full
-//!      Dantzig scan (default), or **devex reference-framework pricing
-//!      over a candidate list** — a periodic full pass ranks columns by
-//!      `rc²/w`, and between refreshes each pivot prices only the best
-//!      few hundred candidates. On the 16,100-column §7 strategy LPs this
-//!      replaces a full scan per pivot with ~20 full passes per solve
-//!      ([`SolveStats::full_prices`] makes that observable). The dual
-//!      simplex gets the matching treatment: devex-weighted leaving rows,
-//!      roughly halving re-solve pivot counts on the large sweeps.
-//!    * **Bounded variables** (`native_bounds`): finite upper bounds are
-//!      handled *in-solver* by the bounded-variable ratio test — nonbasic
-//!      columns sit at either bound, jump between them in **bound flips**
-//!      that cost no basis change ([`SolveStats::bound_flips`]) — instead
-//!      of materializing one `≤` row + slack per bound. A box-bounded LP's
-//!      row count (and with it every factorization) shrinks from
-//!      `rows + vars` to `rows`. `crash_basis` additionally starts cold
-//!      solves from feasible slacks instead of all artificials.
+//!    * **Basis algebra**: a sparse LU factorization at refactorization
+//!      points with product-form (eta-file) updates between them.
+//!    * **Pricing** (the `pricing` module): **devex reference-framework
+//!      pricing over a candidate list** — a periodic full pass ranks
+//!      columns by `rc²/w`, and between refreshes each pivot prices only
+//!      the best few hundred candidates. On the 16,100-column §7 strategy
+//!      LPs a solve needs ~20 full passes instead of one per pivot
+//!      ([`SolveStats::full_prices`] makes that observable). After a run
+//!      of degenerate pivots the primal simplex switches to Bland's rule
+//!      (a full lowest-index scan) so it cannot cycle. The dual simplex
+//!      gets the matching treatment: devex-weighted leaving rows.
+//!    * **Bounded variables**: finite upper bounds are handled
+//!      *in-solver* by the bounded-variable ratio test — nonbasic columns
+//!      sit at either bound and jump between them in **bound flips** that
+//!      cost no basis change ([`SolveStats::bound_flips`]) — so a
+//!      box-bounded LP factorizes only its constraint rows. Cold solves
+//!      start from a slack crash basis: rows whose slack can sit basic at
+//!      a feasible value skip their artificial.
 //!
-//!    Shared pivot logic — pricing with an automatic switch to Bland's
-//!    rule after a run of degenerate pivots, periodic refactorization,
-//!    phase-1 infeasibility detection — drives every configuration, plus
-//!    a **dual simplex** (incremental reduced costs and basic values,
-//!    rebuilt at refactorization points) for re-optimizing after
-//!    right-hand-side or bound changes. [`SolverOptions::factored`]
-//!    bundles the full hot path: sparse LU + devex + native bounds +
-//!    crash start.
+//!    Shared pivot logic — pricing with the Bland switch, periodic
+//!    refactorization, phase-1 infeasibility detection — drives cold
+//!    solves, plus a **dual simplex** (incremental reduced costs and
+//!    basic values, rebuilt at refactorization points) for re-optimizing
+//!    after right-hand-side or bound changes.
 //! 2. **Parametric instances** ([`SimplexInstance`]) — a reusable solver
 //!    built once from a [`Model`]: `solve()` runs cold and caches the
 //!    optimal basis *with its factorization and reduced costs*;
@@ -69,8 +61,11 @@
 //!    any thread count.
 //! 3. **Modeling layer** ([`Model`], [`Solution`]) — variables with general
 //!    bounds (finite lower bounds are shifted away, free variables split,
-//!    finite upper bounds handled natively or as rows per the options),
-//!    `≤`/`≥`/`=` constraints, duals per row.
+//!    finite upper bounds kept on the columns), `≤`/`≥`/`=` constraints,
+//!    duals per row. [`Solution::certify`] checks any solution against
+//!    its original model — primal and dual feasibility plus complementary
+//!    slackness — without trusting the solver; the tests use it as their
+//!    oracle.
 //!
 //! The LPs in this repository are small-to-medium (hundreds of rows, up to
 //! a few tens of thousands of columns) but are re-solved *hundreds of
@@ -102,7 +97,7 @@
 //! Parametric re-solving over a family of right-hand sides:
 //!
 //! ```
-//! use qp_lp::{Model, Sense, SolverOptions};
+//! use qp_lp::{Model, Sense};
 //!
 //! let mut m = Model::new(Sense::Maximize);
 //! let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
@@ -111,7 +106,7 @@
 //! m.add_le(&[(y, 2.0)], 12.0);
 //! let coupling = m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
 //!
-//! let mut inst = m.instance(&SolverOptions::default())?;
+//! let mut inst = m.instance()?;
 //! inst.solve()?; // cold once
 //! for rhs in [15.0, 16.5, 18.0, 21.0] {
 //!     inst.set_rhs(coupling, rhs);
@@ -137,6 +132,4 @@ pub use error::LpError;
 pub use format::format_lp;
 pub use instance::SimplexInstance;
 pub use model::{Model, Relation, Sense, VarId};
-pub use pricing::Pricing;
-pub use simplex::{BasisKind, SolverOptions};
 pub use solution::{Solution, SolveStats};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::simplex::{solve_two_phase, SolverOptions};
+use crate::simplex::solve_two_phase;
 use crate::{LpError, SimplexInstance, Solution};
 
 /// Identifier of a decision variable within one [`Model`].
@@ -59,8 +59,7 @@ pub(crate) struct Row {
 /// A linear program under construction.
 ///
 /// Variables carry their bounds and objective coefficient; constraints are
-/// added as term lists. Call [`Model::solve`] (or
-/// [`Model::solve_with`] for custom tolerances) to run the simplex solver.
+/// added as term lists. Call [`Model::solve`] to run the simplex solver.
 ///
 /// # Examples
 ///
@@ -355,7 +354,7 @@ impl Model {
         self.upper[v.0] = upper;
     }
 
-    /// Solves with default options.
+    /// Solves the model (a cold two-phase solve).
     ///
     /// # Errors
     ///
@@ -364,17 +363,8 @@ impl Model {
     /// * [`LpError::IterationLimit`] / [`LpError::Singular`] on numerical
     ///   failure (not expected for well-scaled inputs).
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&SolverOptions::default())
-    }
-
-    /// Solves with explicit [`SolverOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`].
-    pub fn solve_with(&self, options: &SolverOptions) -> Result<Solution, LpError> {
-        let prepared = Prepared::from_model(self, options.native_bounds)?;
-        let (sol, _warm) = solve_two_phase(&prepared, &prepared.b, options, self.num_vars())?;
+        let prepared = Prepared::from_model(self)?;
+        let (sol, _warm) = solve_two_phase(&prepared, &prepared.b, self.num_vars())?;
         Ok(sol)
     }
 
@@ -384,8 +374,8 @@ impl Model {
     /// # Errors
     ///
     /// Propagates standard-form construction failures.
-    pub fn instance(&self, options: &SolverOptions) -> Result<SimplexInstance, LpError> {
-        SimplexInstance::new(self.clone(), options.clone())
+    pub fn instance(&self) -> Result<SimplexInstance, LpError> {
+        SimplexInstance::new(self.clone())
     }
 
     pub(crate) fn rows(&self) -> &[Row] {
@@ -516,29 +506,24 @@ impl Csc {
 }
 
 /// The standard-form image of a [`Model`]:
-/// `min c·x  s.t.  A x = b,  0 ≤ x ≤ u,  b ≥ 0` (every `u_j` is `+∞`
-/// unless native bounded-variable mode is on).
+/// `min c·x  s.t.  A x = b,  0 ≤ x ≤ u,  b ≥ 0` (`u_j = +∞` for columns
+/// without a finite upper bound).
 ///
 /// Construction performs, in order: free-variable splitting, lower-bound
-/// shifting, upper-bound handling (native column bounds, or extra `≤` rows
-/// in the legacy mode), slack/surplus insertion, and row sign
-/// normalization. The mapping back to user variables is retained.
+/// shifting, upper bounds kept as column bounds, slack/surplus insertion,
+/// and row sign normalization. The mapping back to user variables is
+/// retained.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     /// Column-major sparse matrix (structural + slack columns).
     pub cols: Csc,
     /// Per standardized row: the slack column usable as a crash-basis
     /// member (a singleton `+1` column), if any. `≤` rows normalized with
-    /// positive sign and legacy upper-bound rows have one; `=` rows and
-    /// sign-flipped rows do not.
+    /// positive sign have one; `=` rows and sign-flipped rows do not.
     pub row_slack: Vec<Option<usize>>,
-    /// Per-column upper bound in standard form (`+∞` when unbounded; all
-    /// `+∞` unless `native_bounds`). Finite entries are handled in-solver
-    /// by the bounded-variable ratio test, not by extra rows.
+    /// Per-column upper bound in standard form (`+∞` when unbounded),
+    /// handled in-solver by the bounded-variable ratio test.
     pub upper: Vec<f64>,
-    /// Whether finite user upper bounds became native column bounds
-    /// (`true`) or `≤` rows (`false`, the legacy/golden layout).
-    pub native_bounds: bool,
     /// Right-hand side, all entries ≥ 0.
     pub b: Vec<f64>,
     /// Phase-2 costs (minimization), aligned with `cols`.
@@ -556,9 +541,6 @@ pub(crate) struct Prepared {
     /// nonzero bound shift. Shift-free rows (the common case for the
     /// `x ≥ 0` models the sweeps build) standardize a new rhs in O(1).
     pub row_has_shift: Vec<bool>,
-    /// User-variable index behind each finite-upper-bound row (appended
-    /// after the user rows, in order), for rhs refresh after bound changes.
-    pub ub_vars: Vec<usize>,
 }
 
 /// Recipe to recover the value of one user variable from standard-form
@@ -591,11 +573,9 @@ impl Recover {
 }
 
 impl Prepared {
-    /// Builds the standard form. With `native_bounds` finite user upper
-    /// bounds become per-column bounds consumed by the bounded-variable
-    /// simplex; without it they become appended `≤` rows (the layout every
-    /// golden pivot path was recorded against).
-    pub(crate) fn from_model(model: &Model, native_bounds: bool) -> Result<Self, LpError> {
+    /// Builds the standard form. Finite user upper bounds become
+    /// per-column bounds consumed by the bounded-variable simplex.
+    pub(crate) fn from_model(model: &Model) -> Result<Self, LpError> {
         let (lower, upper) = model.bounds();
         let user_obj = model.objective_coeffs();
         let negated = model.sense() == Sense::Maximize;
@@ -605,22 +585,15 @@ impl Prepared {
         let mut costs: Vec<f64> = Vec::new();
         let mut recover = Vec::with_capacity(lower.len());
         let mut obj_offset = 0.0;
-        // Extra rows generated by finite upper bounds in the legacy mode,
-        // appended after user rows: (col, rhs, user var) meaning col ≤ rhs.
-        let mut ub_rows: Vec<(usize, f64, usize)> = Vec::new();
 
         for j in 0..lower.len() {
             let c = if negated { -user_obj[j] } else { user_obj[j] };
             let (lo, hi) = (lower[j], upper[j]);
             if lo.is_finite() {
-                // x = x' + lo, x' ≥ 0
+                // x = x' + lo, 0 ≤ x' ≤ hi − lo (+∞ stays +∞)
                 let col = cols.len();
                 cols.push(Vec::new());
-                col_upper.push(if native_bounds && hi.is_finite() {
-                    hi - lo
-                } else {
-                    f64::INFINITY
-                });
+                col_upper.push(hi - lo);
                 costs.push(c);
                 obj_offset += c * lo;
                 recover.push(Recover::Shifted {
@@ -628,9 +601,6 @@ impl Prepared {
                     shift: lo,
                     sign: 1.0,
                 });
-                if !native_bounds && hi.is_finite() {
-                    ub_rows.push((col, hi - lo, j));
-                }
             } else if hi.is_finite() {
                 // x ≤ hi, unbounded below: substitute x = hi - x'', x'' ≥ 0.
                 let col = cols.len();
@@ -657,11 +627,10 @@ impl Prepared {
             }
         }
 
-        let n_user_rows = model.rows().len();
-        let total_rows = n_user_rows + ub_rows.len();
-        let mut b = vec![0.0; total_rows];
-        let mut row_map = Vec::with_capacity(n_user_rows);
-        let mut row_slack: Vec<Option<usize>> = Vec::with_capacity(total_rows);
+        let n_rows = model.rows().len();
+        let mut b = vec![0.0; n_rows];
+        let mut row_map = Vec::with_capacity(n_rows);
+        let mut row_slack: Vec<Option<usize>> = Vec::with_capacity(n_rows);
 
         // Fill user rows.
         for (i, row) in model.rows().iter().enumerate() {
@@ -708,23 +677,6 @@ impl Prepared {
             row_map.push((i, sign));
         }
 
-        // Upper-bound rows (legacy mode only): x'_col + slack = ub
-        // (ub ≥ 0 because lo ≤ hi).
-        let mut ub_vars = Vec::with_capacity(ub_rows.len());
-        for (k, &(col, rhs, var)) in ub_rows.iter().enumerate() {
-            let i = n_user_rows + k;
-            debug_assert!(rhs >= 0.0);
-            b[i] = rhs;
-            cols[col].push((i, 1.0));
-            let s = cols.len();
-            cols.push(Vec::new());
-            col_upper.push(f64::INFINITY);
-            costs.push(0.0);
-            cols[s].push((i, 1.0));
-            row_slack.push(Some(s));
-            ub_vars.push(var);
-        }
-
         let row_has_shift = model
             .rows()
             .iter()
@@ -739,7 +691,6 @@ impl Prepared {
             cols: Csc::from_columns(&cols),
             row_slack,
             upper: col_upper,
-            native_bounds,
             b,
             costs,
             obj_offset,
@@ -747,17 +698,16 @@ impl Prepared {
             recover,
             row_map,
             row_has_shift,
-            ub_vars,
         })
     }
 
     /// Appends the standard-form image of one new `[0, +∞)` user variable
     /// with objective `obj` and canonicalized user-row `terms` (from
     /// [`Model::combine_column_terms`]). With zero bound shift the column
-    /// is its own standard form under both bound modes: entries map
-    /// through the frozen row-sign normalization, the rhs vector and
-    /// objective offset are untouched, and no upper-bound row or native
-    /// bound is needed. Returns the new standard-form column index.
+    /// is its own standard form: entries map through the frozen row-sign
+    /// normalization, the rhs vector and objective offset are untouched,
+    /// and no column upper bound is needed. Returns the new standard-form
+    /// column index.
     pub(crate) fn append_column(&mut self, obj: f64, terms: &[(usize, f64)]) -> usize {
         let col = self.cols.num_cols();
         let mut entries: Vec<(usize, f64)> = terms
@@ -808,17 +758,17 @@ impl Prepared {
         self.b[i] = v;
     }
 
-    /// Re-derives shifts, the objective offset, native column upper
-    /// bounds, and the whole standardized rhs vector from the model's
-    /// current bounds and row right-hand sides. The *pattern* of each
-    /// variable's bounds (which sides are finite) must be unchanged since
-    /// construction; callers enforce this.
+    /// Re-derives shifts, the objective offset, column upper bounds, and
+    /// the whole standardized rhs vector from the model's current bounds
+    /// and row right-hand sides. The *pattern* of each variable's bounds
+    /// (which sides are finite) must be unchanged since construction;
+    /// callers enforce this.
     pub(crate) fn refresh_bounds(&mut self, model: &Model) {
         let (lower, upper) = model.bounds();
         for j in 0..lower.len() {
             if let Recover::Shifted { sign, shift, col } = &mut self.recover[j] {
                 *shift = if *sign >= 0.0 { lower[j] } else { upper[j] };
-                if self.native_bounds && *sign >= 0.0 && upper[j].is_finite() {
+                if *sign >= 0.0 && upper[j].is_finite() {
                     self.upper[*col] = upper[j] - lower[j];
                 }
             }
@@ -842,16 +792,12 @@ impl Prepared {
         for row in 0..model.rows().len() {
             self.refresh_row_rhs(model, row);
         }
-        let n_user_rows = model.rows().len();
-        for (k, &var) in self.ub_vars.iter().enumerate() {
-            self.b[n_user_rows + k] = upper[var] - lower[var];
-        }
     }
 
     /// Re-derives the standard-form cost vector and objective offset from
     /// the model's current objective coefficients, keeping the column
-    /// layout frozen. Slack/surplus (and legacy upper-bound-row slack)
-    /// costs stay zero; only structural columns are rewritten. This is the
+    /// layout frozen. Slack/surplus costs stay zero; only structural
+    /// columns are rewritten. This is the
     /// objective half of the warm-start refresh: after calling it the old
     /// basis is still primal feasible but its reduced costs are stale, so
     /// callers must drop any cached pricing state and re-solve via the
@@ -960,7 +906,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
         let r = m.add_le(&[(x, 1.0)], -1.0);
-        let mut p = Prepared::from_model(&m, false).unwrap();
+        let mut p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.row_map[r], (0, -1.0));
         let col = p.append_column(2.0, &[(r, 3.0)]);
         assert_eq!(p.cols.col(col), (&[0usize][..], &[-3.0][..]));
@@ -994,7 +940,7 @@ mod tests {
         // min x, x ≥ 2 (lower bound) → offset 2, column cost 1.
         let mut m = Model::new(Sense::Minimize);
         let _ = m.add_var("x", 2.0, f64::INFINITY, 1.0);
-        let p = Prepared::from_model(&m, false).unwrap();
+        let p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.obj_offset, 2.0);
         assert_eq!(p.costs, vec![1.0]);
     }
@@ -1003,31 +949,20 @@ mod tests {
     fn prepared_splits_free_vars() {
         let mut m = Model::new(Sense::Minimize);
         let _ = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        let p = Prepared::from_model(&m, false).unwrap();
+        let p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.costs, vec![1.0, -1.0]);
         assert!(matches!(p.recover[0], Recover::Split { .. }));
     }
 
     #[test]
-    fn prepared_adds_upper_bound_rows() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, 5.0, 1.0);
-        let _ = x;
-        let p = Prepared::from_model(&m, false).unwrap();
-        assert_eq!(p.b, vec![5.0]);
-        assert_eq!(p.upper, vec![f64::INFINITY, f64::INFINITY]);
-    }
-
-    #[test]
     fn prepared_native_bounds_skip_upper_rows() {
-        // Native mode: the same model has zero rows and a column bound of
-        // 5 instead of a ub row plus its slack.
+        // A finite upper bound stays on its column: the model has zero
+        // rows and a column bound of 5, not a bound row plus its slack.
         let mut m = Model::new(Sense::Minimize);
         let _ = m.add_var("x", 0.0, 5.0, 1.0);
-        let p = Prepared::from_model(&m, true).unwrap();
+        let p = Prepared::from_model(&m).unwrap();
         assert!(p.b.is_empty());
         assert_eq!(p.upper, vec![5.0]);
-        assert!(p.ub_vars.is_empty());
         assert_eq!(p.cols.num_cols(), 1);
     }
 
@@ -1036,7 +971,7 @@ mod tests {
         // 2 ≤ x ≤ 7 → column x' = x - 2 with native bound 5.
         let mut m = Model::new(Sense::Minimize);
         let _ = m.add_var("x", 2.0, 7.0, 1.0);
-        let p = Prepared::from_model(&m, true).unwrap();
+        let p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.upper, vec![5.0]);
         assert_eq!(p.obj_offset, 2.0);
     }
@@ -1045,7 +980,7 @@ mod tests {
     fn prepared_negates_for_maximize() {
         let mut m = Model::new(Sense::Maximize);
         let _ = m.add_var("x", 0.0, 1.0, 3.0);
-        let p = Prepared::from_model(&m, false).unwrap();
+        let p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.costs[0], -3.0);
         assert!(p.negated);
     }
@@ -1056,7 +991,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", -5.0, f64::INFINITY, 1.0);
         m.add_le(&[(x, 1.0)], -1.0);
-        let p = Prepared::from_model(&m, false).unwrap();
+        let p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.b[0], 4.0);
     }
 
@@ -1107,7 +1042,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 2.0, f64::INFINITY, 3.0);
         let y = m.add_var("y", f64::NEG_INFINITY, 4.0, 1.0);
-        let mut p = Prepared::from_model(&m, false).unwrap();
+        let mut p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.costs, vec![3.0, -1.0]);
         assert_eq!(p.obj_offset, 3.0 * 2.0 + 1.0 * 4.0);
         m.set_objective(x, 5.0);
@@ -1121,7 +1056,7 @@ mod tests {
     fn refresh_objective_handles_split_and_maximize() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 3.0);
-        let mut p = Prepared::from_model(&m, false).unwrap();
+        let mut p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.costs, vec![-3.0, 3.0]);
         m.set_objective(x, -1.5);
         p.refresh_objective(&m);
@@ -1133,7 +1068,7 @@ mod tests {
     fn refresh_bounds_updates_native_upper() {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 1.0, 4.0, 1.0);
-        let mut p = Prepared::from_model(&m, true).unwrap();
+        let mut p = Prepared::from_model(&m).unwrap();
         assert_eq!(p.upper, vec![3.0]);
         m.set_var_bounds(x, 0.5, 6.0);
         p.refresh_bounds(&m);

@@ -1,41 +1,27 @@
-//! Entering-variable pricing rules for the primal simplex.
+//! Entering-variable pricing for the primal simplex: devex
+//! reference-framework pricing (Forrest & Goldfarb) over a **candidate
+//! list**, with Bland's rule as the anti-cycling fallback.
 //!
-//! Two rules share one interface:
-//!
-//! * [`Pricing::Dantzig`] — the seed rule: a full pass over every column
-//!   per pivot, most negative reduced cost wins. Retained as the default
-//!   so every recorded golden pivot path stays bit-for-bit identical.
-//! * [`Pricing::Devex`] — devex reference-framework pricing (Forrest &
-//!   Goldfarb) over a **candidate list**: a periodic full pass ranks all
-//!   attractive columns by `rc²/w_j` and keeps the best few hundred;
-//!   between refreshes each pivot prices only the candidates. Weights
-//!   approximate steepest-edge norms and are updated from the pivot row
-//!   restricted to the candidate set, so the extra per-pivot cost is one
-//!   btran plus a candidate scan instead of a full `n`-column pass — the
-//!   difference between `O(n)` and `O(|C|)` pricing on the 16k-column
-//!   strategy LPs.
+//! A periodic full pass ranks all attractive columns by `rc²/w_j` and
+//! keeps the best few hundred; between refreshes each pivot prices only
+//! the candidates. Weights approximate steepest-edge norms and are updated
+//! from the pivot row restricted to the candidate set, so the extra
+//! per-pivot cost is one btran plus a candidate scan instead of a full
+//! `n`-column pass — the difference between `O(n)` and `O(|C|)` pricing
+//! on the 16k-column strategy LPs. After a run of degenerate pivots the
+//! simplex switches to Bland's rule: a full scan taking the lowest-index
+//! attractive column, whose termination guarantee needs index order, not
+//! weights.
 //!
 //! Optimality is never declared from the candidate list alone: when the
 //! candidates run dry a full refresh pass re-prices every column, and only
-//! an empty *full* pass terminates the phase. Both rules are completely
+//! an empty *full* pass terminates the phase. Pricing is completely
 //! index-deterministic (no hashing, no randomness), so solver pivot paths
 //! are reproducible run to run and across thread counts.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 
-use crate::simplex::State;
-
-/// Entering-variable pricing rule (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Full most-negative-reduced-cost scan per pivot (the seed rule; the
-    /// default, preserving recorded pivot paths exactly).
-    #[default]
-    Dantzig,
-    /// Devex reference-framework pricing over a candidate list with
-    /// periodic full refreshes.
-    Devex,
-}
+use crate::simplex::{State, TOL};
 
 /// Rebuild the candidate list after this many pivots even if it still has
 /// attractive members (reduced costs drift as the basis moves).
@@ -47,7 +33,6 @@ const WEIGHT_RESET: f64 = 1e8;
 
 /// Stateful pricer driving one simplex phase.
 pub(crate) struct Pricer {
-    mode: Pricing,
     /// Devex reference weights, per column (structural + artificial).
     weights: Vec<f64>,
     /// Candidate columns, ranked best-first at the last refresh.
@@ -61,14 +46,9 @@ pub(crate) struct Pricer {
 }
 
 impl Pricer {
-    pub(crate) fn new(mode: Pricing, n_total: usize) -> Self {
-        let weights = match mode {
-            Pricing::Dantzig => Vec::new(),
-            Pricing::Devex => vec![1.0; n_total],
-        };
+    pub(crate) fn new(n_total: usize) -> Self {
         Pricer {
-            mode,
-            weights,
+            weights: vec![1.0; n_total],
             candidates: Vec::new(),
             since_refresh: REFRESH_EVERY, // force a refresh on first use
             cand_cap: (n_total / 8).clamp(32, 512),
@@ -93,10 +73,8 @@ impl Pricer {
     }
 
     /// Picks the entering column, or `None` when a full pass certifies
-    /// optimality. Under Bland's rule (`bland`) both modes fall back to
-    /// the lowest-index attractive column over a full scan — the
-    /// anti-cycling guarantee needs index order, not weights.
-    #[allow(clippy::too_many_arguments)] // one hot call site in run_phase
+    /// optimality. Under Bland's rule (`bland`) the choice is the
+    /// lowest-index attractive column over a full scan.
     pub(crate) fn select(
         &mut self,
         t: &State<'_>,
@@ -104,35 +82,18 @@ impl Pricer {
         cost: &dyn Fn(usize) -> f64,
         allowed: &dyn Fn(usize) -> bool,
         in_basis: &[bool],
-        tol: f64,
         bland: bool,
     ) -> Option<usize> {
-        let n_total = in_basis.len();
-        if bland || self.mode == Pricing::Dantzig {
+        if bland {
             self.full_prices += 1;
-            let mut entering: Option<usize> = None;
-            let mut best_v = tol;
-            for j in 0..n_total {
-                if in_basis[j] || !allowed(j) {
-                    continue;
-                }
-                let v = Self::violation(t, j, y, cost);
-                if bland {
-                    if v > tol {
-                        return Some(j);
-                    }
-                } else if v > best_v {
-                    best_v = v;
-                    entering = Some(j);
-                }
-            }
-            return entering;
+            return (0..in_basis.len())
+                .find(|&j| !in_basis[j] && allowed(j) && Self::violation(t, j, y, cost) > TOL);
         }
 
         // Devex: price the candidate list; refresh when stale or dry.
         let mut refreshed = self.since_refresh >= REFRESH_EVERY;
         if refreshed {
-            self.refresh(t, y, cost, allowed, in_basis, tol);
+            self.refresh(t, y, cost, allowed, in_basis);
         }
         loop {
             let mut entering: Option<usize> = None;
@@ -145,7 +106,7 @@ impl Pricer {
                     continue;
                 }
                 let v = Self::violation(t, j, y, cost);
-                if v > tol {
+                if v > TOL {
                     let score = v * v / self.weights[j];
                     if score > best_score {
                         best_score = score;
@@ -161,7 +122,7 @@ impl Pricer {
                 // A full pass found nothing attractive: optimal.
                 return None;
             }
-            self.refresh(t, y, cost, allowed, in_basis, tol);
+            self.refresh(t, y, cost, allowed, in_basis);
             refreshed = true;
         }
     }
@@ -175,7 +136,6 @@ impl Pricer {
         cost: &dyn Fn(usize) -> f64,
         allowed: &dyn Fn(usize) -> bool,
         in_basis: &[bool],
-        tol: f64,
     ) {
         self.full_prices += 1;
         self.since_refresh = 0;
@@ -189,7 +149,7 @@ impl Pricer {
                 continue;
             }
             let v = Self::violation(t, j, y, cost);
-            if v > tol {
+            if v > TOL {
                 scored.push((v * v / self.weights[j], j));
             }
         }
@@ -216,9 +176,6 @@ impl Pricer {
         d: &[f64],
         in_basis: &[bool],
     ) {
-        if self.mode != Pricing::Devex {
-            return;
-        }
         let alpha_q = d[r];
         if alpha_q == 0.0 {
             return; // numerically degenerate; weights keep their old values
@@ -247,72 +204,12 @@ impl Pricer {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Model, Pricing, Sense, SolverOptions};
-
-    fn ladder_lp(n: usize) -> Model {
-        // A chain of coupled ≤ rows with enough columns that the candidate
-        // list is a strict subset under the devex cap.
-        let mut m = Model::new(Sense::Minimize);
-        let xs: Vec<_> = (0..n)
-            .map(|j| m.add_var(&format!("x{j}"), 0.0, 3.0, ((j % 7) as f64) - 3.0))
-            .collect();
-        for i in 0..n / 2 {
-            let terms: Vec<_> = xs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| (i + j) % 3 != 0)
-                .map(|(j, &x)| (x, 1.0 + ((i * j) % 2) as f64))
-                .collect();
-            m.add_le(&terms, 4.0 + (i % 5) as f64);
-        }
-        m
-    }
-
-    #[test]
-    fn devex_and_dantzig_agree_on_objective() {
-        let m = ladder_lp(40);
-        let dantzig = m.solve_with(&SolverOptions::default()).unwrap();
-        let devex = m
-            .solve_with(&SolverOptions {
-                pricing: Pricing::Devex,
-                ..SolverOptions::default()
-            })
-            .unwrap();
-        assert!(
-            (dantzig.objective() - devex.objective()).abs()
-                <= 1e-9 * (1.0 + dantzig.objective().abs()),
-            "dantzig {} vs devex {}",
-            dantzig.objective(),
-            devex.objective()
-        );
-    }
-
-    #[test]
-    fn devex_prices_fewer_full_passes() {
-        // Dantzig pays one full pass per pricing round; devex amortizes
-        // them over the candidate list. The counters make this visible.
-        let m = ladder_lp(120);
-        let dantzig = m.solve_with(&SolverOptions::default()).unwrap();
-        let devex = m
-            .solve_with(&SolverOptions {
-                pricing: Pricing::Devex,
-                native_bounds: true,
-                ..SolverOptions::default()
-            })
-            .unwrap();
-        assert!(dantzig.stats().full_prices > dantzig.stats().iterations / 2);
-        assert!(
-            devex.stats().full_prices < dantzig.stats().full_prices,
-            "devex {} full passes vs dantzig {}",
-            devex.stats().full_prices,
-            dantzig.stats().full_prices
-        );
-    }
+    use crate::{Model, Sense};
 
     #[test]
     fn devex_solves_degenerate_lp_via_bland_fallback() {
-        // The Klee–Minty-style trigger from the simplex tests, under
-        // devex: the Bland fallback must still terminate and agree.
+        // The Klee–Minty-style trigger from the simplex tests: the Bland
+        // fallback must still terminate and agree.
         let mut m = Model::new(Sense::Maximize);
         let n = 6;
         let xs: Vec<_> = (0..n)
@@ -332,12 +229,8 @@ mod tests {
             terms.push((xs[i], 1.0));
             m.add_le(&terms, 5f64.powi(i as i32 + 1));
         }
-        let sol = m
-            .solve_with(&SolverOptions {
-                pricing: Pricing::Devex,
-                ..SolverOptions::default()
-            })
-            .unwrap();
+        let sol = m.solve().unwrap();
         assert!((sol.objective() - 5f64.powi(n as i32)).abs() / 5f64.powi(n as i32) < 1e-7);
+        sol.certify(&m).unwrap();
     }
 }

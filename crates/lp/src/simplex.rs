@@ -1,123 +1,48 @@
-//! Two-phase revised simplex over a pluggable basis representation, plus
-//! the dual-simplex reoptimizer used for warm starts.
+//! Two-phase revised simplex over a sparse-LU basis factorization, plus
+//! the dual- and primal-simplex reoptimizers used for warm starts.
 //!
 //! The pivot *logic* (ratio tests, Bland switch, refactorization cadence,
 //! bound flips) lives once in [`run_phase`]/[`resolve_dual`]; entering
-//! pricing is delegated to `crate::pricing` ([`Pricing::Dantzig`] or
-//! devex candidate lists) and the basis algebra is abstracted behind
-//! [`BasisRepr`] with two implementations:
+//! pricing is delegated to `crate::pricing` (devex over a candidate list,
+//! with a full Bland scan as the anti-cycling fallback), and the basis
+//! algebra is [`BasisRepr`]: a sparse LU at refactor points with
+//! product-form eta updates between them (the `crate::factor` module).
 //!
-//! * [`BasisKind::Factored`] — sparse LU at refactor points with
-//!   product-form eta updates between them (the `crate::factor` module);
-//!   what the warm-start layer uses ([`crate::SimplexInstance`] via
-//!   sweep drivers, through [`SolverOptions::factored`]);
-//! * [`BasisKind::Dense`] — the seed's explicit `B⁻¹`, still the
-//!   [`SolverOptions::default`] for one-shot `Model::solve` calls so their
-//!   pivot paths (and the repository's pinned golden figures) stay
-//!   bit-for-bit identical to the seed; alternate optimal vertices chosen
-//!   under different floating-point noise would otherwise move goldens.
-//!
-//! Finite variable upper bounds are handled in-solver when
-//! `SolverOptions::native_bounds` is set: nonbasic columns carry an
-//! at-lower/at-upper flag folded into an effective rhs
+//! Finite variable upper bounds are handled in-solver: nonbasic columns
+//! carry an at-lower/at-upper flag folded into an effective rhs
 //! (`b_eff = b − Σ u_j·a_j` over at-upper columns), the primal ratio test
 //! watches both bounds of every basic variable plus the entering column's
 //! own range (a *bound flip* when that binds first — no pivot), and the
 //! dual ratio test admits entering candidates from either bound with the
-//! matching sign condition.
-//!
-//! All configurations implement the same interface and solve to the same
-//! objectives (cross-checked by unit tests and the `proptest` corpus);
-//! they may legitimately land on *different optimal vertices* of
-//! degenerate LPs, which is why the default is per-layer rather than
-//! global.
+//! matching sign condition. Cold solves start from a slack crash basis:
+//! rows whose slack can sit basic at a feasible value skip their
+//! artificial, so phase 1 only drives out artificials of equality (and
+//! sign-flipped) rows.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use std::borrow::Cow;
 
 use crate::factor::{Eta, SparseLu};
 use crate::model::{Csc, Prepared};
-use crate::pricing::{Pricer, Pricing};
+use crate::pricing::Pricer;
 use crate::solution::SolveStats;
 use crate::{LpError, Solution};
 
-/// Basis-inverse representation used by the solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BasisKind {
-    /// Sparse LU factorization with eta-file updates: the representation
-    /// behind warm-started parametric re-solving (see
-    /// [`crate::SimplexInstance`] and `SolverOptions::factored()`).
-    Factored,
-    /// Dense explicit inverse with product-form updates, `O(m²)` per
-    /// iteration: the seed representation and the default for one-shot
-    /// solves, preserving their exact pivot paths.
-    #[default]
-    Dense,
-}
+/// Feasibility / optimality tolerance, appropriate for the well-scaled
+/// LPs this repository builds (coefficients within a few orders of
+/// magnitude of 1).
+pub(crate) const TOL: f64 = 1e-9;
 
-/// Tunable solver parameters.
-///
-/// The defaults are appropriate for the well-scaled LPs this repository
-/// builds (coefficients within a few orders of magnitude of 1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverOptions {
-    /// Feasibility / optimality tolerance.
-    pub tol: f64,
-    /// Hard cap on simplex iterations across both phases; `None` derives a
-    /// generous limit from the problem size.
-    pub max_iterations: Option<usize>,
-    /// Rebuild the basis factorization from scratch every this many pivots.
-    pub refactor_every: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub degenerate_switch: usize,
-    /// Basis-inverse representation.
-    pub basis: BasisKind,
-    /// Entering-variable pricing rule.
-    pub pricing: Pricing,
-    /// Handle finite variable upper bounds in-solver (bounded-variable
-    /// ratio test, bound flips) instead of materializing them as extra
-    /// `≤` rows. Shrinks the row count — and with it every basis
-    /// factorization — by one row per box-bounded variable.
-    pub native_bounds: bool,
-    /// Start cold solves from a slack crash basis: rows whose slack can
-    /// sit basic at a feasible value skip their artificial entirely, so
-    /// phase 1 only has to drive out artificials of equality (and
-    /// sign-flipped) rows. Off by default — the all-artificial start is
-    /// the seed's recorded pivot path.
-    pub crash_basis: bool,
-}
+/// Rebuild the basis factorization from scratch every this many pivots.
+const REFACTOR_EVERY: usize = 128;
 
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            tol: 1e-9,
-            max_iterations: None,
-            refactor_every: 128,
-            degenerate_switch: 40,
-            basis: BasisKind::Dense,
-            pricing: Pricing::Dantzig,
-            native_bounds: false,
-            crash_basis: false,
-        }
-    }
-}
+/// Consecutive degenerate pivots before switching to Bland's rule.
+const DEGENERATE_SWITCH: usize = 40;
 
-impl SolverOptions {
-    /// The performance configuration of the warm-start sweep layers:
-    /// sparse-LU basis representation, devex partial pricing, native
-    /// bounded variables, and a slack crash start. Kept separate from
-    /// [`Default`] because different pivot paths can pick different
-    /// (equally optimal) vertices of degenerate LPs, and one-shot solves
-    /// pin the seed's exact vertices.
-    pub fn factored() -> Self {
-        SolverOptions {
-            basis: BasisKind::Factored,
-            pricing: Pricing::Devex,
-            native_bounds: true,
-            crash_basis: true,
-            ..SolverOptions::default()
-        }
-    }
+/// Pivot budget of a warm re-solve over `m` rows; exhausting it hands
+/// over to a cold solve.
+fn warm_budget(m: usize) -> usize {
+    10 * (m + 1) + 200
 }
 
 /// A column of the standard-form matrix.
@@ -132,7 +57,7 @@ enum ColRef<'a> {
 /// A recorded warm-start point: the optimal basis of a previous solve plus
 /// the bound status of every nonbasic structural column (which ones sat at
 /// their finite upper bound). Both are needed to reconstruct the basic
-/// solution under native bounded variables.
+/// solution under bounded variables.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmStart {
     /// Basic column per row (indices ≥ structural count are artificials).
@@ -170,8 +95,8 @@ impl WarmStart {
 /// representation and the structural reduced costs. Both depend only on
 /// `(columns, costs, basis)` — never on rhs or bound *values* — so one
 /// computation serves every parameter point re-solved from the same
-/// basis. Cloning it (per sweep point) copies the LU/inverse arrays,
-/// which is far cheaper than refactorizing.
+/// basis. Cloning it (per sweep point) copies the LU arrays, which is far
+/// cheaper than refactorizing.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmCache {
     repr: BasisRepr,
@@ -184,7 +109,7 @@ pub(crate) struct WarmCache {
 /// cache). No-op if a cache is already present, the basis still contains
 /// artificials (re-solves fall back to cold there), or factorization
 /// fails (the re-solve will discover that itself and fall back).
-pub(crate) fn prime_warm(prepared: &Prepared, options: &SolverOptions, warm: &mut WarmStart) {
+pub(crate) fn prime_warm(prepared: &Prepared, warm: &mut WarmStart) {
     if warm.cache.is_some() {
         return;
     }
@@ -192,7 +117,7 @@ pub(crate) fn prime_warm(prepared: &Prepared, options: &SolverOptions, warm: &mu
     if warm.basis.iter().any(|&j| j >= n_cols) {
         return;
     }
-    let Ok((t, _)) = State::from_basis(prepared, &prepared.b, warm, options) else {
+    let Ok((t, _)) = State::from_basis(prepared, &prepared.b, warm) else {
         return;
     };
     let costs = &prepared.costs;
@@ -205,26 +130,12 @@ pub(crate) fn prime_warm(prepared: &Prepared, options: &SolverOptions, warm: &mu
     warm.cache = Some(WarmCache { repr, rc });
 }
 
-/// Dense explicit inverse (the seed representation).
+/// The basis representation: sparse LU factors of the basis at the last
+/// refactorization plus the eta file of every pivot since.
 #[derive(Debug, Clone)]
-struct DenseInv {
-    /// Row-major m×m `B⁻¹`; row `i` is basis position `i`, column `k` is
-    /// constraint row `k`.
-    binv: Vec<f64>,
-}
-
-/// Sparse LU + eta file.
-#[derive(Debug, Clone)]
-struct FactoredInv {
+struct BasisRepr {
     lu: SparseLu,
     etas: Vec<Eta>,
-}
-
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one live variant per solve; never stored in bulk
-enum BasisRepr {
-    Dense(DenseInv),
-    Factored(FactoredInv),
 }
 
 /// Internal simplex state over the standard-form problem.
@@ -236,15 +147,14 @@ pub(crate) struct State<'a> {
     n_arts: usize,
     m: usize,
     /// Effective rhs: `b − Σ_{j at upper} u_j·a_j`. Equal to `b` whenever
-    /// no column is flagged at its upper bound (in particular always, when
-    /// upper bounds are materialized as rows).
+    /// no column is flagged at its upper bound.
     b_eff: Vec<f64>,
     /// Nonbasic-at-upper-bound flag per structural column (basic columns
     /// are never flagged; artificials have no upper bound).
     at_upper: Vec<bool>,
     /// Sign of `b` per row at construction, giving each artificial column
-    /// `s·e_r` so the all-artificial start is primal feasible even when a
-    /// warm instance carries a negative standardized rhs.
+    /// `s·e_r` so an artificial start is primal feasible even when a warm
+    /// instance carries a negative standardized rhs.
     art_sign: Vec<f64>,
     /// Basic column per row (indices ≥ `cols.num_cols()` denote
     /// artificials).
@@ -253,7 +163,9 @@ pub(crate) struct State<'a> {
     /// the first pivot/refactorization clones it — zero-pivot re-solves
     /// never copy the factorization at all.
     repr: Cow<'a, BasisRepr>,
-    tol: f64,
+    /// Refactorize after this many pivots ([`REFACTOR_EVERY`] outside
+    /// tests).
+    refactor_every: usize,
     /// Pivot count across all phases run on this state.
     pub(crate) iterations: usize,
     /// Factorization rebuilds (demanded by cadence or construction).
@@ -266,11 +178,10 @@ pub(crate) struct State<'a> {
 
 impl<'a> State<'a> {
     /// Fresh cold-start state, every structural column nonbasic at its
-    /// lower bound. Without `crash_basis` every row starts on its
-    /// artificial (the seed pivot path); with it, rows whose slack can
-    /// sit basic at a feasible value (`b_i ≥ 0` and a `+1` singleton
-    /// slack) start on the slack instead.
-    fn new(prepared: &'a Prepared, b: &[f64], options: &SolverOptions) -> Result<Self, LpError> {
+    /// lower bound, from a slack crash basis: rows whose slack can sit
+    /// basic at a feasible value (`b_i ≥ 0` and a `+1` singleton slack)
+    /// start on the slack, every other row on its artificial.
+    fn new(prepared: &'a Prepared, b: &[f64], refactor_every: usize) -> Result<Self, LpError> {
         let cols = &prepared.cols;
         let m = b.len();
         let art_sign: Vec<f64> = b
@@ -280,7 +191,7 @@ impl<'a> State<'a> {
         let mut crashed = false;
         let basis: Vec<usize> = (0..m)
             .map(|i| {
-                if options.crash_basis && b[i] >= 0.0 {
+                if b[i] >= 0.0 {
                     if let Some(s) = prepared.row_slack[i] {
                         crashed = true;
                         return s;
@@ -289,35 +200,15 @@ impl<'a> State<'a> {
                 cols.num_cols() + i
             })
             .collect();
-        let repr = if crashed {
-            // Mixed slack/artificial start: build via the generic
-            // refactorization below.
-            match options.basis {
-                BasisKind::Dense => BasisRepr::Dense(DenseInv {
-                    binv: vec![0.0; m * m],
-                }),
-                BasisKind::Factored => BasisRepr::Factored(FactoredInv {
-                    lu: SparseLu::placeholder(),
-                    etas: Vec::new(),
-                }),
-            }
+        let lu = if crashed {
+            // Mixed slack/artificial start: built by the refactorization
+            // below.
+            SparseLu::placeholder()
         } else {
             // All-artificial: the signed identity, built directly (no
-            // refactorization counted — the seed behavior).
-            match options.basis {
-                BasisKind::Dense => {
-                    let mut binv = vec![0.0; m * m];
-                    for i in 0..m {
-                        binv[i * m + i] = art_sign[i];
-                    }
-                    BasisRepr::Dense(DenseInv { binv })
-                }
-                BasisKind::Factored => BasisRepr::Factored(FactoredInv {
-                    lu: SparseLu::factor(m, 0.0, |k, out| out.push((k, art_sign[k])))
-                        .expect("signed identity is nonsingular"),
-                    etas: Vec::new(),
-                }),
-            }
+            // refactorization counted).
+            SparseLu::factor(m, 0.0, |k, out| out.push((k, art_sign[k])))
+                .expect("signed identity is nonsingular")
         };
         let mut state = State {
             cols,
@@ -328,8 +219,11 @@ impl<'a> State<'a> {
             at_upper: vec![false; cols.num_cols()],
             art_sign,
             basis,
-            repr: Cow::Owned(repr),
-            tol: options.tol,
+            repr: Cow::Owned(BasisRepr {
+                lu,
+                etas: Vec::new(),
+            }),
+            refactor_every,
             iterations: 0,
             refactors: 0,
             bound_flips: 0,
@@ -350,7 +244,6 @@ impl<'a> State<'a> {
         prepared: &'a Prepared,
         b: &[f64],
         warm: &'a WarmStart,
-        options: &SolverOptions,
     ) -> Result<(Self, Option<Vec<f64>>), LpError> {
         let cols = &prepared.cols;
         let upper = &prepared.upper;
@@ -378,14 +271,9 @@ impl<'a> State<'a> {
             None => {
                 // A placeholder representation: `refactor` below fills it
                 // in from the recorded basis before any solve touches it.
-                let repr = match options.basis {
-                    BasisKind::Dense => BasisRepr::Dense(DenseInv {
-                        binv: vec![0.0; m * m],
-                    }),
-                    BasisKind::Factored => BasisRepr::Factored(FactoredInv {
-                        lu: SparseLu::placeholder(),
-                        etas: Vec::new(),
-                    }),
+                let repr = BasisRepr {
+                    lu: SparseLu::placeholder(),
+                    etas: Vec::new(),
                 };
                 (Cow::Owned(repr), None, true)
             }
@@ -400,7 +288,7 @@ impl<'a> State<'a> {
             art_sign,
             basis,
             repr,
-            tol: options.tol,
+            refactor_every: REFACTOR_EVERY,
             iterations: 0,
             refactors: 0,
             bound_flips: 0,
@@ -480,110 +368,50 @@ impl<'a> State<'a> {
     /// space, `out` receives the result) — same arithmetic as
     /// [`State::ftran`], no per-call allocation.
     fn ftran_into(&self, j: usize, scratch: &mut Vec<f64>, out: &mut Vec<f64>) {
-        let m = self.m;
-        match (self.repr.as_ref(), self.column(j)) {
-            (BasisRepr::Dense(d), ColRef::Unit(r, s)) => {
-                out.clear();
-                out.extend((0..m).map(|i| d.binv[i * m + r] * s));
-            }
-            (BasisRepr::Dense(d), ColRef::Sparse(rows, vals)) => {
-                out.clear();
-                out.resize(m, 0.0);
+        scratch.clear();
+        scratch.resize(self.m, 0.0);
+        match self.column(j) {
+            ColRef::Unit(r, s) => scratch[r] = s,
+            ColRef::Sparse(rows, vals) => {
                 for (&row, &coeff) in rows.iter().zip(vals) {
-                    for i in 0..m {
-                        out[i] += d.binv[i * m + row] * coeff;
-                    }
+                    scratch[row] = coeff;
                 }
             }
-            (BasisRepr::Factored(f), col) => {
-                scratch.clear();
-                scratch.resize(m, 0.0);
-                match col {
-                    ColRef::Unit(r, s) => scratch[r] = s,
-                    ColRef::Sparse(rows, vals) => {
-                        for (&row, &coeff) in rows.iter().zip(vals) {
-                            scratch[row] = coeff;
-                        }
-                    }
-                }
-                f.lu.solve_consuming_into(scratch, out);
-                for eta in &f.etas {
-                    eta.apply(out);
-                }
-            }
+        }
+        self.repr.lu.solve_consuming_into(scratch, out);
+        for eta in &self.repr.etas {
+            eta.apply(out);
         }
     }
 
     /// [`State::btran_unit`] into caller-provided buffers.
     fn btran_unit_into(&self, r: usize, scratch: &mut Vec<f64>, out: &mut Vec<f64>) {
-        let m = self.m;
-        match self.repr.as_ref() {
-            BasisRepr::Dense(d) => {
-                out.clear();
-                out.extend_from_slice(&d.binv[r * m..(r + 1) * m]);
-            }
-            BasisRepr::Factored(f) => {
-                scratch.clear();
-                scratch.resize(m, 0.0);
-                scratch[r] = 1.0;
-                for eta in f.etas.iter().rev() {
-                    eta.apply_transpose(scratch);
-                }
-                f.lu.solve_transpose_into(scratch, out);
-            }
+        scratch.clear();
+        scratch.resize(self.m, 0.0);
+        scratch[r] = 1.0;
+        for eta in self.repr.etas.iter().rev() {
+            eta.apply_transpose(scratch);
         }
+        self.repr.lu.solve_transpose_into(scratch, out);
     }
 
     /// [`State::duals`] into caller-provided buffers.
     fn duals_into(&self, cost: &dyn Fn(usize) -> f64, scratch: &mut Vec<f64>, y: &mut Vec<f64>) {
-        let m = self.m;
-        match self.repr.as_ref() {
-            BasisRepr::Dense(d) => {
-                y.clear();
-                y.resize(m, 0.0);
-                for (i, &bj) in self.basis.iter().enumerate() {
-                    let cb = cost(bj);
-                    if cb != 0.0 {
-                        for k in 0..m {
-                            y[k] += cb * d.binv[i * m + k];
-                        }
-                    }
-                }
-            }
-            BasisRepr::Factored(f) => {
-                scratch.clear();
-                scratch.extend(self.basis.iter().map(|&bj| cost(bj)));
-                for eta in f.etas.iter().rev() {
-                    eta.apply_transpose(scratch);
-                }
-                f.lu.solve_transpose_into(scratch, y);
-            }
+        scratch.clear();
+        scratch.extend(self.basis.iter().map(|&bj| cost(bj)));
+        for eta in self.repr.etas.iter().rev() {
+            eta.apply_transpose(scratch);
         }
+        self.repr.lu.solve_transpose_into(scratch, y);
     }
 
     /// [`State::basic_values`] into caller-provided buffers.
     fn basic_values_into(&self, scratch: &mut Vec<f64>, x: &mut Vec<f64>) {
-        let m = self.m;
-        match self.repr.as_ref() {
-            BasisRepr::Dense(d) => {
-                x.clear();
-                x.resize(m, 0.0);
-                for i in 0..m {
-                    let mut s = 0.0;
-                    for k in 0..m {
-                        s += d.binv[i * m + k] * self.b_eff[k];
-                    }
-                    x[i] = s;
-                }
-            }
-            BasisRepr::Factored(f) => {
-                scratch.clear();
-                scratch.extend_from_slice(&self.b_eff);
-                f.lu.solve_consuming_into(scratch, x);
-                for eta in &f.etas {
-                    eta.apply(x);
-                }
-            }
+        scratch.clear();
+        scratch.extend_from_slice(&self.b_eff);
+        self.repr.lu.solve_consuming_into(scratch, x);
+        for eta in &self.repr.etas {
+            eta.apply(x);
         }
     }
 
@@ -646,35 +474,11 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Replaces the basic variable of row `r` with column `j`, updating the
-    /// representation (product-form update).
+    /// Replaces the basic variable of row `r` with column `j`, appending
+    /// the pivot's eta to the representation (product-form update).
     fn pivot(&mut self, r: usize, j: usize, d: &[f64]) {
-        let m = self.m;
-        let dr = d[r];
-        debug_assert!(dr.abs() > self.tol, "pivot on ~zero element");
-        match self.repr.to_mut() {
-            BasisRepr::Dense(dense) => {
-                for i in 0..m {
-                    if i == r {
-                        continue;
-                    }
-                    let factor = d[i] / dr;
-                    if factor != 0.0 {
-                        for k in 0..m {
-                            let v = dense.binv[r * m + k];
-                            if v != 0.0 {
-                                dense.binv[i * m + k] -= factor * v;
-                            }
-                        }
-                    }
-                }
-                let inv = 1.0 / dr;
-                for k in 0..m {
-                    dense.binv[r * m + k] *= inv;
-                }
-            }
-            BasisRepr::Factored(f) => f.etas.push(Eta::from_pivot(r, d)),
-        }
+        debug_assert!(d[r].abs() > TOL, "pivot on ~zero element");
+        self.repr.to_mut().etas.push(Eta::from_pivot(r, d));
         self.basis[r] = j;
     }
 
@@ -683,86 +487,24 @@ impl<'a> State<'a> {
     fn refactor(&mut self) -> Result<(), LpError> {
         self.refactors += 1;
         let m = self.m;
-        match self.repr.to_mut() {
-            BasisRepr::Dense(dense) => {
-                // Assemble B column by column, then invert via Gauss-Jordan
-                // with partial pivoting (the seed implementation).
-                let mut mat = vec![0.0; m * m]; // row-major B
-                for (pos, &j) in self.basis.iter().enumerate() {
-                    if j < self.cols.num_cols() {
-                        let (rows, vals) = self.cols.col(j);
-                        for (&row, &coeff) in rows.iter().zip(vals) {
-                            mat[row * m + pos] = coeff;
-                        }
-                    } else {
-                        let r = j - self.cols.num_cols();
-                        mat[r * m + pos] = self.art_sign[r];
-                    }
+        let cols = self.cols;
+        let basis = &self.basis;
+        let art_sign = &self.art_sign;
+        let repr = self.repr.to_mut();
+        repr.lu = SparseLu::factor(m, TOL * 1e-3, |k, out| {
+            let j = basis[k];
+            if j < cols.num_cols() {
+                let (rows, vals) = cols.col(j);
+                for (&row, &coeff) in rows.iter().zip(vals) {
+                    out.push((row, coeff));
                 }
-                let mut inv = vec![0.0; m * m];
-                for i in 0..m {
-                    inv[i * m + i] = 1.0;
-                }
-                for col in 0..m {
-                    let mut piv = col;
-                    let mut best = mat[col * m + col].abs();
-                    for r in (col + 1)..m {
-                        let v = mat[r * m + col].abs();
-                        if v > best {
-                            best = v;
-                            piv = r;
-                        }
-                    }
-                    if best <= self.tol * 1e-3 {
-                        return Err(LpError::Singular);
-                    }
-                    if piv != col {
-                        for k in 0..m {
-                            mat.swap(col * m + k, piv * m + k);
-                            inv.swap(col * m + k, piv * m + k);
-                        }
-                    }
-                    let p = mat[col * m + col];
-                    for k in 0..m {
-                        mat[col * m + k] /= p;
-                        inv[col * m + k] /= p;
-                    }
-                    for r in 0..m {
-                        if r == col {
-                            continue;
-                        }
-                        let f = mat[r * m + col];
-                        if f != 0.0 {
-                            for k in 0..m {
-                                mat[r * m + k] -= f * mat[col * m + k];
-                                inv[r * m + k] -= f * inv[col * m + k];
-                            }
-                        }
-                    }
-                }
-                dense.binv = inv;
-                Ok(())
+            } else {
+                let r = j - cols.num_cols();
+                out.push((r, art_sign[r]));
             }
-            BasisRepr::Factored(f) => {
-                let cols = self.cols;
-                let basis = &self.basis;
-                let art_sign = &self.art_sign;
-                f.lu = SparseLu::factor(m, self.tol * 1e-3, |k, out| {
-                    let j = basis[k];
-                    if j < cols.num_cols() {
-                        let (rows, vals) = cols.col(j);
-                        for (&row, &coeff) in rows.iter().zip(vals) {
-                            out.push((row, coeff));
-                        }
-                    } else {
-                        let r = j - cols.num_cols();
-                        out.push((r, art_sign[r]));
-                    }
-                })?;
-                f.etas.clear();
-                Ok(())
-            }
-        }
+        })?;
+        repr.etas.clear();
+        Ok(())
     }
 }
 
@@ -776,19 +518,18 @@ enum PhaseEnd {
 /// costs.
 ///
 /// `allowed` filters which columns may enter (used to bar artificials in
-/// phase 2). Handles native upper bounds: nonbasic columns may enter from
-/// either bound, the ratio test also watches basic variables climbing to
-/// *their* upper bounds, and an entering column whose own bound binds
-/// first just flips (no basis change).
+/// phase 2). Nonbasic columns may enter from either bound, the ratio test
+/// also watches basic variables climbing to *their* upper bounds, and an
+/// entering column whose own bound binds first just flips (no basis
+/// change).
 fn run_phase(
     t: &mut State<'_>,
     cost: &dyn Fn(usize) -> f64,
     allowed: &dyn Fn(usize) -> bool,
-    options: &SolverOptions,
     iter_budget: &mut usize,
 ) -> Result<PhaseEnd, LpError> {
     let n_total = t.cols.num_cols() + t.n_arts;
-    let mut pricer = Pricer::new(options.pricing, n_total);
+    let mut pricer = Pricer::new(n_total);
     let mut degenerate_run = 0usize;
     let mut bland = false;
     let mut since_refactor = 0usize;
@@ -812,7 +553,7 @@ fn run_phase(
 
         t.duals_into(cost, &mut scratch, &mut y);
         basis_mask_into(t, n_total, &mut in_basis);
-        let Some(j) = pricer.select(t, &y, cost, allowed, &in_basis, options.tol, bland) else {
+        let Some(j) = pricer.select(t, &y, cost, allowed, &in_basis, bland) else {
             break PhaseEnd::Optimal;
         };
         // Direction sign: +1 entering upward from lower bound, −1 moving
@@ -828,9 +569,9 @@ fn run_phase(
         let mut theta = f64::INFINITY;
         for i in 0..t.m {
             let rate = s * d[i]; // decrease rate of x_i per unit step
-            let (ratio, to_upper) = if rate > options.tol {
+            let (ratio, to_upper) = if rate > TOL {
                 ((x[i].max(0.0)) / rate, false)
-            } else if rate < -options.tol {
+            } else if rate < -TOL {
                 let ub = t.upper_of(t.basis[i]);
                 if ub.is_finite() {
                     (((ub - x[i]).max(0.0)) / -rate, true)
@@ -843,8 +584,8 @@ fn run_phase(
             let better = match leave {
                 None => true,
                 Some(l) => {
-                    ratio < theta - options.tol
-                        || (ratio < theta + options.tol
+                    ratio < theta - TOL
+                        || (ratio < theta + TOL
                             && if bland {
                                 t.basis[i] < t.basis[l]
                             } else {
@@ -869,9 +610,9 @@ fn run_phase(
             break PhaseEnd::Unbounded;
         };
 
-        if theta <= options.tol {
+        if theta <= TOL {
             degenerate_run += 1;
-            if degenerate_run >= options.degenerate_switch {
+            if degenerate_run >= DEGENERATE_SWITCH {
                 bland = true;
             }
         } else {
@@ -889,7 +630,7 @@ fn run_phase(
             t.set_at_upper(leaving);
         }
         since_refactor += 1;
-        if since_refactor >= options.refactor_every {
+        if since_refactor >= t.refactor_every {
             if let Err(e) = t.refactor() {
                 t.full_prices += pricer.full_prices();
                 return Err(e);
@@ -933,28 +674,27 @@ pub(crate) enum DualOutcome {
 ///
 /// The warm point must come from a previous optimal solve of the same
 /// `prepared` columns (same costs); only `b` and the bound values may have
-/// changed. Artificials are barred from entering, mirroring phase 2. With
-/// native bounds a basic variable can violate either of its bounds; the
-/// leaving choice picks the largest violation on either side and the dual
+/// changed. Artificials are barred from entering, mirroring phase 2. A
+/// basic variable can violate either of its bounds; the leaving choice
+/// picks the largest devex-weighted violation on either side and the dual
 /// ratio test admits entering candidates from both bounds with the
 /// matching sign condition.
 pub(crate) fn resolve_dual(
     prepared: &Prepared,
     b: &[f64],
-    options: &SolverOptions,
     num_vars: usize,
     warm: &WarmStart,
 ) -> DualOutcome {
     let n_cols = prepared.cols.num_cols();
-    let Ok((mut t, cached_rc)) = State::from_basis(prepared, b, warm, options) else {
+    let Ok((mut t, cached_rc)) = State::from_basis(prepared, b, warm) else {
         return DualOutcome::Stalled;
     };
     let costs = &prepared.costs;
     let cost_fn = move |j: usize| if j < costs.len() { costs[j] } else { 0.0 };
 
     let b_scale: f64 = b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-    let feas_tol = options.tol * (1.0 + b_scale);
-    let mut budget = options.max_iterations.unwrap_or(10 * (t.m + 1) + 200);
+    let feas_tol = TOL * (1.0 + b_scale);
+    let mut budget = warm_budget(t.m);
     let mut since_refactor = 0usize;
 
     // Incrementally maintained solver state — the dual hot loop's big
@@ -986,20 +726,18 @@ pub(crate) fn resolve_dual(
     let mut rho: Vec<f64> = Vec::new();
     let mut d: Vec<f64> = Vec::new();
     let mut scratch: Vec<f64> = Vec::new();
-    // Dual devex row weights (Devex pricing only): approximate
-    // steepest-edge norms `‖B⁻ᵀeᵢ‖²`, so the leaving choice maximizes
-    // violation per unit of dual-edge length instead of raw violation —
-    // typically visibly fewer dual pivots. Updated from the ftran column
-    // already in hand, so the rule costs O(m) per pivot and no extra
-    // solves. Under Dantzig the raw-violation rule is kept bit-for-bit.
-    let devex = options.pricing == Pricing::Devex;
+    // Dual devex row weights: approximate steepest-edge norms
+    // `‖B⁻ᵀeᵢ‖²`, so the leaving choice maximizes violation per unit of
+    // dual-edge length instead of raw violation — roughly halving dual
+    // pivots on the large sweeps. Updated from the ftran column already in
+    // hand, so the rule costs O(m) per pivot and no extra solves.
     let mut row_w = vec![1.0f64; t.m];
 
     loop {
-        // Dual pricing: the basic variable with the largest (weighted)
+        // Dual pricing: the basic variable with the largest weighted
         // bound violation (below lower, or above a finite upper) leaves.
         let mut leave: Option<usize> = None;
-        let mut worst = if devex { 0.0 } else { feas_tol };
+        let mut worst = 0.0;
         let mut above = false;
         for i in 0..t.m {
             let ub = t.upper_of(t.basis[i]);
@@ -1017,7 +755,7 @@ pub(crate) fn resolve_dual(
                 }
             };
             if viol > feas_tol {
-                let score = if devex { viol * viol / row_w[i] } else { viol };
+                let score = viol * viol / row_w[i];
                 if score > worst {
                     worst = score;
                     leave = Some(i);
@@ -1057,13 +795,13 @@ pub(crate) fn resolve_dual(
             let alpha = alphas[j];
             let ae = sigma * alpha;
             let ratio = if t.is_at_upper(j) {
-                if ae > options.tol {
+                if ae > TOL {
                     // Dual feasibility keeps rc ≤ 0 at an upper bound.
                     (-rc[j]).max(0.0) / ae
                 } else {
                     continue;
                 }
-            } else if ae < -options.tol {
+            } else if ae < -TOL {
                 rc[j].max(0.0) / -ae
             } else {
                 continue;
@@ -1071,8 +809,8 @@ pub(crate) fn resolve_dual(
             let better = match entering {
                 None => true,
                 Some(_) => {
-                    ratio < best_ratio - options.tol
-                        || (ratio < best_ratio + options.tol && alpha.abs() > best_alpha.abs())
+                    ratio < best_ratio - TOL
+                        || (ratio < best_ratio + TOL && alpha.abs() > best_alpha.abs())
                 }
             };
             if better {
@@ -1092,7 +830,7 @@ pub(crate) fn resolve_dual(
         };
 
         t.ftran_into(q, &mut scratch, &mut d);
-        if d[r].abs() <= options.tol {
+        if d[r].abs() <= TOL {
             // The ftran disagrees with the pricing estimate: numerically
             // unsafe pivot, hand over to a cold solve.
             return DualOutcome::Stalled;
@@ -1131,20 +869,18 @@ pub(crate) fn resolve_dual(
         in_basis[leaving] = false;
         in_basis[q] = true;
 
-        if devex {
-            // Dual devex weight update from the pivot column.
-            let wr = row_w[r];
-            let a2 = d[r] * d[r];
-            for i in 0..t.m {
-                if i != r {
-                    let cand = (d[i] * d[i] / a2) * wr;
-                    if cand > row_w[i] {
-                        row_w[i] = cand;
-                    }
+        // Dual devex weight update from the pivot column.
+        let wr = row_w[r];
+        let a2 = d[r] * d[r];
+        for i in 0..t.m {
+            if i != r {
+                let cand = (d[i] * d[i] / a2) * wr;
+                if cand > row_w[i] {
+                    row_w[i] = cand;
                 }
             }
-            row_w[r] = (wr / a2).max(1.0);
         }
+        row_w[r] = (wr / a2).max(1.0);
         if from_upper_q {
             t.clear_at_upper(q);
         }
@@ -1154,7 +890,7 @@ pub(crate) fn resolve_dual(
             t.set_at_upper(leaving);
         }
         since_refactor += 1;
-        if since_refactor >= options.refactor_every {
+        if since_refactor >= t.refactor_every {
             if t.refactor().is_err() {
                 return DualOutcome::Stalled;
             }
@@ -1201,7 +937,6 @@ pub(crate) enum PrimalOutcome {
 pub(crate) fn resolve_primal(
     prepared: &Prepared,
     b: &[f64],
-    options: &SolverOptions,
     num_vars: usize,
     warm: &WarmStart,
 ) -> PrimalOutcome {
@@ -1209,12 +944,12 @@ pub(crate) fn resolve_primal(
     if warm.basis.iter().any(|&j| j >= n_cols) {
         return PrimalOutcome::Stalled;
     }
-    let Ok((mut t, _cached_rc)) = State::from_basis(prepared, b, warm, options) else {
+    let Ok((mut t, _cached_rc)) = State::from_basis(prepared, b, warm) else {
         return PrimalOutcome::Stalled;
     };
     let x = t.basic_values();
     let b_scale: f64 = b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-    let feas_tol = options.tol * (1.0 + b_scale);
+    let feas_tol = TOL * (1.0 + b_scale);
     for (i, &xi) in x.iter().enumerate() {
         let ub = t.upper_of(t.basis[i]);
         if xi < -feas_tol || (ub.is_finite() && xi > ub + feas_tol) {
@@ -1224,14 +959,8 @@ pub(crate) fn resolve_primal(
     let costs = &prepared.costs;
     let phase2_cost = move |j: usize| if j < costs.len() { costs[j] } else { 0.0 };
     let phase2_allowed = move |j: usize| j < n_cols;
-    let mut iter_budget = options.max_iterations.unwrap_or(10 * (t.m + 1) + 200);
-    match run_phase(
-        &mut t,
-        &phase2_cost,
-        &phase2_allowed,
-        options,
-        &mut iter_budget,
-    ) {
+    let mut iter_budget = warm_budget(t.m);
+    match run_phase(&mut t, &phase2_cost, &phase2_allowed, &mut iter_budget) {
         Ok(PhaseEnd::Optimal) => {
             let sol = extract_solution(&t, prepared, num_vars, true);
             let warm = WarmStart {
@@ -1261,9 +990,9 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
         if j < n {
             // Clamp tiny bound overshoots from roundoff.
             let ub = t.upper[j];
-            col_values[j] = if xb[i] < 0.0 && xb[i] > -t.tol * 100.0 {
+            col_values[j] = if xb[i] < 0.0 && xb[i] > -TOL * 100.0 {
                 0.0
-            } else if xb[i] > ub && xb[i] < ub + t.tol * 100.0 {
+            } else if xb[i] > ub && xb[i] < ub + TOL * 100.0 {
                 ub
             } else {
                 xb[i]
@@ -1333,20 +1062,28 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
 pub(crate) fn solve_two_phase(
     prepared: &Prepared,
     b: &[f64],
-    options: &SolverOptions,
     num_vars: usize,
+) -> Result<(Solution, WarmStart), LpError> {
+    solve_cold(prepared, b, num_vars, REFACTOR_EVERY)
+}
+
+/// [`solve_two_phase`] at an explicit refactorization cadence (the tests
+/// pin that the cadence never changes the optimum).
+fn solve_cold(
+    prepared: &Prepared,
+    b: &[f64],
+    num_vars: usize,
+    refactor_every: usize,
 ) -> Result<(Solution, WarmStart), LpError> {
     let m = b.len();
     let n_cols = prepared.cols.num_cols();
-    let mut iter_budget = options
-        .max_iterations
-        .unwrap_or_else(|| 200 * (m + 1) + 20 * n_cols + 20_000);
+    let mut iter_budget = 200 * (m + 1) + 20 * n_cols + 20_000;
 
-    let mut t = State::new(prepared, b, options)?;
+    let mut t = State::new(prepared, b, refactor_every)?;
 
     // ---- Phase 1: minimize the sum of artificials. ----
     let phase1_cost = move |j: usize| if j >= n_cols { 1.0 } else { 0.0 };
-    match run_phase(&mut t, &phase1_cost, &|_| true, options, &mut iter_budget)? {
+    match run_phase(&mut t, &phase1_cost, &|_| true, &mut iter_budget)? {
         PhaseEnd::Unbounded => {
             // Cannot happen: phase-1 objective is bounded below by 0.
             return Err(LpError::Singular);
@@ -1361,7 +1098,7 @@ pub(crate) fn solve_two_phase(
         .filter(|&(_, &j)| j >= n_cols)
         .map(|(i, _)| x[i].max(0.0))
         .sum();
-    if infeas > options.tol * (1.0 + b.iter().sum::<f64>().abs()) {
+    if infeas > TOL * (1.0 + b.iter().sum::<f64>().abs()) {
         return Err(LpError::Infeasible);
     }
 
@@ -1377,33 +1114,24 @@ pub(crate) fn solve_two_phase(
         // At-upper columns are skipped: swapping in an at-lower column at
         // value zero keeps the solution (and `b_eff`) untouched.
         let mask = basis_mask(&t, n_cols + t.n_arts);
-        let mut pivoted = false;
         for j in 0..n_cols {
             if mask[j] || t.is_at_upper(j) {
                 continue;
             }
             let d = t.ftran(j);
-            if d[r].abs() > options.tol * 100.0 {
+            if d[r].abs() > TOL * 100.0 {
                 t.iterations += 1;
                 t.pivot(r, j, &d);
-                pivoted = true;
                 break;
             }
         }
-        let _ = pivoted; // redundant row if false; harmless to keep
     }
 
     // ---- Phase 2: original costs, artificials barred. ----
     let costs = &prepared.costs;
     let phase2_cost = move |j: usize| if j < costs.len() { costs[j] } else { 0.0 };
     let phase2_allowed = move |j: usize| j < n_cols;
-    match run_phase(
-        &mut t,
-        &phase2_cost,
-        &phase2_allowed,
-        options,
-        &mut iter_budget,
-    )? {
+    match run_phase(&mut t, &phase2_cost, &phase2_allowed, &mut iter_budget)? {
         PhaseEnd::Unbounded => return Err(LpError::Unbounded),
         PhaseEnd::Optimal => {}
     }
@@ -1419,7 +1147,8 @@ pub(crate) fn solve_two_phase(
 
 #[cfg(test)]
 mod tests {
-    use crate::{BasisKind, LpError, Model, Sense, SolverOptions};
+    use crate::model::Prepared;
+    use crate::{LpError, Model, Sense};
 
     #[test]
     fn classic_max_example() {
@@ -1435,6 +1164,7 @@ mod tests {
         assert!((sol.value(y) - 6.0).abs() < 1e-7);
         assert!(!sol.stats().warm);
         assert!(sol.stats().iterations > 0);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1448,6 +1178,7 @@ mod tests {
         let sol = m.solve().unwrap();
         assert!((sol.objective() - 8.0).abs() < 1e-7);
         assert!((sol.value(x) - 4.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1462,6 +1193,7 @@ mod tests {
         assert!((sol.value(x) - 2.0).abs() < 1e-7);
         assert!((sol.value(y) - 1.0).abs() < 1e-7);
         assert!((sol.objective() - 3.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1506,6 +1238,7 @@ mod tests {
         m.add_ge(&[(x, 1.0)], -3.0);
         let sol = m.solve().unwrap();
         assert!((sol.value(x) + 3.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1517,6 +1250,7 @@ mod tests {
         m.add_le(&[(x, 1.0), (y, 1.0)], 2.0);
         let sol = m.solve().unwrap();
         assert!((sol.objective() - 2.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1527,6 +1261,7 @@ mod tests {
         let sol = m.solve().unwrap();
         assert!((sol.value(x) - 5.0).abs() < 1e-7);
         assert!((sol.objective() + 5.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1539,6 +1274,7 @@ mod tests {
         let sol = m.solve().unwrap();
         assert!((sol.value(x) - 3.0).abs() < 1e-7);
         assert!((sol.value(y) - 2.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1551,6 +1287,7 @@ mod tests {
         m.add_eq(&[(x, 1.0), (y, 1.0)], 2.0);
         let sol = m.solve().unwrap();
         assert!((sol.objective() - 2.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
@@ -1606,104 +1343,63 @@ mod tests {
         let sol = m.solve().unwrap();
         assert!((sol.value(p1) - 0.7).abs() < 1e-7);
         assert!((sol.value(p2) - 0.3).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
-    /// Every model above must solve identically (to tight tolerance) under
-    /// both basis representations; this pins the factorized path against
-    /// the dense seed arithmetic on a non-trivial instance.
-    #[test]
-    fn dense_and_factored_agree() {
-        let mut m = Model::new(Sense::Minimize);
-        let n = 12;
-        let xs: Vec<_> = (0..n)
-            .map(|j| {
-                m.add_var(
-                    &format!("x{j}"),
-                    0.0,
-                    4.0,
-                    ((j * 7 % 11) as f64 - 5.0) / 2.0,
-                )
-            })
-            .collect();
-        for i in 0..8 {
-            let terms: Vec<_> = xs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| (i * 3 + j) % 4 != 0)
-                .map(|(j, &x)| (x, 1.0 + ((i + j) % 3) as f64))
-                .collect();
-            m.add_le(&terms, 6.0 + i as f64);
-        }
-        m.add_eq(&[(xs[0], 1.0), (xs[1], 1.0), (xs[2], 1.0)], 3.0);
-        let dense = m
-            .solve_with(&SolverOptions {
-                basis: BasisKind::Dense,
-                ..SolverOptions::default()
-            })
-            .unwrap();
-        let factored = m.solve_with(&SolverOptions::factored()).unwrap();
-        assert!(
-            (dense.objective() - factored.objective()).abs()
-                <= 1e-9 * (1.0 + dense.objective().abs()),
-            "dense {} vs factored {}",
-            dense.objective(),
-            factored.objective()
-        );
-        for (a, b) in dense.values().iter().zip(factored.values()) {
-            assert!((a - b).abs() < 1e-7, "values drifted: {a} vs {b}");
-        }
-    }
-
-    /// A box-bounded LP must solve to the same optimum whether upper
-    /// bounds are materialized as rows (the legacy layout) or handled
-    /// in-solver — under both basis representations.
+    /// A box-bounded LP solves to the same optimum whether its upper
+    /// bounds are declared on the variables (handled in-solver by the
+    /// bounded-variable ratio test) or spelled out as explicit `≤` rows.
     #[test]
     fn native_bounds_match_upper_bound_rows() {
-        let mut m = Model::new(Sense::Minimize);
         let n = 10;
-        let xs: Vec<_> = (0..n)
-            .map(|j| {
-                m.add_var(
-                    &format!("x{j}"),
-                    ((j % 3) as f64 - 2.0) / 2.0, // −1, −½, 0: keeps rows feasible
-                    2.0 + (j % 4) as f64,
-                    ((j * 5 % 13) as f64 - 6.0) / 2.0,
-                )
-            })
-            .collect();
-        for i in 0..6 {
-            let terms: Vec<_> = xs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| (i * 2 + j) % 3 != 0)
-                .map(|(j, &x)| (x, 1.0 + ((i + 2 * j) % 3) as f64))
-                .collect();
-            m.add_le(&terms, 5.0 + i as f64);
-        }
-        let rows = m.solve().unwrap();
-        for basis in [BasisKind::Dense, BasisKind::Factored] {
-            let native = m
-                .solve_with(&SolverOptions {
-                    basis,
-                    native_bounds: true,
-                    ..SolverOptions::default()
+        let build = |explicit_rows: bool| {
+            let mut m = Model::new(Sense::Minimize);
+            let xs: Vec<_> = (0..n)
+                .map(|j| {
+                    let hi = 2.0 + (j % 4) as f64;
+                    m.add_var(
+                        &format!("x{j}"),
+                        ((j % 3) as f64 - 2.0) / 2.0, // −1, −½, 0: keeps rows feasible
+                        if explicit_rows { f64::INFINITY } else { hi },
+                        ((j * 5 % 13) as f64 - 6.0) / 2.0,
+                    )
                 })
-                .unwrap();
-            assert!(
-                (rows.objective() - native.objective()).abs()
-                    <= 1e-9 * (1.0 + rows.objective().abs()),
-                "rows {} vs native({basis:?}) {}",
-                rows.objective(),
-                native.objective()
-            );
-            // The native point must respect every bound.
-            for (j, &x) in native.values().iter().enumerate() {
-                let (lo, hi) = m.var_bounds(xs[j]);
-                assert!(
-                    x >= lo - 1e-7 && x <= hi + 1e-7,
-                    "x{j} = {x} ∉ [{lo}, {hi}]"
-                );
+                .collect();
+            for i in 0..6 {
+                let terms: Vec<_> = xs
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| (i * 2 + j) % 3 != 0)
+                    .map(|(j, &x)| (x, 1.0 + ((i + 2 * j) % 3) as f64))
+                    .collect();
+                m.add_le(&terms, 5.0 + i as f64);
             }
+            if explicit_rows {
+                for (j, &x) in xs.iter().enumerate() {
+                    m.add_le(&[(x, 1.0)], 2.0 + (j % 4) as f64);
+                }
+            }
+            (m, xs)
+        };
+        let (rows_model, _) = build(true);
+        let (native_model, xs) = build(false);
+        let rows = rows_model.solve().unwrap();
+        let native = native_model.solve().unwrap();
+        rows.certify(&rows_model).unwrap();
+        native.certify(&native_model).unwrap();
+        assert!(
+            (rows.objective() - native.objective()).abs() <= 1e-9 * (1.0 + rows.objective().abs()),
+            "rows {} vs native {}",
+            rows.objective(),
+            native.objective()
+        );
+        // The native point must respect every bound.
+        for (j, &x) in native.values().iter().enumerate() {
+            let (lo, hi) = native_model.var_bounds(xs[j]);
+            assert!(
+                x >= lo - 1e-7 && x <= hi + 1e-7,
+                "x{j} = {x} ∉ [{lo}, {hi}]"
+            );
         }
     }
 
@@ -1713,69 +1409,54 @@ mod tests {
     fn bound_flip_replaces_pivot() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 7.0, 2.0);
-        let sol = m
-            .solve_with(&SolverOptions {
-                native_bounds: true,
-                ..SolverOptions::default()
-            })
-            .unwrap();
+        let sol = m.solve().unwrap();
         assert!((sol.value(x) - 7.0).abs() < 1e-9);
         assert!((sol.objective() - 14.0).abs() < 1e-9);
         assert_eq!(sol.stats().iterations, 0, "no basis change expected");
         assert_eq!(sol.stats().bound_flips, 1);
+        sol.certify(&m).unwrap();
     }
 
-    /// Native mode keeps duals meaningful: binding user rows still price.
+    /// Bounded variables keep duals meaningful: binding user rows still
+    /// price.
     #[test]
     fn native_bounds_preserve_row_duals() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 10.0, 3.0);
         let y = m.add_var("y", 0.0, 10.0, 5.0);
         let r = m.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
-        let sol = m
-            .solve_with(&SolverOptions {
-                native_bounds: true,
-                ..SolverOptions::default()
-            })
-            .unwrap();
+        let sol = m.solve().unwrap();
         assert!((sol.objective() - 20.0).abs() < 1e-7); // y = 4
         assert!((sol.dual(r) - 5.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
-    /// Fixed variables (`lo == hi`) survive native mode.
+    /// A fixed variable (`lo == hi`) next to a box-bounded one: both stay
+    /// in their ranges and the optimum certifies.
     #[test]
     fn native_bounds_fixed_variable() {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 3.0, 3.0, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let y = m.add_var("y", 0.0, 10.0, 1.0);
         m.add_ge(&[(x, 1.0), (y, 1.0)], 5.0);
-        let sol = m
-            .solve_with(&SolverOptions {
-                native_bounds: true,
-                ..SolverOptions::default()
-            })
-            .unwrap();
+        let sol = m.solve().unwrap();
         assert!((sol.value(x) - 3.0).abs() < 1e-7);
         assert!((sol.value(y) - 2.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
     }
 
-    /// Infeasibility detection is mode-independent.
+    /// A variable bound and a row that contradict each other are
+    /// infeasible, exactly as two contradicting rows are.
     #[test]
     fn native_bounds_detect_infeasible() {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 0.0, 1.0, 1.0);
         m.add_ge(&[(x, 1.0)], 2.0); // x ≤ 1 by bound, x ≥ 2 by row
-        let err = m
-            .solve_with(&SolverOptions {
-                native_bounds: true,
-                ..SolverOptions::default()
-            })
-            .unwrap_err();
-        assert_eq!(err, LpError::Infeasible);
+        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
     }
 
     /// Frequent refactorization must not change results (it only resets
-    /// the eta file / rebuilds the inverse).
+    /// the eta file).
     #[test]
     fn refactor_cadence_is_result_invariant() {
         let mut m = Model::new(Sense::Maximize);
@@ -1784,16 +1465,17 @@ mod tests {
         m.add_le(&[(x, 1.0)], 4.0);
         m.add_le(&[(y, 2.0)], 12.0);
         m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
-        let every_pivot = m
-            .solve_with(&SolverOptions {
-                refactor_every: 1,
-                ..SolverOptions::default()
-            })
-            .unwrap();
+        let p = Prepared::from_model(&m).unwrap();
+        let (every_pivot, _) = super::solve_cold(&p, &p.b, m.num_vars(), 1).unwrap();
+        let default = m.solve().unwrap();
         assert!((every_pivot.objective() - 36.0).abs() < 1e-7);
-        // `iterations` counts pivots, and at cadence 1 every run_phase
-        // pivot refactorizes (phase-1 artificial pivot-outs don't).
-        assert!(every_pivot.stats().refactors >= 1);
-        assert!(every_pivot.stats().iterations >= every_pivot.stats().refactors);
+        assert!((every_pivot.objective() - default.objective()).abs() < 1e-9);
+        every_pivot.certify(&m).unwrap();
+        // Every row starts on its slack, so the crash start factorizes
+        // once at construction, and at cadence 1 every pivot refactorizes
+        // again.
+        let stats = every_pivot.stats();
+        assert!(stats.iterations > 0);
+        assert_eq!(stats.refactors, stats.iterations + 1);
     }
 }

@@ -112,14 +112,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Warm-started `resolve()` after random rhs perturbations matches a
-    /// cold `Model::solve_with` of the perturbed model to 1e-9 relative.
+    /// cold `Model::solve` of the perturbed model to 1e-9 relative.
     #[test]
     fn warm_resolve_matches_cold_after_rhs_perturbation(
         (c, u, a, b) in lp_instance(),
         scales in rhs_scales(8),
     ) {
-        use qp_lp::SolverOptions;
-
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = c
             .iter()
@@ -137,7 +135,7 @@ proptest! {
             .collect();
 
         // Warm path: solve once, then perturb every row and re-solve.
-        let mut inst = m.instance(&SolverOptions::factored()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().expect("feasible bounded LP");
         let mut cold_model = m.clone();
         for (i, &row) in rows.iter().enumerate() {
@@ -165,57 +163,10 @@ proptest! {
                 <= 1e-9 * (1.0 + cold2.objective().abs()),
             "chained warm {} vs cold {}", warm2.objective(), cold2.objective()
         );
+        prop_assert_eq!(warm2.certify(inst.model()), Ok(()));
     }
 
-    /// Devex candidate-list pricing and the full Dantzig scan must land on
-    /// the same optimal objective (they may pick different vertices of
-    /// degenerate optima, but never different values) — and the same holds
-    /// for native in-solver bounds vs upper bounds materialized as rows,
-    /// in every combination of the two switches.
-    #[test]
-    fn devex_and_native_bounds_match_dantzig_rows((c, u, a, b) in lp_instance()) {
-        use qp_lp::{BasisKind, Pricing, SolverOptions};
-
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = c
-            .iter()
-            .zip(&u)
-            .enumerate()
-            .map(|(j, (&cj, &uj))| m.add_var(&format!("x{j}"), 0.0, uj, cj))
-            .collect();
-        for (ai, &bi) in a.iter().zip(&b) {
-            let terms: Vec<_> = vars.iter().copied().zip(ai.iter().copied()).collect();
-            m.add_le(&terms, bi);
-        }
-        let reference = m.solve().expect("feasible bounded LP");
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            for native_bounds in [false, true] {
-                for basis in [BasisKind::Dense, BasisKind::Factored] {
-                    let sol = m
-                        .solve_with(&SolverOptions {
-                            basis,
-                            pricing,
-                            native_bounds,
-                            ..SolverOptions::default()
-                        })
-                        .expect("feasible bounded LP");
-                    prop_assert!(
-                        (sol.objective() - reference.objective()).abs()
-                            <= 1e-9 * (1.0 + reference.objective().abs()),
-                        "{pricing:?}/{basis:?}/native={native_bounds} gave {} vs reference {}",
-                        sol.objective(),
-                        reference.objective()
-                    );
-                    // The reported point must respect the box in every mode.
-                    for (j, &xj) in sol.values().iter().enumerate() {
-                        prop_assert!(xj >= -1e-7 && xj <= u[j] + 1e-7);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Warm bounded re-solves: after random *bound* perturbations a native
+    /// Warm bounded re-solves: after random *bound* perturbations an
     /// instance's dual-simplex `resolve` matches a cold solve of the same
     /// perturbed model to 1e-9 relative.
     #[test]
@@ -223,8 +174,6 @@ proptest! {
         (c, u, a, b) in lp_instance(),
         scales in rhs_scales(8),
     ) {
-        use qp_lp::SolverOptions;
-
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = c
             .iter()
@@ -237,7 +186,7 @@ proptest! {
             m.add_le(&terms, bi);
         }
 
-        let mut inst = m.instance(&SolverOptions::factored()).unwrap();
+        let mut inst = m.instance().unwrap();
         inst.solve().expect("feasible bounded LP");
         let mut cold_model = m.clone();
         for (j, &v) in vars.iter().enumerate() {
@@ -252,8 +201,11 @@ proptest! {
                 <= 1e-9 * (1.0 + cold.objective().abs()),
             "warm {} vs cold {}", warm.objective(), cold.objective()
         );
+        prop_assert_eq!(warm.certify(inst.model()), Ok(()));
     }
 
+    /// Solve, certify the solution against the model, and match the
+    /// brute-force optimum over every candidate vertex.
     #[test]
     fn simplex_matches_vertex_enumeration((c, u, a, b) in lp_instance()) {
         let mut m = Model::new(Sense::Minimize);
@@ -268,6 +220,7 @@ proptest! {
             m.add_le(&terms, bi);
         }
         let sol = m.solve().expect("feasible bounded LP");
+        prop_assert_eq!(sol.certify(&m), Ok(()));
         let expected = brute_force_min(&c, &u, &a, &b);
         prop_assert!(
             (sol.objective() - expected).abs() <= 1e-6 * (1.0 + expected.abs()),

@@ -28,6 +28,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
+use qp_obs::escape_json;
 use qp_par::ParPool;
 
 use crate::report::ScenarioReport;
@@ -398,24 +399,6 @@ fn push_str_field(out: &mut String, s: &str) {
     out.push('"');
     out.push_str(&escape_json(s));
     out.push('"');
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `{:.17e}` round-trips every finite `f64` bit-exactly and renders

@@ -71,59 +71,6 @@ fn warm_fig7_sweep_beats_cold_iteration_count() {
     );
 }
 
-/// PR 4 acceptance pin: the devex + native-bounds + crash-start sweep
-/// configuration ([`SolverOptions::factored`]) spends strictly fewer
-/// simplex pivots on the fig7 sweep than PR 3's configuration (sparse LU
-/// with Dantzig pricing, bounds as rows, all-artificial start) — and its
-/// full-pricing-pass counter shows partial pricing actually engaging
-/// (`full_prices ≪` Dantzig's one-pass-per-pivot), while both reach LP
-/// optima equal to 1e-9 relative at every sweep point.
-#[test]
-fn devex_native_sweep_beats_pr3_config_pivot_count() {
-    use quorumnet::lp::{BasisKind, SolverOptions};
-
-    let (net, clients, placement, quorums, l_opt) = fig7_inputs();
-    let _ = &net;
-    let ctx = EvalContext::new(&net, &clients);
-    let pq = ctx.place(&placement, &quorums);
-    let pr3_options = SolverOptions {
-        basis: BasisKind::Factored,
-        ..SolverOptions::default()
-    };
-
-    let pr3 = CapacitySweepSolver::new_with_options(&pq, pr3_options).unwrap();
-    let new = CapacitySweepSolver::new(&pq).unwrap();
-    assert!(
-        new.base_stats().full_prices < pr3.base_stats().full_prices,
-        "devex candidate pricing should need far fewer full passes: {} vs {}",
-        new.base_stats().full_prices,
-        pr3.base_stats().full_prices
-    );
-
-    let mut pr3_total = pr3.base_stats().iterations;
-    let mut new_total = new.base_stats().iterations;
-    for c in capacity_sweep(l_opt, 10) {
-        match (pr3.solve_uniform(c), new.solve_uniform(c)) {
-            (Ok(a), Ok(b)) => {
-                assert!(
-                    (a.delay_ms - b.delay_ms).abs() <= 1e-9 * (1.0 + a.delay_ms.abs()),
-                    "optima drifted at c={c}: {} vs {}",
-                    a.delay_ms,
-                    b.delay_ms
-                );
-                pr3_total += a.stats.iterations;
-                new_total += b.stats.iterations;
-            }
-            (Err(CoreError::Infeasible), Err(CoreError::Infeasible)) => continue,
-            (a, b) => panic!("feasibility disagreement at c={c}: {a:?} vs {b:?}"),
-        }
-    }
-    assert!(
-        new_total < pr3_total,
-        "devex/native sweep must pivot strictly less than the PR 3 config: {new_total} vs {pr3_total}"
-    );
-}
-
 /// The sweep's evaluations are identical whether the caller asks for them
 /// through the high-level tuner or re-derives them point by point from
 /// the shared solver — i.e. the warm layer is deterministic.
@@ -158,7 +105,7 @@ fn warm_sweep_is_reproducible() {
 
 use proptest::prelude::*;
 use quorumnet::core::strategy_lp::build_weighted_strategy_model;
-use quorumnet::lp::{LpError, SimplexInstance, SolverOptions, VarId};
+use quorumnet::lp::{LpError, SimplexInstance, VarId};
 
 /// One random in-place edit to the resident LP.
 #[derive(Debug, Clone, Copy)]
@@ -220,8 +167,7 @@ proptest! {
         deltas in proptest::collection::vec(lp_delta(), 3..=10)
     ) {
         let (lp, n, m) = resident_lp();
-        let options = SolverOptions::factored();
-        let mut instance = SimplexInstance::new(lp.model.clone(), options.clone()).unwrap();
+        let mut instance = SimplexInstance::new(lp.model.clone()).unwrap();
         instance.solve().unwrap();
 
         let mut warm_total = 0usize;
@@ -246,7 +192,7 @@ proptest! {
                     instance.set_objective(v, cur * scale).unwrap();
                 }
             }
-            match (instance.resolve(), instance.model().solve_with(&options)) {
+            match (instance.resolve(), instance.model().solve()) {
                 (Ok(warm), Ok(cold)) => {
                     prop_assert!(
                         (warm.objective() - cold.objective()).abs()
