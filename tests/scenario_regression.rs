@@ -612,8 +612,8 @@ fn golden_scenario_reports_hold_at_four_threads() {
 
 const SINGLETON_DELAY_MS: f64 = 75.208043791862;
 const CLOSEST_GRID3_DELAY_MS: f64 = 79.948862911719;
-const MANYONE_LP_OBJECTIVE_MS: f64 = 39.102604367713;
-const MANYONE_ROUNDED_OBJECTIVE_MS: f64 = 38.045369286241;
+const MANYONE_LP_OBJECTIVE_MS: f64 = 50.585604823071;
+const MANYONE_ROUNDED_OBJECTIVE_MS: f64 = 50.624567243531;
 const STRATEGY_LP_C07_RESPONSE_MS: f64 = 155.573639600227;
 const PROTOCOL_AVG_RESPONSE_MS: f64 = 85.450249453890;
 const PROTOCOL_AVG_NETWORK_DELAY_MS: f64 = 85.332119143561;
