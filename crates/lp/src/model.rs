@@ -967,6 +967,23 @@ mod tests {
     }
 
     #[test]
+    fn prepared_adds_upper_bound_rows() {
+        // An upper bound the caller writes as a constraint (`x ≤ 5` on an
+        // unbounded column) is kept as a row with its own slack: one row,
+        // two columns, and no column bound on either.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let r = m.add_le(&[(x, 1.0)], 5.0);
+        let p = Prepared::from_model(&m).unwrap();
+        assert_eq!(p.b, vec![5.0]);
+        assert_eq!(p.row_map[r], (0, 1.0));
+        assert_eq!(p.upper, vec![f64::INFINITY, f64::INFINITY]);
+        assert_eq!(p.cols.num_cols(), 2);
+        assert_eq!(p.cols.col(1), (&[0usize][..], &[1.0][..]));
+        assert_eq!(p.row_slack, vec![Some(1)]);
+    }
+
+    #[test]
     fn prepared_native_bound_is_shift_relative() {
         // 2 ≤ x ≤ 7 → column x' = x - 2 with native bound 5.
         let mut m = Model::new(Sense::Minimize);

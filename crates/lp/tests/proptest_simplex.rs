@@ -240,6 +240,53 @@ proptest! {
         prop_assert!((recomputed - sol.objective()).abs() < 1e-6);
     }
 
+    /// The box `0 ≤ x ≤ u` held as native column bounds (ratio test with
+    /// bound flips) and the same box written as explicit `x_j ≤ u_j` rows
+    /// over unbounded columns are two formulations of one LP: both solve,
+    /// both certify against their own model, and their optima agree with
+    /// each other to 1e-9 and with the brute-force vertex optimum.
+    #[test]
+    fn devex_and_native_bounds_match_dantzig_rows((c, u, a, b) in lp_instance()) {
+        let build = |bounds_as_rows: bool| {
+            let mut m = Model::new(Sense::Minimize);
+            let vars: Vec<_> = c
+                .iter()
+                .zip(&u)
+                .enumerate()
+                .map(|(j, (&cj, &uj))| {
+                    let hi = if bounds_as_rows { f64::INFINITY } else { uj };
+                    m.add_var(&format!("x{j}"), 0.0, hi, cj)
+                })
+                .collect();
+            if bounds_as_rows {
+                for (&v, &uj) in vars.iter().zip(&u) {
+                    m.add_le(&[(v, 1.0)], uj);
+                }
+            }
+            for (ai, &bi) in a.iter().zip(&b) {
+                let terms: Vec<_> = vars.iter().copied().zip(ai.iter().copied()).collect();
+                m.add_le(&terms, bi);
+            }
+            m
+        };
+        let native = build(false);
+        let rows = build(true);
+        let sol_native = native.solve().expect("feasible bounded LP");
+        let sol_rows = rows.solve().expect("feasible bounded LP");
+        prop_assert_eq!(sol_native.certify(&native), Ok(()));
+        prop_assert_eq!(sol_rows.certify(&rows), Ok(()));
+        prop_assert!(
+            (sol_native.objective() - sol_rows.objective()).abs()
+                <= 1e-9 * (1.0 + sol_rows.objective().abs()),
+            "native {} vs rows {}", sol_native.objective(), sol_rows.objective()
+        );
+        let expected = brute_force_min(&c, &u, &a, &b);
+        prop_assert!(
+            (sol_native.objective() - expected).abs() <= 1e-6 * (1.0 + expected.abs()),
+            "simplex {} vs brute force {}", sol_native.objective(), expected
+        );
+    }
+
     #[test]
     fn maximization_is_negated_minimization((c, u, a, b) in lp_instance()) {
         let build = |sense: Sense, flip: f64| {
