@@ -132,18 +132,18 @@ fn bench_lp_solver(c: &mut Criterion) {
         BenchmarkId::new("colgen_vs_full", "full_daxlist161_c08"),
         |b| {
             b.iter(|| {
-                strategy_lp::optimize_strategies_outcome_with(&dax_pq, &dax_caps, None)
+                strategy_lp::optimize_strategies_outcome(&dax_pq, &dax_caps)
                     .expect("feasible at 0.8")
                     .delay_ms
             });
         },
     );
-    let cg_cfg = strategy_lp::ColumnGeneration::default();
     group.bench_function(
         BenchmarkId::new("colgen_vs_full", "colgen_daxlist161_c08"),
         |b| {
             b.iter(|| {
-                strategy_lp::optimize_strategies_outcome_with(&dax_pq, &dax_caps, Some(&cg_cfg))
+                strategy_lp::ColGenSolver::new(&dax_pq, strategy_lp::ColumnGeneration::default())
+                    .and_then(|mut solver| solver.solve_profile(&dax_caps))
                     .expect("feasible at 0.8")
                     .delay_ms
             });
@@ -154,12 +154,10 @@ fn bench_lp_solver(c: &mut Criterion) {
         BenchmarkId::new("colgen_vs_full", "sweep_full_daxlist161"),
         |b| {
             b.iter(|| {
-                strategy_lp::tune_uniform_capacity_placed_with(
-                    &dax_pq, dax_l_opt, 10, dax_model, None,
-                )
-                .expect("feasible sweep")
-                .best_point()
-                .0
+                strategy_lp::tune_uniform_capacity_placed(&dax_pq, dax_l_opt, 10, dax_model)
+                    .expect("feasible sweep")
+                    .best_point()
+                    .0
             });
         },
     );
@@ -167,16 +165,10 @@ fn bench_lp_solver(c: &mut Criterion) {
         BenchmarkId::new("colgen_vs_full", "sweep_colgen_daxlist161"),
         |b| {
             b.iter(|| {
-                strategy_lp::tune_uniform_capacity_placed_with(
-                    &dax_pq,
-                    dax_l_opt,
-                    10,
-                    dax_model,
-                    Some(&cg_cfg),
-                )
-                .expect("feasible sweep")
-                .best_point()
-                .0
+                strategy_lp::tune_uniform_capacity_colgen(&dax_pq, dax_l_opt, 10, dax_model)
+                    .expect("feasible sweep")
+                    .best_point()
+                    .0
             });
         },
     );

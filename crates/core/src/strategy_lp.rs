@@ -52,14 +52,15 @@
 //! through [`qp_lp::SimplexInstance::add_column`] (the master re-solves
 //! warm with the primal simplex; the old basis stays primal feasible) and
 //! the loop repeats to *proven* optimality: it stops only when no absent
-//! column prices below `−tolerance`, so the objective matches full
-//! enumeration to solver accuracy while generating a small fraction of
-//! the columns ([`ColGenStats`] makes the ratio observable). A restricted
-//! master can be infeasible where the full LP is not; on an infeasible
-//! verdict the seed set grows by doubling each client's closest-quorum
-//! prefix, degenerating to full enumeration before an infeasibility is
-//! ever reported. Column generation runs only through the `_with` entry
-//! points and [`ColGenSolver`].
+//! column prices below `−`[`PRICING_TOLERANCE`], so the objective matches
+//! full enumeration to solver accuracy while generating a small fraction
+//! of the columns ([`ColGenStats`] makes the ratio observable). A
+//! restricted master can be infeasible where the full LP is not; on an
+//! infeasible verdict the seed set grows by doubling each client's
+//! closest-quorum prefix, degenerating to full enumeration before an
+//! infeasibility is ever reported. Column generation runs through
+//! [`ColGenSolver`] and the sequential sweep
+//! [`tune_uniform_capacity_colgen`].
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use qp_lp::{LpError, Model, Sense, SimplexInstance, Solution, SolveStats, VarId};
@@ -429,27 +430,10 @@ pub fn optimize_strategies_outcome(
     )
 }
 
-/// [`optimize_strategies_outcome`] with an optional [`ColumnGeneration`]
-/// toggle: `None` delegates to the full-enumeration cold solve
-/// (bit-identical to [`optimize_strategies_outcome`]); `Some` solves the
-/// same LP through a restricted master + pricing oracle
-/// ([`ColGenSolver`]), agreeing with full enumeration on the objective to
-/// solver accuracy while materializing only the columns that price
-/// favorably ([`StrategyLpOutcome::colgen`] reports how many).
-///
-/// # Errors
-///
-/// As for [`optimize_strategies`].
-pub fn optimize_strategies_outcome_with(
-    pq: &PlacedQuorums<'_>,
-    caps: &CapacityProfile,
-    colgen: Option<&ColumnGeneration>,
-) -> Result<StrategyLpOutcome, CoreError> {
-    match colgen {
-        None => optimize_strategies_outcome(pq, caps),
-        Some(cfg) => ColGenSolver::new(pq, cfg.clone())?.solve_profile(caps),
-    }
-}
+/// Pricing tolerance of the column-generation oracle: it stops once no
+/// absent column has reduced cost below `−PRICING_TOLERANCE`, making the
+/// restricted optimum a proven optimum of the full LP at that accuracy.
+pub const PRICING_TOLERANCE: f64 = 1e-9;
 
 /// Configuration of the delayed-column-generation path (see the
 /// module-level *Restricted master + pricing oracle* section).
@@ -459,18 +443,11 @@ pub struct ColumnGeneration {
     /// quorums (by memoized `δ_f(v, Qᵢ)`, ties to the lower index) form
     /// the initial restricted master. Clamped to `[1, num_quorums]`.
     pub seed_columns: usize,
-    /// Pricing tolerance: the oracle stops once no absent column has
-    /// reduced cost below `−tolerance`, making the restricted optimum a
-    /// proven optimum of the full LP at that accuracy.
-    pub tolerance: f64,
 }
 
 impl Default for ColumnGeneration {
     fn default() -> Self {
-        ColumnGeneration {
-            seed_columns: 4,
-            tolerance: 1e-9,
-        }
+        ColumnGeneration { seed_columns: 4 }
     }
 }
 
@@ -491,6 +468,19 @@ pub struct ColGenStats {
     pub master_resolves: usize,
 }
 
+impl ColGenStats {
+    /// Folds a later solve of the same master into this aggregate: the
+    /// column census is the latest one (columns persist across solves),
+    /// the work counters sum. Absorbing into the default yields `solve`.
+    pub fn absorb(&mut self, solve: &ColGenStats) {
+        self.columns_in_master = solve.columns_in_master;
+        self.total_columns = solve.total_columns;
+        self.columns_generated += solve.columns_generated;
+        self.oracle_passes += solve.oracle_passes;
+        self.master_resolves += solve.master_resolves;
+    }
+}
+
 /// The restricted-master column-generation solver for the access-strategy
 /// LP — the scale path for topologies where full enumeration
 /// ([`optimize_strategies_outcome`], [`CapacitySweepSolver`]) would
@@ -504,7 +494,7 @@ pub struct ColGenStats {
 /// row layout serves every capacity profile; columns generated for one
 /// profile remain valid — and stay in the master — for the next, which is
 /// what makes sequential capacity sweeps cheap
-/// ([`tune_uniform_capacity_placed_with`]).
+/// ([`tune_uniform_capacity_colgen`]).
 ///
 /// Weights generalize the objective to the exact demand-weighted average
 /// delay (`minimize Σ_v ŵ_v Σᵢ p_vi δ_f(v, Qᵢ)` with
@@ -514,7 +504,6 @@ pub struct ColGenStats {
 pub struct ColGenSolver<'a> {
     delta: DeltaSource<'a>,
     weights: Vec<f64>,
-    cfg: ColumnGeneration,
     inst: SimplexInstance,
     /// Convexity row per client, in client order (row `v`).
     conv_rows: Vec<usize>,
@@ -758,7 +747,6 @@ impl<'a> ColGenSolver<'a> {
         Ok(ColGenSolver {
             delta,
             weights,
-            cfg,
             inst,
             conv_rows,
             cap_rows,
@@ -937,7 +925,7 @@ impl<'a> ColGenSolver<'a> {
 
     /// One pricing pass: computes `s_i = Σ_w y_w·count_i(w)` per quorum
     /// from the capacity duals, then scans every absent (client, quorum)
-    /// pair for `rc_vi = ŵ_v·(δ(v,i) − s_i) − μ_v < −tolerance` and
+    /// pair for `rc_vi = ŵ_v·(δ(v,i) − s_i) − μ_v < −PRICING_TOLERANCE` and
     /// appends the most negative column per client (ties to the lower
     /// quorum index). Returns how many columns were appended; 0 proves
     /// optimality of the restricted optimum for the full LP.
@@ -956,7 +944,6 @@ impl<'a> ColGenSolver<'a> {
             }
             s[i] = acc;
         }
-        let tol = self.cfg.tolerance;
         let mut picks = Vec::new();
         for v in 0..n {
             let mu = sol.dual(self.conv_rows[v]);
@@ -967,7 +954,7 @@ impl<'a> ColGenSolver<'a> {
                     continue;
                 }
                 let rc = w_v * (self.delta.delta(v, i) - s[i]) - mu;
-                if rc < -tol && best.is_none_or(|(b, _)| rc < b) {
+                if rc < -PRICING_TOLERANCE && best.is_none_or(|(b, _)| rc < b) {
                     best = Some((rc, i));
                 }
             }
@@ -1034,9 +1021,9 @@ impl<'a> ColGenSolver<'a> {
 
     /// Re-runs the pricing scan against the duals of the last successful
     /// solve and counts absent columns with reduced cost below
-    /// `−tolerance`. A terminated oracle must report 0 — the unit-testable
-    /// form of "no negative reduced cost anywhere". `None` before the
-    /// first successful solve.
+    /// `−PRICING_TOLERANCE`. A terminated oracle must report 0 — the
+    /// unit-testable form of "no negative reduced cost anywhere". `None`
+    /// before the first successful solve.
     pub fn pricing_violations(&self) -> Option<usize> {
         let (mu, y) = self.last_duals.as_ref()?;
         let n = self.delta.n_clients();
@@ -1049,7 +1036,6 @@ impl<'a> ColGenSolver<'a> {
             }
             s[i] = acc;
         }
-        let tol = self.cfg.tolerance;
         let mut violations = 0;
         for v in 0..n {
             for i in 0..m {
@@ -1057,7 +1043,7 @@ impl<'a> ColGenSolver<'a> {
                     continue;
                 }
                 let rc = self.weights[v] * (self.delta.delta(v, i) - s[i]) - mu[v];
-                if rc < -tol {
+                if rc < -PRICING_TOLERANCE {
                     violations += 1;
                 }
             }
@@ -1250,6 +1236,17 @@ impl SweepLpStats {
     pub fn total_iterations(&self) -> usize {
         self.base_iterations + self.resolve_iterations
     }
+
+    /// Counts one feasible sweep point's re-solve.
+    fn record(&mut self, stats: SolveStats) {
+        self.resolve_iterations += stats.iterations;
+        self.bound_flips += stats.bound_flips;
+        if stats.warm {
+            self.warm_points += 1;
+        } else {
+            self.cold_points += 1;
+        }
+    }
 }
 
 /// The outcome of a capacity sweep: per-capacity evaluations and the best
@@ -1263,8 +1260,8 @@ pub struct CapacitySweepResult {
     /// LP pivot counters for the whole sweep (feasible points only).
     pub lp_stats: SweepLpStats,
     /// Aggregated pricing statistics when the sweep ran on the
-    /// column-generation path ([`tune_uniform_capacity_placed_with`]);
-    /// `None` for full-enumeration sweeps.
+    /// column-generation path ([`tune_uniform_capacity_colgen`]); `None`
+    /// for full-enumeration sweeps.
     pub colgen: Option<ColGenStats>,
 }
 
@@ -1272,6 +1269,32 @@ impl CapacitySweepResult {
     /// The winning `(capacity, evaluation)` pair.
     pub fn best_point(&self) -> &(f64, Evaluation) {
         &self.points[self.best]
+    }
+
+    /// Adopts the first minimum-response point of a sweep's feasible
+    /// points; [`CoreError::Infeasible`] if there are none.
+    fn from_points(
+        points: Vec<(f64, Evaluation)>,
+        lp_stats: SweepLpStats,
+        colgen: Option<ColGenStats>,
+    ) -> Result<Self, CoreError> {
+        let best = points
+            .iter()
+            .enumerate()
+            .min_by(|a, b| {
+                a.1 .1
+                    .avg_response_ms
+                    .partial_cmp(&b.1 .1.avg_response_ms)
+                    .expect("finite response times")
+            })
+            .map(|(i, _)| i)
+            .ok_or(CoreError::Infeasible)?;
+        Ok(CapacitySweepResult {
+            points,
+            best,
+            lp_stats,
+            colgen,
+        })
     }
 }
 
@@ -1335,118 +1358,50 @@ pub fn tune_uniform_capacity_placed(
         match outcome {
             Ok((eval, stats)) => {
                 points.push((c, eval));
-                lp_stats.resolve_iterations += stats.iterations;
-                lp_stats.bound_flips += stats.bound_flips;
-                if stats.warm {
-                    lp_stats.warm_points += 1;
-                } else {
-                    lp_stats.cold_points += 1;
-                }
+                lp_stats.record(stats);
             }
             Err(CoreError::Infeasible) => continue,
             Err(e) => return Err(e),
         }
     }
-    if points.is_empty() {
-        return Err(CoreError::Infeasible);
-    }
-    let best = points
-        .iter()
-        .enumerate()
-        .min_by(|a, b| {
-            a.1 .1
-                .avg_response_ms
-                .partial_cmp(&b.1 .1.avg_response_ms)
-                .expect("finite response times")
-        })
-        .map(|(i, _)| i)
-        .expect("nonempty");
-    Ok(CapacitySweepResult {
-        points,
-        best,
-        lp_stats,
-        colgen: None,
-    })
+    CapacitySweepResult::from_points(points, lp_stats, None)
 }
 
-/// [`tune_uniform_capacity_placed`] with an optional [`ColumnGeneration`]
-/// toggle. `None` delegates to the full-enumeration sweep (bit-identical
-/// results); `Some` runs the sweep on one [`ColGenSolver`], **sequentially
-/// in sweep order** — generated columns accumulate across points, so later
-/// (looser) capacities usually re-solve with zero new columns. Sequential
-/// execution keeps the result a pure function of the inputs at any thread
-/// count; there is no shared cold base, so
-/// [`SweepLpStats::base_iterations`] is 0 and every point's master pivots
-/// land in [`SweepLpStats::resolve_iterations`].
+/// The §7 uniform-capacity sweep on one [`ColGenSolver`] with the default
+/// [`ColumnGeneration`], run **sequentially in sweep order**: generated
+/// columns accumulate across points, so later (looser) capacities usually
+/// re-solve with zero new columns. Sequential execution keeps the result
+/// a pure function of the inputs at any thread count; there is no shared
+/// cold base, so [`SweepLpStats::base_iterations`] is 0 and every point's
+/// master pivots land in [`SweepLpStats::resolve_iterations`].
 ///
 /// # Errors
 ///
 /// As for [`tune_uniform_capacity`].
-pub fn tune_uniform_capacity_placed_with(
+pub fn tune_uniform_capacity_colgen(
     pq: &PlacedQuorums<'_>,
     l_opt: f64,
     steps: usize,
     model: ResponseModel,
-    colgen: Option<&ColumnGeneration>,
 ) -> Result<CapacitySweepResult, CoreError> {
-    let Some(cfg) = colgen else {
-        return tune_uniform_capacity_placed(pq, l_opt, steps, model);
-    };
-    let cs = capacity_sweep(l_opt, steps);
-    let mut solver = ColGenSolver::new(pq, cfg.clone())?;
+    let mut solver = ColGenSolver::new(pq, ColumnGeneration::default())?;
     let mut points = Vec::new();
     let mut lp_stats = SweepLpStats::default();
-    let mut agg: Option<ColGenStats> = None;
-    for c in cs {
+    let mut pricing = ColGenStats::default();
+    for c in capacity_sweep(l_opt, steps) {
         let outcome = match solver.solve_uniform(c) {
             Ok(outcome) => outcome,
             Err(CoreError::Infeasible) => continue,
             Err(e) => return Err(e),
         };
         let eval = evaluate_matrix_placed(pq, &outcome.strategy, model)?;
-        lp_stats.resolve_iterations += outcome.stats.iterations;
-        lp_stats.bound_flips += outcome.stats.bound_flips;
-        if outcome.stats.warm {
-            lp_stats.warm_points += 1;
-        } else {
-            lp_stats.cold_points += 1;
-        }
-        if let Some(stats) = outcome.colgen {
-            agg = Some(match agg {
-                None => stats,
-                Some(prev) => ColGenStats {
-                    // The master is shared: the latest column census wins,
-                    // the per-solve work counters accumulate.
-                    columns_in_master: stats.columns_in_master,
-                    total_columns: stats.total_columns,
-                    columns_generated: prev.columns_generated + stats.columns_generated,
-                    oracle_passes: prev.oracle_passes + stats.oracle_passes,
-                    master_resolves: prev.master_resolves + stats.master_resolves,
-                },
-            });
+        lp_stats.record(outcome.stats);
+        if let Some(stats) = &outcome.colgen {
+            pricing.absorb(stats);
         }
         points.push((c, eval));
     }
-    if points.is_empty() {
-        return Err(CoreError::Infeasible);
-    }
-    let best = points
-        .iter()
-        .enumerate()
-        .min_by(|a, b| {
-            a.1 .1
-                .avg_response_ms
-                .partial_cmp(&b.1 .1.avg_response_ms)
-                .expect("finite response times")
-        })
-        .map(|(i, _)| i)
-        .expect("nonempty");
-    Ok(CapacitySweepResult {
-        points,
-        best,
-        lp_stats,
-        colgen: agg,
-    })
+    CapacitySweepResult::from_points(points, lp_stats, Some(pricing))
 }
 
 /// The §7 *non-uniform* variant: capacities from the inverse-distance
@@ -1993,15 +1948,15 @@ mod tests {
         // so the capacity rows genuinely bind; seed 1 forces the
         // grow-on-infeasible path, seed 3 forces real pricing passes.
         for seed in [1usize, 3, 4] {
-            let cfg = ColumnGeneration {
-                seed_columns: seed,
-                ..ColumnGeneration::default()
-            };
+            let cfg = ColumnGeneration { seed_columns: seed };
             for &c in &[f64::INFINITY, 2.0, 0.7, 0.56] {
                 let caps = CapacityProfile::uniform(net.len(), c);
-                let full = optimize_strategies_outcome_with(&pq, &caps, None).unwrap();
+                let full = optimize_strategies_outcome(&pq, &caps).unwrap();
                 assert!(full.colgen.is_none());
-                let cg = optimize_strategies_outcome_with(&pq, &caps, Some(&cfg)).unwrap();
+                let cg = ColGenSolver::new(&pq, cfg.clone())
+                    .unwrap()
+                    .solve_profile(&caps)
+                    .unwrap();
                 let stats = cg.colgen.expect("colgen path reports pricing stats");
                 assert_eq!(stats.total_columns, n * m);
                 assert!(stats.columns_in_master <= stats.total_columns);
@@ -2056,13 +2011,12 @@ mod tests {
         let (net, clients, _sys, placement, quorums) = setup(3);
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
-        let cfg = ColumnGeneration {
-            seed_columns: 3,
-            ..ColumnGeneration::default()
-        };
         let caps = CapacityProfile::uniform(net.len(), 0.56);
         let full = optimize_strategies_outcome(&pq, &caps).unwrap();
-        let cg = optimize_strategies_outcome_with(&pq, &caps, Some(&cfg)).unwrap();
+        let cg = ColGenSolver::new(&pq, ColumnGeneration { seed_columns: 3 })
+            .unwrap()
+            .solve_profile(&caps)
+            .unwrap();
         let stats = cg.colgen.unwrap();
         assert!(
             stats.columns_generated > 0,
@@ -2107,7 +2061,9 @@ mod tests {
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
         let caps = CapacityProfile::unbounded(net.len());
-        let out = optimize_strategies_outcome_with(&pq, &caps, Some(&ColumnGeneration::default()))
+        let out = ColGenSolver::new(&pq, ColumnGeneration::default())
+            .unwrap()
+            .solve_profile(&caps)
             .unwrap();
         let stats = out.colgen.unwrap();
         assert!(
@@ -2189,14 +2145,7 @@ mod tests {
         let model = ResponseModel::network_delay_only();
         let full = tune_uniform_capacity_placed(&pq, l_opt, 8, model).unwrap();
         assert!(full.colgen.is_none());
-        let cg = tune_uniform_capacity_placed_with(
-            &pq,
-            l_opt,
-            8,
-            model,
-            Some(&ColumnGeneration::default()),
-        )
-        .unwrap();
+        let cg = tune_uniform_capacity_colgen(&pq, l_opt, 8, model).unwrap();
         let stats = cg.colgen.expect("colgen sweep reports pricing stats");
         assert!(stats.master_resolves >= cg.points.len());
         assert_eq!(cg.points.len(), full.points.len());
@@ -2213,13 +2162,6 @@ mod tests {
             cg_eval.avg_response_ms,
             full_eval.avg_response_ms
         );
-        // The None path is the existing function, bit-identical.
-        let none = tune_uniform_capacity_placed_with(&pq, l_opt, 8, model, None).unwrap();
-        assert_eq!(
-            none.best_point().0,
-            full.best_point().0,
-            "None toggle must delegate to the full-enumeration sweep"
-        );
     }
 
     /// Seed-size extremes: a single seeded column per client and a seed
@@ -2232,11 +2174,10 @@ mod tests {
         let caps = CapacityProfile::uniform(net.len(), 0.7);
         let full = optimize_strategies_outcome(&pq, &caps).unwrap();
         for seed in [1, quorums.len(), quorums.len() + 7] {
-            let cfg = ColumnGeneration {
-                seed_columns: seed,
-                ..ColumnGeneration::default()
-            };
-            let out = optimize_strategies_outcome_with(&pq, &caps, Some(&cfg)).unwrap();
+            let out = ColGenSolver::new(&pq, ColumnGeneration { seed_columns: seed })
+                .unwrap()
+                .solve_profile(&caps)
+                .unwrap();
             assert!(
                 (out.delay_ms - full.delay_ms).abs() <= 1e-9 * (1.0 + full.delay_ms.abs()),
                 "seed={seed}: {} vs {}",

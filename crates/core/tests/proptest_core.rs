@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use qp_core::capacity::{capacity_sweep, CapacityProfile};
-use qp_core::strategy_lp::{self, ColumnGeneration};
+use qp_core::strategy_lp::{self, ColGenSolver, ColumnGeneration};
 use qp_core::{
     combinatorics, one_to_one, response, singleton, EvalContext, Placement, ResponseModel,
 };
@@ -251,11 +251,11 @@ proptest! {
         let l_opt = sys.optimal_load().unwrap();
         let c = l_opt + cap_frac * (1.0 - l_opt) + 1e-9;
         let caps = CapacityProfile::uniform(net.len(), c);
-        let full =
-            strategy_lp::optimize_strategies_outcome_with(&pq, &caps, None).unwrap();
-        let cfg = ColumnGeneration { seed_columns, tolerance: 1e-9 };
-        let cg =
-            strategy_lp::optimize_strategies_outcome_with(&pq, &caps, Some(&cfg)).unwrap();
+        let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+        let cg = ColGenSolver::new(&pq, ColumnGeneration { seed_columns })
+            .unwrap()
+            .solve_profile(&caps)
+            .unwrap();
         prop_assert!(
             (cg.delay_ms - full.delay_ms).abs() <= 1e-9 * (1.0 + full.delay_ms.abs()),
             "colgen {} vs full {}", cg.delay_ms, full.delay_ms
@@ -302,11 +302,11 @@ proptest! {
         let l_opt = sys.optimal_load().unwrap();
         let caps = CapacityProfile::from_values(
             cap_fracs.iter().map(|f| l_opt + f * (1.0 - l_opt) + 1e-9).collect());
-        let full =
-            strategy_lp::optimize_strategies_outcome_with(&pq, &caps, None).unwrap();
-        let cfg = ColumnGeneration { seed_columns, tolerance: 1e-9 };
-        let cg =
-            strategy_lp::optimize_strategies_outcome_with(&pq, &caps, Some(&cfg)).unwrap();
+        let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+        let cg = ColGenSolver::new(&pq, ColumnGeneration { seed_columns })
+            .unwrap()
+            .solve_profile(&caps)
+            .unwrap();
         prop_assert!(
             (cg.delay_ms - full.delay_ms).abs() <= 1e-9 * (1.0 + full.delay_ms.abs()),
             "colgen {} vs full {}", cg.delay_ms, full.delay_ms

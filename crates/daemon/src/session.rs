@@ -89,7 +89,9 @@ pub struct Answer {
     /// Per-client strategy rows `p_vi` (each row sums to 1, or is all
     /// zero for a client with zero demand weight).
     pub strategy: Vec<Vec<f64>>,
-    /// Demand-weighted average network delay (ms) — the LP objective.
+    /// Demand-weighted average network delay (ms) of the strategy at the
+    /// slowdown-scaled delays: the LP objective without its tie-breaking
+    /// jitter.
     pub delay_ms: f64,
     /// Demand-weighted average response time (ms) under the load-aware
     /// model (4.1) with per-site slowdown factors applied.
@@ -769,14 +771,7 @@ impl Session {
             };
             pivots += sol.stats().iterations as u64;
             let q = self.q_matrix(&sol);
-            let score = weighted_response(
-                &q,
-                &self.hosts,
-                &self.node_counts,
-                &self.dist,
-                &self.slowdown,
-                self.alpha,
-            );
+            let score = self.score(&q, self.alpha);
             scored.push((c, score));
         }
         let Some(best_c) = pick_capacity(&scored) else {
@@ -793,18 +788,10 @@ impl Session {
         let sol = self.instance.resolve()?;
         pivots += sol.stats().iterations as u64;
         let q = self.q_matrix(&sol);
-        let response = weighted_response(
-            &q,
-            &self.hosts,
-            &self.node_counts,
-            &self.dist,
-            &self.slowdown,
-            self.alpha,
-        );
         let answer = Answer {
             strategy: strategies(&q, &self.weights),
-            delay_ms: sol.objective(),
-            response_ms: response,
+            delay_ms: self.score(&q, 0.0),
+            response_ms: self.score(&q, self.alpha),
             capacity: best_c,
             pivots,
         };
@@ -844,21 +831,8 @@ impl Session {
             )
         };
         let mut pivots: u64 = 0;
-        let mut agg = self.pricing;
-        let absorb = |agg: &mut Option<ColGenStats>, stats: Option<ColGenStats>| {
-            let Some(stats) = stats else { return };
-            *agg = Some(match *agg {
-                None => stats,
-                Some(prev) => ColGenStats {
-                    // One shared master: latest column census, summed work.
-                    columns_in_master: stats.columns_in_master,
-                    total_columns: stats.total_columns,
-                    columns_generated: prev.columns_generated + stats.columns_generated,
-                    oracle_passes: prev.oracle_passes + stats.oracle_passes,
-                    master_resolves: prev.master_resolves + stats.master_resolves,
-                },
-            });
-        };
+        // One shared master: latest column census, summed work.
+        let mut agg = self.pricing.unwrap_or_default();
         let grid = capacity_sweep(self.l_opt, self.sweep_steps);
         let mut scored: Vec<(f64, f64)> = Vec::new(); // (capacity, score)
         for &c in &grid {
@@ -868,16 +842,11 @@ impl Session {
                 Err(e) => return Err(to_err(e)),
             };
             pivots += outcome.stats.iterations as u64;
-            absorb(&mut agg, outcome.colgen);
+            if let Some(stats) = &outcome.colgen {
+                agg.absorb(stats);
+            }
             let q = self.q_from_strategy(&outcome.strategy);
-            let score = weighted_response(
-                &q,
-                &self.hosts,
-                &self.node_counts,
-                &self.dist,
-                &self.slowdown,
-                self.alpha,
-            );
+            let score = self.score(&q, self.alpha);
             scored.push((c, score));
         }
         let Some(best_c) = pick_capacity(&scored) else {
@@ -889,19 +858,15 @@ impl Session {
         // this re-solve is warm and generates nothing new.
         let outcome = solver.solve_profile(&caps_at(best_c)).map_err(to_err)?;
         pivots += outcome.stats.iterations as u64;
-        absorb(&mut agg, outcome.colgen);
+        if let Some(stats) = &outcome.colgen {
+            agg.absorb(stats);
+        }
         let q = self.q_from_strategy(&outcome.strategy);
-        let response = weighted_response(
-            &q,
-            &self.hosts,
-            &self.node_counts,
-            &self.dist,
-            &self.slowdown,
-            self.alpha,
-        );
+        let delay = self.score(&q, 0.0);
+        let response = self.score(&q, self.alpha);
         drop(solver);
         self.capacity = best_c;
-        self.pricing = agg;
+        self.pricing = Some(agg);
         // Keep the (unsolved) resident LP's capacities in step with the
         // adopted answer, mirroring the resident-path invariant.
         for row_idx in 0..self.cap_rows.len() {
@@ -911,13 +876,28 @@ impl Session {
         }
         let answer = Answer {
             strategy: strategies(&q, &self.weights),
-            delay_ms: outcome.delay_ms,
+            delay_ms: delay,
             response_ms: response,
             capacity: best_c,
             pivots,
         };
         self.warm_pivots += pivots;
         Ok((answer, pivots))
+    }
+
+    /// Demand-weighted response of `q` under model (4.1) with load
+    /// coupling `alpha` and the slowdown-scaled delays. `alpha = 0` gives
+    /// the weighted network delay the LP minimizes, without the
+    /// tie-breaking jitter of its objective.
+    fn score(&self, q: &[Vec<f64>], alpha: f64) -> f64 {
+        weighted_response(
+            q,
+            &self.hosts,
+            &self.node_counts,
+            &self.dist,
+            &self.slowdown,
+            alpha,
+        )
     }
 
     /// The weighted `q = ŵ_v · p_vi` matrix from a column-generation
@@ -1136,6 +1116,16 @@ pub fn cold_recompute(inp: &ColdInputs) -> Result<(Answer, u64), SessionError> {
         }
     };
     let m = inp.hosts.len();
+    let score = |q: &[Vec<f64>], alpha: f64| {
+        weighted_response(
+            q,
+            &inp.hosts,
+            &inp.node_counts,
+            &inp.dist,
+            &inp.slowdown,
+            alpha,
+        )
+    };
     let q_of = |sol: &Solution| -> Vec<Vec<f64>> {
         (0..n)
             .map(|v| {
@@ -1150,14 +1140,7 @@ pub fn cold_recompute(inp: &ColdInputs) -> Result<(Answer, u64), SessionError> {
             continue;
         };
         let q = q_of(&sol);
-        let score = weighted_response(
-            &q,
-            &inp.hosts,
-            &inp.node_counts,
-            &inp.dist,
-            &inp.slowdown,
-            inp.alpha,
-        );
+        let score = score(&q, inp.alpha);
         scored.push((c, score));
     }
     let Some(best_c) = pick_capacity(&scored) else {
@@ -1169,19 +1152,11 @@ pub fn cold_recompute(inp: &ColdInputs) -> Result<(Answer, u64), SessionError> {
         SessionError::Infeasible("winning sweep point turned infeasible on re-solve".into())
     })?;
     let q = q_of(&sol);
-    let response = weighted_response(
-        &q,
-        &inp.hosts,
-        &inp.node_counts,
-        &inp.dist,
-        &inp.slowdown,
-        inp.alpha,
-    );
     Ok((
         Answer {
             strategy: strategies(&q, &inp.weights),
-            delay_ms: sol.objective(),
-            response_ms: response,
+            delay_ms: score(&q, 0.0),
+            response_ms: score(&q, inp.alpha),
             capacity: best_c,
             pivots,
         },
@@ -1378,6 +1353,39 @@ mod tests {
             }),
             Err(SessionError::BadDelta(_))
         ));
+    }
+
+    #[test]
+    fn reported_delay_excludes_the_tie_breaking_jitter() {
+        // After a slowdown, every tuning path (resident LP, column
+        // generation, cold recompute) reports Σ ŵ·p·δ at the
+        // slowdown-scaled delays, not the jittered LP objective.
+        for colgen in [None, Some(ColumnGeneration::default())] {
+            let mut s = session_with(6, colgen);
+            let site = s.hosts[0][0];
+            let answer = s
+                .apply(&Delta::Slowdown { site, factor: 3.0 })
+                .unwrap()
+                .answer;
+            let (cold, _) = cold_recompute(&s.cold_inputs()).unwrap();
+            for a in [&answer, &cold] {
+                let mut expected = 0.0;
+                for (v, row) in a.strategy.iter().enumerate() {
+                    for (i, &p) in row.iter().enumerate() {
+                        let delay = s.hosts[i]
+                            .iter()
+                            .map(|&w| s.dist[v][w] * s.slowdown[w])
+                            .fold(f64::MIN, f64::max);
+                        expected += s.weights[v] * p * delay;
+                    }
+                }
+                assert!(
+                    (a.delay_ms - expected).abs() <= 1e-12 * expected,
+                    "reported {} vs unjittered {expected}",
+                    a.delay_ms
+                );
+            }
+        }
     }
 
     #[test]

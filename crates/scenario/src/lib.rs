@@ -71,7 +71,7 @@ pub mod spec;
 
 pub use error::ScenarioError;
 pub use matrix::{encode_report, spec_hash, write_merged_jsonl, MatrixEntry};
-pub use report::{PhaseReport, PricingReport, ScenarioReport, StageBreakdown};
+pub use report::{PhaseReport, ScenarioReport, StageBreakdown};
 pub use runner::ScenarioRunner;
 pub use spec::{
     parse_placement, parse_system, CapacityChoice, DemandModel, EngineSelection, FailureEvent,

@@ -28,7 +28,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
-use qp_obs::escape_json;
+use qp_obs::{escape_json, stable_f64};
 use qp_par::ParPool;
 
 use crate::report::ScenarioReport;
@@ -301,22 +301,17 @@ pub fn encode_report(spec_index: usize, spec: &ScenarioSpec, report: &ScenarioRe
     push_f64(&mut o, report.lp_response_ms);
     o.push_str(",\"lp_pivots\":");
     o.push_str(&report.lp_pivots.to_string());
-    o.push_str(",\"pricing\":");
-    match &report.pricing {
-        None => o.push_str("null"),
-        Some(p) => {
-            o.push_str(&format!(
-                "{{\"columns_in_master\":{},\"total_columns\":{},\
-                 \"columns_generated\":{},\"oracle_passes\":{},\
-                 \"master_resolves\":{}}}",
-                p.columns_in_master,
-                p.total_columns,
-                p.columns_generated,
-                p.oracle_passes,
-                p.master_resolves
-            ));
-        }
-    }
+    let p = &report.pricing;
+    o.push_str(&format!(
+        ",\"pricing\":{{\"columns_in_master\":{},\"total_columns\":{},\
+         \"columns_generated\":{},\"oracle_passes\":{},\
+         \"master_resolves\":{}}}",
+        p.columns_in_master,
+        p.total_columns,
+        p.columns_generated,
+        p.oracle_passes,
+        p.master_resolves
+    ));
     o.push_str(",\"tolerance\":");
     push_f64(&mut o, report.tolerance);
     o.push_str(",\"max_rel_error\":");
@@ -401,15 +396,11 @@ fn push_str_field(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// `{:.17e}` round-trips every finite `f64` bit-exactly and renders
+/// [`stable_f64`] round-trips every finite `f64` bit-exactly and renders
 /// deterministically; JSON has no NaN/Infinity, so non-finite values
 /// (which the pipeline never produces) encode as `null`.
 fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.17e}"));
-    } else {
-        out.push_str("null");
-    }
+    out.push_str(&stable_f64(v));
 }
 
 fn push_opt_f64(out: &mut String, v: Option<f64>) {

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use qp_core::strategy_lp::ColGenStats;
 use qp_protocol::SimEngine;
 
 /// Per-phase outcome: what the LP predicted and what the DES measured.
@@ -52,25 +53,6 @@ pub struct PhaseReport {
     pub completed_requests: u64,
     /// Highest per-node utilization over the phase.
     pub max_server_utilization: f64,
-}
-
-/// Pricing-oracle statistics of a column-generation scenario run,
-/// aggregated over every master solve the pipeline performed (capacity
-/// selection sweep plus per-phase re-optimizations). `columns_in_master`
-/// vs `total_columns` is the headline: how much of the full
-/// (location × quorum) LP the restricted master ever materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PricingReport {
-    /// Columns materialized in the restricted master after the last solve.
-    pub columns_in_master: usize,
-    /// Columns full enumeration would materialize (locations × quorums).
-    pub total_columns: usize,
-    /// Columns appended across all solves (seed growth + oracle finds).
-    pub columns_generated: usize,
-    /// Total pricing passes over absent (location, quorum) pairs.
-    pub oracle_passes: usize,
-    /// Total master LP (re-)solves.
-    pub master_resolves: usize,
 }
 
 /// Per-pipeline-stage work breakdown of one scenario run — logical
@@ -124,10 +106,13 @@ pub struct ScenarioReport {
     pub lp_response_ms: f64,
     /// Total simplex pivots spent (cold base + every warm re-solve).
     pub lp_pivots: usize,
-    /// Pricing statistics when the strategy LP ran through column
-    /// generation; `None` on the default full-enumeration path (whose
-    /// rendered reports stay byte-identical to earlier releases).
-    pub pricing: Option<PricingReport>,
+    /// Pricing statistics of the strategy LP's restricted master,
+    /// aggregated over every solve the pipeline performed (capacity
+    /// selection plus per-phase re-optimizations): the column census is
+    /// the latest one, the work counters sum. `columns_in_master` vs
+    /// `total_columns` shows how much of the full (location × quorum) LP
+    /// the master ever materialized.
+    pub pricing: ColGenStats,
     /// Per-pipeline-stage work breakdown; `None` unless the runner was
     /// configured with
     /// [`crate::ScenarioRunner::with_stage_breakdown`].
@@ -178,18 +163,17 @@ impl fmt::Display for ScenarioReport {
             "LP:         delay {:.2} ms, response {:.2} ms, {} pivots",
             self.lp_delay_ms, self.lp_response_ms, self.lp_pivots
         )?;
-        if let Some(p) = &self.pricing {
-            writeln!(
-                f,
-                "pricing:    {} of {} columns in master ({} generated), \
-                 {} oracle passes, {} master solves",
-                p.columns_in_master,
-                p.total_columns,
-                p.columns_generated,
-                p.oracle_passes,
-                p.master_resolves
-            )?;
-        }
+        let p = &self.pricing;
+        writeln!(
+            f,
+            "pricing:    {} of {} columns in master ({} generated), \
+             {} oracle passes, {} master solves",
+            p.columns_in_master,
+            p.total_columns,
+            p.columns_generated,
+            p.oracle_passes,
+            p.master_resolves
+        )?;
         if let Some(s) = &self.stages {
             writeln!(
                 f,

@@ -2,10 +2,8 @@
 //! → capacity selection → per-phase DES validation → cross-check.
 
 use qp_core::capacity::{capacity_sweep, CapacityProfile};
-use qp_core::response::{evaluate_matrix_placed, evaluate_matrix_placed_weighted};
-use qp_core::strategy_lp::{
-    CapacitySweepSolver, ColGenSolver, ColGenStats, ColumnGeneration, StrategyLpOutcome,
-};
+use qp_core::response::evaluate_matrix_placed_weighted;
+use qp_core::strategy_lp::{ColGenSolver, ColGenStats, ColumnGeneration, StrategyLpOutcome};
 use qp_core::{CoreError, EvalContext, Placement, ResponseModel};
 use qp_par::ParPool;
 use qp_protocol::{
@@ -14,7 +12,7 @@ use qp_protocol::{
 use qp_quorum::{Quorum, StrategyMatrix};
 use qp_topology::{Network, NodeId};
 
-use crate::report::{PhaseReport, PricingReport, ScenarioReport, StageBreakdown};
+use crate::report::{PhaseReport, ScenarioReport, StageBreakdown};
 use crate::spec::{parse_system, CapacityChoice, DemandModel, ScenarioSpec};
 use crate::ScenarioError;
 
@@ -23,8 +21,8 @@ use crate::ScenarioError;
 /// Every step is a pure function of the spec: topology generation,
 /// placement search, LP solves, and the DES all run from fixed seeds, so
 /// a scenario's report is bit-identical across runs and thread counts
-/// (the matrix fan-out and the capacity sweep ride
-/// [`qp_par::ParPool`], whose results are input-ordered by contract).
+/// (the matrix fan-out rides [`qp_par::ParPool`], whose results are
+/// input-ordered by contract; each scenario's LP solves run in order).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScenarioRunner {
     stage_breakdown: bool,
@@ -124,72 +122,29 @@ impl ScenarioRunner {
             ),
         };
 
-        // 3. The strategy LP over the demand-weighted client list: each
-        // location appears once per client it hosts, so the LP's uniform
-        // client average *is* the demand-weighted average.
-        //
-        // When *every* phase runs the aggregated engine (which validation
-        // ties to colgen) the flattened per-client structures are skipped
-        // entirely: at million-client scale the per-client delta matrix
-        // alone would be gigabytes, and the location-level weighted
-        // evaluator scores the same optimum (same linearity argument as
-        // the colgen master itself).
-        let lp_span = qp_obs::span(
-            "scenario.lp",
-            &[("colgen", qp_obs::FieldValue::Bool(pipeline.colgen))],
-        );
+        // 3. The strategy LP at location level, through the restricted
+        // master: each location is one row whose demand weight (its
+        // client count) appears directly as objective and capacity-row
+        // coefficient. This is exactly LP (4.3)–(4.6) over the flattened
+        // client list — a location's clients all contribute the identical
+        // row, so the uniform client average *is* the weighted location
+        // average — but it materializes `locations` convexity rows
+        // instead of `Σ counts` (at million-client scale the per-client
+        // delta matrix alone would be gigabytes) and generates columns
+        // lazily. The location rows feed the DES directly.
+        let lp_span = qp_obs::span("scenario.lp", &[]);
         let quorums = sys.enumerate(pipeline.quorum_limit)?;
-        let flatten = !pipeline.engine.all_aggregated();
-        let lp_clients: Vec<NodeId> = if flatten {
-            nominal.client_locations()
-        } else {
-            Vec::new()
-        };
-        let ctx = flatten.then(|| EvalContext::new(&net, &lp_clients));
-        let pq = ctx.as_ref().map(|c| c.place(&placement, &quorums));
-
-        // With `colgen = false` (the default) the LP is the historical
-        // full-enumeration warm-sweep solver over the flattened client
-        // list — reports stay bit-identical to earlier releases. With
-        // `colgen = true` the LP runs at *location* level through the
-        // restricted master: demand weights `ŵ_l ∝ client count` appear
-        // directly as objective and capacity-row coefficients. The two
-        // formulations share their optimum by linearity — a location's
-        // clients all contribute the identical LP row, so the flattened
-        // uniform client average *is* the weighted location average —
-        // but the weighted form materializes `locations` convexity rows
-        // instead of `Σ counts` and generates columns lazily.
-        let loc_sites: Vec<NodeId> = nominal.locations().to_vec();
-        let loc_weights: Vec<f64> = nominal.client_counts().iter().map(|&c| c as f64).collect();
-        let loc_ctx = pipeline.colgen.then(|| EvalContext::new(&net, &loc_sites));
-        let loc_pq = loc_ctx.as_ref().map(|c| c.place(&placement, &quorums));
-        let mut engine = match &loc_pq {
-            Some(pq_loc) => LpEngine::ColGen {
-                solver: Box::new(ColGenSolver::with_weights(
-                    pq_loc,
-                    &loc_weights,
-                    ColumnGeneration::default(),
-                )?),
-                pricing: PricingReport {
-                    columns_in_master: 0,
-                    total_columns: 0,
-                    columns_generated: 0,
-                    oracle_passes: 0,
-                    master_resolves: 0,
-                },
-            },
-            None => LpEngine::Full(Box::new(CapacitySweepSolver::new(
-                pq.as_ref().expect("non-colgen scenarios always flatten"),
-            )?)),
+        let weights: Vec<f64> = nominal.client_counts().iter().map(|&c| c as f64).collect();
+        let ctx = EvalContext::new(&net, nominal.locations());
+        let pq = ctx.place(&placement, &quorums);
+        let mut lp = ScenarioLp {
+            solver: ColGenSolver::with_weights(&pq, &weights, ColumnGeneration::default())?,
+            pivots: 0,
+            pricing: ColGenStats::default(),
         };
         let model = ResponseModel::from_demand(pipeline.op_time_ms, pipeline.demand);
-        let mut lp_pivots = engine.base_iterations();
-        lp_span.end(&[("base_pivots", qp_obs::FieldValue::U64(lp_pivots as u64))]);
-        let loc_indices: Vec<usize> = if flatten {
-            nominal.location_indices()
-        } else {
-            Vec::new()
-        };
+        // The master defers all work to its first solve.
+        lp_span.end(&[("base_pivots", qp_obs::FieldValue::U64(0))]);
 
         // 4. Capacity selection.
         let capacity_span = qp_obs::span("scenario.capacity", &[]);
@@ -200,51 +155,21 @@ impl ScenarioRunner {
                 let l_opt = sys.optimal_load().unwrap_or(0.5);
                 let cs = capacity_sweep(l_opt, steps);
                 capacity_points = cs.len();
-                // The full-enumeration solver re-solves each point from an
-                // immutable warm base, so the sweep parallelizes; the
-                // colgen master mutates (columns accumulate across
-                // points), so it runs sequentially in sweep order —
-                // deterministic and thread-count invariant either way.
-                let solved = if let LpEngine::Full(solver) = &engine {
-                    let pq = pq.as_ref().expect("non-colgen scenarios always flatten");
-                    ParPool::global().run(cs.len(), |i| {
-                        let outcome = solver.solve_uniform(cs[i])?;
-                        let eval = evaluate_matrix_placed(pq, &outcome.strategy, model)?;
-                        Ok::<_, CoreError>((outcome, eval))
-                    })
-                } else {
-                    cs.iter()
-                        .map(|&c| {
-                            let outcome = engine.solve_uniform(c)?;
-                            let eval = if let Some(pq) = &pq {
-                                let flat = expand_rows(&outcome.strategy, &loc_indices)?;
-                                evaluate_matrix_placed(pq, &flat, model)?
-                            } else {
-                                evaluate_matrix_placed_weighted(
-                                    loc_pq.as_ref().expect("colgen built loc_pq"),
-                                    &outcome.strategy,
-                                    &loc_weights,
-                                    model,
-                                )?
-                            };
-                            Ok::<_, CoreError>((outcome, eval))
-                        })
-                        .collect()
-                };
+                // The master mutates (columns accumulate across points),
+                // so the sweep runs sequentially in sweep order —
+                // deterministic and thread-count invariant.
                 let mut best: Option<(f64, StrategyLpOutcome, f64)> = None;
-                for (c, outcome) in cs.iter().zip(solved) {
-                    match outcome {
-                        Ok((outcome, eval)) => {
-                            lp_pivots += outcome.stats.iterations;
-                            let better = best
-                                .as_ref()
-                                .is_none_or(|(_, _, r)| eval.avg_response_ms < *r);
-                            if better {
-                                best = Some((*c, outcome, eval.avg_response_ms));
-                            }
-                        }
+                for &c in &cs {
+                    let outcome = match lp.solve(&CapacityProfile::uniform(n, c)) {
+                        Ok(outcome) => outcome,
                         Err(CoreError::Infeasible) => continue,
                         Err(e) => return Err(e.into()),
+                    };
+                    let response =
+                        evaluate_matrix_placed_weighted(&pq, &outcome.strategy, &weights, model)?
+                            .avg_response_ms;
+                    if best.as_ref().is_none_or(|(_, _, r)| response < *r) {
+                        best = Some((c, outcome, response));
                     }
                 }
                 let (c, outcome, _) = best.ok_or(CoreError::Infeasible)?;
@@ -253,8 +178,7 @@ impl ScenarioRunner {
             }
             CapacityChoice::Fixed(c) => {
                 capacity_points = 1;
-                let outcome = engine.solve_uniform(c)?;
-                lp_pivots += outcome.stats.iterations;
+                let outcome = lp.solve(&CapacityProfile::uniform(n, c))?;
                 (
                     outcome,
                     CapacityProfile::uniform(n, c),
@@ -263,35 +187,21 @@ impl ScenarioRunner {
             }
             CapacityChoice::LoadProportional { beta, gamma } => {
                 capacity_points = 2;
-                let unconstrained = engine.solve_profile(&CapacityProfile::unbounded(n))?;
-                lp_pivots += unconstrained.stats.iterations;
-                // The colgen strategy is location-level: weight its rows
-                // by client counts instead of flattening (the loads
-                // agree by linearity).
-                let loads = if let Some(loc_pq) = &loc_pq {
-                    evaluate_matrix_placed_weighted(
-                        loc_pq,
-                        &unconstrained.strategy,
-                        &loc_weights,
-                        ResponseModel::network_delay_only(),
-                    )?
-                    .node_loads
-                } else {
-                    evaluate_matrix_placed(
-                        pq.as_ref().expect("non-colgen scenarios always flatten"),
-                        &unconstrained.strategy,
-                        ResponseModel::network_delay_only(),
-                    )?
-                    .node_loads
-                };
+                let unconstrained = lp.solve(&CapacityProfile::unbounded(n))?;
+                let loads = evaluate_matrix_placed_weighted(
+                    &pq,
+                    &unconstrained.strategy,
+                    &weights,
+                    ResponseModel::network_delay_only(),
+                )?
+                .node_loads;
                 let caps = CapacityProfile::load_proportional(
                     &loads,
                     &placement.support_set(),
                     beta,
                     gamma,
                 )?;
-                let outcome = engine.solve_profile(&caps)?;
-                lp_pivots += outcome.stats.iterations;
+                let outcome = lp.solve(&caps)?;
                 (
                     outcome,
                     caps,
@@ -300,8 +210,7 @@ impl ScenarioRunner {
             }
             CapacityChoice::MarginalValue { beta, gamma } => {
                 capacity_points = 2;
-                let reference = engine.solve_uniform(gamma)?;
-                lp_pivots += reference.stats.iterations;
+                let reference = lp.solve(&CapacityProfile::uniform(n, gamma))?;
                 let prices: Vec<f64> = reference
                     .capacity_duals
                     .iter()
@@ -313,47 +222,17 @@ impl ScenarioRunner {
                     beta,
                     gamma,
                 )?;
-                let outcome = engine.solve_profile(&caps)?;
-                lp_pivots += outcome.stats.iterations;
+                let outcome = lp.solve(&caps)?;
                 (outcome, caps, format!("marginal-value [{beta}, {gamma}]"))
             }
         };
         capacity_span.end(&[
             ("points", qp_obs::FieldValue::U64(capacity_points as u64)),
-            ("pivots", qp_obs::FieldValue::U64(lp_pivots as u64)),
+            ("pivots", qp_obs::FieldValue::U64(lp.pivots as u64)),
         ]);
-        // Scoring runs over the flattened client list in both modes; the
-        // DES needs per-*location* rows. Full enumeration solves at client
-        // level (score directly, collapse for the DES); colgen solves at
-        // location level (expand for scoring, pass through for the DES).
-        let (base_eval, base_rows) = if engine.is_colgen() {
-            let eval = if let Some(pq) = &pq {
-                let flat = expand_rows(&base_outcome.strategy, &loc_indices)?;
-                evaluate_matrix_placed(pq, &flat, model)?
-            } else {
-                evaluate_matrix_placed_weighted(
-                    loc_pq.as_ref().expect("colgen built loc_pq"),
-                    &base_outcome.strategy,
-                    &loc_weights,
-                    model,
-                )?
-            };
-            (eval, base_outcome.strategy.clone())
-        } else {
-            (
-                evaluate_matrix_placed(
-                    pq.as_ref().expect("non-colgen scenarios always flatten"),
-                    &base_outcome.strategy,
-                    model,
-                )?,
-                collapse_rows(
-                    &base_outcome.strategy,
-                    &loc_indices,
-                    locations,
-                    quorums.len(),
-                )?,
-            )
-        };
+        let base_eval =
+            evaluate_matrix_placed_weighted(&pq, &base_outcome.strategy, &weights, model)?;
+        let base_rows = base_outcome.strategy;
 
         // 5. Per-phase DES validation. With `carry-queues` each phase
         // after the first starts its servers with the residual backlog
@@ -396,7 +275,7 @@ impl ScenarioRunner {
             let mut reoptimized = false;
             let rows = if failed_elements > 0 && spec.failures.reoptimize {
                 let phase_mults = mults.as_deref().expect("failures present");
-                let mut outcome = None;
+                let mut rows = None;
                 for caps in [
                     scale_caps_for_failures(&base_caps, &placement, phase_mults),
                     scale_caps_for_failures(
@@ -405,34 +284,19 @@ impl ScenarioRunner {
                         phase_mults,
                     ),
                 ] {
-                    match engine.solve_profile(&caps) {
+                    match lp.solve(&caps) {
                         Ok(o) => {
-                            outcome = Some(o);
+                            rows = Some(o.strategy);
                             break;
                         }
                         Err(CoreError::Infeasible) => continue,
                         Err(e) => return Err(e.into()),
                     }
                 }
-                match outcome {
-                    Some(outcome) => {
-                        lp_pivots += outcome.stats.iterations;
-                        reoptimized = true;
-                        if engine.is_colgen() {
-                            outcome.strategy
-                        } else {
-                            collapse_rows(
-                                &outcome.strategy,
-                                &loc_indices,
-                                locations,
-                                quorums.len(),
-                            )?
-                        }
-                    }
-                    // Even full healthy capacity cannot serve around the
-                    // failures; keep the nominal strategy for the phase.
-                    None => base_rows.clone(),
-                }
+                reoptimized = rows.is_some();
+                // Even full healthy capacity cannot serve around the
+                // failures; keep the nominal strategy for the phase.
+                rows.unwrap_or_else(|| base_rows.clone())
             } else {
                 base_rows.clone()
             };
@@ -585,7 +449,7 @@ impl ScenarioRunner {
         let stages = self.stage_breakdown.then(|| StageBreakdown {
             topology_sites: net.len(),
             placement_elements: sys.universe_size(),
-            lp_pivots,
+            lp_pivots: lp.pivots,
             capacity_points,
             des_phases: pipeline.phases,
             des_completed_requests: phases.iter().map(|p| p.completed_requests).sum(),
@@ -593,7 +457,7 @@ impl ScenarioRunner {
         if qp_obs::enabled() {
             qp_obs::counter_add("scenario_runs_total", 1);
             qp_obs::counter_add("scenario_phases_total", pipeline.phases as u64);
-            qp_obs::observe("scenario_lp_pivots", lp_pivots as f64);
+            qp_obs::observe("scenario_lp_pivots", lp.pivots as f64);
         }
         run_span.end(&[("pass", qp_obs::FieldValue::Bool(pass))]);
 
@@ -612,8 +476,8 @@ impl ScenarioRunner {
             capacity: capacity_label,
             lp_delay_ms: base_outcome.delay_ms,
             lp_response_ms: base_eval.avg_response_ms,
-            lp_pivots,
-            pricing: engine.pricing(),
+            lp_pivots: lp.pivots,
+            pricing: lp.pricing,
             stages,
             phases,
             tolerance: pipeline.tolerance,
@@ -623,122 +487,25 @@ impl ScenarioRunner {
     }
 }
 
-/// The two strategy-LP engines a scenario can run on: the historical
-/// full-enumeration warm-sweep solver over the flattened client list, or
-/// the demand-weighted location-level restricted master (column
-/// generation). The colgen variant accumulates pricing statistics across
-/// every solve for [`ScenarioReport::pricing`].
-enum LpEngine<'a> {
-    Full(Box<CapacitySweepSolver>),
-    ColGen {
-        solver: Box<ColGenSolver<'a>>,
-        pricing: PricingReport,
-    },
+/// A scenario's strategy LP: one demand-weighted, location-level
+/// restricted master that every capacity solve and mid-run
+/// re-optimization reuses, with its pivots and pricing work accumulated
+/// across solves for the report.
+struct ScenarioLp<'a> {
+    solver: ColGenSolver<'a>,
+    pivots: usize,
+    pricing: ColGenStats,
 }
 
-impl LpEngine<'_> {
-    fn is_colgen(&self) -> bool {
-        matches!(self, LpEngine::ColGen { .. })
-    }
-
-    /// Pivots spent before the first parametrized solve (the full
-    /// solver's cold base build; the colgen master defers all work).
-    fn base_iterations(&self) -> usize {
-        match self {
-            LpEngine::Full(solver) => solver.base_stats().iterations,
-            LpEngine::ColGen { .. } => 0,
+impl ScenarioLp<'_> {
+    fn solve(&mut self, caps: &CapacityProfile) -> Result<StrategyLpOutcome, CoreError> {
+        let outcome = self.solver.solve_profile(caps)?;
+        self.pivots += outcome.stats.iterations;
+        if let Some(stats) = &outcome.colgen {
+            self.pricing.absorb(stats);
         }
+        Ok(outcome)
     }
-
-    fn solve_uniform(&mut self, c: f64) -> Result<StrategyLpOutcome, CoreError> {
-        match self {
-            LpEngine::Full(solver) => solver.solve_uniform(c),
-            LpEngine::ColGen { solver, pricing } => {
-                let outcome = solver.solve_uniform(c)?;
-                absorb_pricing(pricing, outcome.colgen);
-                Ok(outcome)
-            }
-        }
-    }
-
-    fn solve_profile(&mut self, caps: &CapacityProfile) -> Result<StrategyLpOutcome, CoreError> {
-        match self {
-            LpEngine::Full(solver) => solver.solve_profile(caps),
-            LpEngine::ColGen { solver, pricing } => {
-                let outcome = solver.solve_profile(caps)?;
-                absorb_pricing(pricing, outcome.colgen);
-                Ok(outcome)
-            }
-        }
-    }
-
-    fn pricing(&self) -> Option<PricingReport> {
-        match self {
-            LpEngine::Full(_) => None,
-            LpEngine::ColGen { pricing, .. } => Some(*pricing),
-        }
-    }
-}
-
-/// Folds one solve's pricing stats into the scenario-level aggregate:
-/// master-size fields reflect the latest solve (columns persist across
-/// solves), work counters sum.
-fn absorb_pricing(acc: &mut PricingReport, stats: Option<ColGenStats>) {
-    if let Some(s) = stats {
-        acc.columns_in_master = s.columns_in_master;
-        acc.total_columns = s.total_columns;
-        acc.columns_generated += s.columns_generated;
-        acc.oracle_passes += s.oracle_passes;
-        acc.master_resolves += s.master_resolves;
-    }
-}
-
-/// Expands a per-*location* strategy to the flattened client list (each
-/// client inherits its location's row) so the location-level colgen
-/// optimum can be scored by the same flattened evaluator as the
-/// full-enumeration path.
-fn expand_rows(
-    strategy: &StrategyMatrix,
-    location_indices: &[usize],
-) -> Result<StrategyMatrix, CoreError> {
-    let rows: Vec<Vec<f64>> = location_indices
-        .iter()
-        .map(|&loc| strategy.row(loc).to_vec())
-        .collect();
-    StrategyMatrix::from_rows(rows).map_err(CoreError::from)
-}
-
-/// Collapses a per-client strategy (rows aligned with the flattened
-/// client list) into a per-*location* strategy by averaging each
-/// location's client rows — feasibility and the demand-weighted
-/// objective are preserved because the LP is linear. Locations with no
-/// clients get the uniform row (they are never sampled).
-fn collapse_rows(
-    strategy: &StrategyMatrix,
-    location_indices: &[usize],
-    locations: usize,
-    num_quorums: usize,
-) -> Result<StrategyMatrix, ScenarioError> {
-    let mut rows = vec![vec![0.0; num_quorums]; locations];
-    let mut counts = vec![0usize; locations];
-    for (client, &loc) in location_indices.iter().enumerate() {
-        for (acc, &p) in rows[loc].iter_mut().zip(strategy.row(client)) {
-            *acc += p;
-        }
-        counts[loc] += 1;
-    }
-    for (row, &count) in rows.iter_mut().zip(&counts) {
-        if count > 0 {
-            let inv = 1.0 / count as f64;
-            for p in row.iter_mut() {
-                *p *= inv;
-            }
-        } else {
-            let uniform = 1.0 / num_quorums as f64;
-            row.fill(uniform);
-        }
-    }
-    Ok(StrategyMatrix::from_rows(rows)?)
 }
 
 /// The expected idle-network floor of the weighted strategy: what the DES
@@ -818,6 +585,7 @@ fn scale_caps_for_failures(
 mod tests {
     use super::*;
     use crate::spec::{FailureEvent, FailurePlan, FlashCrowd, TopologySource, WorkloadSpec};
+    use qp_core::strategy_lp::optimize_strategies_outcome;
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -898,45 +666,56 @@ mod tests {
     }
 
     #[test]
-    fn colgen_mode_matches_default_and_reports_pricing() {
-        let runner = ScenarioRunner::new();
-        let spec = small_spec();
-        let mut cg = small_spec();
-        cg.pipeline.colgen = true;
-        let full = runner.run(&spec).unwrap();
-        let colgen = runner.run(&cg).unwrap();
-        // Same optimum by linearity of the location-weighted master;
-        // identical DES trajectories because the chosen capacities agree.
+    fn location_lp_matches_per_client_lp_and_reports_pricing() {
+        // Linearity: the demand-weighted location-level LP the runner
+        // solves has the optimum of LP (4.3)–(4.6) over the flattened
+        // client list. Rebuild that list and solve it per client, at a
+        // capacity where a capacity row binds.
+        let c = 0.8;
+        let mut spec = small_spec();
+        spec.pipeline.capacity = CapacityChoice::Fixed(c);
+        let report = ScenarioRunner::new().run(&spec).unwrap();
+
+        let net = spec.topology.build().unwrap();
+        let sys = parse_system(&spec.pipeline.system).unwrap();
+        let placement = spec.pipeline.placement.compute(&net, &sys).unwrap();
+        let DemandModel::Zipf(theta) = spec.workload.demand else {
+            panic!("small_spec has Zipf demand");
+        };
+        let (locations, per_location) = (spec.workload.locations, spec.workload.per_location);
+        let uniform =
+            ClientPopulation::representative(&net, &sys, &placement, locations, per_location);
+        let pop = ClientPopulation::zipf(uniform.locations().to_vec(), per_location, theta);
+        let clients = pop.client_locations();
+        let quorums = sys.enumerate(spec.pipeline.quorum_limit).unwrap();
+        let ctx = EvalContext::new(&net, &clients);
+        let pq = ctx.place(&placement, &quorums);
+        let per_client = optimize_strategies_outcome(&pq, &CapacityProfile::uniform(net.len(), c))
+            .unwrap()
+            .delay_ms;
+        let unbounded = optimize_strategies_outcome(&pq, &CapacityProfile::unbounded(net.len()))
+            .unwrap()
+            .delay_ms;
         assert!(
-            (full.lp_delay_ms - colgen.lp_delay_ms).abs() <= 1e-6 * full.lp_delay_ms.max(1.0),
-            "full {} vs colgen {}",
-            full.lp_delay_ms,
-            colgen.lp_delay_ms
+            unbounded < per_client - 1e-6,
+            "capacity {c} does not bind: {unbounded} vs {per_client}"
         );
-        assert_eq!(full.capacity, colgen.capacity);
-        assert!(full.pricing.is_none());
-        let pricing = colgen.pricing.expect("colgen run must report pricing");
+        assert!(
+            (report.lp_delay_ms - per_client).abs() <= 1e-9 * (1.0 + per_client),
+            "location LP {} vs per-client LP {per_client}",
+            report.lp_delay_ms
+        );
+
+        let pricing = report.pricing;
         assert!(pricing.columns_in_master > 0);
         assert!(pricing.columns_in_master <= pricing.total_columns);
         assert!(pricing.master_resolves > 0);
         assert!(pricing.oracle_passes > 0);
-        assert!(colgen.to_string().contains("pricing:"), "{colgen}");
-        assert!(!full.to_string().contains("pricing:"), "{full}");
-    }
-
-    #[test]
-    fn colgen_reruns_are_bit_identical() {
-        let runner = ScenarioRunner::new();
-        let mut spec = small_spec();
-        spec.pipeline.colgen = true;
-        let a = runner.run(&spec).unwrap();
-        let b = runner.run(&spec).unwrap();
-        assert_eq!(a, b);
+        assert!(report.to_string().contains("pricing:"), "{report}");
     }
 
     fn aggregated_spec() -> ScenarioSpec {
         let mut spec = small_spec();
-        spec.pipeline.colgen = true;
         spec.pipeline.engine = crate::spec::EngineSelection::Uniform(SimEngine::Aggregated);
         spec
     }
@@ -1072,29 +851,6 @@ mod tests {
         let report = ScenarioRunner::new().run(&spec).unwrap();
         assert_eq!(report.phases[0].engine, SimEngine::Exact);
         assert_eq!(report.phases[1].engine, SimEngine::Aggregated);
-    }
-
-    #[test]
-    fn aggregated_without_colgen_is_rejected() {
-        let mut spec = aggregated_spec();
-        spec.pipeline.colgen = false;
-        let err = ScenarioRunner::new().run(&spec).unwrap_err();
-        let ScenarioError::Invalid(msg) = err else {
-            panic!("wrong error: {err}");
-        };
-        assert!(msg.contains("colgen"), "{msg}");
-    }
-
-    #[test]
-    fn collapse_preserves_distributions() {
-        let strategy =
-            StrategyMatrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]])
-                .unwrap();
-        // Clients 0,1 at location 0; client 2 at location 1; location 2 empty.
-        let rows = collapse_rows(&strategy, &[0, 0, 1], 3, 2).unwrap();
-        assert_eq!(rows.row(0), &[0.5, 0.5]);
-        assert_eq!(rows.row(1), &[0.5, 0.5]);
-        assert_eq!(rows.row(2), &[0.5, 0.5]);
     }
 
     #[test]

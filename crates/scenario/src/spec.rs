@@ -44,7 +44,6 @@
 //! requests = 60
 //! seed = 42
 //! tolerance = 0.1
-//! colgen = false            # strategy LP via column generation
 //! engine = exact            # exact | aggregated | per-phase list
 //! carry-queues = false      # carry residual queues across phases
 //! exact-compare = false     # also run exact for aggregated phases
@@ -387,20 +386,15 @@ impl EngineSelection {
             EngineSelection::PerPhase(list) => list.contains(&SimEngine::Aggregated),
         }
     }
-
-    /// Whether every phase runs aggregated (the runner then skips the
-    /// flattened per-client LP structures entirely).
-    #[must_use]
-    pub fn all_aggregated(&self) -> bool {
-        match self {
-            EngineSelection::Uniform(e) => *e == SimEngine::Aggregated,
-            EngineSelection::PerPhase(list) => list.iter().all(|e| *e == SimEngine::Aggregated),
-        }
-    }
 }
 
 /// The pipeline half of a scenario: system, placement, capacity, LP
 /// response model, DES shape, and the LP-vs-DES cross-check tolerance.
+///
+/// The strategy LP always runs at location level through the restricted
+/// master + pricing oracle (column generation), with each location
+/// weighted by its client count; by linearity this is the same optimum
+/// as the per-client LP, so no spec key selects an LP path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSpec {
     /// Quorum-system spec, e.g. `grid:3` or `majority:fourfifths:2`.
@@ -429,15 +423,9 @@ pub struct PipelineSpec {
     pub tolerance: f64,
     /// Cap on quorum enumeration.
     pub quorum_limit: usize,
-    /// Whether the strategy LP runs through the column-generation path
-    /// (restricted master + pricing oracle over an exact demand-weighted
-    /// location-level LP) instead of full enumeration. Off by default;
-    /// the default path's reports are bit-identical to earlier releases.
-    pub colgen: bool,
     /// Per-phase DES engine: the exact per-request engine or the
-    /// aggregated fluid/hybrid engine (million-client scale). Aggregated
-    /// phases require `colgen` (the pipeline then scores the strategy LP
-    /// at location level instead of flattening per-client rows).
+    /// aggregated fluid/hybrid engine (million-client scale). Both
+    /// simulate the LP's per-location strategy rows.
     pub engine: EngineSelection,
     /// Carry residual server queues across phase boundaries: each phase
     /// after the first starts its servers with the backlog the previous
@@ -470,7 +458,6 @@ impl Default for PipelineSpec {
             service_time_ms: 1.0,
             tolerance: 0.1,
             quorum_limit: 100_000,
-            colgen: false,
             engine: EngineSelection::default(),
             carry_queues: false,
             exact_compare: false,
@@ -643,13 +630,6 @@ impl ScenarioSpec {
                     p.phases
                 )));
             }
-        }
-        if p.engine.any_aggregated() && !p.colgen {
-            return Err(ScenarioError::Invalid(
-                "engine = aggregated requires colgen = true \
-                 (aggregated pipelines score the strategy LP at location level)"
-                    .into(),
-            ));
         }
         if p.exact_compare && !p.engine.any_aggregated() {
             return Err(ScenarioError::Invalid(
@@ -1274,9 +1254,6 @@ fn parse_pipeline(entries: &RawEntries) -> Result<PipelineSpec, ScenarioError> {
     if let Some((v, l)) = entries.take("pipeline", "quorum-limit")? {
         p.quorum_limit = num(&v, l, "quorum-limit")?;
     }
-    if let Some((v, l)) = entries.take("pipeline", "colgen")? {
-        p.colgen = boolean(&v, l, "colgen")?;
-    }
     if let Some((v, l)) = entries.take("pipeline", "engine")? {
         let one = |s: &str| match s.trim() {
             "exact" => Ok(SimEngine::Exact),
@@ -1389,12 +1366,18 @@ tolerance = 0.12
 
     #[test]
     fn unknown_key_is_rejected_with_line() {
-        let err = ScenarioSpec::parse("[pipeline]\nbogus = 1\n").unwrap_err();
-        let ScenarioError::Parse { line, message } = err else {
-            panic!("wrong error: {err}");
-        };
-        assert_eq!(line, 2);
-        assert!(message.contains("bogus"), "{message}");
+        // `colgen` is not a key: every spec runs the location-level LP.
+        for (text, key) in [
+            ("[pipeline]\nbogus = 1\n", "bogus"),
+            ("[pipeline]\ncolgen = true\n", "colgen"),
+        ] {
+            let err = ScenarioSpec::parse(text).unwrap_err();
+            let ScenarioError::Parse { line, message } = err else {
+                panic!("wrong error: {err}");
+            };
+            assert_eq!(line, 2);
+            assert!(message.contains(key), "{message}");
+        }
     }
 
     #[test]
@@ -1477,25 +1460,25 @@ tolerance = 0.12
 
     #[test]
     fn colgen_and_sparse_apsp_keys_parse() {
-        let text = "[topology]\nsource = transit-stub\nsparse-apsp = true\n\
-                    [pipeline]\ncolgen = true\n";
+        // Only `sparse-apsp` is a key; `colgen` is refused (see
+        // unknown_key_is_rejected_with_line).
+        let text = "[topology]\nsource = transit-stub\nsparse-apsp = true\n";
         let spec = ScenarioSpec::parse(text).unwrap();
         let TopologySource::TransitStub { config, .. } = &spec.topology else {
             panic!("wrong source: {:?}", spec.topology);
         };
         assert!(config.sparse_apsp);
-        assert!(spec.pipeline.colgen);
-        // Both default off: the seed goldens depend on it.
+        // Defaults off: the seed goldens depend on it.
         let spec = ScenarioSpec::parse("[topology]\nsource = transit-stub\n").unwrap();
         let TopologySource::TransitStub { config, .. } = &spec.topology else {
             panic!("wrong source");
         };
         assert!(!config.sparse_apsp);
-        assert!(!spec.pipeline.colgen);
     }
 
     #[test]
     fn colgen_and_sparse_apsp_reject_non_booleans() {
+        // `colgen` is an unknown key whatever its value.
         assert!(matches!(
             ScenarioSpec::parse("[pipeline]\ncolgen = maybe\n"),
             Err(ScenarioError::Parse { line: 2, .. })
@@ -1514,8 +1497,7 @@ tolerance = 0.12
 
     #[test]
     fn engine_keys_parse() {
-        let text = "[pipeline]\ncolgen = true\nengine = aggregated\n\
-                    carry-queues = true\nexact-compare = true\n";
+        let text = "[pipeline]\nengine = aggregated\ncarry-queues = true\nexact-compare = true\n";
         let spec = ScenarioSpec::parse(text).unwrap();
         assert_eq!(
             spec.pipeline.engine,
@@ -1523,16 +1505,13 @@ tolerance = 0.12
         );
         assert!(spec.pipeline.carry_queues);
         assert!(spec.pipeline.exact_compare);
-        assert!(spec.pipeline.engine.all_aggregated());
 
         // Per-phase list, underscore alias for the carry flag.
-        let text = "[pipeline]\ncolgen = true\nphases = 2\n\
-                    engine = exact, aggregated\ncarry_queues = true\n";
+        let text = "[pipeline]\nphases = 2\nengine = exact, aggregated\ncarry_queues = true\n";
         let spec = ScenarioSpec::parse(text).unwrap();
         assert_eq!(spec.pipeline.engine.for_phase(0), SimEngine::Exact);
         assert_eq!(spec.pipeline.engine.for_phase(1), SimEngine::Aggregated);
         assert!(spec.pipeline.engine.any_aggregated());
-        assert!(!spec.pipeline.engine.all_aggregated());
         assert!(spec.pipeline.carry_queues);
 
         // All default off: every prior spec keeps its exact-engine runs.
@@ -1546,20 +1525,12 @@ tolerance = 0.12
     fn engine_keys_reject_bad_values() {
         // Unknown engine name.
         assert!(matches!(
-            ScenarioSpec::parse("[pipeline]\ncolgen = true\nengine = fluid\n"),
-            Err(ScenarioError::Parse { line: 3, .. })
+            ScenarioSpec::parse("[pipeline]\nengine = fluid\n"),
+            Err(ScenarioError::Parse { line: 2, .. })
         ));
-        // Aggregated without colgen.
-        let err = ScenarioSpec::parse("[pipeline]\nengine = aggregated\n").unwrap_err();
-        let ScenarioError::Invalid(msg) = err else {
-            panic!("wrong error: {err}");
-        };
-        assert!(msg.contains("colgen"), "{msg}");
         // Engine list length must match the phase count.
-        let err = ScenarioSpec::parse(
-            "[pipeline]\ncolgen = true\nphases = 3\nengine = exact, aggregated\n",
-        )
-        .unwrap_err();
+        let err = ScenarioSpec::parse("[pipeline]\nphases = 3\nengine = exact, aggregated\n")
+            .unwrap_err();
         let ScenarioError::Invalid(msg) = err else {
             panic!("wrong error: {err}");
         };
@@ -1626,7 +1597,7 @@ tolerance = 0.12
 
     #[test]
     fn exact_compare_sample_parses_and_validates() {
-        let text = "[pipeline]\ncolgen = true\nengine = aggregated\n\
+        let text = "[pipeline]\nengine = aggregated\n\
                     exact-compare = true\nexact-compare-sample = 500\n";
         let spec = ScenarioSpec::parse(text).unwrap();
         assert_eq!(spec.pipeline.exact_compare_sample, 500);

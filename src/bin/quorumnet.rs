@@ -144,7 +144,7 @@ fn print_help() {
          --dedup             deduplicated execution of co-located elements\n  \
          --colgen            solve the strategy LP by delayed column generation\n  \
                              (restricted master + pricing oracle; prints pricing\n  \
-                             stats; also honored by scenario and serve)\n\n\
+                             stats; also honored by serve)\n\n\
          simulate flags:\n  \
          --locations N              client locations (default 10)\n  \
          --clients-per-location N   clients per location (default 5)\n  \
@@ -157,7 +157,6 @@ fn print_help() {
          scenario flags:\n  \
          --spec FILE        scenario spec (repeatable; the set runs as a matrix)\n  \
          --out FILE         also write the reports to FILE\n  \
-         --colgen           force the column-generation LP for every spec\n  \
          --checkpoint FILE  stream one fsync'd JSONL line per completed spec to\n  \
                             FILE; a rerun after a crash resumes from it and the\n  \
                             merged output is byte-identical to an uninterrupted run\n  \
@@ -449,12 +448,9 @@ fn cmd_place(opts: &Options) -> Result<(), String> {
                 let ctx = EvalContext::new(&net, &clients);
                 let pq = ctx.place(&placement, &quorums);
                 let caps = CapacityProfile::uniform(net.len(), opts.capacity);
-                let outcome = strategy_lp::optimize_strategies_outcome_with(
-                    &pq,
-                    &caps,
-                    Some(&ColumnGeneration::default()),
-                )
-                .map_err(|e| e.to_string())?;
+                let outcome = strategy_lp::ColGenSolver::new(&pq, ColumnGeneration::default())
+                    .and_then(|mut solver| solver.solve_profile(&caps))
+                    .map_err(|e| e.to_string())?;
                 if let Some(p) = &outcome.colgen {
                     print_pricing(p);
                 }
@@ -480,14 +476,11 @@ fn cmd_place(opts: &Options) -> Result<(), String> {
                 .ok_or("lp-sweep needs a system with known optimal load")?;
             let ctx = EvalContext::new(&net, &clients);
             let pq = ctx.place(&placement, &quorums);
-            let colgen = opts.colgen.then(ColumnGeneration::default);
-            let sweep = strategy_lp::tune_uniform_capacity_placed_with(
-                &pq,
-                l_opt,
-                10,
-                model,
-                colgen.as_ref(),
-            )
+            let sweep = if opts.colgen {
+                strategy_lp::tune_uniform_capacity_colgen(&pq, l_opt, 10, model)
+            } else {
+                strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 10, model)
+            }
             .map_err(|e| e.to_string())?;
             if let Some(p) = &sweep.colgen {
                 print_pricing(p);
@@ -599,16 +592,11 @@ fn cmd_scenario(opts: &Options) -> Result<(), String> {
     if opts.specs.is_empty() {
         return Err("scenario requires at least one --spec FILE".to_string());
     }
-    let mut specs: Vec<ScenarioSpec> = opts
+    let specs: Vec<ScenarioSpec> = opts
         .specs
         .iter()
         .map(|path| ScenarioSpec::from_file(path).map_err(|e| format!("{path}: {e}")))
         .collect::<Result<_, _>>()?;
-    if opts.colgen {
-        for spec in &mut specs {
-            spec.pipeline.colgen = true;
-        }
-    }
     // `--trace` also turns on the per-stage work breakdown: the stages
     // land in the rendered report and the JSONL/checkpoint lines (an
     // optional trailing field, so untraced output is byte-identical to

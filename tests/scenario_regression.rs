@@ -344,9 +344,11 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
 
     // Single-profile agreement at the Golden-4 capacity.
     let caps = CapacityProfile::uniform(net.len(), 0.8);
-    let full = strategy_lp::optimize_strategies_outcome_with(&pq, &caps, None).unwrap();
-    let cfg = strategy_lp::ColumnGeneration::default();
-    let cg = strategy_lp::optimize_strategies_outcome_with(&pq, &caps, Some(&cfg)).unwrap();
+    let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+    let cg = strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default())
+        .unwrap()
+        .solve_profile(&caps)
+        .unwrap();
     assert!(
         (cg.delay_ms - full.delay_ms).abs() <= 1e-9 * (1.0 + full.delay_ms.abs()),
         "daxlist-161 colgen objective {} vs full enumeration {}",
@@ -365,10 +367,8 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
     // Whole-sweep agreement: same best capacity, same scores.
     let l_opt = sys.optimal_load().unwrap();
     let model = ResponseModel::from_demand(0.007, 16000.0);
-    let full_sweep =
-        strategy_lp::tune_uniform_capacity_placed_with(&pq, l_opt, 10, model, None).unwrap();
-    let cg_sweep =
-        strategy_lp::tune_uniform_capacity_placed_with(&pq, l_opt, 10, model, Some(&cfg)).unwrap();
+    let full_sweep = strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 10, model).unwrap();
+    let cg_sweep = strategy_lp::tune_uniform_capacity_colgen(&pq, l_opt, 10, model).unwrap();
     let (full_c, full_eval) = full_sweep.best_point();
     let (cg_c, cg_eval) = cg_sweep.best_point();
     assert_eq!(full_c, cg_c, "sweeps disagree on the tuned capacity");
@@ -479,7 +479,7 @@ fn golden_scenario_transit_colgen_2000() {
     let report = ScenarioRunner::new().run(&spec).unwrap();
     assert_eq!(report.sites, 2000);
     assert!(report.pass, "cross-check failed:\n{report}");
-    let pricing = report.pricing.expect("colgen scenario reports pricing");
+    let pricing = report.pricing;
     assert_eq!(pricing.total_columns, 2000 * 25);
     assert!(
         pricing.columns_in_master * 3 < pricing.total_columns,
