@@ -862,8 +862,6 @@ impl Session {
             agg.absorb(stats);
         }
         let q = self.q_from_strategy(&outcome.strategy);
-        let delay = self.score(&q, 0.0);
-        let response = self.score(&q, self.alpha);
         drop(solver);
         self.capacity = best_c;
         self.pricing = Some(agg);
@@ -876,8 +874,8 @@ impl Session {
         }
         let answer = Answer {
             strategy: strategies(&q, &self.weights),
-            delay_ms: delay,
-            response_ms: response,
+            delay_ms: self.score(&q, 0.0),
+            response_ms: self.score(&q, self.alpha),
             capacity: best_c,
             pivots,
         };
