@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use qp_core::capacity::{capacity_sweep, CapacityProfile};
+use qp_core::capacity::{capacity_sweep, CapacityChoice, CapacityProfile};
 use qp_core::eval::EvalContext;
 use qp_core::manyone::{element_weights, place_for_client, ManyToOneConfig};
 use qp_core::strategy_lp::CapacitySweepSolver;
@@ -71,8 +71,8 @@ fn bench_lp_solver(c: &mut Criterion) {
             cs.iter()
                 .map(|&cap| {
                     let caps = CapacityProfile::uniform(net.len(), cap);
-                    strategy_lp::optimize_strategies_placed(&pq, &caps)
-                        .map(|s| s.num_clients())
+                    strategy_lp::optimize_strategies_outcome(&pq, &caps)
+                        .map(|o| o.strategy.num_clients())
                         .unwrap_or(0)
                 })
                 .sum::<usize>()
@@ -161,14 +161,26 @@ fn bench_lp_solver(c: &mut Criterion) {
             });
         },
     );
+    let dax_weights = vec![1.0; dax_clients.len()];
     group.bench_function(
         BenchmarkId::new("colgen_vs_full", "sweep_colgen_daxlist161"),
         |b| {
             b.iter(|| {
-                strategy_lp::tune_uniform_capacity_colgen(&dax_pq, dax_l_opt, 10, dax_model)
-                    .expect("feasible sweep")
-                    .best_point()
-                    .0
+                let mut solver = strategy_lp::ColGenSolver::new(
+                    &dax_pq,
+                    strategy_lp::ColumnGeneration::default(),
+                )
+                .expect("non-empty geometry");
+                strategy_lp::tune_capacity(
+                    &mut solver,
+                    &dax_pq,
+                    &dax_weights,
+                    dax_l_opt,
+                    CapacityChoice::Sweep { steps: 10 },
+                    dax_model,
+                )
+                .expect("feasible sweep")
+                .capacity
             });
         },
     );

@@ -22,6 +22,9 @@
 //!   follows the LP dual price of each node's capacity row — grant
 //!   headroom where it buys the most delay (see
 //!   [`crate::strategy_lp::StrategyLpOutcome::capacity_duals`]).
+//!
+//! [`CapacityChoice`] names one of these rules (plus a fixed uniform
+//! capacity); [`crate::strategy_lp::tune_capacity`] applies it.
 
 use qp_topology::{Network, NodeId};
 
@@ -136,9 +139,8 @@ impl CapacityProfile {
     /// affinely with `loads` (one entry per network node) into `[β, γ]` —
     /// the most-loaded support node gets `γ`, the least-loaded gets `β`.
     /// Feed it the node loads of the *unconstrained* delay-optimal
-    /// strategies (see
-    /// [`crate::strategy_lp::evaluate_at_load_proportional_capacity`]) to
-    /// grant capacity where the optimizer naturally concentrates load.
+    /// strategies (as [`CapacityChoice::LoadProportional`] does) to grant
+    /// capacity where the optimizer naturally concentrates load.
     /// Non-support nodes are uncapacitated.
     ///
     /// # Errors
@@ -294,6 +296,40 @@ impl CapacityProfile {
     /// The raw capacity vector.
     pub fn as_slice(&self) -> &[f64] {
         &self.caps
+    }
+}
+
+/// How node capacities for the strategy LP are chosen: the §7 rules that
+/// [`crate::strategy_lp::tune_capacity`] applies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CapacityChoice {
+    /// The §7 uniform sweep: try the [`capacity_sweep`] grid over
+    /// `(L_opt, 1]` and keep the capacity with the best response time.
+    Sweep {
+        /// Number of sweep intervals.
+        steps: usize,
+    },
+    /// A fixed uniform capacity.
+    Fixed(f64),
+    /// The load-proportional heuristic over `[beta, gamma]`.
+    LoadProportional {
+        /// Lower capacity bound.
+        beta: f64,
+        /// Upper capacity bound.
+        gamma: f64,
+    },
+    /// The marginal-value (LP dual price) heuristic over `[beta, gamma]`.
+    MarginalValue {
+        /// Lower capacity bound.
+        beta: f64,
+        /// Upper capacity bound.
+        gamma: f64,
+    },
+}
+
+impl Default for CapacityChoice {
+    fn default() -> Self {
+        CapacityChoice::Sweep { steps: 5 }
     }
 }
 

@@ -23,7 +23,7 @@ use crate::capacity::CapacityProfile;
 use crate::eval::EvalContext;
 use crate::manyone::{best_placement, ManyToOneConfig};
 use crate::response::{evaluate_matrix_placed, Evaluation, ResponseModel};
-use crate::strategy_lp::{optimize_strategies_placed, CapacitySweepSolver};
+use crate::strategy_lp::{optimize_strategies_outcome, CapacitySweepSolver};
 use crate::{CoreError, Placement};
 
 /// Progress record for one iteration.
@@ -144,7 +144,7 @@ pub fn optimize_ctx(
                 // Uniform capacity 1 can be infeasible for many-to-one
                 // placements that stack multiple elements on one node;
                 // solve that iteration cold instead of warm.
-                Err(CoreError::Infeasible) => optimize_strategies_placed(&pq, &caps_j)?,
+                Err(CoreError::Infeasible) => optimize_strategies_outcome(&pq, &caps_j)?.strategy,
                 Err(e) => return Err(e),
             },
         };

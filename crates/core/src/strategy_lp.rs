@@ -15,13 +15,18 @@
 //! Capacities double as tuning knobs: sweeping a uniform capacity over
 //! `(L_opt, 1]` (Eq. 7.7) trades network delay against load dispersion, and
 //! picking the sweep point with the lowest *response time* (not delay)
-//! yields the paper's tuned strategies ([`tune_uniform_capacity`]).
+//! yields the paper's tuned strategies. [`tune_capacity`] is the one §7
+//! tuner: it applies a [`CapacityChoice`] (that sweep, a fixed uniform
+//! capacity, or a non-uniform heuristic) on a [`ColGenSolver`] and scores
+//! with the demand-weighted response model. The scenario runner and the
+//! CLI's `place --strategy lp`/`lp-sweep` both run it.
 //!
-//! # Warm-started sweeps
+//! # Warm-started full-enumeration sweeps
 //!
 //! All sweep points share one constraint matrix and differ only in the
-//! capacity-row right-hand sides, so the sweeps run on a
-//! [`CapacitySweepSolver`]: the LP is built and cold-solved **once** (at
+//! capacity-row right-hand sides, so the figure pipelines, the iterative
+//! algorithm and the reference sweep [`tune_uniform_capacity_placed`] run
+//! on a [`CapacitySweepSolver`]: the LP is built and cold-solved **once** (at
 //! uniform capacity 1, the loosest point), and every sweep point
 //! re-solves through
 //! [`qp_lp::SimplexInstance::resolve_with_rhs`] — a borrow-only warm
@@ -35,7 +40,7 @@
 //!
 //! Full enumeration materializes one column per (client × quorum) pair —
 //! 16k columns already at daxlist-161 — which caps topology scale long
-//! before the solver does. The opt-in [`ColumnGeneration`] path
+//! before the solver does. The [`ColumnGeneration`] path
 //! restructures the same LP as a **restricted master problem**
 //! ([`ColGenSolver`]): start from each client's few closest quorums (by
 //! the [`EvalContext`] cached distance permutation), solve that small
@@ -59,8 +64,7 @@
 //! infeasible verdict the seed set grows by doubling each client's
 //! closest-quorum prefix, degenerating to full enumeration before an
 //! infeasibility is ever reported. Column generation runs through
-//! [`ColGenSolver`] and the sequential sweep
-//! [`tune_uniform_capacity_colgen`].
+//! [`ColGenSolver`], which [`tune_capacity`] drives.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use qp_lp::{LpError, Model, Sense, SimplexInstance, Solution, SolveStats, VarId};
@@ -69,9 +73,11 @@ use qp_topology::{Network, NodeId};
 
 use qp_par::ParPool;
 
-use crate::capacity::{capacity_sweep, CapacityProfile};
+use crate::capacity::{capacity_sweep, CapacityChoice, CapacityProfile};
 use crate::eval::{EvalContext, PlacedQuorums};
-use crate::response::{evaluate_matrix_placed, Evaluation, ResponseModel};
+use crate::response::{
+    evaluate_matrix_placed, evaluate_matrix_placed_weighted, Evaluation, ResponseModel,
+};
 use crate::{CoreError, Placement};
 
 /// Builds LP (4.3)–(4.6) for `pq` under `caps`.
@@ -384,33 +390,14 @@ pub fn optimize_strategies(
     assert!(!clients.is_empty(), "at least one client required");
     let ctx = EvalContext::new(net, clients);
     let pq = ctx.place(placement, quorums);
-    optimize_strategies_placed(&pq, caps)
+    Ok(optimize_strategies_outcome(&pq, caps)?.strategy)
 }
 
-/// [`optimize_strategies`] against a pre-bound [`PlacedQuorums`]: the
+/// [`optimize_strategies`] against a pre-bound [`PlacedQuorums`] (the
 /// objective coefficients `δ_f(v, Qᵢ)` and the capacity-row element
-/// counts come from the cache, so the §7 sweeps re-solve the LP at many
-/// capacities without rebuilding the geometry each time.
-///
-/// Builds the identical LP (same variables, same rows, same
-/// coefficients in the same order) as [`optimize_strategies`], so the
-/// solver walks the same pivot path and returns bit-identical
-/// strategies.
-///
-/// # Errors
-///
-/// As for [`optimize_strategies`].
-pub fn optimize_strategies_placed(
-    pq: &PlacedQuorums<'_>,
-    caps: &CapacityProfile,
-) -> Result<StrategyMatrix, CoreError> {
-    Ok(optimize_strategies_outcome(pq, caps)?.strategy)
-}
-
-/// [`optimize_strategies_placed`] returning the full
-/// [`StrategyLpOutcome`] (duals, objective, solver counters) instead of
-/// just the strategies. Cold solve; the strategies are bit-identical to
-/// [`optimize_strategies_placed`].
+/// counts come from the cache), returning the full [`StrategyLpOutcome`]
+/// (duals, objective, solver counters) instead of just the strategies.
+/// One cold full-enumeration solve.
 ///
 /// # Errors
 ///
@@ -493,8 +480,10 @@ impl ColGenStats {
 /// (with a never-binding stand-in for unbounded capacities), so one frozen
 /// row layout serves every capacity profile; columns generated for one
 /// profile remain valid — and stay in the master — for the next, which is
-/// what makes sequential capacity sweeps cheap
-/// ([`tune_uniform_capacity_colgen`]).
+/// what makes sequential capacity sweeps cheap ([`tune_capacity`]). The
+/// solver keeps running totals of its successful solves' pivots
+/// ([`pivots`](Self::pivots)) and pricing work
+/// ([`pricing`](Self::pricing)).
 ///
 /// Weights generalize the objective to the exact demand-weighted average
 /// delay (`minimize Σ_v ŵ_v Σᵢ p_vi δ_f(v, Qᵢ)` with
@@ -523,6 +512,10 @@ pub struct ColGenSolver<'a> {
     /// Duals of the last optimal master solve: (`μ_v` per client,
     /// `y_w` per node), for [`pricing_violations`](Self::pricing_violations).
     last_duals: Option<(Vec<f64>, Vec<f64>)>,
+    /// Simplex pivots summed over every successful solve.
+    pivots: usize,
+    /// Pricing work absorbed from every successful solve.
+    pricing: ColGenStats,
 }
 
 /// Where a [`ColGenSolver`] reads `δ(v, i)` and quorum node counts from.
@@ -756,6 +749,8 @@ impl<'a> ColGenSolver<'a> {
             order,
             seeded: vec![k; n],
             last_duals: None,
+            pivots: 0,
+            pricing: ColGenStats::default(),
         })
     }
 
@@ -769,28 +764,32 @@ impl<'a> ColGenSolver<'a> {
         self.delta.n_clients() * self.delta.n_quorums()
     }
 
-    /// Solves at uniform capacity `c` for all nodes, generating columns to
-    /// proven optimality. Mutates the master in place: columns accumulate
-    /// across calls, so sweeps re-solve warm with few or no new columns.
+    /// Simplex pivots summed over every successful solve so far.
+    pub fn pivots(&self) -> usize {
+        self.pivots
+    }
+
+    /// Pricing work summed over every successful solve so far
+    /// ([`ColGenStats::absorb`]): the column census is the latest solve's.
+    pub fn pricing(&self) -> ColGenStats {
+        self.pricing
+    }
+
+    /// Solves under a capacity profile (unbounded capacities mapped to a
+    /// never-binding rhs), generating columns to proven optimality.
+    /// Mutates the master in place: columns accumulate across calls, so
+    /// sweeps re-solve warm with few or no new columns.
+    ///
+    /// The restricted-master loop: re-solve, price, append, repeat. Each
+    /// pass either terminates (no negative reduced cost anywhere — the
+    /// proof of optimality) or appends at least one absent column, so the
+    /// loop is bounded by clients × quorums total columns.
     ///
     /// # Errors
     ///
     /// [`CoreError::Infeasible`] if even the fully-enumerated LP is
-    /// infeasible at `c`; LP errors propagate.
-    pub fn solve_uniform(&mut self, c: f64) -> Result<StrategyLpOutcome, CoreError> {
-        let updates: Vec<(usize, f64)> =
-            self.cap_rows.iter().map(|&(_, row, _)| (row, c)).collect();
-        self.solve_at(&updates)
-    }
-
-    /// Solves under an arbitrary capacity profile (unbounded capacities
-    /// mapped to a never-binding rhs), generating columns to proven
-    /// optimality.
-    ///
-    /// # Errors
-    ///
-    /// As for [`solve_uniform`](Self::solve_uniform);
-    /// [`CoreError::SizeMismatch`] if `caps` covers the wrong node count.
+    /// infeasible under `caps`; [`CoreError::SizeMismatch`] if `caps`
+    /// covers the wrong node count; LP errors propagate.
     pub fn solve_profile(
         &mut self,
         caps: &CapacityProfile,
@@ -804,24 +803,10 @@ impl<'a> ColGenSolver<'a> {
                 ),
             });
         }
-        let updates: Vec<(usize, f64)> = self
-            .cap_rows
-            .iter()
-            .map(|&(w, row, never_binding)| {
-                let c = caps.get(NodeId::new(w));
-                (row, if c.is_finite() { c } else { never_binding })
-            })
-            .collect();
-        self.solve_at(&updates)
-    }
-
-    /// The restricted-master loop: re-solve, price, append, repeat. Each
-    /// pass either terminates (no negative reduced cost anywhere — the
-    /// proof of optimality) or appends at least one absent column, so the
-    /// loop is bounded by clients × quorums total columns.
-    fn solve_at(&mut self, updates: &[(usize, f64)]) -> Result<StrategyLpOutcome, CoreError> {
-        for &(row, rhs) in updates {
-            self.inst.set_rhs(row, rhs);
+        for &(w, row, never_binding) in &self.cap_rows {
+            let c = caps.get(NodeId::new(w));
+            self.inst
+                .set_rhs(row, if c.is_finite() { c } else { never_binding });
         }
         self.last_duals = None;
         let columns_before = self.col_map.len();
@@ -878,13 +863,18 @@ impl<'a> ColGenSolver<'a> {
             capacity_duals[w] = sol.dual(row);
         }
         let mu = self.conv_rows.iter().map(|&r| sol.dual(r)).collect();
-        let mut y = vec![0.0; net_len];
-        for &(w, row, _) in &self.cap_rows {
-            y[w] = sol.dual(row);
-        }
-        self.last_duals = Some((mu, y));
+        self.last_duals = Some((mu, capacity_duals.clone()));
+        let pricing = ColGenStats {
+            columns_in_master: self.col_map.len(),
+            total_columns: n * m,
+            columns_generated: self.col_map.len() - columns_before,
+            oracle_passes,
+            master_resolves,
+        };
+        self.pivots += stats.iterations;
+        self.pricing.absorb(&pricing);
         if qp_obs::enabled() {
-            let generated = self.col_map.len() - columns_before;
+            let generated = pricing.columns_generated;
             qp_obs::counter_add("colgen_solves_total", 1);
             qp_obs::counter_add("colgen_oracle_passes_total", oracle_passes as u64);
             qp_obs::counter_add("colgen_columns_added_total", generated as u64);
@@ -913,13 +903,7 @@ impl<'a> ColGenSolver<'a> {
             delay_ms: sol.objective(),
             capacity_duals,
             stats,
-            colgen: Some(ColGenStats {
-                columns_in_master: self.col_map.len(),
-                total_columns: n * m,
-                columns_generated: self.col_map.len() - columns_before,
-                oracle_passes,
-                master_resolves,
-            }),
+            colgen: Some(pricing),
         })
     }
 
@@ -1174,44 +1158,6 @@ impl CapacitySweepSolver {
     }
 }
 
-/// One point of the §7 uniform-capacity technique: solve the LP at capacity
-/// `c` for all nodes, then score the strategies with the full response-time
-/// model.
-///
-/// # Errors
-///
-/// As for [`optimize_strategies`]; an infeasible `c` propagates as
-/// [`CoreError::Infeasible`].
-pub fn evaluate_at_uniform_capacity(
-    net: &Network,
-    clients: &[NodeId],
-    placement: &Placement,
-    quorums: &[Quorum],
-    c: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let ctx = EvalContext::new(net, clients);
-    let pq = ctx.place(placement, quorums);
-    evaluate_at_uniform_capacity_placed(&pq, c, model)
-}
-
-/// [`evaluate_at_uniform_capacity`] against a pre-bound
-/// [`PlacedQuorums`] — one geometry build serves every sweep point.
-///
-/// # Errors
-///
-/// As for [`evaluate_at_uniform_capacity`].
-pub fn evaluate_at_uniform_capacity_placed(
-    pq: &PlacedQuorums<'_>,
-    c: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let caps = CapacityProfile::uniform(pq.ctx().net().len(), c);
-    let strategy = optimize_strategies_placed(pq, &caps)?;
-    let eval = evaluate_matrix_placed(pq, &strategy, model)?;
-    Ok((strategy, eval))
-}
-
 /// LP work counters aggregated over one capacity sweep, making the
 /// warm-start saving observable without wall clocks: the cold path would
 /// pay roughly `base_iterations` *per point*; the warm path pays it once
@@ -1249,8 +1195,9 @@ impl SweepLpStats {
     }
 }
 
-/// The outcome of a capacity sweep: per-capacity evaluations and the best
-/// point by response time.
+/// The outcome of a full-enumeration capacity sweep
+/// ([`tune_uniform_capacity_placed`]): per-capacity evaluations and the
+/// best point by response time.
 #[derive(Debug, Clone)]
 pub struct CapacitySweepResult {
     /// `(capacity, evaluation)` per feasible sweep point, in sweep order.
@@ -1259,10 +1206,6 @@ pub struct CapacitySweepResult {
     pub best: usize,
     /// LP pivot counters for the whole sweep (feasible points only).
     pub lp_stats: SweepLpStats,
-    /// Aggregated pricing statistics when the sweep ran on the
-    /// column-generation path ([`tune_uniform_capacity_colgen`]); `None`
-    /// for full-enumeration sweeps.
-    pub colgen: Option<ColGenStats>,
 }
 
 impl CapacitySweepResult {
@@ -1276,7 +1219,6 @@ impl CapacitySweepResult {
     fn from_points(
         points: Vec<(f64, Evaluation)>,
         lp_stats: SweepLpStats,
-        colgen: Option<ColGenStats>,
     ) -> Result<Self, CoreError> {
         let best = points
             .iter()
@@ -1293,48 +1235,26 @@ impl CapacitySweepResult {
             points,
             best,
             lp_stats,
-            colgen,
         })
     }
 }
 
-/// The full §7 uniform-capacity tuning loop: sweep
+/// The §7 uniform-capacity sweep on full enumeration — the reference the
+/// warm layer and [`tune_capacity`] are checked against: sweep
 /// `cᵢ = L_opt + i·(1 − L_opt)/steps`, solve the LP at each `cᵢ`, score
-/// with the response model, and report every point plus the best.
+/// with the response model, and report every point plus the first best.
 ///
-/// Infeasible sweep points (capacities below what the placement can
-/// balance) are skipped, mirroring the paper's treatment.
+/// Builds one [`CapacitySweepSolver`] (a single cold solve at the loosest
+/// capacity) and warm-solves every sweep point **in parallel** on the
+/// global [`ParPool`]. Each point is a pure function of `(base, cᵢ)` and
+/// points are collected back in sweep order, so results are identical for
+/// any thread count. Infeasible sweep points (capacities below what the
+/// placement can balance) are skipped, mirroring the paper's treatment.
 ///
 /// # Errors
 ///
 /// [`CoreError::Infeasible`] if *every* sweep point is infeasible;
 /// construction errors propagate.
-pub fn tune_uniform_capacity(
-    net: &Network,
-    clients: &[NodeId],
-    placement: &Placement,
-    quorums: &[Quorum],
-    l_opt: f64,
-    steps: usize,
-    model: ResponseModel,
-) -> Result<CapacitySweepResult, CoreError> {
-    assert!(!clients.is_empty(), "at least one client required");
-    let ctx = EvalContext::new(net, clients);
-    let pq = ctx.place(placement, quorums);
-    tune_uniform_capacity_placed(&pq, l_opt, steps, model)
-}
-
-/// [`tune_uniform_capacity`] against a pre-bound [`PlacedQuorums`]:
-/// builds one [`CapacitySweepSolver`] (a single cold solve at the loosest
-/// capacity) and warm-solves every sweep point **in parallel** on the
-/// global [`ParPool`]. Each point clones the shared solved base, so
-/// results are identical for any thread count: every point is a pure
-/// function of `(base, cᵢ)`, and points are collected back in sweep
-/// order.
-///
-/// # Errors
-///
-/// As for [`tune_uniform_capacity`].
 pub fn tune_uniform_capacity_placed(
     pq: &PlacedQuorums<'_>,
     l_opt: f64,
@@ -1364,185 +1284,148 @@ pub fn tune_uniform_capacity_placed(
             Err(e) => return Err(e),
         }
     }
-    CapacitySweepResult::from_points(points, lp_stats, None)
+    CapacitySweepResult::from_points(points, lp_stats)
 }
 
-/// The §7 uniform-capacity sweep on one [`ColGenSolver`] with the default
-/// [`ColumnGeneration`], run **sequentially in sweep order**: generated
-/// columns accumulate across points, so later (looser) capacities usually
-/// re-solve with zero new columns. Sequential execution keeps the result
-/// a pure function of the inputs at any thread count; there is no shared
-/// cold base, so [`SweepLpStats::base_iterations`] is 0 and every point's
-/// master pivots land in [`SweepLpStats::resolve_iterations`].
+/// What [`tune_capacity`] chose, in the form its callers report it.
+#[derive(Debug, Clone)]
+pub struct TunedCapacity {
+    /// The LP outcome at the chosen capacities: the solve the choice was
+    /// made from, never a re-solve.
+    pub outcome: StrategyLpOutcome,
+    /// The chosen capacity profile.
+    pub caps: CapacityProfile,
+    /// `outcome`'s strategies scored with the caller's weights and model.
+    pub eval: Evaluation,
+    /// `(c, evaluation)` per feasible point of a
+    /// [`CapacityChoice::Sweep`], in sweep order; empty for the other
+    /// rules.
+    pub points: Vec<(f64, Evaluation)>,
+    /// The chosen uniform capacity (a sweep's `c*` or the fixed value);
+    /// `None` for the per-node heuristics.
+    pub capacity: Option<f64>,
+    /// Capacity profiles the rule solved at: every sweep point (infeasible
+    /// ones included), or the probe and final solves of a heuristic.
+    pub capacity_points: usize,
+    /// The rule and its parameters, e.g. `sweep(5) → c* = 0.667`.
+    pub label: String,
+}
+
+/// The §7 capacity tuner: applies `choice` to the strategy LP on `solver`
+/// and scores the result with the response-time model.
+///
+/// * [`CapacityChoice::Sweep`] solves at every [`capacity_sweep`] point
+///   over `(l_opt, 1]`, in sweep order (the master keeps its generated
+///   columns from point to point), skips infeasible points, and keeps the
+///   first point with the strictly lowest response time.
+/// * [`CapacityChoice::Fixed`] solves once at that uniform capacity.
+/// * [`CapacityChoice::LoadProportional`] solves unconstrained, then
+///   scales the resulting node loads into `[β, γ]`
+///   ([`CapacityProfile::load_proportional`]) and solves again.
+/// * [`CapacityChoice::MarginalValue`] solves at uniform capacity `γ`,
+///   then scales each node's capacity-row dual price into `[β, γ]`
+///   ([`CapacityProfile::marginal_value`]) and solves again.
+///
+/// `solver` must be built over `pq`. Scores come from
+/// [`evaluate_matrix_placed_weighted`] with the caller's raw `weights`
+/// (one per client row of `pq`); `l_opt` is read only by a sweep.
 ///
 /// # Errors
 ///
-/// As for [`tune_uniform_capacity`].
-pub fn tune_uniform_capacity_colgen(
+/// [`CoreError::Infeasible`] if a non-sweep solve, or every sweep point,
+/// is infeasible; sizing and LP errors propagate.
+pub fn tune_capacity(
+    solver: &mut ColGenSolver<'_>,
     pq: &PlacedQuorums<'_>,
+    weights: &[f64],
     l_opt: f64,
-    steps: usize,
+    choice: CapacityChoice,
     model: ResponseModel,
-) -> Result<CapacitySweepResult, CoreError> {
-    let mut solver = ColGenSolver::new(pq, ColumnGeneration::default())?;
-    let mut points = Vec::new();
-    let mut lp_stats = SweepLpStats::default();
-    let mut pricing = ColGenStats::default();
-    for c in capacity_sweep(l_opt, steps) {
-        let outcome = match solver.solve_uniform(c) {
-            Ok(outcome) => outcome,
-            Err(CoreError::Infeasible) => continue,
-            Err(e) => return Err(e),
-        };
-        let eval = evaluate_matrix_placed(pq, &outcome.strategy, model)?;
-        lp_stats.record(outcome.stats);
-        if let Some(stats) = &outcome.colgen {
-            pricing.absorb(stats);
+) -> Result<TunedCapacity, CoreError> {
+    let n = pq.ctx().net().len();
+    let score = |strategy: &StrategyMatrix, model: ResponseModel| {
+        evaluate_matrix_placed_weighted(pq, strategy, weights, model)
+    };
+    let (caps, capacity, capacity_points, label) = match choice {
+        CapacityChoice::Sweep { steps } => {
+            let cs = capacity_sweep(l_opt, steps);
+            let mut points: Vec<(f64, Evaluation)> = Vec::new();
+            let mut best: Option<(usize, StrategyLpOutcome)> = None;
+            for &c in &cs {
+                let outcome = match solver.solve_profile(&CapacityProfile::uniform(n, c)) {
+                    Ok(outcome) => outcome,
+                    Err(CoreError::Infeasible) => continue,
+                    Err(e) => return Err(e),
+                };
+                let eval = score(&outcome.strategy, model)?;
+                let response = eval.avg_response_ms;
+                if best
+                    .as_ref()
+                    .is_none_or(|(i, _)| response < points[*i].1.avg_response_ms)
+                {
+                    best = Some((points.len(), outcome));
+                }
+                points.push((c, eval));
+            }
+            let (i, outcome) = best.ok_or(CoreError::Infeasible)?;
+            let (c, eval) = points[i].clone();
+            return Ok(TunedCapacity {
+                outcome,
+                caps: CapacityProfile::uniform(n, c),
+                eval,
+                points,
+                capacity: Some(c),
+                capacity_points: cs.len(),
+                label: format!("sweep({steps}) → c* = {c:.3}"),
+            });
         }
-        points.push((c, eval));
-    }
-    CapacitySweepResult::from_points(points, lp_stats, Some(pricing))
-}
-
-/// The §7 *non-uniform* variant: capacities from the inverse-distance
-/// heuristic over `[β, γ]`, then the same LP + scoring.
-///
-/// # Errors
-///
-/// As for [`optimize_strategies`].
-pub fn evaluate_at_nonuniform_capacity(
-    net: &Network,
-    clients: &[NodeId],
-    placement: &Placement,
-    quorums: &[Quorum],
-    beta: f64,
-    gamma: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let ctx = EvalContext::new(net, clients);
-    let pq = ctx.place(placement, quorums);
-    evaluate_at_nonuniform_capacity_placed(&pq, beta, gamma, model)
-}
-
-/// [`evaluate_at_nonuniform_capacity`] against a pre-bound
-/// [`PlacedQuorums`].
-///
-/// # Errors
-///
-/// As for [`evaluate_at_nonuniform_capacity`].
-pub fn evaluate_at_nonuniform_capacity_placed(
-    pq: &PlacedQuorums<'_>,
-    beta: f64,
-    gamma: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let caps = CapacityProfile::inverse_distance(
-        pq.ctx().net(),
-        &pq.placement().support_set(),
-        beta,
-        gamma,
-    )?;
-    let strategy = optimize_strategies_placed(pq, &caps)?;
-    let eval = evaluate_matrix_placed(pq, &strategy, model)?;
-    Ok((strategy, eval))
-}
-
-/// Non-uniform capacities from the **load-proportional** heuristic: node
-/// loads under the *unconstrained* delay-optimal strategies are scaled
-/// into `[β, γ]` ([`CapacityProfile::load_proportional`]), so capacity is
-/// granted where the optimizer most wants to put load; then the same LP +
-/// scoring as the other §7 variants.
-///
-/// # Errors
-///
-/// As for [`optimize_strategies`].
-pub fn evaluate_at_load_proportional_capacity(
-    net: &Network,
-    clients: &[NodeId],
-    placement: &Placement,
-    quorums: &[Quorum],
-    beta: f64,
-    gamma: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let ctx = EvalContext::new(net, clients);
-    let pq = ctx.place(placement, quorums);
-    evaluate_at_load_proportional_capacity_placed(&pq, beta, gamma, model)
-}
-
-/// [`evaluate_at_load_proportional_capacity`] against a pre-bound
-/// [`PlacedQuorums`].
-///
-/// # Errors
-///
-/// As for [`evaluate_at_load_proportional_capacity`].
-pub fn evaluate_at_load_proportional_capacity_placed(
-    pq: &PlacedQuorums<'_>,
-    beta: f64,
-    gamma: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let net_len = pq.ctx().net().len();
-    let unconstrained = optimize_strategies_placed(pq, &CapacityProfile::unbounded(net_len))?;
-    let loads =
-        evaluate_matrix_placed(pq, &unconstrained, ResponseModel::network_delay_only())?.node_loads;
-    let caps =
-        CapacityProfile::load_proportional(&loads, &pq.placement().support_set(), beta, gamma)?;
-    let strategy = optimize_strategies_placed(pq, &caps)?;
-    let eval = evaluate_matrix_placed(pq, &strategy, model)?;
-    Ok((strategy, eval))
-}
-
-/// Non-uniform capacities from the **marginal-value** heuristic: the LP is
-/// first solved at uniform capacity `γ`, and each node's capacity-row dual
-/// price (the delay saved per unit of extra capacity,
-/// [`StrategyLpOutcome::capacity_duals`]) is scaled into `[β, γ]`
-/// ([`CapacityProfile::marginal_value`]) — nodes whose capacity the
-/// optimizer values most get the most; then the same LP + scoring.
-///
-/// # Errors
-///
-/// As for [`optimize_strategies`].
-pub fn evaluate_at_marginal_value_capacity(
-    net: &Network,
-    clients: &[NodeId],
-    placement: &Placement,
-    quorums: &[Quorum],
-    beta: f64,
-    gamma: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let ctx = EvalContext::new(net, clients);
-    let pq = ctx.place(placement, quorums);
-    evaluate_at_marginal_value_capacity_placed(&pq, beta, gamma, model)
-}
-
-/// [`evaluate_at_marginal_value_capacity`] against a pre-bound
-/// [`PlacedQuorums`].
-///
-/// # Errors
-///
-/// As for [`evaluate_at_marginal_value_capacity`].
-pub fn evaluate_at_marginal_value_capacity_placed(
-    pq: &PlacedQuorums<'_>,
-    beta: f64,
-    gamma: f64,
-    model: ResponseModel,
-) -> Result<(StrategyMatrix, Evaluation), CoreError> {
-    let net_len = pq.ctx().net().len();
-    let reference = optimize_strategies_outcome(pq, &CapacityProfile::uniform(net_len, gamma))?;
-    // Binding ≤ rows of a minimization have duals ≤ 0; the magnitude is
-    // the marginal value of that node's capacity.
-    let prices: Vec<f64> = reference
-        .capacity_duals
-        .iter()
-        .map(|&d| (-d).max(0.0))
-        .collect();
-    let caps =
-        CapacityProfile::marginal_value(&prices, &pq.placement().support_set(), beta, gamma)?;
-    let strategy = optimize_strategies_placed(pq, &caps)?;
-    let eval = evaluate_matrix_placed(pq, &strategy, model)?;
-    Ok((strategy, eval))
+        CapacityChoice::Fixed(c) => (
+            CapacityProfile::uniform(n, c),
+            Some(c),
+            1,
+            format!("fixed {c:.3}"),
+        ),
+        CapacityChoice::LoadProportional { beta, gamma } => {
+            let unconstrained = solver.solve_profile(&CapacityProfile::unbounded(n))?;
+            let loads =
+                score(&unconstrained.strategy, ResponseModel::network_delay_only())?.node_loads;
+            let support = pq.placement().support_set();
+            (
+                CapacityProfile::load_proportional(&loads, &support, beta, gamma)?,
+                None,
+                2,
+                format!("load-proportional [{beta}, {gamma}]"),
+            )
+        }
+        CapacityChoice::MarginalValue { beta, gamma } => {
+            let reference = solver.solve_profile(&CapacityProfile::uniform(n, gamma))?;
+            // Binding ≤ rows of a minimization have duals ≤ 0; the
+            // magnitude is the marginal value of that node's capacity.
+            let prices: Vec<f64> = reference
+                .capacity_duals
+                .iter()
+                .map(|&d| (-d).max(0.0))
+                .collect();
+            let support = pq.placement().support_set();
+            (
+                CapacityProfile::marginal_value(&prices, &support, beta, gamma)?,
+                None,
+                2,
+                format!("marginal-value [{beta}, {gamma}]"),
+            )
+        }
+    };
+    let outcome = solver.solve_profile(&caps)?;
+    let eval = score(&outcome.strategy, model)?;
+    Ok(TunedCapacity {
+        outcome,
+        caps,
+        eval,
+        points: Vec::new(),
+        capacity,
+        capacity_points,
+        label,
+    })
 }
 
 #[cfg(test)]
@@ -1673,30 +1556,56 @@ mod tests {
         }
     }
 
+    /// Runs [`tune_capacity`] on a fresh uniform-weight master over `pq`
+    /// and checks the pricing certificate of its last solve.
+    fn tune(
+        pq: &PlacedQuorums<'_>,
+        l_opt: f64,
+        choice: CapacityChoice,
+        model: ResponseModel,
+    ) -> Result<TunedCapacity, CoreError> {
+        let weights = vec![1.0; pq.ctx().clients().len()];
+        let mut solver =
+            ColGenSolver::with_weights(pq, &weights, ColumnGeneration::default()).unwrap();
+        let tuned = tune_capacity(&mut solver, pq, &weights, l_opt, choice, model)?;
+        assert_eq!(solver.pricing_violations(), Some(0), "{choice:?}");
+        assert!(solver.pricing().master_resolves > 0);
+        Ok(tuned)
+    }
+
     #[test]
     fn tune_uniform_capacity_finds_best() {
         let (net, clients, sys, placement, quorums) = setup(3);
-        let result = tune_uniform_capacity(
-            &net,
-            &clients,
-            &placement,
-            &quorums,
-            sys.optimal_load().unwrap(),
-            5,
-            ResponseModel::from_demand(0.007, 16000.0),
+        let ctx = EvalContext::new(&net, &clients);
+        let pq = ctx.place(&placement, &quorums);
+        let choice = CapacityChoice::Sweep { steps: 5 };
+        let model = ResponseModel::from_demand(0.007, 16000.0);
+        let tuned = tune(&pq, sys.optimal_load().unwrap(), choice, model).unwrap();
+        assert!(!tuned.points.is_empty());
+        assert_eq!(tuned.capacity_points, 5);
+        let best = tuned.eval.avg_response_ms;
+        for (_, eval) in &tuned.points {
+            assert!(best <= eval.avg_response_ms);
+        }
+        // The winner is the first point reaching the minimum, and its
+        // stored outcome is what the tuner returns.
+        let c = tuned.capacity.unwrap();
+        let first = tuned
+            .points
+            .iter()
+            .find(|(_, e)| e.avg_response_ms == best)
+            .unwrap();
+        assert_eq!(first.0, c);
+        assert_eq!(tuned.caps, CapacityProfile::uniform(net.len(), c));
+        assert_eq!(tuned.label, format!("sweep(5) → c* = {c:.3}"));
+        let rescored = evaluate_matrix_placed_weighted(
+            &pq,
+            &tuned.outcome.strategy,
+            &vec![1.0; clients.len()],
+            model,
         )
         .unwrap();
-        assert!(!result.points.is_empty());
-        let best = result.best_point().1.avg_response_ms;
-        for (_, eval) in &result.points {
-            assert!(best <= eval.avg_response_ms + 1e-9);
-        }
-        // The shared base solve did real work; warm points did less.
-        assert!(result.lp_stats.base_iterations > 0);
-        assert_eq!(
-            result.lp_stats.warm_points + result.lp_stats.cold_points,
-            result.points.len()
-        );
+        assert_eq!(rescored.avg_response_ms, best);
     }
 
     #[test]
@@ -1741,18 +1650,21 @@ mod tests {
     #[test]
     fn nonuniform_capacity_evaluates() {
         let (net, clients, sys, placement, quorums) = setup(3);
+        let ctx = EvalContext::new(&net, &clients);
+        let pq = ctx.place(&placement, &quorums);
         let l_opt = sys.optimal_load().unwrap();
-        let (strategy, eval) = evaluate_at_nonuniform_capacity(
-            &net,
-            &clients,
-            &placement,
-            &quorums,
-            l_opt,
-            1.0,
+        let caps =
+            CapacityProfile::inverse_distance(&net, &placement.support_set(), l_opt, 1.0).unwrap();
+        let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
+        let outcome = solver.solve_profile(&caps).unwrap();
+        assert_eq!(solver.pricing_violations(), Some(0));
+        let eval = evaluate_matrix_placed(
+            &pq,
+            &outcome.strategy,
             ResponseModel::from_demand(0.007, 16000.0),
         )
         .unwrap();
-        assert_eq!(strategy.num_clients(), clients.len());
+        assert_eq!(outcome.strategy.num_clients(), clients.len());
         assert!(eval.avg_response_ms >= eval.avg_network_delay_ms);
     }
 
@@ -1773,22 +1685,32 @@ mod tests {
         let model = ResponseModel::from_demand(0.007, 16000.0);
 
         for c in capacity_sweep(l_opt, 4) {
-            let uniform = match evaluate_at_uniform_capacity_placed(&pq, c, model) {
-                Ok((_, eval)) => eval.avg_response_ms,
+            let uniform = match tune(&pq, l_opt, CapacityChoice::Fixed(c), model) {
+                Ok(tuned) => tuned.eval.avg_response_ms,
                 Err(CoreError::Infeasible) => continue,
                 Err(e) => panic!("uniform failed at c={c}: {e}"),
             };
-            for (name, result) in [
+            for (name, choice) in [
                 (
-                    "load_proportional",
-                    evaluate_at_load_proportional_capacity_placed(&pq, l_opt, c, model),
+                    "load-proportional",
+                    CapacityChoice::LoadProportional {
+                        beta: l_opt,
+                        gamma: c,
+                    },
                 ),
                 (
-                    "marginal_value",
-                    evaluate_at_marginal_value_capacity_placed(&pq, l_opt, c, model),
+                    "marginal-value",
+                    CapacityChoice::MarginalValue {
+                        beta: l_opt,
+                        gamma: c,
+                    },
                 ),
             ] {
-                let (_, eval) = result.unwrap_or_else(|e| panic!("{name} failed at c={c}: {e}"));
+                let tuned = tune(&pq, l_opt, choice, model)
+                    .unwrap_or_else(|e| panic!("{name} failed at c={c}: {e}"));
+                assert!(tuned.label.starts_with(name), "{}", tuned.label);
+                assert_eq!(tuned.capacity_points, 2);
+                let eval = tuned.eval;
                 assert!(
                     eval.avg_response_ms <= uniform * 1.01 + 1e-6,
                     "{name} response {} loses >1% to uniform {uniform} at c={c}",
@@ -2044,7 +1966,9 @@ mod tests {
         let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
         assert_eq!(solver.pricing_violations(), None);
         for &c in &[2.0, 0.7, 0.56] {
-            solver.solve_uniform(c).unwrap();
+            solver
+                .solve_profile(&CapacityProfile::uniform(net.len(), c))
+                .unwrap();
             assert_eq!(
                 solver.pricing_violations(),
                 Some(0),
@@ -2106,7 +2030,9 @@ mod tests {
 
         let mut solver =
             ColGenSolver::with_weights(&pq, &weights, ColumnGeneration::default()).unwrap();
-        let cg = solver.solve_uniform(c).unwrap();
+        let cg = solver
+            .solve_profile(&CapacityProfile::uniform(net.len(), c))
+            .unwrap();
         assert!(
             (cg.delay_ms - full.objective()).abs() <= 1e-9 * (1.0 + full.objective().abs()),
             "weighted colgen {} vs full weighted {}",
@@ -2125,17 +2051,21 @@ mod tests {
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
         let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
-        let err = solver.solve_uniform(1e-6).unwrap_err();
+        let err = solver
+            .solve_profile(&CapacityProfile::uniform(net.len(), 1e-6))
+            .unwrap_err();
         assert!(matches!(err, CoreError::Infeasible));
         // And the same solver still solves fine at a workable capacity.
-        let out = solver.solve_uniform(0.7).unwrap();
+        let out = solver
+            .solve_profile(&CapacityProfile::uniform(net.len(), 0.7))
+            .unwrap();
         assert!(out.delay_ms.is_finite());
         assert_eq!(solver.pricing_violations(), Some(0));
     }
 
-    /// The colgen sweep wrapper agrees with the full-enumeration sweep on
-    /// the selected capacity and score, and reports aggregated pricing
-    /// stats.
+    /// The tuner's sweep agrees with the full-enumeration sweep on the
+    /// selected capacity and score, and its master keeps running pricing
+    /// totals across the sweep.
     #[test]
     fn colgen_sweep_matches_full_enumeration_sweep() {
         let (net, clients, sys, placement, quorums) = setup(3);
@@ -2144,13 +2074,17 @@ mod tests {
         let l_opt = sys.optimal_load().unwrap();
         let model = ResponseModel::network_delay_only();
         let full = tune_uniform_capacity_placed(&pq, l_opt, 8, model).unwrap();
-        assert!(full.colgen.is_none());
-        let cg = tune_uniform_capacity_colgen(&pq, l_opt, 8, model).unwrap();
-        let stats = cg.colgen.expect("colgen sweep reports pricing stats");
+        let weights = vec![1.0; clients.len()];
+        let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
+        let choice = CapacityChoice::Sweep { steps: 8 };
+        let cg = tune_capacity(&mut solver, &pq, &weights, l_opt, choice, model).unwrap();
+        assert_eq!(solver.pricing_violations(), Some(0));
+        let stats = solver.pricing();
         assert!(stats.master_resolves >= cg.points.len());
+        assert_eq!(stats.total_columns, clients.len() * quorums.len());
         assert_eq!(cg.points.len(), full.points.len());
         let (full_cap, full_eval) = full.best_point();
-        let (cg_cap, cg_eval) = cg.best_point();
+        let (cg_cap, cg_eval) = (cg.capacity.unwrap(), &cg.eval);
         assert!(
             (cg_cap - full_cap).abs() <= 1e-9,
             "capacity {cg_cap} vs {full_cap}"

@@ -252,10 +252,9 @@ proptest! {
         let c = l_opt + cap_frac * (1.0 - l_opt) + 1e-9;
         let caps = CapacityProfile::uniform(net.len(), c);
         let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
-        let cg = ColGenSolver::new(&pq, ColumnGeneration { seed_columns })
-            .unwrap()
-            .solve_profile(&caps)
-            .unwrap();
+        let mut solver = ColGenSolver::new(&pq, ColumnGeneration { seed_columns }).unwrap();
+        let cg = solver.solve_profile(&caps).unwrap();
+        prop_assert_eq!(solver.pricing_violations(), Some(0));
         prop_assert!(
             (cg.delay_ms - full.delay_ms).abs() <= 1e-9 * (1.0 + full.delay_ms.abs()),
             "colgen {} vs full {}", cg.delay_ms, full.delay_ms
@@ -303,10 +302,9 @@ proptest! {
         let caps = CapacityProfile::from_values(
             cap_fracs.iter().map(|f| l_opt + f * (1.0 - l_opt) + 1e-9).collect());
         let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
-        let cg = ColGenSolver::new(&pq, ColumnGeneration { seed_columns })
-            .unwrap()
-            .solve_profile(&caps)
-            .unwrap();
+        let mut solver = ColGenSolver::new(&pq, ColumnGeneration { seed_columns }).unwrap();
+        let cg = solver.solve_profile(&caps).unwrap();
+        prop_assert_eq!(solver.pricing_violations(), Some(0));
         prop_assert!(
             (cg.delay_ms - full.delay_ms).abs() <= 1e-9 * (1.0 + full.delay_ms.abs()),
             "colgen {} vs full {}", cg.delay_ms, full.delay_ms

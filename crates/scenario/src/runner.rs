@@ -1,9 +1,8 @@
 //! The end-to-end scenario pipeline: topology → placement → strategy LP
 //! → capacity selection → per-phase DES validation → cross-check.
 
-use qp_core::capacity::{capacity_sweep, CapacityProfile};
-use qp_core::response::evaluate_matrix_placed_weighted;
-use qp_core::strategy_lp::{ColGenSolver, ColGenStats, ColumnGeneration, StrategyLpOutcome};
+use qp_core::capacity::CapacityProfile;
+use qp_core::strategy_lp::{tune_capacity, ColGenSolver, ColumnGeneration};
 use qp_core::{CoreError, EvalContext, Placement, ResponseModel};
 use qp_par::ParPool;
 use qp_protocol::{
@@ -13,7 +12,7 @@ use qp_quorum::{Quorum, StrategyMatrix};
 use qp_topology::{Network, NodeId};
 
 use crate::report::{PhaseReport, ScenarioReport, StageBreakdown};
-use crate::spec::{parse_system, CapacityChoice, DemandModel, ScenarioSpec};
+use crate::spec::{parse_system, DemandModel, ScenarioSpec};
 use crate::ScenarioError;
 
 /// Executes [`ScenarioSpec`]s through the full pipeline.
@@ -137,102 +136,27 @@ impl ScenarioRunner {
         let weights: Vec<f64> = nominal.client_counts().iter().map(|&c| c as f64).collect();
         let ctx = EvalContext::new(&net, nominal.locations());
         let pq = ctx.place(&placement, &quorums);
-        let mut lp = ScenarioLp {
-            solver: ColGenSolver::with_weights(&pq, &weights, ColumnGeneration::default())?,
-            pivots: 0,
-            pricing: ColGenStats::default(),
-        };
+        let mut solver = ColGenSolver::with_weights(&pq, &weights, ColumnGeneration::default())?;
         let model = ResponseModel::from_demand(pipeline.op_time_ms, pipeline.demand);
         // The master defers all work to its first solve.
         lp_span.end(&[("base_pivots", qp_obs::FieldValue::U64(0))]);
 
-        // 4. Capacity selection.
+        // 4. Capacity selection. The master mutates (columns accumulate
+        // across solves), so the tuner solves sequentially — deterministic
+        // and thread-count invariant.
         let capacity_span = qp_obs::span("scenario.capacity", &[]);
-        let capacity_points: usize;
         let n = net.len();
-        let (base_outcome, base_caps, capacity_label) = match pipeline.capacity {
-            CapacityChoice::Sweep { steps } => {
-                let l_opt = sys.optimal_load().unwrap_or(0.5);
-                let cs = capacity_sweep(l_opt, steps);
-                capacity_points = cs.len();
-                // The master mutates (columns accumulate across points),
-                // so the sweep runs sequentially in sweep order —
-                // deterministic and thread-count invariant.
-                let mut best: Option<(f64, StrategyLpOutcome, f64)> = None;
-                for &c in &cs {
-                    let outcome = match lp.solve(&CapacityProfile::uniform(n, c)) {
-                        Ok(outcome) => outcome,
-                        Err(CoreError::Infeasible) => continue,
-                        Err(e) => return Err(e.into()),
-                    };
-                    let response =
-                        evaluate_matrix_placed_weighted(&pq, &outcome.strategy, &weights, model)?
-                            .avg_response_ms;
-                    if best.as_ref().is_none_or(|(_, _, r)| response < *r) {
-                        best = Some((c, outcome, response));
-                    }
-                }
-                let (c, outcome, _) = best.ok_or(CoreError::Infeasible)?;
-                let label = format!("sweep({steps}) → c* = {c:.3}");
-                (outcome, CapacityProfile::uniform(n, c), label)
-            }
-            CapacityChoice::Fixed(c) => {
-                capacity_points = 1;
-                let outcome = lp.solve(&CapacityProfile::uniform(n, c))?;
-                (
-                    outcome,
-                    CapacityProfile::uniform(n, c),
-                    format!("fixed {c:.3}"),
-                )
-            }
-            CapacityChoice::LoadProportional { beta, gamma } => {
-                capacity_points = 2;
-                let unconstrained = lp.solve(&CapacityProfile::unbounded(n))?;
-                let loads = evaluate_matrix_placed_weighted(
-                    &pq,
-                    &unconstrained.strategy,
-                    &weights,
-                    ResponseModel::network_delay_only(),
-                )?
-                .node_loads;
-                let caps = CapacityProfile::load_proportional(
-                    &loads,
-                    &placement.support_set(),
-                    beta,
-                    gamma,
-                )?;
-                let outcome = lp.solve(&caps)?;
-                (
-                    outcome,
-                    caps,
-                    format!("load-proportional [{beta}, {gamma}]"),
-                )
-            }
-            CapacityChoice::MarginalValue { beta, gamma } => {
-                capacity_points = 2;
-                let reference = lp.solve(&CapacityProfile::uniform(n, gamma))?;
-                let prices: Vec<f64> = reference
-                    .capacity_duals
-                    .iter()
-                    .map(|&d| (-d).max(0.0))
-                    .collect();
-                let caps = CapacityProfile::marginal_value(
-                    &prices,
-                    &placement.support_set(),
-                    beta,
-                    gamma,
-                )?;
-                let outcome = lp.solve(&caps)?;
-                (outcome, caps, format!("marginal-value [{beta}, {gamma}]"))
-            }
-        };
+        let l_opt = sys.optimal_load().unwrap_or(0.5);
+        let tuned = tune_capacity(&mut solver, &pq, &weights, l_opt, pipeline.capacity, model)?;
         capacity_span.end(&[
-            ("points", qp_obs::FieldValue::U64(capacity_points as u64)),
-            ("pivots", qp_obs::FieldValue::U64(lp.pivots as u64)),
+            (
+                "points",
+                qp_obs::FieldValue::U64(tuned.capacity_points as u64),
+            ),
+            ("pivots", qp_obs::FieldValue::U64(solver.pivots() as u64)),
         ]);
-        let base_eval =
-            evaluate_matrix_placed_weighted(&pq, &base_outcome.strategy, &weights, model)?;
-        let base_rows = base_outcome.strategy;
+        let base_caps = tuned.caps;
+        let base_rows = tuned.outcome.strategy;
 
         // 5. Per-phase DES validation. With `carry-queues` each phase
         // after the first starts its servers with the residual backlog
@@ -284,7 +208,7 @@ impl ScenarioRunner {
                         phase_mults,
                     ),
                 ] {
-                    match lp.solve(&caps) {
+                    match solver.solve_profile(&caps) {
                         Ok(o) => {
                             rows = Some(o.strategy);
                             break;
@@ -446,18 +370,19 @@ impl ScenarioRunner {
         let pass =
             max_rel_error <= pipeline.tolerance && max_engine_divergence <= pipeline.tolerance;
 
+        let lp_pivots = solver.pivots();
         let stages = self.stage_breakdown.then(|| StageBreakdown {
             topology_sites: net.len(),
             placement_elements: sys.universe_size(),
-            lp_pivots: lp.pivots,
-            capacity_points,
+            lp_pivots,
+            capacity_points: tuned.capacity_points,
             des_phases: pipeline.phases,
             des_completed_requests: phases.iter().map(|p| p.completed_requests).sum(),
         });
         if qp_obs::enabled() {
             qp_obs::counter_add("scenario_runs_total", 1);
             qp_obs::counter_add("scenario_phases_total", pipeline.phases as u64);
-            qp_obs::observe("scenario_lp_pivots", lp.pivots as f64);
+            qp_obs::observe("scenario_lp_pivots", lp_pivots as f64);
         }
         run_span.end(&[("pass", qp_obs::FieldValue::Bool(pass))]);
 
@@ -473,38 +398,17 @@ impl ScenarioRunner {
                 .collect(),
             locations,
             total_clients: nominal.total_clients(),
-            capacity: capacity_label,
-            lp_delay_ms: base_outcome.delay_ms,
-            lp_response_ms: base_eval.avg_response_ms,
-            lp_pivots: lp.pivots,
-            pricing: lp.pricing,
+            capacity: tuned.label,
+            lp_delay_ms: tuned.outcome.delay_ms,
+            lp_response_ms: tuned.eval.avg_response_ms,
+            lp_pivots,
+            pricing: solver.pricing(),
             stages,
             phases,
             tolerance: pipeline.tolerance,
             max_rel_error,
             pass,
         })
-    }
-}
-
-/// A scenario's strategy LP: one demand-weighted, location-level
-/// restricted master that every capacity solve and mid-run
-/// re-optimization reuses, with its pivots and pricing work accumulated
-/// across solves for the report.
-struct ScenarioLp<'a> {
-    solver: ColGenSolver<'a>,
-    pivots: usize,
-    pricing: ColGenStats,
-}
-
-impl ScenarioLp<'_> {
-    fn solve(&mut self, caps: &CapacityProfile) -> Result<StrategyLpOutcome, CoreError> {
-        let outcome = self.solver.solve_profile(caps)?;
-        self.pivots += outcome.stats.iterations;
-        if let Some(stats) = &outcome.colgen {
-            self.pricing.absorb(stats);
-        }
-        Ok(outcome)
     }
 }
 
@@ -584,7 +488,9 @@ fn scale_caps_for_failures(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FailureEvent, FailurePlan, FlashCrowd, TopologySource, WorkloadSpec};
+    use crate::spec::{
+        CapacityChoice, FailureEvent, FailurePlan, FlashCrowd, TopologySource, WorkloadSpec,
+    };
     use qp_core::strategy_lp::optimize_strategies_outcome;
 
     fn small_spec() -> ScenarioSpec {
@@ -624,6 +530,36 @@ mod tests {
                 ..crate::spec::PipelineSpec::default()
             },
         }
+    }
+
+    /// [`small_spec`] as spec text, with `capacity` as its capacity value.
+    fn small_spec_text(capacity: &str) -> String {
+        format!(
+            "name = unit\n\
+             [topology]\n\
+             source = euclidean\n\
+             sites = 12\n\
+             side-ms = 100\n\
+             seed = 4\n\
+             [workload]\n\
+             locations = 4\n\
+             per-location = 2\n\
+             demand = zipf:0.7\n\
+             flash-phase = 1\n\
+             flash-focus = 0\n\
+             flash-boost = 4\n\
+             [failures]\n\
+             slowdown = 1:0:10\n\
+             reoptimize = true\n\
+             [pipeline]\n\
+             system = grid:2\n\
+             capacity = {capacity}\n\
+             phases = 2\n\
+             requests = 30\n\
+             warmup = 5\n\
+             seed = 9\n\
+             tolerance = 0.25\n"
+        )
     }
 
     #[test]
@@ -712,6 +648,48 @@ mod tests {
         assert!(pricing.master_resolves > 0);
         assert!(pricing.oracle_passes > 0);
         assert!(report.to_string().contains("pricing:"), "{report}");
+    }
+
+    /// The two per-node §7 rules, parsed from spec text so the parser
+    /// branches run too: each run completes, reruns bit-identically, and
+    /// names its rule in the capacity label.
+    #[test]
+    fn heuristic_capacity_rules_run_from_spec_text() {
+        // grid:2 has L_opt = 0.75: capacities in [0.76, 0.8] stay
+        // feasible and bind.
+        for (value, choice, label) in [
+            (
+                "load-proportional:0.76:0.8",
+                CapacityChoice::LoadProportional {
+                    beta: 0.76,
+                    gamma: 0.8,
+                },
+                "load-proportional [0.76, 0.8]",
+            ),
+            (
+                "marginal-value:0.76:0.8",
+                CapacityChoice::MarginalValue {
+                    beta: 0.76,
+                    gamma: 0.8,
+                },
+                "marginal-value [0.76, 0.8]",
+            ),
+        ] {
+            let spec = ScenarioSpec::parse(&small_spec_text(value)).unwrap();
+            let mut expected = small_spec();
+            expected.pipeline.capacity = choice;
+            assert_eq!(spec, expected, "{value}");
+            let runner = ScenarioRunner::new().with_stage_breakdown(true);
+            let report = runner.run(&spec).unwrap();
+            assert_eq!(report, runner.run(&spec).unwrap(), "{value} rerun drifted");
+            assert!(report.pass, "{report}");
+            assert_eq!(report.capacity, label);
+            assert!(report.to_string().contains(label), "{report}");
+            let stages = report.stages.as_ref().expect("breakdown requested");
+            assert_eq!(stages.capacity_points, 2);
+            assert_eq!(stages.lp_pivots, report.lp_pivots);
+            assert!(report.pricing.master_resolves >= 2, "{report}");
+        }
     }
 
     fn aggregated_spec() -> ScenarioSpec {

@@ -54,6 +54,7 @@
 //! comment; unknown sections or keys are errors (specs fail loudly, not
 //! silently).
 
+pub use qp_core::capacity::CapacityChoice;
 use qp_core::one_to_one::PlacementAlgorithm;
 use qp_protocol::{FaultConfig, SimEngine};
 use qp_quorum::{MajorityKind, QuorumSystem};
@@ -313,39 +314,6 @@ impl FailurePlan {
             }
         }
         any.then_some(mults)
-    }
-}
-
-/// How node capacities for the strategy LP are chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CapacityChoice {
-    /// The §7 uniform sweep: try `steps + 1` capacities from the
-    /// system's optimal load up to 1 and keep the best response time.
-    Sweep {
-        /// Number of sweep intervals.
-        steps: usize,
-    },
-    /// A fixed uniform capacity.
-    Fixed(f64),
-    /// The load-proportional heuristic over `[beta, gamma]`.
-    LoadProportional {
-        /// Lower capacity bound.
-        beta: f64,
-        /// Upper capacity bound.
-        gamma: f64,
-    },
-    /// The marginal-value (LP dual price) heuristic over `[beta, gamma]`.
-    MarginalValue {
-        /// Lower capacity bound.
-        beta: f64,
-        /// Upper capacity bound.
-        gamma: f64,
-    },
-}
-
-impl Default for CapacityChoice {
-    fn default() -> Self {
-        CapacityChoice::Sweep { steps: 5 }
     }
 }
 

@@ -12,6 +12,8 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
+use quorumnet::core::capacity::CapacityChoice;
+use quorumnet::core::EvalContext;
 use quorumnet::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,8 +54,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>9} {:>12} {:>12} {:>9}",
         "capacity", "delay_ms", "response_ms", "max_load"
     );
-    let sweep =
-        strategy_lp::tune_uniform_capacity(&net, &clients, &placement, &quorums, l_opt, 10, model)?;
+    let ctx = EvalContext::new(&net, &clients);
+    let pq = ctx.place(&placement, &quorums);
+    let weights = vec![1.0; clients.len()];
+    let mut solver = strategy_lp::ColGenSolver::new(&pq, Default::default())?;
+    let sweep = strategy_lp::tune_capacity(
+        &mut solver,
+        &pq,
+        &weights,
+        l_opt,
+        CapacityChoice::Sweep { steps: 10 },
+        model,
+    )?;
     for (c, eval) in &sweep.points {
         println!(
             "{c:>9.3} {:>12.1} {:>12.1} {:>9.2}",
@@ -62,7 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eval.max_node_load()
         );
     }
-    let (best_c, best_eval) = sweep.best_point();
+    let best_c = sweep.capacity.expect("a sweep picks a uniform capacity");
+    let best_eval = &sweep.eval;
     println!(
         "  → best: capacity {best_c:.3}, response {:.1} ms",
         best_eval.avg_response_ms
@@ -73,9 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>9} {:>12} {:>9}", "gamma", "response_ms", "max_load");
     let mut best_nonuniform = f64::INFINITY;
     for (c, _) in &sweep.points {
-        let (_, eval) = strategy_lp::evaluate_at_nonuniform_capacity(
-            &net, &clients, &placement, &quorums, l_opt, *c, model,
-        )?;
+        let caps = CapacityProfile::inverse_distance(&net, &placement.support_set(), l_opt, *c)?;
+        let outcome = solver.solve_profile(&caps)?;
+        let eval =
+            response::evaluate_matrix_placed_weighted(&pq, &outcome.strategy, &weights, model)?;
         println!(
             "{c:>9.3} {:>12.1} {:>9.2}",
             eval.avg_response_ms,

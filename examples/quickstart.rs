@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use quorumnet::core::capacity::CapacityChoice;
+use quorumnet::core::EvalContext;
 use quorumnet::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -55,16 +57,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    sweep and report the best point.
     let quorums = grid.enumerate(10_000)?;
     let model = ResponseModel::from_demand(0.007, 16_000.0);
-    let sweep = strategy_lp::tune_uniform_capacity(
-        &net,
-        &clients,
-        &placement,
-        &quorums,
+    let ctx = EvalContext::new(&net, &clients);
+    let pq = ctx.place(&placement, &quorums);
+    let weights = vec![1.0; clients.len()];
+    let mut solver = strategy_lp::ColGenSolver::new(&pq, Default::default())?;
+    let tuned = strategy_lp::tune_capacity(
+        &mut solver,
+        &pq,
+        &weights,
         grid.optimal_load().expect("grid has a closed form"),
-        10,
+        CapacityChoice::Sweep { steps: 10 },
         model,
     )?;
-    let (c, best) = sweep.best_point();
+    let c = tuned.capacity.expect("a sweep picks a uniform capacity");
+    let best = &tuned.eval;
     println!("\nhigh demand (LP-tuned strategies, demand = 16000 req, 0.007 ms/req):");
     println!("  best capacity     {c:8.2}");
     println!("  avg response      {:8.2} ms", best.avg_response_ms);

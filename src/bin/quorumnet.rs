@@ -12,7 +12,7 @@
 //!                    [--checkpoint FILE] [--jsonl-out FILE]
 //! quorumnet serve    (--socket PATH | --listen ADDR) --system grid:3
 //!                    [--demand 16000] [--op-time 0.007] [--sweep 10]
-//!                    [--state-dir DIR] [--snapshot-every N]
+//!                    [--colgen] [--state-dir DIR] [--snapshot-every N]
 //! quorumnet ctl      (--socket PATH | --connect ADDR) [--cmd "..." ...]
 //! ```
 //!
@@ -27,6 +27,7 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
+use quorumnet::core::capacity::CapacityChoice;
 use quorumnet::core::strategy_lp::{self, ColumnGeneration};
 use quorumnet::core::EvalContext;
 use quorumnet::daemon::protocol::read_response;
@@ -141,10 +142,7 @@ fn print_help() {
          --demand N          client demand for the response model (default 0)\n  \
          --op-time MS        per-request service time (default 0.007)\n  \
          --capacity C        node capacity for --strategy lp (default 1.0)\n  \
-         --dedup             deduplicated execution of co-located elements\n  \
-         --colgen            solve the strategy LP by delayed column generation\n  \
-                             (restricted master + pricing oracle; prints pricing\n  \
-                             stats; also honored by serve)\n\n\
+         --dedup             deduplicated execution of co-located elements\n\n\
          simulate flags:\n  \
          --locations N              client locations (default 10)\n  \
          --clients-per-location N   clients per location (default 5)\n  \
@@ -363,8 +361,8 @@ fn emit_report_event(spec_index: usize, report: &quorumnet::scenario::ScenarioRe
     quorumnet::obs::point("scenario.report", &fields);
 }
 
-/// Renders one [`strategy_lp::ColGenStats`] line (shared by `place`'s
-/// `lp` and `lp-sweep` strategies).
+/// Renders the strategy LP's [`strategy_lp::ColGenStats`] line (shared by
+/// `place`'s `lp` and `lp-sweep` strategies).
 fn print_pricing(p: &strategy_lp::ColGenStats) {
     println!(
         "pricing:   {} of {} columns in master ({} generated), {} oracle passes, {} master solves",
@@ -442,61 +440,41 @@ fn cmd_place(opts: &Options) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
         "balanced" => response::evaluate_balanced(&net, &clients, &sys, &placement, model)
             .map_err(|e| e.to_string())?,
-        "lp" => {
-            let quorums = sys.enumerate(100_000).map_err(|e| e.to_string())?;
-            if opts.colgen {
-                let ctx = EvalContext::new(&net, &clients);
-                let pq = ctx.place(&placement, &quorums);
-                let caps = CapacityProfile::uniform(net.len(), opts.capacity);
-                let outcome = strategy_lp::ColGenSolver::new(&pq, ColumnGeneration::default())
-                    .and_then(|mut solver| solver.solve_profile(&caps))
-                    .map_err(|e| e.to_string())?;
-                if let Some(p) = &outcome.colgen {
-                    print_pricing(p);
-                }
-                response::evaluate_matrix_placed(&pq, &outcome.strategy, model)
-                    .map_err(|e| e.to_string())?
+        "lp" | "lp-sweep" => {
+            let choice = if strategy == "lp" {
+                CapacityChoice::Fixed(opts.capacity)
             } else {
-                let (_, eval) = strategy_lp::evaluate_at_uniform_capacity(
-                    &net,
-                    &clients,
-                    &placement,
-                    &quorums,
-                    opts.capacity,
-                    model,
-                )
-                .map_err(|e| e.to_string())?;
-                eval
-            }
-        }
-        "lp-sweep" => {
-            let quorums = sys.enumerate(100_000).map_err(|e| e.to_string())?;
+                CapacityChoice::Sweep { steps: 10 }
+            };
             let l_opt = sys
                 .optimal_load()
-                .ok_or("lp-sweep needs a system with known optimal load")?;
+                .ok_or("the LP strategies need a system with known optimal load")?;
+            let quorums = sys.enumerate(100_000).map_err(|e| e.to_string())?;
             let ctx = EvalContext::new(&net, &clients);
             let pq = ctx.place(&placement, &quorums);
-            let sweep = if opts.colgen {
-                strategy_lp::tune_uniform_capacity_colgen(&pq, l_opt, 10, model)
-            } else {
-                strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 10, model)
+            let weights = vec![1.0; clients.len()];
+            let mut solver =
+                strategy_lp::ColGenSolver::with_weights(&pq, &weights, ColumnGeneration::default())
+                    .map_err(|e| e.to_string())?;
+            let tuned =
+                strategy_lp::tune_capacity(&mut solver, &pq, &weights, l_opt, choice, model)
+                    .map_err(|e| e.to_string())?;
+            print_pricing(&solver.pricing());
+            if let CapacityChoice::Sweep { .. } = choice {
+                println!("sweep:");
+                for (c, e) in &tuned.points {
+                    println!(
+                        "  cap {c:.3}: response {:7.1} ms, delay {:6.1} ms, max load {:.2}",
+                        e.avg_response_ms,
+                        e.avg_network_delay_ms,
+                        e.max_node_load()
+                    );
+                }
+                if let Some(c) = tuned.capacity {
+                    println!("best capacity: {c:.3}");
+                }
             }
-            .map_err(|e| e.to_string())?;
-            if let Some(p) = &sweep.colgen {
-                print_pricing(p);
-            }
-            println!("sweep:");
-            for (c, e) in &sweep.points {
-                println!(
-                    "  cap {c:.3}: response {:7.1} ms, delay {:6.1} ms, max load {:.2}",
-                    e.avg_response_ms,
-                    e.avg_network_delay_ms,
-                    e.max_node_load()
-                );
-            }
-            let (c, best) = sweep.best_point();
-            println!("best capacity: {c:.3}");
-            best.clone()
+            tuned.eval
         }
         other => return Err(format!("unknown strategy `{other}`")),
     };

@@ -84,6 +84,13 @@ fn help_runs_clean() {
     let stdout = assert_ok(&["help"]);
     assert!(stdout.contains("quorumnet"));
     assert!(stdout.contains("simulate"));
+    // `--colgen` is a serve flag only: `place` always solves the LP on
+    // the restricted master.
+    let serve = stdout.find("serve flags:").expect("serve section");
+    let ctl = stdout.find("ctl flags:").expect("ctl section");
+    assert_eq!(stdout.matches("--colgen").count(), 1, "{stdout}");
+    let colgen = stdout.find("--colgen").unwrap();
+    assert!(serve < colgen && colgen < ctl, "{stdout}");
 }
 
 #[test]
@@ -118,6 +125,31 @@ fn place_on_small_topology() {
         stdout.contains("delay") || stdout.contains("ms"),
         "place should report delays:\n{stdout}"
     );
+}
+
+/// `place --strategy lp-sweep` prints the restricted master's pricing
+/// line, one sweep row per feasible capacity, and the tuned capacity.
+#[test]
+fn place_lp_sweep_on_small_topology() {
+    let topo = small_topology_file();
+    let stdout = assert_ok(&[
+        "place",
+        "--topology",
+        topo.as_str(),
+        "--system",
+        "grid:2",
+        "--strategy",
+        "lp-sweep",
+        "--demand",
+        "16000",
+    ]);
+    assert!(stdout.contains("pricing:"), "{stdout}");
+    assert!(stdout.contains("sweep:"), "{stdout}");
+    // grid:2 has L_opt = 0.75; the ten sweep points span (0.75, 1].
+    let rows = stdout.lines().filter(|l| l.starts_with("  cap ")).count();
+    assert_eq!(rows, 10, "{stdout}");
+    assert!(stdout.contains("best capacity: "), "{stdout}");
+    assert!(stdout.contains("strategy:  lp-sweep"), "{stdout}");
 }
 
 #[test]
@@ -209,6 +241,7 @@ fn checked_in_king116_dataset_drives_cli() {
         "0.9",
     ]);
     assert!(stdout.contains("avg response"), "{stdout}");
+    assert!(stdout.contains("pricing:"), "{stdout}");
 }
 
 /// The checked-in scenario specs drive `quorumnet scenario` end to end:

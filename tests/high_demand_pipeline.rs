@@ -2,6 +2,9 @@
 //! crossover, LP-tuned strategies, capacity sweeps, and the non-uniform
 //! heuristic.
 
+use quorumnet::core::capacity::CapacityChoice;
+use quorumnet::core::strategy_lp::{ColGenSolver, ColumnGeneration, TunedCapacity};
+use quorumnet::core::EvalContext;
 use quorumnet::prelude::*;
 
 fn grid_setup(k: usize) -> (Network, Vec<NodeId>, QuorumSystem, Placement, Vec<Quorum>) {
@@ -11,6 +14,28 @@ fn grid_setup(k: usize) -> (Network, Vec<NodeId>, QuorumSystem, Placement, Vec<Q
     let placement = one_to_one::best_placement(&net, &sys).unwrap();
     let quorums = sys.enumerate(100_000).unwrap();
     (net, clients, sys, placement, quorums)
+}
+
+/// The §7 tuner on a fresh uniform-weight restricted master, with the
+/// pricing certificate of its last solve checked.
+fn tune(
+    net: &Network,
+    clients: &[NodeId],
+    sys: &QuorumSystem,
+    placement: &Placement,
+    quorums: &[Quorum],
+    choice: CapacityChoice,
+    model: ResponseModel,
+) -> TunedCapacity {
+    let ctx = EvalContext::new(net, clients);
+    let pq = ctx.place(placement, quorums);
+    let weights = vec![1.0; clients.len()];
+    let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
+    let l_opt = sys.optimal_load().unwrap();
+    let tuned =
+        strategy_lp::tune_capacity(&mut solver, &pq, &weights, l_opt, choice, model).unwrap();
+    assert_eq!(solver.pricing_violations(), Some(0));
+    tuned
 }
 
 #[test]
@@ -49,17 +74,10 @@ fn lp_tuned_never_loses_to_untuned_strategies() {
     // balanced ≈ caps at L_opt), so its best sweep point must beat both.
     let (net, clients, sys, placement, quorums) = grid_setup(4);
     let model = ResponseModel::from_demand(0.007, 16_000.0);
-    let sweep = strategy_lp::tune_uniform_capacity(
-        &net,
-        &clients,
-        &placement,
-        &quorums,
-        sys.optimal_load().unwrap(),
-        10,
-        model,
-    )
-    .unwrap();
-    let best = sweep.best_point().1.avg_response_ms;
+    let sweep = CapacityChoice::Sweep { steps: 10 };
+    let best = tune(&net, &clients, &sys, &placement, &quorums, sweep, model)
+        .eval
+        .avg_response_ms;
     let closest = response::evaluate_closest(&net, &clients, &sys, &placement, model)
         .unwrap()
         .avg_response_ms;
@@ -82,16 +100,8 @@ fn capacity_sweep_trades_delay_for_load() {
     // max load is non-decreasing — the §7 trade-off in one invariant.
     let (net, clients, sys, placement, quorums) = grid_setup(4);
     let model = ResponseModel::from_demand(0.007, 16_000.0);
-    let sweep = strategy_lp::tune_uniform_capacity(
-        &net,
-        &clients,
-        &placement,
-        &quorums,
-        sys.optimal_load().unwrap(),
-        10,
-        model,
-    )
-    .unwrap();
+    let sweep = CapacityChoice::Sweep { steps: 10 };
+    let sweep = tune(&net, &clients, &sys, &placement, &quorums, sweep, model);
     for w in sweep.points.windows(2) {
         let (a, b) = (&w[0].1, &w[1].1);
         assert!(
@@ -116,13 +126,18 @@ fn nonuniform_heuristic_matches_or_beats_uniform_at_high_capacity() {
     let (net, clients, sys, placement, quorums) = grid_setup(5);
     let model = ResponseModel::from_demand(0.007, 16_000.0);
     let l_opt = sys.optimal_load().unwrap();
-    let (_, uniform) =
-        strategy_lp::evaluate_at_uniform_capacity(&net, &clients, &placement, &quorums, 1.0, model)
-            .unwrap();
-    let (_, nonuniform) = strategy_lp::evaluate_at_nonuniform_capacity(
-        &net, &clients, &placement, &quorums, l_opt, 1.0, model,
-    )
-    .unwrap();
+    let fixed = CapacityChoice::Fixed(1.0);
+    let uniform = tune(&net, &clients, &sys, &placement, &quorums, fixed, model).eval;
+    let ctx = EvalContext::new(&net, &clients);
+    let pq = ctx.place(&placement, &quorums);
+    let caps =
+        CapacityProfile::inverse_distance(&net, &placement.support_set(), l_opt, 1.0).unwrap();
+    let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
+    let outcome = solver.solve_profile(&caps).unwrap();
+    assert_eq!(solver.pricing_violations(), Some(0));
+    let weights = vec![1.0; clients.len()];
+    let nonuniform =
+        response::evaluate_matrix_placed_weighted(&pq, &outcome.strategy, &weights, model).unwrap();
     assert!(
         nonuniform.avg_response_ms <= uniform.avg_response_ms + 1e-6,
         "non-uniform {} lost to uniform {}",

@@ -121,12 +121,11 @@ fn capacity_tuning_sweep_deterministic() {
     let model = ResponseModel::from_demand(0.007, 16000.0);
     let l_opt = sys.optimal_load().unwrap();
 
+    let ctx = quorumnet::core::EvalContext::new(&net, &clients);
+    let pq = ctx.place(&placement, &quorums);
     let tune = |threads: usize| {
         with_threads(threads, || {
-            strategy_lp::tune_uniform_capacity(
-                &net, &clients, &placement, &quorums, l_opt, 6, model,
-            )
-            .unwrap()
+            strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 6, model).unwrap()
         })
     };
     let serial = tune(1);

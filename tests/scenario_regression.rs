@@ -20,8 +20,10 @@
 //!
 //! and copy the `golden:` lines printed by each scenario.
 
+use quorumnet::core::capacity::CapacityChoice;
 use quorumnet::core::manyone::{self, ManyToOneConfig};
 use quorumnet::core::strategy_lp;
+use quorumnet::core::EvalContext;
 use quorumnet::prelude::*;
 use quorumnet::scenario::{ScenarioRunner, ScenarioSpec};
 
@@ -155,14 +157,30 @@ fn golden_strategy_lp_capacitated_response() {
     let placement = one_to_one::best_placement(&net, &sys).unwrap();
     let quorums = sys.enumerate(100).unwrap();
     let model = ResponseModel::from_demand(0.007, 16000.0);
-    let (_, eval) =
-        strategy_lp::evaluate_at_uniform_capacity(&net, &clients, &placement, &quorums, 0.7, model)
-            .unwrap();
     assert_golden(
         "strategy_lp_c07_response_ms",
-        eval.avg_response_ms,
+        full_lp_response(&net, &clients, &placement, &quorums, 0.7, model),
         STRATEGY_LP_C07_RESPONSE_MS,
     );
+}
+
+/// The Golden 5 quantity: one cold full-enumeration solve of LP
+/// (4.3)–(4.6) at uniform capacity `c`, scored with `model`.
+fn full_lp_response(
+    net: &Network,
+    clients: &[NodeId],
+    placement: &Placement,
+    quorums: &[Quorum],
+    c: f64,
+    model: ResponseModel,
+) -> f64 {
+    let ctx = EvalContext::new(net, clients);
+    let pq = ctx.place(placement, quorums);
+    let caps = CapacityProfile::uniform(net.len(), c);
+    let outcome = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+    response::evaluate_matrix_placed(&pq, &outcome.strategy, model)
+        .unwrap()
+        .avg_response_ms
 }
 
 /// Golden 6 — one end-to-end `qp-protocol` DES run (the §3 motivating
@@ -249,12 +267,9 @@ fn golden_values_hold_at_four_threads() {
     // Golden 5 through the cached-geometry LP path.
     let quorums = sys.enumerate(100).unwrap();
     let model = ResponseModel::from_demand(0.007, 16000.0);
-    let (_, eval) =
-        strategy_lp::evaluate_at_uniform_capacity(&net, &clients, &placement, &quorums, 0.7, model)
-            .unwrap();
     assert_golden(
         "strategy_lp_c07_response_ms_threads4",
-        eval.avg_response_ms,
+        full_lp_response(&net, &clients, &placement, &quorums, 0.7, model),
         STRATEGY_LP_C07_RESPONSE_MS,
     );
 
@@ -299,11 +314,10 @@ fn golden_daxlist161_capacity_tuning() {
     let sys = QuorumSystem::grid(3).unwrap();
     let placement = one_to_one::grid_shell_placement(&net, NodeId::new(0), 3).unwrap();
     let quorums = sys.enumerate(100).unwrap();
-    let result = strategy_lp::tune_uniform_capacity(
-        &net,
-        &clients,
-        &placement,
-        &quorums,
+    let ctx = EvalContext::new(&net, &clients);
+    let pq = ctx.place(&placement, &quorums);
+    let result = strategy_lp::tune_uniform_capacity_placed(
+        &pq,
         sys.optimal_load().unwrap(),
         10,
         ResponseModel::from_demand(0.007, 16000.0),
@@ -330,7 +344,8 @@ fn golden_daxlist161_capacity_tuning() {
 /// Golden 8b — column generation ≡ full enumeration on the paper-scale
 /// daxlist-161 dataset: the restricted master + pricing oracle must land
 /// on the same LP optimum as the full (client × quorum) enumeration, both
-/// for a single profile solve and for the whole §7 capacity-tuning sweep,
+/// for a single profile solve and for the whole §7 capacity-tuning sweep
+/// (the tuner's `Sweep` against the full-enumeration reference sweep),
 /// while materializing strictly fewer columns.
 #[test]
 fn daxlist161_colgen_agrees_with_full_enumeration() {
@@ -339,16 +354,16 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
     let sys = QuorumSystem::grid(3).unwrap();
     let placement = one_to_one::grid_shell_placement(&net, NodeId::new(0), 3).unwrap();
     let quorums = sys.enumerate(100).unwrap();
-    let ctx = quorumnet::core::EvalContext::new(&net, &clients);
+    let ctx = EvalContext::new(&net, &clients);
     let pq = ctx.place(&placement, &quorums);
 
     // Single-profile agreement at the Golden-4 capacity.
     let caps = CapacityProfile::uniform(net.len(), 0.8);
     let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
-    let cg = strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default())
-        .unwrap()
-        .solve_profile(&caps)
-        .unwrap();
+    let mut solver =
+        strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default()).unwrap();
+    let cg = solver.solve_profile(&caps).unwrap();
+    assert_eq!(solver.pricing_violations(), Some(0));
     assert!(
         (cg.delay_ms - full.delay_ms).abs() <= 1e-9 * (1.0 + full.delay_ms.abs()),
         "daxlist-161 colgen objective {} vs full enumeration {}",
@@ -368,9 +383,21 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
     let l_opt = sys.optimal_load().unwrap();
     let model = ResponseModel::from_demand(0.007, 16000.0);
     let full_sweep = strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 10, model).unwrap();
-    let cg_sweep = strategy_lp::tune_uniform_capacity_colgen(&pq, l_opt, 10, model).unwrap();
+    let weights = vec![1.0; clients.len()];
+    let mut solver =
+        strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default()).unwrap();
+    let cg_sweep = strategy_lp::tune_capacity(
+        &mut solver,
+        &pq,
+        &weights,
+        l_opt,
+        CapacityChoice::Sweep { steps: 10 },
+        model,
+    )
+    .unwrap();
+    assert_eq!(solver.pricing_violations(), Some(0));
     let (full_c, full_eval) = full_sweep.best_point();
-    let (cg_c, cg_eval) = cg_sweep.best_point();
+    let (cg_c, cg_eval) = (&cg_sweep.capacity.unwrap(), &cg_sweep.eval);
     assert_eq!(full_c, cg_c, "sweeps disagree on the tuned capacity");
     assert_golden(
         "daxlist161_tuned_capacity",
@@ -396,9 +423,14 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
         cg_eval.avg_response_ms,
         full_eval.avg_response_ms
     );
+    assert_eq!(
+        cg_sweep.points.len(),
+        full_sweep.points.len(),
+        "sweeps disagree on the feasible points"
+    );
     assert!(
-        cg_sweep.colgen.is_some(),
-        "colgen sweep must aggregate stats"
+        solver.pricing().master_resolves >= cg_sweep.points.len(),
+        "the master's pricing totals must cover the whole sweep"
     );
 }
 

@@ -19,9 +19,10 @@ fn fig7_inputs() -> (Network, Vec<NodeId>, Placement, Vec<Quorum>, f64) {
     (net, clients, placement, quorums, l_opt)
 }
 
-/// Acceptance pin: warm-started `tune_uniform_capacity` performs strictly
-/// fewer total simplex iterations than solving every fig7 sweep point
-/// cold, with LP objectives equal to 1e-9 relative at every point.
+/// Acceptance pin: the warm-started `tune_uniform_capacity_placed`
+/// performs strictly fewer total simplex iterations than solving every
+/// fig7 sweep point cold, with LP objectives equal to 1e-9 relative at
+/// every point.
 #[test]
 fn warm_fig7_sweep_beats_cold_iteration_count() {
     let (net, clients, placement, quorums, l_opt) = fig7_inputs();
