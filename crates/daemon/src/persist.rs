@@ -5,11 +5,12 @@
 //! snapshot plus the WAL of deltas applied since it was taken.** Every
 //! delta that advances the session's sequence number is appended to the
 //! WAL — its sequence number, then the delta in the exact wire grammar
-//! of the [`crate::protocol`] module, with floats printed as `{:.17e}`
-//! so they round-trip bit-for-bit — and fsync'd before the client sees
-//! the response. Every `snapshot_every` WAL entries, the full
-//! [`PersistedState`] is written to a temp file, fsync'd, atomically
-//! renamed over the previous snapshot, and the WAL is truncated.
+//! of the [`crate::protocol`] module, with floats printed by
+//! [`qp_obs::stable_f64`] so they round-trip bit-for-bit — and fsync'd
+//! before the client sees the response. Every `snapshot_every` WAL
+//! entries, the full [`PersistedState`] is written to a temp file,
+//! fsync'd, atomically renamed over the previous snapshot, and the WAL is
+//! truncated.
 //!
 //! The sequence stamp is what makes the snapshot-then-truncate pair
 //! crash-safe without being atomic: a kill between the snapshot rename
@@ -31,6 +32,8 @@
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+
+use qp_obs::stable_f64;
 
 use crate::protocol::{parse_command, Command, Delta};
 use crate::session::{PersistedState, Session, SessionConfig, SessionError};
@@ -206,8 +209,10 @@ impl Persistence {
 /// round-trip bit-for-bit.
 fn wire_line(seq: u64, delta: &Delta) -> String {
     match *delta {
-        Delta::Slowdown { site, factor } => format!("{seq} slowdown {site} {factor:.17e}\n"),
-        Delta::Demand { loc, weight } => format!("{seq} demand {loc} {weight:.17e}\n"),
+        Delta::Slowdown { site, factor } => {
+            format!("{seq} slowdown {site} {}\n", stable_f64(factor))
+        }
+        Delta::Demand { loc, weight } => format!("{seq} demand {loc} {}\n", stable_f64(weight)),
         Delta::Crash { node } => format!("{seq} crash {node}\n"),
         Delta::Restore { node } => format!("{seq} restore {node}\n"),
     }
@@ -221,10 +226,10 @@ fn write_snapshot(dir: &Path, state: &PersistedState) -> io::Result<()> {
     text.push('\n');
     text.push_str(&format!("seq {}\n", state.seq));
     for (v, w) in state.raw_weights.iter().enumerate() {
-        text.push_str(&format!("demand {v} {w:.17e}\n"));
+        text.push_str(&format!("demand {v} {}\n", stable_f64(*w)));
     }
     for (w, f) in state.slowdown.iter().enumerate() {
-        text.push_str(&format!("slowdown {w} {f:.17e}\n"));
+        text.push_str(&format!("slowdown {w} {}\n", stable_f64(*f)));
     }
     for &w in &state.crashed {
         text.push_str(&format!("crash {w}\n"));

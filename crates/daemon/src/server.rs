@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use qp_obs::Registry;
+use qp_obs::{stable_f64, Registry};
 
 use crate::persist::Persistence;
 use crate::protocol::{parse_command, Command, Response};
@@ -454,13 +454,13 @@ pub fn execute(session: &mut Session, cmd: Command) -> Response {
                     }
                     let mig = &report.migration;
                     let mut detail = vec![
-                        format!("capacity {:.17e}", a.capacity),
-                        format!("delay_ms {:.17e}", a.delay_ms),
-                        format!("response_ms {:.17e}", a.response_ms),
+                        format!("capacity {}", stable_f64(a.capacity)),
+                        format!("delay_ms {}", stable_f64(a.delay_ms)),
+                        format!("response_ms {}", stable_f64(a.response_ms)),
                         format!("pivots {}", a.pivots),
-                        format!("moved_mass {:.17e}", mig.moved_mass),
-                        format!("delay_delta_ms {:.17e}", mig.delay_delta_ms),
-                        format!("response_delta_ms {:.17e}", mig.response_delta_ms),
+                        format!("moved_mass {}", stable_f64(mig.moved_mass)),
+                        format!("delay_delta_ms {}", stable_f64(mig.delay_delta_ms)),
+                        format!("response_delta_ms {}", stable_f64(mig.response_delta_ms)),
                     ];
                     for mv in &mig.moves {
                         detail.push(format!(
@@ -479,9 +479,9 @@ pub fn execute(session: &mut Session, cmd: Command) -> Response {
                 format!("seq {}", s.seq),
                 format!("nodes {}", s.num_nodes),
                 format!("quorums {}", s.num_quorums),
-                format!("capacity {:.17e}", s.capacity),
-                format!("delay_ms {:.17e}", s.delay_ms),
-                format!("response_ms {:.17e}", s.response_ms),
+                format!("capacity {}", stable_f64(s.capacity)),
+                format!("delay_ms {}", stable_f64(s.delay_ms)),
+                format!("response_ms {}", stable_f64(s.response_ms)),
                 format!(
                     "crashed {}",
                     if s.crashed.is_empty() {
@@ -524,13 +524,13 @@ pub fn execute(session: &mut Session, cmd: Command) -> Response {
         Command::Snapshot => {
             let a = session.answer();
             let mut detail = vec![
-                format!("capacity {:.17e}", a.capacity),
-                format!("delay_ms {:.17e}", a.delay_ms),
-                format!("response_ms {:.17e}", a.response_ms),
+                format!("capacity {}", stable_f64(a.capacity)),
+                format!("delay_ms {}", stable_f64(a.delay_ms)),
+                format!("response_ms {}", stable_f64(a.response_ms)),
                 format!("degraded {}", u8::from(session.degraded())),
             ];
             for (v, row) in a.strategy.iter().enumerate() {
-                let cells: Vec<String> = row.iter().map(|p| format!("{p:.17e}")).collect();
+                let cells: Vec<String> = row.iter().map(|&p| stable_f64(p)).collect();
                 detail.push(format!("strategy {v} {}", cells.join(" ")));
             }
             Response::ok(format!("snapshot clients={}", a.strategy.len()), detail)
