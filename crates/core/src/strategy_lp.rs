@@ -579,7 +579,8 @@ impl DeltaSource<'_> {
 impl<'a> ColGenSolver<'a> {
     /// Builds the restricted master for `pq` with uniform client weights
     /// (`ŵ_v = 1/n`), i.e. the classic LP (4.3)–(4.6) objective. No LP is
-    /// solved yet; the first `solve_*` call pays the cold master solve.
+    /// solved yet; the first [`solve_profile`](Self::solve_profile) call pays
+    /// the cold master solve.
     ///
     /// # Errors
     ///
