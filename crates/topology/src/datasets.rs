@@ -263,19 +263,20 @@ pub struct TransitStubConfig {
     pub intra_stub_ms: (f64, f64),
     /// Relative standard deviation of multiplicative delay jitter.
     pub jitter_frac: f64,
-    /// Skip the dense Floyd–Warshall [`DistanceMatrix::metric_closure`]
-    /// pass and trust the per-source Dijkstra sweep alone.
+    /// Build the network from the Dijkstra matrix
+    /// ([`crate::Graph::all_pairs_shortest_paths`]) alone, without the
+    /// dense O(n³) Floyd–Warshall [`DistanceMatrix::metric_closure`].
     ///
     /// Shortest-path distances on a connected graph already satisfy the
     /// triangle inequality, so the closure is semantically redundant here
     /// — but it is *not* a bitwise no-op: floating-point summation order
     /// differs between Dijkstra relaxations and Floyd–Warshall
-    /// `d[i][k] + d[k][j]` probes, so the closure nudges ~40% of entries
-    /// by ulps. With `sparse_apsp` the O(n³) pass is skipped entirely and
-    /// a 2,000-site topology builds in seconds; the resulting matrix is
-    /// metric to well under `1e-9` but differs from the closed matrix at
-    /// the last few bits. Defaults to `false` so existing seeds stay
-    /// bit-identical.
+    /// `d[i][k] + d[k][j]` probes, so closing nudges many entries by ulps.
+    /// With `sparse_apsp` generation is O(n·(m + n log n)) and a 2,000-site
+    /// topology builds in well under a second; the matrix is metric to
+    /// well under `1e-9` but differs from the closed matrix at the last
+    /// few bits. Defaults to `false`, which closes the matrix, so existing
+    /// seeds stay bit-identical.
     pub sparse_apsp: bool,
 }
 
@@ -314,6 +315,21 @@ impl TransitStubConfig {
     /// Panics if any count is zero, a delay range is invalid
     /// (`lo <= 0` or `hi < lo`), or `jitter_frac` is negative.
     pub fn generate(&self, seed: u64) -> Network {
+        let (graph, labels) = self.graph(seed);
+        let matrix = graph
+            .all_pairs_shortest_paths()
+            .expect("transit-stub graph is connected by construction");
+        if self.sparse_apsp {
+            Network::from_shortest_paths(matrix, labels)
+        } else {
+            Network::with_labels(matrix.metric_closure(), labels)
+        }
+        .expect("one label per site")
+    }
+
+    /// The sampled link graph and the site labels, a pure function of
+    /// `seed`; [`TransitStubConfig::generate`] documents the panics.
+    fn graph(&self, seed: u64) -> (crate::Graph, Vec<String>) {
         assert!(
             self.transit_domains > 0 && self.transit_size > 0,
             "at least one transit router required"
@@ -414,33 +430,7 @@ impl TransitStubConfig {
             }
         }
         debug_assert_eq!(next, n);
-        // Dijkstra relaxation order differs per direction, so opposite
-        // sums can differ by ulps; symmetrize before constructing.
-        let mut rows = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            let from_i = graph.shortest_paths_from(crate::NodeId::new(i));
-            assert!(
-                from_i.iter().all(|d| d.is_finite()),
-                "transit-stub graph is connected by construction"
-            );
-            rows[i] = from_i;
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = 0.5 * (rows[i][j] + rows[j][i]);
-                rows[i][j] = d;
-                rows[j][i] = d;
-            }
-        }
-        let matrix = DistanceMatrix::from_rows(&rows).expect("symmetrized by construction");
-        let matrix = if self.sparse_apsp {
-            // Dijkstra distances are already shortest paths; skipping the
-            // dense closure keeps generation O(n·(m + n log n)).
-            matrix
-        } else {
-            matrix.metric_closure()
-        };
-        Network::with_labels(matrix, labels).expect("one label per site")
+        (graph, labels)
     }
 }
 
@@ -789,10 +779,10 @@ mod tests {
 
     #[test]
     fn transit_stub_sparse_apsp_matches_closure_to_tolerance() {
-        // Skipping the dense closure changes entries only at the ulp
-        // level: the Dijkstra sweep already yields shortest paths, so the
-        // sparse matrix must be metric and agree with the closed one to
-        // far better than the 1e-9 relative tolerance the goldens use.
+        // The sparse path is the Dijkstra matrix itself, bit for bit: no
+        // closure runs on it. Closing it changes entries only at the ulp
+        // level, so it must be metric and agree with the closed network
+        // to far better than the 1e-9 relative tolerance the goldens use.
         let closed_cfg = TransitStubConfig::default();
         let sparse_cfg = TransitStubConfig {
             sparse_apsp: true,
@@ -800,6 +790,12 @@ mod tests {
         };
         let closed = closed_cfg.generate(7);
         let sparse = sparse_cfg.generate(7);
+        let (graph, _) = sparse_cfg.graph(7);
+        assert_eq!(
+            sparse.distances(),
+            &graph.all_pairs_shortest_paths().unwrap(),
+            "the sparse path must not close the shortest-path matrix"
+        );
         assert_eq!(closed.len(), sparse.len());
         assert!(sparse.distances().is_metric(1e-9));
         for i in closed.nodes() {

@@ -49,8 +49,21 @@ impl DistanceMatrix {
                 });
             }
         }
-        for (i, row) in rows.iter().enumerate() {
-            for (j, &x) in row.iter().enumerate() {
+        DistanceMatrix::from_flat(n, rows.iter().flatten().copied().collect())
+    }
+
+    /// Builds a matrix from `n × n` row-major entries, making every check
+    /// [`DistanceMatrix::from_rows`] makes after its shape check, in the
+    /// same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != n * n`.
+    pub(crate) fn from_flat(n: usize, data: Vec<f64>) -> Result<Self, TopologyError> {
+        assert_eq!(data.len(), n * n, "flat matrix must hold n * n entries");
+        for i in 0..n {
+            for j in 0..n {
+                let x = data[i * n + j];
                 if !x.is_finite() || x < 0.0 {
                     return Err(TopologyError::InvalidDistance {
                         from: i,
@@ -61,12 +74,11 @@ impl DistanceMatrix {
                 if i == j && x != 0.0 {
                     return Err(TopologyError::NonzeroDiagonal { node: i, value: x });
                 }
-                if rows[j][i] != x {
+                if data[j * n + i] != x {
                     return Err(TopologyError::Asymmetric { from: i, to: j });
                 }
             }
         }
-        let data = rows.iter().flatten().copied().collect();
         Ok(DistanceMatrix { n, data })
     }
 
@@ -152,9 +164,6 @@ impl DistanceMatrix {
         for k in 0..n {
             for i in 0..n {
                 let dik = d[i * n + k];
-                if dik == 0.0 && i != k {
-                    // still fine; zero-length shortcut
-                }
                 for j in 0..n {
                     let via = dik + d[k * n + j];
                     if via < d[i * n + j] {

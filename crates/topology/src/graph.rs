@@ -104,11 +104,49 @@ impl Graph {
     pub fn shortest_paths_from(&self, src: NodeId) -> Vec<f64> {
         assert!(src.index() < self.n, "source node out of range");
         let mut dist = vec![f64::INFINITY; self.n];
-        dist[src.index()] = 0.0;
+        self.dijkstra(src.index(), &mut dist, &mut BinaryHeap::new());
+        dist
+    }
+
+    /// All-pairs shortest-path distances, as a [`DistanceMatrix`].
+    ///
+    /// Runs Dijkstra from every node into the rows of one flat `n × n`
+    /// buffer, reusing a single heap: `O(|V| · |E| log |V|)`, better than
+    /// Floyd–Warshall on the sparse graphs this crate builds. The two
+    /// directions of a pair add the same lengths in different orders, so
+    /// they can differ by ulps; each pair gets `0.5 · (d[i][j] + d[j][i])`,
+    /// which is exact where both directions agree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::Disconnected`] if any pair is unreachable.
+    pub fn all_pairs_shortest_paths(&self) -> Result<DistanceMatrix, TopologyError> {
+        let n = self.n;
+        let mut data = vec![f64::INFINITY; n * n];
         let mut heap = BinaryHeap::new();
+        for (src, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
+            self.dijkstra(src, row, &mut heap);
+            if row.iter().any(|d| !d.is_finite()) {
+                return Err(TopologyError::Disconnected);
+            }
+        }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = 0.5 * (data[i * n + j] + data[j * n + i]);
+                data[i * n + j] = d;
+                data[j * n + i] = d;
+            }
+        }
+        DistanceMatrix::from_flat(n, data)
+    }
+
+    /// Dijkstra from `src` into `dist`, which must hold `f64::INFINITY`
+    /// everywhere on entry. Leaves `heap` empty.
+    fn dijkstra(&self, src: usize, dist: &mut [f64], heap: &mut BinaryHeap<HeapItem>) {
+        dist[src] = 0.0;
         heap.push(HeapItem {
             dist: 0.0,
-            node: src.index(),
+            node: src,
         });
         while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
             if d > dist[u] {
@@ -122,27 +160,6 @@ impl Graph {
                 }
             }
         }
-        dist
-    }
-
-    /// All-pairs shortest-path distances, as a [`DistanceMatrix`].
-    ///
-    /// Runs Dijkstra from every node: `O(|V| · |E| log |V|)`, better than
-    /// Floyd–Warshall on the sparse graphs this crate builds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::Disconnected`] if any pair is unreachable.
-    pub fn all_pairs_shortest_paths(&self) -> Result<DistanceMatrix, TopologyError> {
-        let mut rows = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            let row = self.shortest_paths_from(NodeId::new(i));
-            if row.iter().any(|d| !d.is_finite()) {
-                return Err(TopologyError::Disconnected);
-            }
-            rows.push(row);
-        }
-        DistanceMatrix::from_rows(&rows)
     }
 }
 
@@ -231,6 +248,27 @@ mod tests {
         g.add_edge(NodeId::new(0), NodeId::new(1), 2.0).unwrap();
         let d = g.all_pairs_shortest_paths().unwrap();
         assert_eq!(d.get(NodeId::new(0), NodeId::new(1)), 2.0);
+    }
+
+    #[test]
+    fn apsp_symmetrizes_float_path_lengths() {
+        // The two Dijkstra directions sum 0.1 + 0.2 + 0.3 in opposite
+        // orders (0.6000000000000001 one way, 0.6 the other).
+        let mut g = Graph::new(4);
+        for (i, &l) in [0.1, 0.2, 0.3].iter().enumerate() {
+            g.add_edge(NodeId::new(i), NodeId::new(i + 1), l).unwrap();
+        }
+        let d = g.all_pairs_shortest_paths().unwrap();
+        for i in 0..4 {
+            for j in 0..4 {
+                let (a, b) = (NodeId::new(i), NodeId::new(j));
+                assert_eq!(d.get(a, b), d.get(b, a));
+            }
+        }
+        assert!((d.get(NodeId::new(0), NodeId::new(3)) - 0.6).abs() < 1e-15);
+        assert!(d.is_metric(1e-12));
+        let net = crate::Network::from_graph(&g).unwrap();
+        assert_eq!(net.distances(), &d);
     }
 
     #[test]

@@ -51,10 +51,14 @@ pub use node::NodeId;
 /// between them.
 ///
 /// `Network` is the type every placement algorithm consumes. It couples a
-/// [`DistanceMatrix`] (always a true metric — construction enforces metric
-/// closure) with optional site labels, and exposes the graph-analysis
-/// primitives the paper's algorithms need: balls `B(v, n)`, the graph
-/// median, and per-node average distances.
+/// [`DistanceMatrix`] that is always a metric with optional site labels,
+/// and exposes the graph-analysis primitives the paper's algorithms need:
+/// balls `B(v, n)`, the graph median, and per-node average distances.
+/// Matrices from measurements or formulas ([`Network::from_distances`],
+/// [`Network::with_labels`], [`io::read_matrix_file`]) are metrically
+/// closed on construction. Shortest-path matrices ([`Network::from_graph`],
+/// [`datasets::TransitStubConfig`] with `sparse_apsp`) already are the
+/// metric, and are not closed again.
 ///
 /// # Examples
 ///
@@ -83,16 +87,18 @@ impl Network {
     /// (detour routing); shortest-path semantics (the paper's `d` is a
     /// shortest-path distance) repair this, so the closure is always applied.
     pub fn from_distances(dist: DistanceMatrix) -> Self {
-        let closed = dist.metric_closure();
-        let labels = (0..closed.len()).map(|i| format!("site-{i}")).collect();
+        let labels = site_labels(dist.len());
         Network {
-            dist: closed,
+            dist: dist.metric_closure(),
             labels,
         }
     }
 
     /// Builds a network from a sparse weighted graph via all-pairs shortest
-    /// paths.
+    /// paths ([`Graph::all_pairs_shortest_paths`]).
+    ///
+    /// The shortest-path matrix already is the paper's metric `d`, so it is
+    /// not closed again.
     ///
     /// # Errors
     ///
@@ -100,25 +106,42 @@ impl Network {
     /// connecting path.
     pub fn from_graph(graph: &Graph) -> Result<Self, TopologyError> {
         let dist = graph.all_pairs_shortest_paths()?;
-        Ok(Network::from_distances(dist))
+        let labels = site_labels(dist.len());
+        Network::from_shortest_paths(dist, labels)
     }
 
-    /// Builds a network from a distance matrix and per-site labels.
+    /// Builds a network from a distance matrix and per-site labels,
+    /// applying metric closure as [`Network::from_distances`] does.
     ///
     /// # Errors
     ///
     /// Returns [`TopologyError::LabelCount`] if `labels.len()` differs from
     /// the matrix dimension.
     pub fn with_labels(dist: DistanceMatrix, labels: Vec<String>) -> Result<Self, TopologyError> {
+        // Check the labels before paying for the closure.
+        let mut net = Network::from_shortest_paths(dist, labels)?;
+        net.dist = net.dist.metric_closure();
+        Ok(net)
+    }
+
+    /// Builds a labelled network from a shortest-path matrix, without
+    /// closing it again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::LabelCount`] if `labels.len()` differs from
+    /// the matrix dimension.
+    pub(crate) fn from_shortest_paths(
+        dist: DistanceMatrix,
+        labels: Vec<String>,
+    ) -> Result<Self, TopologyError> {
         if labels.len() != dist.len() {
             return Err(TopologyError::LabelCount {
                 expected: dist.len(),
                 actual: labels.len(),
             });
         }
-        let mut net = Network::from_distances(dist);
-        net.labels = labels;
-        Ok(net)
+        Ok(Network { dist, labels })
     }
 
     /// Number of sites.
@@ -214,6 +237,11 @@ impl Network {
             labels,
         }
     }
+}
+
+/// The default labels `site-0`, `site-1`, ….
+fn site_labels(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("site-{i}")).collect()
 }
 
 #[cfg(test)]

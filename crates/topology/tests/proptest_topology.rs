@@ -106,6 +106,21 @@ proptest! {
                 prop_assert!((d.get(NodeId::new(i), NodeId::new(j)) - expected).abs() < 1e-9);
             }
         }
+        // Path graph 0 - 1 - … - (n-1): the two Dijkstra directions add the
+        // float lengths in opposite orders, yet APSP succeeds, symmetric.
+        let mut path = Graph::new(n);
+        for i in 1..n {
+            path.add_edge(NodeId::new(i - 1), NodeId::new(i), weights[i]).unwrap();
+        }
+        let d = path.all_pairs_shortest_paths().unwrap();
+        for i in 0..n {
+            for j in i..n {
+                let (a, b) = (NodeId::new(i), NodeId::new(j));
+                prop_assert_eq!(d.get(a, b), d.get(b, a));
+                let expected: f64 = weights[i + 1..=j].iter().sum();
+                prop_assert!((d.get(a, b) - expected).abs() < 1e-9);
+            }
+        }
     }
 
     #[test]
@@ -133,12 +148,14 @@ proptest! {
         routers in 1usize..4,
         stubs in 1usize..3,
         stub_size in 1usize..5,
+        sparse in 0u8..2,
     ) {
         let cfg = datasets::TransitStubConfig {
             transit_domains: domains,
             transit_size: routers,
             stubs_per_transit: stubs,
             stub_size,
+            sparse_apsp: sparse == 1,
             ..datasets::TransitStubConfig::default()
         };
         let a = cfg.generate(seed);
