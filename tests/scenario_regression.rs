@@ -659,10 +659,10 @@ const SCENARIO_TS_LP_DELAY_MS: f64 = 48.338477296683;
 const SCENARIO_TS_PHASE0_RESPONSE_MS: f64 = 49.470651817452;
 const SCENARIO_TS_PHASE2_RESPONSE_MS: f64 = 48.425538319987;
 const SCENARIO_COLGEN2000_LP_DELAY_MS: f64 = 81.652446318974;
-const SCENARIO_COLGEN2000_RESPONSE_MS: f64 = 1580.273875207047;
+const SCENARIO_COLGEN2000_RESPONSE_MS: f64 = 1580.290114573411;
 const SCENARIO_HIER_LP_DELAY_MS: f64 = 67.345745448583;
 const SCENARIO_HIER_RESPONSE_MS: f64 = 68.375754409850;
 const SCENARIO_MILLION_LP_DELAY_MS: f64 = 34.250238233218;
-const SCENARIO_MILLION_PHASE0_RESPONSE_MS: f64 = 65.699761255401;
-const SCENARIO_MILLION_PHASE1_RESPONSE_MS: f64 = 187.445264029132;
-const SCENARIO_MILLION_PHASE2_RESPONSE_MS: f64 = 65.710837684864;
+const SCENARIO_MILLION_PHASE0_RESPONSE_MS: f64 = 65.725429668692;
+const SCENARIO_MILLION_PHASE1_RESPONSE_MS: f64 = 187.546086989958;
+const SCENARIO_MILLION_PHASE2_RESPONSE_MS: f64 = 65.731651479167;
