@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the core computational kernels:
 //! LP solves, placement construction and search, metric closure,
-//! order-statistic evaluation, and DES event throughput.
+//! topology generation, order-statistic evaluation, and DES event
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -260,6 +261,42 @@ fn bench_metric_closure(c: &mut Criterion) {
         let m = net.distances().clone();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| m.metric_closure());
+        });
+    }
+    group.finish();
+}
+
+/// Transit-stub generation. `transit_stub_2000` is the shape of
+/// `data/scenarios/transit_colgen_2000.toml` (one Dijkstra matrix, no
+/// closure); the 500-site pair prices the dense Floyd–Warshall closure
+/// the default path adds (a closed 2,000-site build takes seconds).
+fn bench_topology(c: &mut Criterion) {
+    let mut group = c.benchmark_group("topology");
+    group.sample_size(10);
+    let colgen_2000 = datasets::TransitStubConfig {
+        transit_domains: 5,
+        transit_size: 4,
+        stubs_per_transit: 9,
+        stub_size: 11,
+        jitter_frac: 0.04,
+        sparse_apsp: true,
+        ..datasets::TransitStubConfig::default()
+    };
+    assert_eq!(colgen_2000.sites(), 2000);
+    group.bench_function(BenchmarkId::new("transit_stub_2000", "sparse"), |b| {
+        b.iter(|| colgen_2000.generate(11));
+    });
+    for sparse_apsp in [false, true] {
+        let cfg = datasets::TransitStubConfig {
+            stubs_per_transit: 4,
+            stub_size: 6,
+            sparse_apsp,
+            ..colgen_2000.clone()
+        };
+        assert_eq!(cfg.sites(), 500);
+        let id = if sparse_apsp { "sparse" } else { "closed" };
+        group.bench_function(BenchmarkId::new("transit_stub_500", id), |b| {
+            b.iter(|| cfg.generate(11));
         });
     }
     group.finish();
@@ -548,6 +585,7 @@ criterion_group!(
     bench_manyone_lp,
     bench_placement_search,
     bench_metric_closure,
+    bench_topology,
     bench_expected_max,
     bench_evaluation,
     bench_sweep_parallel,

@@ -15,7 +15,7 @@
 //! transit-size = 2
 //! stubs-per-transit = 1
 //! stub-size = 3
-//! sparse-apsp = false        # skip the dense metric closure (large nets)
+//! sparse-apsp = false        # true: Dijkstra matrix, no O(n³) closure
 //!
 //! [workload]
 //! locations = 6

@@ -7,8 +7,9 @@ use crate::{NodeId, TopologyError};
 /// Storage is a flat row-major `Vec<f64>`; symmetry and a zero diagonal are
 /// enforced at construction. A `DistanceMatrix` need not satisfy the
 /// triangle inequality — call [`DistanceMatrix::metric_closure`] to obtain
-/// the shortest-path metric it induces (this is what [`crate::Network`]
-/// does automatically).
+/// the shortest-path metric it induces (this is what
+/// [`crate::Network::from_distances`] and [`crate::Network::with_labels`]
+/// do automatically).
 ///
 /// # Examples
 ///

@@ -495,8 +495,10 @@ fn golden_scenario_hierarchical_uniform() {
     );
 }
 
-/// Golden 12 — the scale showcase: a 2,000-site transit-stub WAN
-/// (sparse-graph APSP, no dense metric closure) solved end-to-end
+/// Golden 12 — the scale showcase: a 2,000-site transit-stub WAN whose
+/// matrix is the sparse graph's Dijkstra APSP, with no dense metric
+/// closure run on it (so it differs from the closed matrix by ulps, and
+/// the LP may stop at another tied vertex), solved end-to-end
 /// through the column-generation strategy LP. Pins the LP delay and the
 /// DES response, and asserts the restricted master materialized well
 /// under half of the 2000 × 25 (location × quorum) columns full
