@@ -51,8 +51,8 @@ pub use node::NodeId;
 /// between them.
 ///
 /// `Network` is the type every placement algorithm consumes. It couples a
-/// [`DistanceMatrix`] that is always a metric with optional site labels,
-/// and exposes the graph-analysis primitives the paper's algorithms need:
+/// [`DistanceMatrix`], always a metric, with optional site labels, and
+/// exposes the graph-analysis primitives the paper's algorithms need:
 /// balls `B(v, n)`, the graph median, and per-node average distances.
 /// Matrices from measurements or formulas ([`Network::from_distances`],
 /// [`Network::with_labels`], [`io::read_matrix_file`]) are metrically
