@@ -355,24 +355,45 @@ impl QuorumSystem {
     /// §7): a uniform `q`-subset for Majorities, a uniform `(row, column)`
     /// pair for Grids, a uniform list entry for explicit systems.
     pub fn sample_uniform<R: Rng + ?Sized>(&self, rng: &mut R) -> Quorum {
+        let mut elements = Vec::new();
+        self.sample_uniform_into(rng, &mut elements);
+        Quorum::new(elements)
+    }
+
+    /// [`sample_uniform`](Self::sample_uniform) into a reused buffer: the
+    /// same random draws pick the same quorum, whose elements replace
+    /// `out`'s contents in ascending order.
+    pub fn sample_uniform_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<ElementId>) {
+        out.clear();
         match &self.inner {
             Inner::Majority { kind, t } => {
                 let n = kind.universe_size(*t);
                 let q = kind.quorum_size(*t);
-                // Partial Fisher–Yates.
-                let mut pool: Vec<usize> = (0..n).collect();
+                // Partial Fisher–Yates over the whole universe.
+                out.extend((0..n).map(ElementId::new));
                 for i in 0..q {
                     let j = rng.gen_range(i..n);
-                    pool.swap(i, j);
+                    out.swap(i, j);
                 }
-                pool[..q].iter().map(|&i| ElementId::new(i)).collect()
+                out.truncate(q);
+                out.sort_unstable();
             }
             Inner::Grid { k } => {
-                let i = rng.gen_range(0..*k);
-                let j = rng.gen_range(0..*k);
-                grid_quorum(*k, i, j)
+                let k = *k;
+                let i = rng.gen_range(0..k);
+                let j = rng.gen_range(0..k);
+                // Column j above and below row i, all of row i between.
+                for r in 0..k {
+                    if r == i {
+                        out.extend((0..k).map(|c| ElementId::new(i * k + c)));
+                    } else {
+                        out.push(ElementId::new(r * k + j));
+                    }
+                }
             }
-            Inner::Explicit { quorums, .. } => quorums[rng.gen_range(0..quorums.len())].clone(),
+            Inner::Explicit { quorums, .. } => {
+                out.extend_from_slice(quorums[rng.gen_range(0..quorums.len())].as_slice());
+            }
         }
     }
 
@@ -573,6 +594,33 @@ mod tests {
                 let q = sys.sample_uniform(&mut rng);
                 assert!(sys.is_quorum(&q), "{q} not a quorum of {sys}");
                 assert_eq!(q.len(), sys.min_quorum_size());
+            }
+        }
+    }
+
+    #[test]
+    fn sample_into_a_dirty_buffer_yields_the_sorted_quorum() {
+        let explicit = QuorumSystem::explicit(
+            3,
+            vec![
+                Quorum::new(vec![ElementId::new(0), ElementId::new(1)]),
+                Quorum::new(vec![ElementId::new(1), ElementId::new(2)]),
+            ],
+            "pair",
+        )
+        .unwrap();
+        for sys in [
+            QuorumSystem::majority(MajorityKind::FourFifths, 2).unwrap(),
+            QuorumSystem::grid(4).unwrap(),
+            explicit,
+        ] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut buf = vec![ElementId::new(99); 40];
+            for _ in 0..50 {
+                sys.sample_uniform_into(&mut rng, &mut buf);
+                let q = Quorum::new(buf.clone());
+                assert_eq!(q.as_slice(), &buf[..], "unsorted or duplicated: {buf:?}");
+                assert!(sys.is_quorum(&q), "{q} not a quorum of {sys}");
             }
         }
     }
