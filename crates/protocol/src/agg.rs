@@ -33,7 +33,9 @@ use qp_des::{ServiceStation, SimTime, Tally, TimeWheel};
 use qp_quorum::{Quorum, QuorumSystem};
 use qp_topology::{Network, NodeId};
 
-use crate::sim::{build_servers, crashed_mask, residual_busy, validate_inputs, ResponseStats};
+use crate::sim::{
+    build_servers, crashed_mask, group_by_node, residual_busy, validate_inputs, ResponseStats,
+};
 use crate::{ClientPopulation, FaultConfig, ProtocolConfig, QuorumChoice, SimError, SimReport};
 
 /// Enumeration cap when the aggregated engine must materialize the quorum
@@ -291,6 +293,7 @@ pub fn simulate_aggregated(
     // detection-window mass.
     let mut flows: Vec<Flow> = Vec::new();
     let mut total_members = 0usize;
+    let mut by_node = Vec::new();
     for (l, &loc) in locations.iter().enumerate() {
         let per_quorum = apportion(loc_counts[l], &rows[l]);
         // Mass shifted off dead quorums at detection time.
@@ -345,26 +348,21 @@ pub fn simulate_aggregated(
             }
             // Group the quorum's elements by hosting node, exactly as the
             // exact engine does per request.
-            let mut by_node: Vec<(usize, Vec<usize>)> = Vec::new();
-            for u in quorums[i].iter() {
-                let w = placement.node_of(u).index();
-                match by_node.binary_search_by_key(&w, |&(node, _)| node) {
-                    Ok(pos) => by_node[pos].1.push(u.index()),
-                    Err(pos) => by_node.insert(pos, (w, vec![u.index()])),
-                }
-            }
-            let mut nodes = Vec::with_capacity(by_node.len());
+            group_by_node(placement, quorums[i].as_slice(), &mut by_node);
+            let mut nodes = Vec::new();
             let mut floor_ms = f64::MIN;
-            for (w, elems) in &by_node {
-                let d = net.distance(loc, NodeId::new(*w));
+            for group in by_node.chunk_by(|a, b| a.0 == b.0) {
+                let w = group[0].0;
+                let d = net.distance(loc, NodeId::new(w));
+                let services = group.iter().map(|&(_, u)| service_of(u));
                 let svc = if config.dedup_colocated {
-                    elems.iter().map(|&u| service_of(u)).fold(0.0, f64::max)
+                    services.fold(0.0, f64::max)
                 } else {
-                    elems.iter().map(|&u| service_of(u)).sum()
+                    services.sum()
                 };
                 floor_ms = floor_ms.max(d + svc);
                 nodes.push(FlowNode {
-                    node: *w,
+                    node: w,
                     one_way_ms: d / 2.0,
                     service_ms: svc,
                 });
@@ -464,6 +462,19 @@ pub fn simulate_aggregated(
         }
     }
 
+    // Request conservation: the wheel ran dry, so every flow finished all
+    // its rounds and measured each member once per measured round.
+    assert!(
+        flows.iter().all(|flow| flow.rounds_done == total_rounds),
+        "request conservation: a flow stopped short of {total_rounds} rounds"
+    );
+    let measured = total_members as u64 * config.measured_requests as u64;
+    assert_eq!(
+        response_stats.count(),
+        measured,
+        "request conservation: {measured} measured requests expected"
+    );
+
     let horizon = wheel.now();
     let horizon_ms = horizon.as_ms().max(f64::MIN_POSITIVE);
     let per_client: Vec<f64> = if config.measured_requests == 0 {
@@ -475,9 +486,9 @@ pub fn simulate_aggregated(
             .collect()
     };
     let percentiles = response_stats.percentiles();
-    // End-of-run flush mirroring the exact engine's (`des_heap_*`): the
-    // fluid loop stays instrumentation-free and the wheel's sequence
-    // counter supplies the push/pop totals.
+    // End-of-run flush mirroring the exact engine's: the fluid loop stays
+    // instrumentation-free and the wheel's sequence counter supplies the
+    // push/pop totals.
     if qp_obs::enabled() {
         qp_obs::counter_add("des_agg_runs_total", 1);
         qp_obs::counter_add("des_wheel_push_total", wheel.pushes());

@@ -4,9 +4,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qp_core::Placement;
-use qp_des::{EventQueue, P2Quantile, Sample, ServiceStation, SimTime, Tally};
-use qp_quorum::{Quorum, QuorumSystem, StrategyMatrix};
-use qp_topology::Network;
+use qp_des::{P2Quantile, Sample, ServiceStation, SimTime, Tally, TimeWheel};
+use qp_quorum::{ElementId, Quorum, QuorumSystem, StrategyMatrix};
+use qp_topology::{Network, NodeId};
 
 use crate::ClientPopulation;
 
@@ -193,13 +193,19 @@ enum Event {
     Timeout { request: usize },
 }
 
-#[derive(Debug)]
+/// One request attempt in flight; events refer to it by slot index.
+#[derive(Debug, Clone, Copy)]
 struct RequestState {
     client: usize,
     /// Send time of the logical request's *first* attempt; response times
     /// are measured from here so retries pay for their timeouts.
     first_sent_at: SimTime,
+    /// Replies still owed, dead fragments included (so an attempt that
+    /// touches a crashed element never completes).
     remaining: usize,
+    /// Events still scheduled for this slot: live arrivals or their
+    /// replies, plus a pending timeout. At zero the slot is free.
+    scheduled: usize,
     /// Idle-network floor: max over the quorum of RTT + service.
     floor_ms: f64,
     measured: bool,
@@ -207,6 +213,52 @@ struct RequestState {
     attempt: usize,
     /// Timed out: late replies are ignored and completion is impossible.
     abandoned: bool,
+}
+
+/// Mutable state of one exact run: the event wheel, the request slots
+/// with their free list, and the buffers every request issue reuses.
+struct ExactState {
+    rng: StdRng,
+    wheel: TimeWheel<Event>,
+    slots: Vec<RequestState>,
+    free_slots: Vec<usize>,
+    /// Fresh requests issued per client.
+    issued: Vec<usize>,
+    /// The chosen quorum's elements, ascending.
+    elements: Vec<ElementId>,
+    /// `(node, element)` pairs of the chosen quorum, sorted: each run of
+    /// one node is that node's group.
+    by_node: Vec<(usize, usize)>,
+    /// `(node, service_ms, dead)` per fragment; dead fragments go to
+    /// crashed replicas and are swallowed (no service, no reply).
+    messages: Vec<(usize, f64, bool)>,
+}
+
+impl ExactState {
+    /// Stores `state` in a free slot, or a new one, and returns its index.
+    fn occupy(&mut self, state: RequestState) -> usize {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot] = state;
+                slot
+            }
+            None => {
+                self.slots.push(state);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Retires one scheduled event of `slot`, freeing the slot when it was
+    /// the last, and returns the slot's state for the handler to read.
+    fn retire(&mut self, slot: usize) -> RequestState {
+        let state = &mut self.slots[slot];
+        state.scheduled -= 1;
+        if state.scheduled == 0 {
+            self.free_slots.push(slot);
+        }
+        *state
+    }
 }
 
 /// How a request issuance relates to the logical request stream.
@@ -244,6 +296,10 @@ impl std::error::Error for SimError {}
 /// fallback so quorums avoiding crashes always rank first.
 const CRASH_COST_PENALTY: f64 = 1e12;
 
+/// Floor of the exact engine's wheel quantum, so a zero service time still
+/// gives a positive slot width.
+const MIN_QUANTUM_MS: f64 = 1e-3;
+
 /// Cap on `Balanced`-choice rejection sampling when avoiding crashed
 /// elements (gives up and accepts a doomed quorum after this many draws).
 const LIVE_SAMPLE_ATTEMPTS: usize = 64;
@@ -280,6 +336,22 @@ fn sample_weighted_row(row: &[f64], rng: &mut StdRng) -> usize {
         pick -= p;
     }
     idx
+}
+
+/// Fills `pairs` with the `(node, element)` indices of `elements`, sorted:
+/// each run of one node is that node's group, its elements ascending.
+pub(crate) fn group_by_node(
+    placement: &Placement,
+    elements: &[ElementId],
+    pairs: &mut Vec<(usize, usize)>,
+) {
+    pairs.clear();
+    pairs.extend(
+        elements
+            .iter()
+            .map(|&u| (placement.node_of(u).index(), u.index())),
+    );
+    pairs.sort_unstable();
 }
 
 /// Shape checks shared by the exact and aggregated engines.
@@ -483,7 +555,6 @@ pub fn simulate(
 ) -> Result<SimReport, SimError> {
     validate_inputs(net, system, placement, clients, &choice, config)?;
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let client_locs = clients.client_locations();
     let n_clients = client_locs.len();
     let per_client_total = config.warmup_requests + config.measured_requests;
@@ -502,11 +573,21 @@ pub fn simulate(
         })
         .collect();
 
-    let mut queue: EventQueue<Event> = EventQueue::new();
+    // The wheel pops in the heap's order — time, then FIFO — whatever its
+    // quantum; a tenth of the service time keeps level-0 slots short.
+    let quantum = (config.service_time_ms / 10.0).max(MIN_QUANTUM_MS);
+    let mut st = ExactState {
+        rng: StdRng::seed_from_u64(config.seed),
+        wheel: TimeWheel::new(quantum),
+        slots: Vec::new(),
+        free_slots: Vec::new(),
+        issued: vec![0; n_clients],
+        elements: Vec::new(),
+        by_node: Vec::new(),
+        messages: Vec::new(),
+    };
     // One station per physical node: co-located elements share a machine.
     let mut servers: Vec<ServiceStation> = build_servers(net.len(), config);
-    let mut requests: Vec<RequestState> = Vec::new();
-    let mut issued = vec![0usize; n_clients];
     let mut response_stats = ResponseStats::new(config.streaming_percentiles);
     let mut floor_tally = Tally::new();
     let mut per_client: Vec<Tally> = (0..n_clients).map(|_| Tally::new()).collect();
@@ -570,74 +651,72 @@ pub fn simulate(
     // (post-detection fresh requests and failover retries); otherwise the
     // selection — and its RNG draws — is bit-identical to the historical
     // fail-unaware path.
-    let issue = |client: usize,
-                 send_at: SimTime,
-                 kind: IssueKind,
-                 use_live: bool,
-                 rng: &mut StdRng,
-                 queue: &mut EventQueue<Event>,
-                 requests: &mut Vec<RequestState>,
-                 issued: &mut Vec<usize>| {
+    let issue = |client: usize, send_at: SimTime, kind, use_live: bool, st: &mut ExactState| {
         let loc = client_locs[client];
-        let quorum = if use_live {
-            match &choice {
-                QuorumChoice::Balanced => {
-                    let mut q = system.sample_uniform(rng);
+        let row_of = location_of_client[client];
+        let elements = &mut st.elements;
+        let rng = &mut st.rng;
+        match &choice {
+            QuorumChoice::Balanced => {
+                system.sample_uniform_into(rng, elements);
+                if use_live {
                     for _ in 0..LIVE_SAMPLE_ATTEMPTS {
-                        if !q.iter().any(|u| crashed[u.index()]) {
+                        if !elements.iter().any(|u| crashed[u.index()]) {
                             break;
                         }
-                        q = system.sample_uniform(rng);
+                        system.sample_uniform_into(rng, elements);
                     }
-                    q
                 }
-                QuorumChoice::Closest => {
-                    closest_live_by_location[location_of_client[client]].clone()
-                }
-                QuorumChoice::Weighted { quorums, strategy } => {
-                    let row = strategy.row(location_of_client[client]);
-                    let live_mass: f64 = row
-                        .iter()
+            }
+            QuorumChoice::Closest => {
+                let table = if use_live {
+                    &closest_live_by_location
+                } else {
+                    &closest_by_location
+                };
+                elements.clear();
+                elements.extend_from_slice(table[row_of].as_slice());
+            }
+            QuorumChoice::Weighted { quorums, strategy } => {
+                let row = strategy.row(row_of);
+                let live_mass: f64 = if use_live {
+                    row.iter()
                         .enumerate()
                         .filter(|&(i, _)| !quorum_dead[i])
                         .map(|(_, &p)| p)
-                        .sum();
-                    if live_mass > 0.0 {
-                        // One draw over the renormalized surviving mass,
-                        // falling through to the last live quorum.
-                        let mut pick: f64 = rng.gen_range(0.0..1.0) * live_mass;
-                        let mut idx = None;
-                        for (i, &p) in row.iter().enumerate() {
-                            if quorum_dead[i] {
-                                continue;
-                            }
-                            idx = Some(i);
-                            if pick < p {
-                                break;
-                            }
-                            pick -= p;
+                        .sum()
+                } else {
+                    0.0
+                };
+                let idx = if live_mass > 0.0 {
+                    // One draw over the renormalized surviving mass,
+                    // falling through to the last live quorum.
+                    let mut pick: f64 = rng.gen_range(0.0..1.0) * live_mass;
+                    let mut idx = None;
+                    for (i, &p) in row.iter().enumerate() {
+                        if quorum_dead[i] {
+                            continue;
                         }
-                        quorums[idx.expect("positive live mass has a live quorum")].clone()
-                    } else {
-                        // Every quorum touches a crash: nominal row.
-                        quorums[sample_weighted_row(row, rng)].clone()
+                        idx = Some(i);
+                        if pick < p {
+                            break;
+                        }
+                        pick -= p;
                     }
-                }
+                    idx.expect("positive live mass has a live quorum")
+                } else {
+                    // Nominal row: fail-unaware, or every quorum touches
+                    // a crash.
+                    sample_weighted_row(row, rng)
+                };
+                elements.clear();
+                elements.extend_from_slice(quorums[idx].as_slice());
             }
-        } else {
-            match &choice {
-                QuorumChoice::Balanced => system.sample_uniform(rng),
-                QuorumChoice::Closest => closest_by_location[location_of_client[client]].clone(),
-                QuorumChoice::Weighted { quorums, strategy } => {
-                    let row = strategy.row(location_of_client[client]);
-                    quorums[sample_weighted_row(row, rng)].clone()
-                }
-            }
-        };
+        }
         let (attempt, first_sent_at, measured) = match kind {
             IssueKind::Fresh => {
-                let seq = issued[client];
-                issued[client] += 1;
+                let seq = st.issued[client];
+                st.issued[client] += 1;
                 (0, send_at, seq >= config.warmup_requests)
             }
             IssueKind::Retry {
@@ -648,56 +727,49 @@ pub fn simulate(
         };
         // Group the quorum's elements by hosting node: one message per
         // element normally, one per node under deduplicated execution.
-        let mut by_node: Vec<(usize, Vec<usize>)> = Vec::new();
-        for u in quorum.iter() {
-            let w = placement.node_of(u).index();
-            match by_node.binary_search_by_key(&w, |&(n, _)| n) {
-                Ok(pos) => by_node[pos].1.push(u.index()),
-                Err(pos) => by_node.insert(pos, (w, vec![u.index()])),
-            }
-        }
-        // (node, service, dead): dead messages go to crashed replicas and
-        // are swallowed — no service, no reply.
-        let mut messages: Vec<(usize, f64, bool)> = Vec::new();
+        group_by_node(placement, &st.elements, &mut st.by_node);
+        st.messages.clear();
         let mut floor_ms = f64::MIN;
-        for (w, elems) in &by_node {
-            let d = net.distance(loc, qp_topology::NodeId::new(*w));
+        for group in st.by_node.chunk_by(|a, b| a.0 == b.0) {
+            let w = group[0].0;
+            let d = net.distance(loc, NodeId::new(w));
             if config.dedup_colocated {
-                let svc = elems
+                let svc = group
                     .iter()
-                    .map(|&u| service_of(u, config))
+                    .map(|&(_, u)| service_of(u, config))
                     .fold(0.0, f64::max);
-                let dead = elems.iter().any(|&u| crashed[u]);
-                messages.push((*w, svc, dead));
+                let dead = group.iter().any(|&(_, u)| crashed[u]);
+                st.messages.push((w, svc, dead));
                 floor_ms = floor_ms.max(d + svc);
             } else {
                 let mut total = 0.0;
-                for &u in elems {
+                for &(_, u) in group {
                     let svc = service_of(u, config);
-                    messages.push((*w, svc, crashed[u]));
+                    st.messages.push((w, svc, crashed[u]));
                     total += svc;
                 }
                 // Same-node messages serialize even on an idle system.
                 floor_ms = floor_ms.max(d + total);
             }
         }
-        let doomed = fault.is_some() && messages.iter().any(|&(_, _, dead)| dead);
-        let request = requests.len();
-        requests.push(RequestState {
+        let live = st.messages.iter().filter(|&&(_, _, dead)| !dead).count();
+        let doomed = fault.is_some() && live < st.messages.len();
+        let request = st.occupy(RequestState {
             client,
             first_sent_at,
-            remaining: messages.len(),
+            remaining: st.messages.len(),
+            scheduled: live + usize::from(doomed),
             floor_ms,
             measured,
             attempt,
             abandoned: false,
         });
-        for (w, service_ms, dead) in messages {
+        for &(w, service_ms, dead) in &st.messages {
             if dead {
                 continue;
             }
-            let one_way = net.distance(loc, qp_topology::NodeId::new(w)) / 2.0;
-            queue.push(
+            let one_way = net.distance(loc, NodeId::new(w)) / 2.0;
+            st.wheel.push(
                 send_at + one_way,
                 Event::Arrival {
                     node: w,
@@ -708,7 +780,8 @@ pub fn simulate(
         }
         if doomed {
             let f = fault.as_ref().expect("doomed implies the fault model");
-            queue.push(send_at + f.timeout_ms, Event::Timeout { request });
+            st.wheel
+                .push(send_at + f.timeout_ms, Event::Timeout { request });
         }
     };
 
@@ -718,10 +791,7 @@ pub fn simulate(
             SimTime::ZERO,
             IssueKind::Fresh,
             live_now(SimTime::ZERO),
-            &mut rng,
-            &mut queue,
-            &mut requests,
-            &mut issued,
+            &mut st,
         );
     }
 
@@ -730,7 +800,10 @@ pub fn simulate(
     let mut retries = 0u64;
     let mut failovers = 0u64;
     let mut retry_jitter_idx = 0u64;
-    while let Some((now, event)) = queue.pop() {
+    // Logical requests finished (warm-up included) and given up.
+    let mut completed = 0u64;
+    let mut abandoned = 0u64;
+    while let Some((now, event)) = st.wheel.pop() {
         match event {
             Event::Arrival {
                 node,
@@ -738,59 +811,41 @@ pub fn simulate(
                 request,
             } => {
                 let depart = servers[node].submit(now, service_ms);
-                let client = requests[request].client;
-                let loc = client_locs[client];
-                let one_way = net.distance(loc, qp_topology::NodeId::new(node)) / 2.0;
-                queue.push(depart + one_way, Event::Reply { request });
+                let loc = client_locs[st.slots[request].client];
+                let one_way = net.distance(loc, NodeId::new(node)) / 2.0;
+                st.wheel.push(depart + one_way, Event::Reply { request });
             }
             Event::Reply { request } => {
-                let done = {
-                    let st = &mut requests[request];
-                    st.remaining -= 1;
-                    st.remaining == 0 && !st.abandoned
-                };
-                if done {
-                    let st = &requests[request];
-                    let rt = now - st.first_sent_at;
-                    if st.measured {
+                st.slots[request].remaining -= 1;
+                let req = st.retire(request);
+                if req.remaining == 0 && !req.abandoned {
+                    completed += 1;
+                    let rt = now - req.first_sent_at;
+                    if req.measured {
                         response_stats.add(rt);
-                        floor_tally.add(st.floor_ms);
-                        per_client[st.client].add(rt);
+                        floor_tally.add(req.floor_ms);
+                        per_client[req.client].add(rt);
                     }
-                    let client = st.client;
-                    if issued[client] < per_client_total {
-                        issue(
-                            client,
-                            now,
-                            IssueKind::Fresh,
-                            live_now(now),
-                            &mut rng,
-                            &mut queue,
-                            &mut requests,
-                            &mut issued,
-                        );
+                    if st.issued[req.client] < per_client_total {
+                        issue(req.client, now, IssueKind::Fresh, live_now(now), &mut st);
                     }
                 }
             }
             Event::Timeout { request } => {
-                let (client, attempt, first_sent_at, measured) = {
-                    let st = &mut requests[request];
-                    if st.abandoned || st.remaining == 0 {
-                        continue;
-                    }
-                    st.abandoned = true;
-                    (st.client, st.attempt, st.first_sent_at, st.measured)
-                };
+                // Only an attempt with a dead fragment gets a timer, and
+                // that fragment never replies: the attempt is still open.
+                st.slots[request].abandoned = true;
+                let req = st.retire(request);
                 let f = fault
                     .as_ref()
                     .expect("timeouts are only scheduled under the fault model");
                 timeouts += 1;
-                if attempt < f.max_retries {
+                if req.attempt < f.max_retries {
                     retries += 1;
                     let stretch =
                         1.0 + f.backoff_jitter * jitter_unit(config.seed, retry_jitter_idx);
                     retry_jitter_idx += 1;
-                    let backoff = f.backoff_base_ms * 2f64.powi(attempt as i32) * stretch;
+                    let backoff = f.backoff_base_ms * 2f64.powi(req.attempt as i32) * stretch;
                     let send_at = now + backoff;
                     // The routing decision happens when the retry is
                     // actually sent, so a detector that fires inside the
@@ -799,48 +854,48 @@ pub fn simulate(
                     if live {
                         failovers += 1;
                     }
-                    issue(
-                        client,
-                        send_at,
-                        IssueKind::Retry {
-                            attempt: attempt + 1,
-                            first_sent_at,
-                            measured,
-                        },
-                        live,
-                        &mut rng,
-                        &mut queue,
-                        &mut requests,
-                        &mut issued,
-                    );
-                } else if issued[client] < per_client_total {
+                    let kind = IssueKind::Retry {
+                        attempt: req.attempt + 1,
+                        first_sent_at: req.first_sent_at,
+                        measured: req.measured,
+                    };
+                    issue(req.client, send_at, kind, live, &mut st);
+                } else {
                     // Retries exhausted: the logical request is abandoned
                     // (never counted as completed) and the closed loop
                     // moves on to the client's next request.
-                    issue(
-                        client,
-                        now,
-                        IssueKind::Fresh,
-                        live_now(now),
-                        &mut rng,
-                        &mut queue,
-                        &mut requests,
-                        &mut issued,
-                    );
+                    abandoned += 1;
+                    if st.issued[req.client] < per_client_total {
+                        issue(req.client, now, IssueKind::Fresh, live_now(now), &mut st);
+                    }
                 }
             }
         }
     }
 
-    let horizon = queue.now();
+    // Request conservation: the wheel ran dry, so every fresh request
+    // either completed or was abandoned, and no slot is still held.
+    let fresh: usize = st.issued.iter().sum();
+    assert_eq!(
+        fresh as u64,
+        completed + abandoned,
+        "request conservation: {fresh} issued, {completed} completed, {abandoned} abandoned"
+    );
+    assert_eq!(
+        st.free_slots.len(),
+        st.slots.len(),
+        "request slots still held after the last event"
+    );
+
+    let horizon = st.wheel.now();
     let horizon_ms = horizon.as_ms().max(f64::MIN_POSITIVE);
     let percentiles = response_stats.percentiles();
     // End-of-run flush: the hot loop above stays instrumentation-free;
-    // the queue's push/pop totals come from its own sequence counter.
+    // the wheel's push/pop totals come from its own sequence counter.
     if qp_obs::enabled() {
         qp_obs::counter_add("des_exact_runs_total", 1);
-        qp_obs::counter_add("des_heap_push_total", queue.pushes());
-        qp_obs::counter_add("des_heap_pop_total", queue.pops());
+        qp_obs::counter_add("des_wheel_push_total", st.wheel.pushes());
+        qp_obs::counter_add("des_wheel_pop_total", st.wheel.pops());
         qp_obs::counter_add("des_requests_completed_total", response_stats.count());
         qp_obs::counter_add("des_timeouts_total", timeouts);
         qp_obs::counter_add("des_retries_total", retries);
@@ -1208,6 +1263,44 @@ mod tests {
         assert_eq!(report.retries, 0);
         assert_eq!(report.failovers, 0);
         assert_eq!(report.completed_requests, 6 * 30);
+    }
+
+    #[test]
+    fn exhausted_retries_still_conserve_requests() {
+        // A crash the detector never announces: most Q/U quorums touch
+        // it, so many requests time out until their retries run out and
+        // the closed loop moves on. The engine asserts conservation and
+        // the slot free list itself; from outside, every timeout either
+        // retried or abandoned its logical request.
+        let (net, sys, placement) = setup();
+        let clients = ClientPopulation::new(vec![NodeId::new(0), NodeId::new(9)], 3);
+        let mut mults = vec![1.0; sys.universe_size()];
+        mults[2] = 64.0;
+        let cfg = ProtocolConfig {
+            warmup_requests: 0,
+            measured_requests: 30,
+            service_multipliers: Some(mults),
+            fault: Some(FaultConfig {
+                timeout_ms: 40.0,
+                max_retries: 2,
+                detection_latency_ms: 1e9,
+                ..FaultConfig::default()
+            }),
+            ..ProtocolConfig::default()
+        };
+        let report = simulate(
+            &net,
+            &sys,
+            &placement,
+            &clients,
+            QuorumChoice::Balanced,
+            &cfg,
+        )
+        .unwrap();
+        let abandoned = report.timeouts - report.retries;
+        assert!(abandoned > 0, "no request exhausted its retries");
+        assert_eq!(report.failovers, 0);
+        assert_eq!(report.completed_requests + abandoned, 6 * 30);
     }
 
     #[test]
