@@ -2,9 +2,11 @@
 //!
 //! This crate is the substrate for the message-level protocol simulation
 //! (`qp-protocol`) that replaces the paper's Modelnet testbed: a
-//! monotonic simulated clock, a stable event queue, single-server FIFO
-//! service stations with deterministic service times, and streaming
-//! statistics.
+//! monotonic simulated clock, a hierarchical time-wheel event queue (both
+//! protocol engines run on it; the stable binary-heap [`EventQueue`] is
+//! its overflow store and the schedule it is tested against),
+//! single-server FIFO service stations with deterministic service times,
+//! and streaming statistics.
 //!
 //! The kernel is deliberately minimal — no processes, no channels — because
 //! the quorum protocol's event handlers are straight-line code; a full
@@ -15,14 +17,14 @@
 //! An M/D/1-style queue fed by two arrivals:
 //!
 //! ```
-//! use qp_des::{EventQueue, ServiceStation, SimTime};
+//! use qp_des::{ServiceStation, SimTime, TimeWheel};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push(SimTime::from_ms(1.0), "first");
-//! queue.push(SimTime::from_ms(2.0), "second");
+//! let mut wheel = TimeWheel::new(0.5);
+//! wheel.push(SimTime::from_ms(1.0), "first");
+//! wheel.push(SimTime::from_ms(2.0), "second");
 //!
 //! let mut server = ServiceStation::new();
-//! while let Some((now, _event)) = queue.pop() {
+//! while let Some((now, _event)) = wheel.pop() {
 //!     let departure = server.submit(now, 5.0);
 //!     assert!(departure >= now);
 //! }

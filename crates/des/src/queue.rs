@@ -12,6 +12,10 @@ use crate::SimTime;
 /// Popping advances the queue's notion of *now*; pushing into the past is a
 /// programming error and panics.
 ///
+/// The simulations run on [`TimeWheel`](crate::TimeWheel), which keeps an
+/// `EventQueue` for events beyond its horizon; tests hold the wheel to
+/// this queue's schedule.
+///
 /// # Examples
 ///
 /// ```
@@ -115,10 +119,7 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
-    /// Total events ever pushed — the logical push counter the
-    /// observability layer flushes into the shared registry
-    /// (`des_heap_push_total`) at the end of a simulation run, so the
-    /// per-event hot path stays instrumentation-free.
+    /// Total events ever pushed.
     pub fn pushes(&self) -> u64 {
         self.seq
     }

@@ -90,16 +90,17 @@ impl<E> Level<E> {
 
 /// A three-level hierarchical time wheel with heap overflow.
 ///
-/// Drop-in alternative to [`EventQueue`] for simulations whose events
-/// cluster within a bounded horizon of *now*: push and pop are O(1)
-/// amortized. Pop order is identical to [`EventQueue`] — nondecreasing
-/// time with FIFO tie-breaking — which the schedule-equivalence tests
-/// below pin down.
+/// The event queue of both protocol engines, built for simulations whose
+/// events cluster within a bounded horizon of *now*: push and pop are
+/// O(1) amortized. Pop order is identical to [`EventQueue`] —
+/// nondecreasing time with FIFO tie-breaking — which the
+/// schedule-equivalence tests below pin down.
 ///
 /// `quantum_ms` is the width of one level-0 slot: events within the same
 /// quantum land in the same slot and are ordered by an exact linear scan,
 /// so correctness never depends on the quantum — only the constant factor
-/// does. Pick a quantum near the median event spacing.
+/// does. Pick a quantum at or below the typical event spacing: every pop
+/// scans its slot, and a slot's buffer keeps its peak capacity.
 ///
 /// # Examples
 ///

@@ -7,7 +7,9 @@ use qp_des::{EventQueue, P2Quantile, Sample, ServiceStation, SimTime, Tally, Tim
 proptest! {
     #[test]
     fn time_wheel_matches_heap_schedule(
-        quantum in prop_oneof![Just(0.25f64), Just(1.0), Just(64.0)],
+        // 0.1 is the exact protocol engine's quantum at the paper's 1 ms
+        // service time; 0.001 is that quantum's floor.
+        quantum in prop_oneof![Just(0.001f64), Just(0.1), Just(0.25), Just(1.0), Just(64.0)],
         rounds in proptest::collection::vec(
             (
                 // Offsets ahead of the last popped time; 0.0 and repeated
