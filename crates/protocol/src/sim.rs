@@ -226,8 +226,7 @@ struct ExactState {
     issued: Vec<usize>,
     /// The chosen quorum's elements, ascending.
     elements: Vec<ElementId>,
-    /// `(node, element)` pairs of the chosen quorum, sorted: each run of
-    /// one node is that node's group.
+    /// The chosen quorum's [`group_by_node`] pairs.
     by_node: Vec<(usize, usize)>,
     /// `(node, service_ms, dead)` per fragment; dead fragments go to
     /// crashed replicas and are swallowed (no service, no reply).
@@ -325,6 +324,9 @@ pub(crate) fn jitter_unit(seed: u64, index: u64) -> f64 {
 
 /// The exact engine's CDF walk over a strategy row: one uniform draw,
 /// falling through to the last quorum on accumulated rounding slack.
+/// A binary search over cumulative sums would round differently at
+/// boundaries (`u − p0 < p1` versus `u < p0 + p1`) and pick other
+/// quorums for some draws.
 fn sample_weighted_row(row: &[f64], rng: &mut StdRng) -> usize {
     let mut pick: f64 = rng.gen_range(0.0..1.0);
     let mut idx = row.len() - 1;
