@@ -366,6 +366,11 @@ pub(crate) fn validate_inputs(
     config: &ProtocolConfig,
 ) -> Result<(), SimError> {
     let universe = system.universe_size();
+    if !(config.service_time_ms.is_finite() && config.service_time_ms >= 0.0) {
+        return Err(SimError::SizeMismatch(
+            "service time must be nonnegative and finite".to_string(),
+        ));
+    }
     if placement.universe_size() != universe {
         return Err(SimError::SizeMismatch(format!(
             "placement covers {} elements, system has {universe}",
@@ -1349,20 +1354,30 @@ mod tests {
     fn shape_errors_are_reported() {
         let (net, sys, placement) = setup();
         let clients = ClientPopulation::new(vec![NodeId::new(0)], 1);
-        let bad = ProtocolConfig {
-            service_multipliers: Some(vec![1.0; 3]),
+        let bad_service = |service_time_ms| ProtocolConfig {
+            service_time_ms,
             ..ProtocolConfig::default()
         };
-        assert!(matches!(
-            simulate(
-                &net,
-                &sys,
-                &placement,
-                &clients,
-                QuorumChoice::Balanced,
-                &bad
-            ),
-            Err(SimError::SizeMismatch(_))
-        ));
+        for bad in [
+            ProtocolConfig {
+                service_multipliers: Some(vec![1.0; 3]),
+                ..ProtocolConfig::default()
+            },
+            bad_service(-1.0),
+            bad_service(f64::NAN),
+            bad_service(f64::INFINITY),
+        ] {
+            assert!(matches!(
+                simulate(
+                    &net,
+                    &sys,
+                    &placement,
+                    &clients,
+                    QuorumChoice::Balanced,
+                    &bad
+                ),
+                Err(SimError::SizeMismatch(_))
+            ));
+        }
     }
 }
