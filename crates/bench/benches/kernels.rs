@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qp_core::capacity::{capacity_sweep, CapacityChoice, CapacityProfile};
 use qp_core::eval::EvalContext;
 use qp_core::manyone::{element_weights, place_for_client, ManyToOneConfig};
-use qp_core::strategy_lp::CapacitySweepSolver;
+use qp_core::strategy_lp::{ColGenSolver, ColumnGeneration};
 use qp_core::{combinatorics, one_to_one, response, strategy_lp, ResponseModel};
 use qp_des::{EventQueue, ServiceStation, SimTime, TimeWheel};
 use qp_lp::{Model, Sense};
@@ -56,8 +56,8 @@ fn bench_lp_solver(c: &mut Criterion) {
     }
 
     // Cold vs warm capacity sweep: the §7 shape — one constraint matrix,
-    // ten capacity rhs values. Cold re-solves from scratch per point;
-    // warm clones one solved base and dual-simplex-reoptimizes.
+    // ten capacity rhs values. Cold solves each point on a fresh master;
+    // warm solves every point on one master, in sweep order.
     let net = datasets::euclidean_random(24, 100.0, 42);
     let clients: Vec<NodeId> = net.nodes().collect();
     let sys = QuorumSystem::grid(3).unwrap();
@@ -67,12 +67,14 @@ fn bench_lp_solver(c: &mut Criterion) {
     let ctx = EvalContext::new(&net, &clients);
     let pq = ctx.place(&placement, &quorums);
     let cs = capacity_sweep(l_opt, 10);
+    let master = || ColGenSolver::new(&pq, ColumnGeneration::default()).expect("non-empty");
     group.bench_function("sweep_cold_grid3_24sites", |b| {
         b.iter(|| {
             cs.iter()
                 .map(|&cap| {
                     let caps = CapacityProfile::uniform(net.len(), cap);
-                    strategy_lp::optimize_strategies_outcome(&pq, &caps)
+                    master()
+                        .solve_profile(&caps)
                         .map(|o| o.strategy.num_clients())
                         .unwrap_or(0)
                 })
@@ -81,11 +83,12 @@ fn bench_lp_solver(c: &mut Criterion) {
     });
     group.bench_function("sweep_warm_grid3_24sites", |b| {
         b.iter(|| {
-            let solver = CapacitySweepSolver::new(&pq).expect("feasible at capacity 1");
+            let mut solver = master();
             cs.iter()
                 .map(|&cap| {
+                    let caps = CapacityProfile::uniform(net.len(), cap);
                     solver
-                        .solve_uniform(cap)
+                        .solve_profile(&caps)
                         .map(|o| o.strategy.num_clients())
                         .unwrap_or(0)
                 })
@@ -93,8 +96,8 @@ fn bench_lp_solver(c: &mut Criterion) {
         });
     });
 
-    // The same warm-sweep shape at paper scale: a daxlist-161 sweep
-    // prices a 16,100-column strategy LP.
+    // Column generation vs full enumeration at paper scale: a 7×7 Grid on
+    // daxlist-161 prices a 16,100-column strategy LP.
     let dax = datasets::daxlist_161();
     let dax_clients: Vec<NodeId> = dax.nodes().collect();
     let dax_sys = QuorumSystem::grid(7).unwrap();
@@ -103,37 +106,24 @@ fn bench_lp_solver(c: &mut Criterion) {
     let dax_l_opt = dax_sys.optimal_load().unwrap();
     let dax_ctx = EvalContext::new(&dax, &dax_clients);
     let dax_pq = dax_ctx.place(&dax_placement, &dax_quorums);
-    let dax_cs = capacity_sweep(dax_l_opt, 10);
-    group.bench_function("sweep_warm_daxlist161", |b| {
-        b.iter(|| {
-            let solver = CapacitySweepSolver::new(&dax_pq).expect("feasible at capacity 1");
-            dax_cs
-                .iter()
-                .map(|&cap| {
-                    solver
-                        .solve_uniform(cap)
-                        .map(|o| o.strategy.num_clients())
-                        .unwrap_or(0)
-                })
-                .sum::<usize>()
-        });
-    });
-
-    // Column generation vs full enumeration, same daxlist-161 geometry —
-    // the PR 7 scale-path A/B. Both kernels solve the identical strategy
-    // LP (objectives agree to 1e-9; see tests/scenario_regression.rs):
-    // `full` builds and cold-solves all 16,100 columns, `colgen` runs
-    // the restricted master + pricing oracle and materializes only the
-    // columns that price favorably. The sweep pair replays the ten-point
-    // §7 sweep, where the colgen master keeps its generated columns
-    // across capacity points. The full-enumeration configuration stays
-    // in-bench permanently for A/B against future pricing work.
+    // Both sides solve the identical strategy LP (objectives agree to
+    // 1e-9; see tests/scenario_regression.rs): `full` seeds the master
+    // with all 16,100 columns, `colgen` seeds each client's four closest
+    // quorums and lets the pricing oracle materialize only the columns
+    // that price favorably. The sweep pair replays the ten-point §7
+    // sweep through the tuner, each on one master kept across the
+    // capacity points. The full-enumeration side stays in-bench
+    // permanently for A/B against future pricing work.
+    let dax_full = ColumnGeneration {
+        seed_columns: dax_quorums.len(),
+    };
     let dax_caps = CapacityProfile::uniform(dax.len(), 0.8);
     group.bench_function(
         BenchmarkId::new("colgen_vs_full", "full_daxlist161_c08"),
         |b| {
             b.iter(|| {
-                strategy_lp::optimize_strategies_outcome(&dax_pq, &dax_caps)
+                ColGenSolver::new(&dax_pq, dax_full.clone())
+                    .and_then(|mut solver| solver.solve_profile(&dax_caps))
                     .expect("feasible at 0.8")
                     .delay_ms
             });
@@ -143,7 +133,7 @@ fn bench_lp_solver(c: &mut Criterion) {
         BenchmarkId::new("colgen_vs_full", "colgen_daxlist161_c08"),
         |b| {
             b.iter(|| {
-                strategy_lp::ColGenSolver::new(&dax_pq, strategy_lp::ColumnGeneration::default())
+                ColGenSolver::new(&dax_pq, ColumnGeneration::default())
                     .and_then(|mut solver| solver.solve_profile(&dax_caps))
                     .expect("feasible at 0.8")
                     .delay_ms
@@ -151,27 +141,15 @@ fn bench_lp_solver(c: &mut Criterion) {
         },
     );
     let dax_model = ResponseModel::from_demand(0.007, 16_000.0);
-    group.bench_function(
-        BenchmarkId::new("colgen_vs_full", "sweep_full_daxlist161"),
-        |b| {
-            b.iter(|| {
-                strategy_lp::tune_uniform_capacity_placed(&dax_pq, dax_l_opt, 10, dax_model)
-                    .expect("feasible sweep")
-                    .best_point()
-                    .0
-            });
-        },
-    );
     let dax_weights = vec![1.0; dax_clients.len()];
-    group.bench_function(
-        BenchmarkId::new("colgen_vs_full", "sweep_colgen_daxlist161"),
-        |b| {
+    for (name, cfg) in [
+        ("sweep_full_daxlist161", dax_full),
+        ("sweep_colgen_daxlist161", ColumnGeneration::default()),
+    ] {
+        group.bench_function(BenchmarkId::new("colgen_vs_full", name), |b| {
             b.iter(|| {
-                let mut solver = strategy_lp::ColGenSolver::new(
-                    &dax_pq,
-                    strategy_lp::ColumnGeneration::default(),
-                )
-                .expect("non-empty geometry");
+                let mut solver =
+                    ColGenSolver::new(&dax_pq, cfg.clone()).expect("non-empty geometry");
                 strategy_lp::tune_capacity(
                     &mut solver,
                     &dax_pq,
@@ -183,8 +161,8 @@ fn bench_lp_solver(c: &mut Criterion) {
                 .expect("feasible sweep")
                 .capacity
             });
-        },
-    );
+        });
+    }
     group.finish();
 }
 

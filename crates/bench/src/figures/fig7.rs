@@ -1,23 +1,23 @@
 //! §7 capacity-tuning figures (7.6, 7.7, 7.8): LP-optimized strategies
 //! under uniform and non-uniform node capacities.
 //!
-//! Each figure is a (universe size × capacity) grid of LP re-solves that
-//! share one constraint matrix per `k`. The pipelines run in three
-//! parallel stages on the global [`ParPool`]: the per-`k` setups
-//! (placement search + quorum enumeration), the per-`k` warm-start base
-//! solves ([`CapacitySweepSolver`], one cold LP each), then every grid
-//! cell at once — each cell clones the solved base, rewrites only its
-//! capacity right-hand sides, and dual-simplex-reoptimizes, reusing the
-//! per-`k` [`PlacedQuorums`] geometry cache for scoring. Rows are emitted
-//! in the same (k, capacity) order as the original serial loops, and
-//! every cell is a pure function of its inputs, so tables are bit-for-bit
-//! identical for any thread count.
+//! Each figure is a (universe size × capacity) grid of LP solves that
+//! share one constraint matrix per `k`. The pipelines run in two parallel
+//! stages on the global [`ParPool`]: the per-`k` setups (placement search
+//! and quorum enumeration), then one sweep per `k`. A sweep builds one
+//! restricted master ([`ColGenSolver`] with the default
+//! [`ColumnGeneration`]) and solves its cells in capacity order, each a
+//! warm re-solve off the previous cell's optimum, scored through the
+//! per-`k` [`PlacedQuorums`] geometry cache. The cells of one `k` run in
+//! order because the master mutates. Rows are emitted in (k, capacity)
+//! order and every sweep is a pure function of its inputs, so tables are
+//! bit-for-bit identical for any thread count.
 
 use qp_core::capacity::CapacityProfile;
 use qp_core::eval::{EvalContext, PlacedQuorums};
 use qp_core::one_to_one;
 use qp_core::response::evaluate_matrix_placed;
-use qp_core::strategy_lp::CapacitySweepSolver;
+use qp_core::strategy_lp::{ColGenSolver, ColumnGeneration};
 use qp_core::{Placement, ResponseModel};
 use qp_par::ParPool;
 use qp_quorum::{Quorum, QuorumSystem};
@@ -68,46 +68,39 @@ fn grid_setups(ctx: &EvalContext<'_>, ks: &[usize], steps: usize) -> Vec<GridSet
     })
 }
 
-/// The shared parallel-grid harness of Figures 7.6–7.8: bind each
-/// setup's geometry once, build one warm-start [`CapacitySweepSolver`]
-/// per setup (in parallel — one cold LP each), flatten the
-/// (setup × capacity) grid into cells in row-emission order, evaluate
-/// every cell on the global pool, and return the rows in that same
-/// order. A setup whose LP is infeasible even at capacity 1 hands the
-/// cell `None` (all its sweep points are infeasible too).
+/// The shared harness of Figures 7.6–7.8: one sweep per setup on the
+/// global pool. A sweep binds the setup's geometry, builds one default
+/// master over it, and hands `cell` that master at every capacity in
+/// sweep order; the rows come back in (setup, capacity) order.
 fn run_grid(
     ctx: &EvalContext<'_>,
     setups: &[GridSetup],
-    cell: impl Fn(&PlacedQuorums<'_>, Option<&CapacitySweepSolver>, &GridSetup, f64) -> Vec<f64> + Sync,
+    cell: impl Fn(&mut ColGenSolver<'_>, &PlacedQuorums<'_>, &GridSetup, f64) -> Vec<f64> + Sync,
 ) -> Vec<Vec<f64>> {
-    let pqs: Vec<PlacedQuorums<'_>> = setups
-        .iter()
-        .map(|s| ctx.place(&s.placement, &s.quorums))
-        .collect();
-    let solvers: Vec<Option<CapacitySweepSolver>> =
-        ParPool::global().run(pqs.len(), |i| CapacitySweepSolver::new(&pqs[i]).ok());
-    let cells: Vec<(usize, usize)> = setups
-        .iter()
-        .enumerate()
-        .flat_map(|(si, s)| (0..s.sweep.len()).map(move |ci| (si, ci)))
-        .collect();
-    ParPool::global().run(cells.len(), |j| {
-        let (si, ci) = cells[j];
-        let s = &setups[si];
-        cell(&pqs[si], solvers[si].as_ref(), s, s.sweep[ci])
-    })
+    let sweeps = ParPool::global().run(setups.len(), |i| {
+        let s = &setups[i];
+        let pq = ctx.place(&s.placement, &s.quorums);
+        let mut solver =
+            ColGenSolver::new(&pq, ColumnGeneration::default()).expect("clients and quorums");
+        s.sweep
+            .iter()
+            .map(|&c| cell(&mut solver, &pq, s, c))
+            .collect::<Vec<_>>()
+    });
+    sweeps.into_iter().flatten().collect()
 }
 
-/// One warm uniform-capacity cell: LP at capacity `c` plus response-model
+/// One uniform-capacity cell: LP at capacity `c` plus response-model
 /// scoring; `None` where the LP is infeasible (or numerically failed —
 /// a figure renders that cell as NaN rather than aborting the run).
 fn uniform_cell(
+    solver: &mut ColGenSolver<'_>,
     pq: &PlacedQuorums<'_>,
-    solver: Option<&CapacitySweepSolver>,
     c: f64,
     model: ResponseModel,
 ) -> Option<(f64, f64)> {
-    let outcome = solver?.solve_uniform(c).ok()?;
+    let caps = CapacityProfile::uniform(pq.ctx().net().len(), c);
+    let outcome = solver.solve_profile(&caps).ok()?;
     let eval = evaluate_matrix_placed(pq, &outcome.strategy, model).expect("sizes agree");
     Some((eval.avg_network_delay_ms, eval.avg_response_ms))
 }
@@ -130,8 +123,8 @@ pub fn fig7_6(scale: Scale) -> Table {
         ],
     );
     let setups = grid_setups(&ctx, &ks, steps);
-    let rows = run_grid(&ctx, &setups, |pq, solver, s, c| {
-        match uniform_cell(pq, solver, c, model) {
+    let rows = run_grid(&ctx, &setups, |solver, pq, s, c| {
+        match uniform_cell(solver, pq, c, model) {
             Some((delay, resp)) => vec![(s.k * s.k) as f64, c, delay, resp],
             None => vec![(s.k * s.k) as f64, c, f64::NAN, f64::NAN],
         }
@@ -161,8 +154,8 @@ pub fn fig7_7(scale: Scale) -> Table {
         ],
     );
     let setups = grid_setups(&ctx, &ks, steps);
-    let rows = run_grid(&ctx, &setups, |pq, solver, s, c| {
-        let (delay, resp_u, resp_n) = uniform_vs_nonuniform(pq, solver, s, c, model);
+    let rows = run_grid(&ctx, &setups, |solver, pq, s, c| {
+        let (delay, resp_u, resp_n) = uniform_vs_nonuniform(solver, pq, s, c, model);
         vec![(s.k * s.k) as f64, c, delay, resp_u, resp_n]
     });
     for row in rows {
@@ -173,27 +166,27 @@ pub fn fig7_7(scale: Scale) -> Table {
 
 /// One Figure 7.7/7.8 cell: `(network delay, uniform response,
 /// non-uniform response)` at capacity `c`, NaN where the LP is
-/// infeasible. Both variants re-solve warm from the same shared base, so
-/// the comparison is between capacity *assignments*, not between solver
-/// vertex choices.
+/// infeasible. Both variants solve on the per-`k` master, the uniform
+/// profile first, so the comparison is between capacity *assignments* on
+/// one LP.
 fn uniform_vs_nonuniform(
+    solver: &mut ColGenSolver<'_>,
     pq: &PlacedQuorums<'_>,
-    solver: Option<&CapacitySweepSolver>,
     s: &GridSetup,
     c: f64,
     model: ResponseModel,
 ) -> (f64, f64, f64) {
-    let (delay, resp_u) = uniform_cell(pq, solver, c, model).unwrap_or((f64::NAN, f64::NAN));
+    let (delay, resp_u) = uniform_cell(solver, pq, c, model).unwrap_or((f64::NAN, f64::NAN));
     let net = pq.ctx().net();
     let caps = CapacityProfile::inverse_distance(net, &s.placement.support_set(), s.l_opt, c)
         .expect("support is nonempty");
-    let resp_n = match solver.and_then(|sv| sv.solve_profile(&caps).ok()) {
-        Some(o) => {
+    let resp_n = match solver.solve_profile(&caps) {
+        Ok(o) => {
             evaluate_matrix_placed(pq, &o.strategy, model)
                 .expect("sizes agree")
                 .avg_response_ms
         }
-        None => f64::NAN,
+        Err(_) => f64::NAN,
     };
     (delay, resp_u, resp_n)
 }
@@ -220,8 +213,8 @@ pub fn fig7_8(scale: Scale) -> Table {
             "response_nonuniform_ms".into(),
         ],
     );
-    let rows = run_grid(&ctx, &setups, |pq, solver, s, c| {
-        let (delay, resp_u, resp_n) = uniform_vs_nonuniform(pq, solver, s, c, model);
+    let rows = run_grid(&ctx, &setups, |solver, pq, s, c| {
+        let (delay, resp_u, resp_n) = uniform_vs_nonuniform(solver, pq, s, c, model);
         vec![c, delay, resp_u, resp_n]
     });
     for row in rows {

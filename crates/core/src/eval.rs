@@ -250,9 +250,7 @@ impl<'b> PlacedQuorums<'b> {
     /// `(node index, element count)` pairs for quorum `i`, sorted by
     /// node — the capacity-row coefficients of LP (4.4).
     pub fn node_counts(&self, i: usize) -> &[(usize, f64)] {
-        // The binary-search-insert construction of
-        // `strategy_lp::optimize_strategies`, kept verbatim so the LP
-        // rows built from this cache are identical.
+        // Binary-search inserts keep each list sorted by node as it grows.
         let counts = self.node_counts.get_or_init(|| {
             self.hosts
                 .iter()

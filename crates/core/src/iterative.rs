@@ -23,7 +23,7 @@ use crate::capacity::CapacityProfile;
 use crate::eval::EvalContext;
 use crate::manyone::{best_placement, ManyToOneConfig};
 use crate::response::{evaluate_matrix_placed, Evaluation, ResponseModel};
-use crate::strategy_lp::{optimize_strategies_outcome, CapacitySweepSolver};
+use crate::strategy_lp::{ColGenSolver, ColumnGeneration};
 use crate::{CoreError, Placement};
 
 /// Progress record for one iteration.
@@ -109,11 +109,6 @@ pub fn optimize_ctx(
     let mut strategy = StrategyMatrix::uniform(clients.len(), quorums.len());
     let mut best: Option<(Placement, StrategyMatrix, Evaluation)> = None;
     let mut history = Vec::new();
-    // Warm-start cache for the strategy phase: when consecutive iterations
-    // settle on the same placement (the common case — the paper observes
-    // most runs stop after the first iteration), the LP matrix is
-    // unchanged and each re-solve only moves capacity right-hand sides.
-    let mut sweep_solver: Option<(Placement, CapacitySweepSolver)> = None;
 
     for iteration in 1..=max_iterations {
         // Phase 1: placement under the averaged strategy.
@@ -123,9 +118,10 @@ pub fn optimize_ctx(
         let pq = ctx.place(&placement, quorums);
         let after_placement = evaluate_matrix_placed(&pq, &strategy, model)?;
 
-        // Phase 2: strategies under cap(v) = load_{f_j}(v).
-        // Guard against zero-capacity nodes (they host nothing): give
-        // non-support nodes unbounded capacity.
+        // Phase 2: strategies under cap(v) = load_{f_j}(v), on a fresh
+        // master over the new placement (one solve, so nothing carries
+        // over between iterations). Guard against zero-capacity nodes
+        // (they host nothing): give non-support nodes unbounded capacity.
         let loads = &after_placement.node_loads;
         let caps_j = CapacityProfile::from_values(
             loads
@@ -133,21 +129,9 @@ pub fn optimize_ctx(
                 .map(|&l| if l > 0.0 { l } else { f64::INFINITY })
                 .collect(),
         );
-        let new_strategy = match &sweep_solver {
-            Some((prev, solver)) if *prev == placement => solver.solve_profile(&caps_j)?.strategy,
-            _ => match CapacitySweepSolver::new(&pq) {
-                Ok(solver) => {
-                    let strat = solver.solve_profile(&caps_j)?.strategy;
-                    sweep_solver = Some((placement.clone(), solver));
-                    strat
-                }
-                // Uniform capacity 1 can be infeasible for many-to-one
-                // placements that stack multiple elements on one node;
-                // solve that iteration cold instead of warm.
-                Err(CoreError::Infeasible) => optimize_strategies_outcome(&pq, &caps_j)?.strategy,
-                Err(e) => return Err(e),
-            },
-        };
+        let new_strategy = ColGenSolver::new(&pq, ColumnGeneration::default())?
+            .solve_profile(&caps_j)?
+            .strategy;
         let after_strategy = evaluate_matrix_placed(&pq, &new_strategy, model)?;
         drop(pq);
 

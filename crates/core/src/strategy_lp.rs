@@ -21,21 +21,6 @@
 //! with the demand-weighted response model. The scenario runner and the
 //! CLI's `place --strategy lp`/`lp-sweep` both run it.
 //!
-//! # Warm-started full-enumeration sweeps
-//!
-//! All sweep points share one constraint matrix and differ only in the
-//! capacity-row right-hand sides, so the figure pipelines, the iterative
-//! algorithm and the reference sweep [`tune_uniform_capacity_placed`] run
-//! on a [`CapacitySweepSolver`]: the LP is built and cold-solved **once** (at
-//! uniform capacity 1, the loosest point), and every sweep point
-//! re-solves through
-//! [`qp_lp::SimplexInstance::resolve_with_rhs`] — a borrow-only warm
-//! re-solve whose per-point cost is one rhs vector plus a few dual-devex
-//! pivots off the shared (pre-factorized) optimal basis. Each point is a
-//! pure function of `(base, capacity)`, so results are bit-identical at
-//! any thread count; [`SweepLpStats`] exposes the pivot counters that
-//! make the warm-vs-cold saving observable in tests.
-//!
 //! # Restricted master + pricing oracle (column generation)
 //!
 //! Full enumeration materializes one column per (client × quorum) pair —
@@ -63,105 +48,36 @@
 //! restricted master can be infeasible where the full LP is not; on an
 //! infeasible verdict the seed set grows by doubling each client's
 //! closest-quorum prefix, degenerating to full enumeration before an
-//! infeasibility is ever reported. Column generation runs through
-//! [`ColGenSolver`], which [`tune_capacity`] drives.
+//! infeasibility is ever reported. Full enumeration is the master seeded
+//! with every column (`ColumnGeneration { seed_columns: m }`); the tests
+//! use it as the reference. [`ColGenSolver`] is the one engine of the
+//! batch strategy LP: [`optimize_strategies`], [`tune_capacity`], the
+//! scenario runner, the iterative algorithm and the §7 figures all solve
+//! on it with the default [`ColumnGeneration`].
+//!
+//! # Capacity sweeps on one master
+//!
+//! All sweep points share one constraint matrix and differ only in the
+//! capacity-row right-hand sides. A master keeps its rows, its generated
+//! columns and its optimal basis from one
+//! [`solve_profile`](ColGenSolver::solve_profile) call to the next, so a
+//! sweep solved in order re-solves each point warm: a few dual-simplex
+//! pivots off the previous optimum, and rarely a new column. Because the
+//! master mutates, the points of one sweep run in order on one thread;
+//! callers parallelize across masters (the figures run one master per
+//! universe size), so results are bit-identical at any thread count.
+//! [`ColGenSolver::pivots`] and [`ColGenSolver::pricing`] keep the running
+//! totals that make the warm-vs-cold saving observable in tests.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use qp_lp::{LpError, Model, Sense, SimplexInstance, Solution, SolveStats, VarId};
 use qp_quorum::{Quorum, StrategyMatrix};
 use qp_topology::{Network, NodeId};
 
-use qp_par::ParPool;
-
 use crate::capacity::{capacity_sweep, CapacityChoice, CapacityProfile};
 use crate::eval::{EvalContext, PlacedQuorums};
-use crate::response::{
-    evaluate_matrix_placed, evaluate_matrix_placed_weighted, Evaluation, ResponseModel,
-};
+use crate::response::{evaluate_matrix_placed_weighted, Evaluation, ResponseModel};
 use crate::{CoreError, Placement};
-
-/// Builds LP (4.3)–(4.6) for `pq` under `caps`.
-///
-/// Capacity rows are generated only for nodes that host at least one
-/// element and have finite capacity (others can never bind); the returned
-/// list pairs each generated row index with its node.
-fn build_strategy_model(
-    pq: &PlacedQuorums<'_>,
-    caps: &CapacityProfile,
-) -> Result<(Model, Vec<(usize, usize)>), CoreError> {
-    let net = pq.ctx().net();
-    let clients = pq.ctx().clients();
-    let placement = pq.placement();
-    let quorums = pq.quorums();
-    if quorums.is_empty() {
-        return Err(CoreError::SizeMismatch {
-            reason: "no quorums".to_string(),
-        });
-    }
-    if caps.len() != net.len() {
-        return Err(CoreError::SizeMismatch {
-            reason: format!(
-                "capacity profile covers {} nodes, network has {}",
-                caps.len(),
-                net.len()
-            ),
-        });
-    }
-    let n_clients = clients.len();
-    let m = quorums.len();
-    let inv_clients = 1.0 / n_clients as f64;
-
-    let mut model = Model::new(Sense::Minimize);
-    // Variable p_{v,i}; objective coefficient δ_f(v, Qᵢ)/|clients|.
-    // Anonymous names: the 16k-column daxlist sweeps clone the model per
-    // sweep point, and empty `String`s clone without touching the heap.
-    // The upper bound 1 is implied by (4.5) and deliberately NOT declared
-    // even under the bounded-variable solver: the redundant box triples
-    // the cold pivot count on daxlist-161 (p's churn between bounds that
-    // the convexity row enforces anyway), measured at 370 → 1049 pivots
-    // plus 2002 bound flips.
-    let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(n_clients);
-    for row in 0..n_clients {
-        let mut row_vars = Vec::with_capacity(m);
-        for i in 0..m {
-            row_vars.push(model.add_var("", 0.0, f64::INFINITY, pq.delta(row, i) * inv_clients));
-        }
-        vars.push(row_vars);
-    }
-    // (4.5): one convexity row per client.
-    for row_vars in &vars {
-        let terms: Vec<_> = row_vars.iter().map(|&p| (p, 1.0)).collect();
-        model.add_eq(&terms, 1.0);
-    }
-    // (4.4): capacity rows for loaded, finitely-capacitated nodes.
-    let counts = placement.element_counts();
-    let mut cap_rows = Vec::new();
-    for w in 0..net.len() {
-        if counts[w] == 0 || caps.is_unbounded(NodeId::new(w)) {
-            continue;
-        }
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        for i in 0..m {
-            // Bitset gate before the binary search; quorums not touching
-            // w contribute no term either way.
-            if !pq.touches(i, w) {
-                continue;
-            }
-            let node_counts = pq.node_counts(i);
-            if let Ok(pos) = node_counts.binary_search_by_key(&w, |&(j, _)| j) {
-                let coeff = node_counts[pos].1 * inv_clients;
-                for row_vars in &vars {
-                    terms.push((row_vars[i], coeff));
-                }
-            }
-        }
-        if !terms.is_empty() {
-            let row = model.add_le(&terms, caps.get(NodeId::new(w)));
-            cap_rows.push((w, row));
-        }
-    }
-    Ok((model, cap_rows))
-}
 
 /// Row layout of a demand-weighted strategy LP built by
 /// [`build_weighted_strategy_model`]: the model plus the indices a
@@ -206,7 +122,7 @@ pub struct WeightedStrategyLp {
 /// returns them — lookups binary-search);
 /// `cap_rhs[w]` is the capacity right-hand side for node `w`, with
 /// `f64::INFINITY` meaning "never binds, skip the row". Variable order is
-/// `q_{v,i} ↦` column `v·m + i`, matching [`optimize_strategies`].
+/// `q_{v,i} ↦` column `v·m + i`.
 ///
 /// # Errors
 ///
@@ -264,7 +180,7 @@ pub fn build_weighted_strategy_model(
         let mut row_vars = Vec::with_capacity(m);
         for i in 0..m {
             // No upper bound: Σᵢ q_vi = ŵ_v already caps each q, and the
-            // redundant box costs pivots (see build_strategy_model).
+            // redundant box costs pivots (see `ColGenSolver::build`).
             row_vars.push(model.add_var("", 0.0, f64::INFINITY, delta[v][i]));
         }
         vars.push(row_vars);
@@ -299,30 +215,6 @@ pub fn build_weighted_strategy_model(
     })
 }
 
-/// Reads the per-client strategy rows out of a solved LP, repairing
-/// roundoff so each row is an exact distribution.
-fn strategies_from(
-    sol: &Solution,
-    n_clients: usize,
-    n_quorums: usize,
-) -> Result<StrategyMatrix, CoreError> {
-    let rows: Vec<Vec<f64>> = (0..n_clients)
-        .map(|v| {
-            let mut row: Vec<f64> = (0..n_quorums)
-                .map(|i| sol.value(VarId::from_index(v * n_quorums + i)).max(0.0))
-                .collect();
-            let total: f64 = row.iter().sum();
-            if total > 0.0 {
-                for p in &mut row {
-                    *p /= total;
-                }
-            }
-            row
-        })
-        .collect();
-    StrategyMatrix::from_rows(rows).map_err(CoreError::from)
-}
-
 /// A solved access-strategy LP with everything the §7 techniques consume:
 /// the strategies, the optimal average network delay, the capacity-row
 /// dual prices (the marginal value of each node's capacity), and the
@@ -339,36 +231,12 @@ pub struct StrategyLpOutcome {
     pub capacity_duals: Vec<f64>,
     /// Solver work counters (pivots, refactorizations, warm/cold).
     pub stats: SolveStats,
-    /// Pricing statistics when the outcome came from the column-generation
-    /// path ([`ColGenSolver`]); `None` for full-enumeration solves.
-    pub colgen: Option<ColGenStats>,
-}
-
-impl StrategyLpOutcome {
-    fn from_solution(
-        sol: &Solution,
-        n_clients: usize,
-        n_quorums: usize,
-        net_len: usize,
-        cap_rows: &[(usize, usize)],
-    ) -> Result<Self, CoreError> {
-        let strategy = strategies_from(sol, n_clients, n_quorums)?;
-        let mut capacity_duals = vec![0.0; net_len];
-        for &(w, row) in cap_rows {
-            capacity_duals[w] = sol.dual(row);
-        }
-        Ok(StrategyLpOutcome {
-            strategy,
-            delay_ms: sol.objective(),
-            capacity_duals,
-            stats: sol.stats(),
-            colgen: None,
-        })
-    }
+    /// Pricing statistics of the solve that produced this outcome.
+    pub colgen: ColGenStats,
 }
 
 /// Solves LP (4.3)–(4.6): minimum-average-network-delay strategies under
-/// node capacities.
+/// node capacities, in one solve on a fresh default [`ColGenSolver`].
 ///
 /// # Errors
 ///
@@ -390,31 +258,8 @@ pub fn optimize_strategies(
     assert!(!clients.is_empty(), "at least one client required");
     let ctx = EvalContext::new(net, clients);
     let pq = ctx.place(placement, quorums);
-    Ok(optimize_strategies_outcome(&pq, caps)?.strategy)
-}
-
-/// [`optimize_strategies`] against a pre-bound [`PlacedQuorums`] (the
-/// objective coefficients `δ_f(v, Qᵢ)` and the capacity-row element
-/// counts come from the cache), returning the full [`StrategyLpOutcome`]
-/// (duals, objective, solver counters) instead of just the strategies.
-/// One cold full-enumeration solve.
-///
-/// # Errors
-///
-/// As for [`optimize_strategies`].
-pub fn optimize_strategies_outcome(
-    pq: &PlacedQuorums<'_>,
-    caps: &CapacityProfile,
-) -> Result<StrategyLpOutcome, CoreError> {
-    let (model, cap_rows) = build_strategy_model(pq, caps)?;
-    let sol = model.solve()?;
-    StrategyLpOutcome::from_solution(
-        &sol,
-        pq.ctx().clients().len(),
-        pq.quorums().len(),
-        pq.ctx().net().len(),
-        &cap_rows,
-    )
+    let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default())?;
+    Ok(solver.solve_profile(caps)?.strategy)
 }
 
 /// Pricing tolerance of the column-generation oracle: it stops once no
@@ -469,13 +314,11 @@ impl ColGenStats {
 }
 
 /// The restricted-master column-generation solver for the access-strategy
-/// LP — the scale path for topologies where full enumeration
-/// ([`optimize_strategies_outcome`], [`CapacitySweepSolver`]) would
-/// materialize millions of (client × quorum) columns.
+/// LP — the one engine of every batch solve, which never materializes the
+/// (client × quorum) columns that do not price favorably.
 ///
-/// Built once per `(placement, quorums)` geometry like
-/// [`CapacitySweepSolver`], but the LP starts from each client's
-/// [`ColumnGeneration::seed_columns`] closest quorums and grows by
+/// Built once per `(placement, quorums)` geometry: the LP starts from each
+/// client's [`ColumnGeneration::seed_columns`] closest quorums and grows by
 /// pricing. Capacity rows exist for **every** loaded node from the start
 /// (with a never-binding stand-in for unbounded capacities), so one frozen
 /// row layout serves every capacity profile; columns generated for one
@@ -697,7 +540,10 @@ impl<'a> ColGenSolver<'a> {
             let mut row_vars = Vec::with_capacity(k);
             for &i in &order[v][..k] {
                 // No upper bound: the convexity row caps each p, and the
-                // redundant box costs pivots (see build_strategy_model).
+                // redundant box costs pivots — on the fully enumerated
+                // daxlist-161 LP it tripled the cold pivot count (370 →
+                // 1049, plus 2002 bound flips) as p's churned between
+                // bounds the convexity row enforces anyway.
                 row_vars.push(model.add_var(
                     "",
                     0.0,
@@ -904,7 +750,7 @@ impl<'a> ColGenSolver<'a> {
             delay_ms: sol.objective(),
             capacity_duals,
             stats,
-            colgen: Some(pricing),
+            colgen: pricing,
         })
     }
 
@@ -1035,257 +881,6 @@ impl<'a> ColGenSolver<'a> {
         }
         Some(violations)
     }
-}
-
-/// A reusable warm-start solver for capacity-parametrized re-solves of
-/// one placement's access-strategy LP.
-///
-/// Built once per `(placement, quorums)` geometry: the LP is constructed
-/// with a capacity row for **every** loaded node and cold-solved at the
-/// loosest uniform capacity (1.0). Each subsequent
-/// [`solve_uniform`](Self::solve_uniform) /
-/// [`solve_profile`](Self::solve_profile) call clones the solved base
-/// instance, rewrites only the capacity right-hand sides, and re-solves
-/// warm with the dual simplex — a pure function of the requested
-/// capacities, safe to call from any thread and bit-identical at any
-/// thread count.
-#[derive(Debug, Clone)]
-pub struct CapacitySweepSolver {
-    n_clients: usize,
-    n_quorums: usize,
-    net_len: usize,
-    /// `(node, row, never_binding_rhs)` per capacity row; the last value
-    /// stands in for `∞` capacities (no average load can reach it).
-    cap_rows: Vec<(usize, usize, f64)>,
-    base: SimplexInstance,
-    base_stats: SolveStats,
-}
-
-impl CapacitySweepSolver {
-    /// Builds the LP for `pq` and cold-solves it at uniform capacity 1.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Infeasible`] if the LP is infeasible even at uniform
-    /// capacity 1 — since feasibility is monotone in capacity, every
-    /// smaller capacity is then infeasible too. Construction errors
-    /// propagate as for [`optimize_strategies`].
-    pub fn new(pq: &PlacedQuorums<'_>) -> Result<Self, CoreError> {
-        let net_len = pq.ctx().net().len();
-        let loosest = CapacityProfile::uniform(net_len, 1.0);
-        let (model, rows) = build_strategy_model(pq, &loosest)?;
-        let counts = pq.placement().element_counts();
-        let cap_rows = rows
-            .into_iter()
-            .map(|(w, row)| (w, row, counts[w] as f64 + 1.0))
-            .collect();
-        let mut base = SimplexInstance::new(model)?;
-        let sol = base.solve()?;
-        Ok(CapacitySweepSolver {
-            n_clients: pq.ctx().clients().len(),
-            n_quorums: pq.quorums().len(),
-            net_len,
-            cap_rows,
-            base,
-            base_stats: sol.stats(),
-        })
-    }
-
-    /// Work counters of the shared cold base solve.
-    pub fn base_stats(&self) -> SolveStats {
-        self.base_stats
-    }
-
-    /// Warm-solves the LP at uniform capacity `c` for all nodes via
-    /// [`SimplexInstance::resolve_with_rhs`] — no per-point instance
-    /// clone, just one rhs vector and a handful of dual pivots off the
-    /// shared warm basis.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Infeasible`] if `c` is below what the placement can
-    /// balance; LP errors propagate.
-    pub fn solve_uniform(&self, c: f64) -> Result<StrategyLpOutcome, CoreError> {
-        let updates: Vec<(usize, f64)> =
-            self.cap_rows.iter().map(|&(_, row, _)| (row, c)).collect();
-        let sol = self.base.resolve_with_rhs(&updates)?;
-        StrategyLpOutcome::from_solution(
-            &sol,
-            self.n_clients,
-            self.n_quorums,
-            self.net_len,
-            &self.cap_rows_pairs(),
-        )
-    }
-
-    /// Warm-solves the LP under an arbitrary capacity profile. Unbounded
-    /// capacities are modeled by a right-hand side no average load can
-    /// reach, so one frozen matrix serves every profile.
-    ///
-    /// # Errors
-    ///
-    /// As for [`solve_uniform`](Self::solve_uniform);
-    /// [`CoreError::SizeMismatch`] if `caps` covers the wrong node count.
-    pub fn solve_profile(&self, caps: &CapacityProfile) -> Result<StrategyLpOutcome, CoreError> {
-        if caps.len() != self.net_len {
-            return Err(CoreError::SizeMismatch {
-                reason: format!(
-                    "capacity profile covers {} nodes, network has {}",
-                    caps.len(),
-                    self.net_len
-                ),
-            });
-        }
-        let updates: Vec<(usize, f64)> = self
-            .cap_rows
-            .iter()
-            .map(|&(w, row, never_binding)| {
-                let c = caps.get(NodeId::new(w));
-                (row, if c.is_finite() { c } else { never_binding })
-            })
-            .collect();
-        let sol = self.base.resolve_with_rhs(&updates)?;
-        StrategyLpOutcome::from_solution(
-            &sol,
-            self.n_clients,
-            self.n_quorums,
-            self.net_len,
-            &self.cap_rows_pairs(),
-        )
-    }
-
-    fn cap_rows_pairs(&self) -> Vec<(usize, usize)> {
-        self.cap_rows.iter().map(|&(w, row, _)| (w, row)).collect()
-    }
-}
-
-/// LP work counters aggregated over one capacity sweep, making the
-/// warm-start saving observable without wall clocks: the cold path would
-/// pay roughly `base_iterations` *per point*; the warm path pays it once
-/// plus a few dual pivots per point.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepLpStats {
-    /// Pivots of the single shared cold base solve.
-    pub base_iterations: usize,
-    /// Dual-simplex (or fallback) pivots across all feasible sweep points.
-    pub resolve_iterations: usize,
-    /// Bound flips across base solve + all feasible sweep points: nonbasic
-    /// variables jumping between bounds without any basis change.
-    pub bound_flips: usize,
-    /// Sweep points solved warm (dual simplex from the shared basis).
-    pub warm_points: usize,
-    /// Sweep points that fell back to a cold solve.
-    pub cold_points: usize,
-}
-
-impl SweepLpStats {
-    /// Total simplex pivots spent on the sweep, shared base included.
-    pub fn total_iterations(&self) -> usize {
-        self.base_iterations + self.resolve_iterations
-    }
-
-    /// Counts one feasible sweep point's re-solve.
-    fn record(&mut self, stats: SolveStats) {
-        self.resolve_iterations += stats.iterations;
-        self.bound_flips += stats.bound_flips;
-        if stats.warm {
-            self.warm_points += 1;
-        } else {
-            self.cold_points += 1;
-        }
-    }
-}
-
-/// The outcome of a full-enumeration capacity sweep
-/// ([`tune_uniform_capacity_placed`]): per-capacity evaluations and the
-/// best point by response time.
-#[derive(Debug, Clone)]
-pub struct CapacitySweepResult {
-    /// `(capacity, evaluation)` per feasible sweep point, in sweep order.
-    pub points: Vec<(f64, Evaluation)>,
-    /// Index into `points` of the minimum `avg_response_ms`.
-    pub best: usize,
-    /// LP pivot counters for the whole sweep (feasible points only).
-    pub lp_stats: SweepLpStats,
-}
-
-impl CapacitySweepResult {
-    /// The winning `(capacity, evaluation)` pair.
-    pub fn best_point(&self) -> &(f64, Evaluation) {
-        &self.points[self.best]
-    }
-
-    /// Adopts the first minimum-response point of a sweep's feasible
-    /// points; [`CoreError::Infeasible`] if there are none.
-    fn from_points(
-        points: Vec<(f64, Evaluation)>,
-        lp_stats: SweepLpStats,
-    ) -> Result<Self, CoreError> {
-        let best = points
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1 .1
-                    .avg_response_ms
-                    .partial_cmp(&b.1 .1.avg_response_ms)
-                    .expect("finite response times")
-            })
-            .map(|(i, _)| i)
-            .ok_or(CoreError::Infeasible)?;
-        Ok(CapacitySweepResult {
-            points,
-            best,
-            lp_stats,
-        })
-    }
-}
-
-/// The §7 uniform-capacity sweep on full enumeration — the reference the
-/// warm layer and [`tune_capacity`] are checked against: sweep
-/// `cᵢ = L_opt + i·(1 − L_opt)/steps`, solve the LP at each `cᵢ`, score
-/// with the response model, and report every point plus the first best.
-///
-/// Builds one [`CapacitySweepSolver`] (a single cold solve at the loosest
-/// capacity) and warm-solves every sweep point **in parallel** on the
-/// global [`ParPool`]. Each point is a pure function of `(base, cᵢ)` and
-/// points are collected back in sweep order, so results are identical for
-/// any thread count. Infeasible sweep points (capacities below what the
-/// placement can balance) are skipped, mirroring the paper's treatment.
-///
-/// # Errors
-///
-/// [`CoreError::Infeasible`] if *every* sweep point is infeasible;
-/// construction errors propagate.
-pub fn tune_uniform_capacity_placed(
-    pq: &PlacedQuorums<'_>,
-    l_opt: f64,
-    steps: usize,
-    model: ResponseModel,
-) -> Result<CapacitySweepResult, CoreError> {
-    let cs = capacity_sweep(l_opt, steps);
-    let solver = CapacitySweepSolver::new(pq)?;
-    let solved = ParPool::global().run(cs.len(), |i| {
-        let outcome = solver.solve_uniform(cs[i])?;
-        let eval = evaluate_matrix_placed(pq, &outcome.strategy, model)?;
-        Ok::<_, CoreError>((eval, outcome.stats))
-    });
-    let mut points = Vec::new();
-    let mut lp_stats = SweepLpStats {
-        base_iterations: solver.base_stats().iterations,
-        bound_flips: solver.base_stats().bound_flips,
-        ..SweepLpStats::default()
-    };
-    for (c, outcome) in cs.into_iter().zip(solved) {
-        match outcome {
-            Ok((eval, stats)) => {
-                points.push((c, eval));
-                lp_stats.record(stats);
-            }
-            Err(CoreError::Infeasible) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    CapacitySweepResult::from_points(points, lp_stats)
 }
 
 /// What [`tune_capacity`] chose, in the form its callers report it.
@@ -1433,7 +1028,7 @@ pub fn tune_capacity(
 mod tests {
     use super::*;
     use crate::one_to_one::grid_shell_placement;
-    use crate::response::{evaluate_closest, evaluate_matrix};
+    use crate::response::{evaluate_closest, evaluate_matrix, evaluate_matrix_placed};
     use qp_quorum::QuorumSystem;
     use qp_topology::datasets;
 
@@ -1444,6 +1039,31 @@ mod tests {
         let placement = grid_shell_placement(&net, NodeId::new(0), k).unwrap();
         let quorums = sys.enumerate(10_000).unwrap();
         (net, clients, sys, placement, quorums)
+    }
+
+    /// Full enumeration: a master seeded with every column.
+    fn full_enumeration<'a>(pq: &'a PlacedQuorums<'a>) -> ColGenSolver<'a> {
+        let seed_columns = pq.quorums().len();
+        ColGenSolver::new(pq, ColumnGeneration { seed_columns }).unwrap()
+    }
+
+    /// The q-form model of `pq`'s LP under `weights` (already normalized)
+    /// and uniform capacity `c` on every loaded node — the independent
+    /// model a certificate is checked against.
+    fn q_form(pq: &PlacedQuorums<'_>, weights: &[f64], c: f64) -> WeightedStrategyLp {
+        let n = pq.ctx().clients().len();
+        let m = pq.quorums().len();
+        let net_len = pq.ctx().net().len();
+        let delta: Vec<Vec<f64>> = (0..n)
+            .map(|v| (0..m).map(|i| pq.delta(v, i)).collect())
+            .collect();
+        let node_counts: Vec<Vec<(usize, f64)>> =
+            (0..m).map(|i| pq.node_counts(i).to_vec()).collect();
+        let counts = pq.placement().element_counts();
+        let cap_rhs: Vec<f64> = (0..net_len)
+            .map(|w| if counts[w] == 0 { f64::INFINITY } else { c })
+            .collect();
+        build_weighted_strategy_model(&delta, weights, &node_counts, net_len, &cap_rhs).unwrap()
     }
 
     use qp_topology::Network;
@@ -1485,11 +1105,13 @@ mod tests {
         let (net, clients, _sys, placement, quorums) = setup(3);
         let c = 0.7;
         let caps = CapacityProfile::uniform(net.len(), c);
-        // The cold solve behind the strategies certifies against its LP.
+        // The q-form model of the same LP certifies its optimum without
+        // the master; the master's strategies must reach that optimum.
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
-        let (model, _) = build_strategy_model(&pq, &caps).unwrap();
-        model.solve().unwrap().certify(&model).unwrap();
+        let lp = q_form(&pq, &vec![1.0 / clients.len() as f64; clients.len()], c);
+        let certified = lp.model.solve().unwrap();
+        certified.certify(&lp.model).unwrap();
         let strategy = optimize_strategies(&net, &clients, &placement, &quorums, &caps).unwrap();
         let eval = evaluate_matrix(
             &net,
@@ -1504,6 +1126,12 @@ mod tests {
             eval.max_node_load() <= c + 1e-6,
             "max load {} exceeds capacity {c}",
             eval.max_node_load()
+        );
+        let optimum = certified.objective();
+        assert!(
+            (eval.avg_network_delay_ms - optimum).abs() <= 1e-7 * (1.0 + optimum),
+            "master delay {} vs certified optimum {optimum}",
+            eval.avg_network_delay_ms
         );
     }
 
@@ -1611,24 +1239,25 @@ mod tests {
 
     #[test]
     fn warm_sweep_matches_cold_solves_and_saves_iterations() {
-        // Each sweep point, solved warm off the shared base, must match a
-        // from-scratch cold solve of the same capacity to LP-objective
-        // accuracy, while spending strictly fewer pivots in total.
+        // Each sweep point, solved warm on one master kept across the
+        // sweep, must match a fresh master's solve of the same capacity to
+        // LP-objective accuracy, while spending strictly fewer pivots in
+        // total.
         let (net, clients, sys, placement, quorums) = setup(3);
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
         let l_opt = sys.optimal_load().unwrap();
         let cs = capacity_sweep(l_opt, 6);
 
-        let solver = CapacitySweepSolver::new(&pq).unwrap();
-        let mut warm_total = solver.base_stats().iterations;
+        let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
+        let mut warm_total = 0usize;
         let mut cold_total = 0usize;
         for &c in &cs {
             let caps = CapacityProfile::uniform(net.len(), c);
-            let (warm, cold) = match (
-                solver.solve_uniform(c),
-                optimize_strategies_outcome(&pq, &caps),
-            ) {
+            let fresh = ColGenSolver::new(&pq, ColumnGeneration::default())
+                .unwrap()
+                .solve_profile(&caps);
+            let (warm, cold) = match (solver.solve_profile(&caps), fresh) {
                 (Ok(w), Ok(c)) => (w, c),
                 (Err(CoreError::Infeasible), Err(CoreError::Infeasible)) => continue,
                 (w, c) => panic!("warm/cold feasibility disagreement at {c:?}: {w:?}"),
@@ -1642,6 +1271,7 @@ mod tests {
             warm_total += warm.stats.iterations;
             cold_total += cold.stats.iterations;
         }
+        assert_eq!(warm_total, solver.pivots());
         assert!(
             warm_total < cold_total,
             "warm sweep must pivot strictly less: warm {warm_total} vs cold {cold_total}"
@@ -1731,22 +1361,12 @@ mod tests {
         let caps = CapacityProfile::uniform(net.len(), c);
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
-        let classic = optimize_strategies_outcome(&pq, &caps).unwrap();
+        let classic = full_enumeration(&pq).solve_profile(&caps).unwrap();
 
         let n = clients.len();
         let m = quorums.len();
-        let delta: Vec<Vec<f64>> = (0..n)
-            .map(|v| (0..m).map(|i| pq.delta(v, i)).collect())
-            .collect();
-        let weights = vec![1.0 / n as f64; n];
-        let node_counts: Vec<Vec<(usize, f64)>> =
-            (0..m).map(|i| pq.node_counts(i).to_vec()).collect();
         let counts = placement.element_counts();
-        let cap_rhs: Vec<f64> = (0..net.len())
-            .map(|w| if counts[w] == 0 { f64::INFINITY } else { c })
-            .collect();
-        let lp = build_weighted_strategy_model(&delta, &weights, &node_counts, net.len(), &cap_rhs)
-            .unwrap();
+        let lp = q_form(&pq, &vec![1.0 / n as f64; n], c);
         assert_eq!(lp.conv_rows.len(), n);
         assert!(!lp.cap_rows.is_empty());
         let sol = lp.model.solve().unwrap();
@@ -1761,7 +1381,16 @@ mod tests {
         // so check the recovered strategies achieve the classic optimum
         // rather than matching it entrywise: same weighted delay, loads
         // within capacity.
-        let strategy = strategies_from(&sol, n, m).unwrap();
+        let rows = (0..n)
+            .map(|v| {
+                let q: Vec<f64> = (0..m)
+                    .map(|i| sol.value(VarId::from_index(v * m + i)).max(0.0))
+                    .collect();
+                let total: f64 = q.iter().sum();
+                q.iter().map(|x| x / total).collect()
+            })
+            .collect();
+        let strategy = StrategyMatrix::from_rows(rows).unwrap();
         let achieved: f64 = (0..n)
             .map(|v| {
                 (0..m)
@@ -1874,13 +1503,14 @@ mod tests {
             let cfg = ColumnGeneration { seed_columns: seed };
             for &c in &[f64::INFINITY, 2.0, 0.7, 0.56] {
                 let caps = CapacityProfile::uniform(net.len(), c);
-                let full = optimize_strategies_outcome(&pq, &caps).unwrap();
-                assert!(full.colgen.is_none());
+                let full = full_enumeration(&pq).solve_profile(&caps).unwrap();
+                assert_eq!(full.colgen.columns_in_master, n * m);
+                assert_eq!(full.colgen.columns_generated, 0);
                 let cg = ColGenSolver::new(&pq, cfg.clone())
                     .unwrap()
                     .solve_profile(&caps)
                     .unwrap();
-                let stats = cg.colgen.expect("colgen path reports pricing stats");
+                let stats = cg.colgen;
                 assert_eq!(stats.total_columns, n * m);
                 assert!(stats.columns_in_master <= stats.total_columns);
                 assert!(stats.oracle_passes >= 1);
@@ -1935,12 +1565,12 @@ mod tests {
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
         let caps = CapacityProfile::uniform(net.len(), 0.56);
-        let full = optimize_strategies_outcome(&pq, &caps).unwrap();
+        let full = full_enumeration(&pq).solve_profile(&caps).unwrap();
         let cg = ColGenSolver::new(&pq, ColumnGeneration { seed_columns: 3 })
             .unwrap()
             .solve_profile(&caps)
             .unwrap();
-        let stats = cg.colgen.unwrap();
+        let stats = cg.colgen;
         assert!(
             stats.columns_generated > 0,
             "binding capacity must force column generation"
@@ -1990,7 +1620,7 @@ mod tests {
             .unwrap()
             .solve_profile(&caps)
             .unwrap();
-        let stats = out.colgen.unwrap();
+        let stats = out.colgen;
         assert!(
             stats.columns_in_master * 2 <= stats.total_columns,
             "{} of {} columns materialized",
@@ -2007,25 +1637,13 @@ mod tests {
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
         let n = clients.len();
-        let m = quorums.len();
         // Distinct, positive, un-normalized weights: the solver normalizes.
         let weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 5) as f64).collect();
         let total: f64 = weights.iter().sum();
         let normalized: Vec<f64> = weights.iter().map(|w| w / total).collect();
         let c = 0.8;
-        let counts = placement.element_counts();
 
-        let delta: Vec<Vec<f64>> = (0..n)
-            .map(|v| (0..m).map(|i| pq.delta(v, i)).collect())
-            .collect();
-        let node_counts: Vec<Vec<(usize, f64)>> =
-            (0..m).map(|i| pq.node_counts(i).to_vec()).collect();
-        let cap_rhs: Vec<f64> = (0..net.len())
-            .map(|w| if counts[w] == 0 { f64::INFINITY } else { c })
-            .collect();
-        let lp =
-            build_weighted_strategy_model(&delta, &normalized, &node_counts, net.len(), &cap_rhs)
-                .unwrap();
+        let lp = q_form(&pq, &normalized, c);
         let full = lp.model.solve().unwrap();
         full.certify(&lp.model).unwrap();
 
@@ -2064,9 +1682,9 @@ mod tests {
         assert_eq!(solver.pricing_violations(), Some(0));
     }
 
-    /// The tuner's sweep agrees with the full-enumeration sweep on the
-    /// selected capacity and score, and its master keeps running pricing
-    /// totals across the sweep.
+    /// The tuner's sweep agrees with the same sweep on full enumeration on
+    /// the selected capacity and score, and its master keeps running
+    /// pricing totals across the sweep.
     #[test]
     fn colgen_sweep_matches_full_enumeration_sweep() {
         let (net, clients, sys, placement, quorums) = setup(3);
@@ -2074,17 +1692,19 @@ mod tests {
         let pq = ctx.place(&placement, &quorums);
         let l_opt = sys.optimal_load().unwrap();
         let model = ResponseModel::network_delay_only();
-        let full = tune_uniform_capacity_placed(&pq, l_opt, 8, model).unwrap();
         let weights = vec![1.0; clients.len()];
-        let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
         let choice = CapacityChoice::Sweep { steps: 8 };
+        let mut full_solver = full_enumeration(&pq);
+        let full = tune_capacity(&mut full_solver, &pq, &weights, l_opt, choice, model).unwrap();
+        assert_eq!(full_solver.pricing().columns_generated, 0);
+        let mut solver = ColGenSolver::new(&pq, ColumnGeneration::default()).unwrap();
         let cg = tune_capacity(&mut solver, &pq, &weights, l_opt, choice, model).unwrap();
         assert_eq!(solver.pricing_violations(), Some(0));
         let stats = solver.pricing();
         assert!(stats.master_resolves >= cg.points.len());
         assert_eq!(stats.total_columns, clients.len() * quorums.len());
         assert_eq!(cg.points.len(), full.points.len());
-        let (full_cap, full_eval) = full.best_point();
+        let (full_cap, full_eval) = (full.capacity.unwrap(), &full.eval);
         let (cg_cap, cg_eval) = (cg.capacity.unwrap(), &cg.eval);
         assert!(
             (cg_cap - full_cap).abs() <= 1e-9,
@@ -2107,7 +1727,7 @@ mod tests {
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
         let caps = CapacityProfile::uniform(net.len(), 0.7);
-        let full = optimize_strategies_outcome(&pq, &caps).unwrap();
+        let full = full_enumeration(&pq).solve_profile(&caps).unwrap();
         for seed in [1, quorums.len(), quorums.len() + 7] {
             let out = ColGenSolver::new(&pq, ColumnGeneration { seed_columns: seed })
                 .unwrap()

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use qp_core::capacity::{capacity_sweep, CapacityProfile};
-use qp_core::strategy_lp::{self, ColGenSolver, ColumnGeneration};
+use qp_core::strategy_lp::{ColGenSolver, ColumnGeneration};
 use qp_core::{
     combinatorics, one_to_one, response, singleton, EvalContext, Placement, ResponseModel,
 };
@@ -251,7 +251,10 @@ proptest! {
         let l_opt = sys.optimal_load().unwrap();
         let c = l_opt + cap_frac * (1.0 - l_opt) + 1e-9;
         let caps = CapacityProfile::uniform(net.len(), c);
-        let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+        let full = ColGenSolver::new(&pq, ColumnGeneration { seed_columns: quorums.len() })
+            .unwrap()
+            .solve_profile(&caps)
+            .unwrap();
         let mut solver = ColGenSolver::new(&pq, ColumnGeneration { seed_columns }).unwrap();
         let cg = solver.solve_profile(&caps).unwrap();
         prop_assert_eq!(solver.pricing_violations(), Some(0));
@@ -274,7 +277,7 @@ proptest! {
             eval.max_node_load() <= c + 1e-6,
             "max load {} exceeds capacity {c}", eval.max_node_load()
         );
-        let stats = cg.colgen.unwrap();
+        let stats = cg.colgen;
         prop_assert!(stats.columns_in_master <= stats.total_columns);
         prop_assert!(stats.oracle_passes >= 1);
         prop_assert!(stats.master_resolves >= 1);
@@ -301,7 +304,10 @@ proptest! {
         let l_opt = sys.optimal_load().unwrap();
         let caps = CapacityProfile::from_values(
             cap_fracs.iter().map(|f| l_opt + f * (1.0 - l_opt) + 1e-9).collect());
-        let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+        let full = ColGenSolver::new(&pq, ColumnGeneration { seed_columns: quorums.len() })
+            .unwrap()
+            .solve_profile(&caps)
+            .unwrap();
         let mut solver = ColGenSolver::new(&pq, ColumnGeneration { seed_columns }).unwrap();
         let cg = solver.solve_profile(&caps).unwrap();
         prop_assert_eq!(solver.pricing_violations(), Some(0));

@@ -831,8 +831,6 @@ impl Session {
             )
         };
         let mut pivots: u64 = 0;
-        // One shared master: latest column census, summed work.
-        let mut agg = self.pricing.unwrap_or_default();
         let grid = capacity_sweep(self.l_opt, self.sweep_steps);
         let mut scored: Vec<(f64, f64)> = Vec::new(); // (capacity, score)
         for &c in &grid {
@@ -842,9 +840,6 @@ impl Session {
                 Err(e) => return Err(to_err(e)),
             };
             pivots += outcome.stats.iterations as u64;
-            if let Some(stats) = &outcome.colgen {
-                agg.absorb(stats);
-            }
             let q = self.q_from_strategy(&outcome.strategy);
             let score = self.score(&q, self.alpha);
             scored.push((c, score));
@@ -858,13 +853,14 @@ impl Session {
         // this re-solve is warm and generates nothing new.
         let outcome = solver.solve_profile(&caps_at(best_c)).map_err(to_err)?;
         pivots += outcome.stats.iterations as u64;
-        if let Some(stats) = &outcome.colgen {
-            agg.absorb(stats);
-        }
         let q = self.q_from_strategy(&outcome.strategy);
+        // The master's running totals cover every solve of this tune:
+        // fold them into the session's (latest column census, summed work).
+        let mut pricing = self.pricing.unwrap_or_default();
+        pricing.absorb(&solver.pricing());
         drop(solver);
         self.capacity = best_c;
-        self.pricing = Some(agg);
+        self.pricing = Some(pricing);
         // Keep the (unsolved) resident LP's capacities in step with the
         // adopted answer, mirroring the resident-path invariant.
         for row_idx in 0..self.cap_rows.len() {

@@ -491,7 +491,7 @@ mod tests {
     use crate::spec::{
         CapacityChoice, FailureEvent, FailurePlan, FlashCrowd, TopologySource, WorkloadSpec,
     };
-    use qp_core::strategy_lp::optimize_strategies_outcome;
+    use qp_core::strategy_lp::{ColGenSolver, ColumnGeneration};
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -626,10 +626,16 @@ mod tests {
         let quorums = sys.enumerate(spec.pipeline.quorum_limit).unwrap();
         let ctx = EvalContext::new(&net, &clients);
         let pq = ctx.place(&placement, &quorums);
-        let per_client = optimize_strategies_outcome(&pq, &CapacityProfile::uniform(net.len(), c))
+        let full = ColumnGeneration {
+            seed_columns: quorums.len(),
+        };
+        let mut solver = ColGenSolver::new(&pq, full).unwrap();
+        let per_client = solver
+            .solve_profile(&CapacityProfile::uniform(net.len(), c))
             .unwrap()
             .delay_ms;
-        let unbounded = optimize_strategies_outcome(&pq, &CapacityProfile::unbounded(net.len()))
+        let unbounded = solver
+            .solve_profile(&CapacityProfile::unbounded(net.len()))
             .unwrap()
             .delay_ms;
         assert!(

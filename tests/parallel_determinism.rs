@@ -20,6 +20,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use qp_bench::{figures, Scale, Table};
 use qp_par::configure_threads;
+use quorumnet::core::capacity::CapacityChoice;
 use quorumnet::core::strategy_lp;
 use quorumnet::prelude::*;
 
@@ -83,6 +84,12 @@ fn fig7_6_lp_sweep_pipeline_deterministic() {
 }
 
 #[test]
+fn fig7_7_uniform_vs_nonuniform_pipeline_deterministic() {
+    // Both cell kinds of a universe size solve on one mutating master.
+    figure_is_thread_count_invariant("fig7_7", figures::fig7_7);
+}
+
+#[test]
 fn fig8_9_iterative_pipeline_deterministic() {
     figure_is_thread_count_invariant("fig8_9", figures::fig8_9);
 }
@@ -123,15 +130,23 @@ fn capacity_tuning_sweep_deterministic() {
 
     let ctx = quorumnet::core::EvalContext::new(&net, &clients);
     let pq = ctx.place(&placement, &quorums);
+    let weights = vec![1.0; clients.len()];
     let tune = |threads: usize| {
         with_threads(threads, || {
-            strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 6, model).unwrap()
+            let cfg = strategy_lp::ColumnGeneration::default();
+            let mut solver = strategy_lp::ColGenSolver::new(&pq, cfg).unwrap();
+            let choice = CapacityChoice::Sweep { steps: 6 };
+            strategy_lp::tune_capacity(&mut solver, &pq, &weights, l_opt, choice, model).unwrap()
         })
     };
     let serial = tune(1);
     for threads in [2, 4] {
         let parallel = tune(threads);
-        assert_eq!(serial.best, parallel.best, "winner drifted");
+        assert_eq!(
+            serial.capacity.map(f64::to_bits),
+            parallel.capacity.map(f64::to_bits),
+            "winner drifted"
+        );
         assert_eq!(serial.points.len(), parallel.points.len());
         for ((c1, e1), (c2, e2)) in serial.points.iter().zip(&parallel.points) {
             assert_eq!(c1.to_bits(), c2.to_bits());

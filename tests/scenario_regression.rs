@@ -164,8 +164,9 @@ fn golden_strategy_lp_capacitated_response() {
     );
 }
 
-/// The Golden 5 quantity: one cold full-enumeration solve of LP
-/// (4.3)–(4.6) at uniform capacity `c`, scored with `model`.
+/// The Golden 5 quantity: one solve of LP (4.3)–(4.6) on a fresh default
+/// master at uniform capacity `c`, scored with `model` — what
+/// `quorumnet place --strategy lp --capacity c` reports.
 fn full_lp_response(
     net: &Network,
     clients: &[NodeId],
@@ -177,7 +178,9 @@ fn full_lp_response(
     let ctx = EvalContext::new(net, clients);
     let pq = ctx.place(placement, quorums);
     let caps = CapacityProfile::uniform(net.len(), c);
-    let outcome = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+    let mut solver =
+        strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default()).unwrap();
+    let outcome = solver.solve_profile(&caps).unwrap();
     response::evaluate_matrix_placed(&pq, &outcome.strategy, model)
         .unwrap()
         .avg_response_ms
@@ -303,10 +306,11 @@ fn golden_values_hold_at_four_threads() {
 }
 
 /// Golden 8 — the paper-scale 161-site dataset ("daxlist-161"): the full
-/// §7 uniform-capacity tuning loop (warm-started LP sweep) for a 3×3 Grid
-/// on a deterministic shell placement, 161 clients. Pins the tuned best
-/// capacity and its delay/response scores, so the warm-start layer is
-/// regression-gated on a paper-scale input, not just on Planetlab-50.
+/// §7 uniform-capacity tuning loop (a ten-point sweep solved warm on one
+/// master) for a 3×3 Grid on a deterministic shell placement, 161
+/// clients. Pins the tuned best capacity and its delay/response scores,
+/// so the sweep is regression-gated on a paper-scale input, not just on
+/// Planetlab-50.
 #[test]
 fn golden_daxlist161_capacity_tuning() {
     let net = datasets::daxlist_161();
@@ -316,17 +320,21 @@ fn golden_daxlist161_capacity_tuning() {
     let quorums = sys.enumerate(100).unwrap();
     let ctx = EvalContext::new(&net, &clients);
     let pq = ctx.place(&placement, &quorums);
-    let result = strategy_lp::tune_uniform_capacity_placed(
+    let mut solver =
+        strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default()).unwrap();
+    let tuned = strategy_lp::tune_capacity(
+        &mut solver,
         &pq,
+        &vec![1.0; clients.len()],
         sys.optimal_load().unwrap(),
-        10,
+        CapacityChoice::Sweep { steps: 10 },
         ResponseModel::from_demand(0.007, 16000.0),
     )
     .unwrap();
-    let (best_c, best_eval) = result.best_point();
+    let (best_c, best_eval) = (tuned.capacity.unwrap(), &tuned.eval);
     assert_golden(
         "daxlist161_tuned_capacity",
-        *best_c,
+        best_c,
         DAXLIST161_TUNED_CAPACITY,
     );
     assert_golden(
@@ -343,10 +351,10 @@ fn golden_daxlist161_capacity_tuning() {
 
 /// Golden 8b — column generation ≡ full enumeration on the paper-scale
 /// daxlist-161 dataset: the restricted master + pricing oracle must land
-/// on the same LP optimum as the full (client × quorum) enumeration, both
-/// for a single profile solve and for the whole §7 capacity-tuning sweep
-/// (the tuner's `Sweep` against the full-enumeration reference sweep),
-/// while materializing strictly fewer columns.
+/// on the same LP optimum as the full (client × quorum) enumeration (a
+/// master seeded with every column), both for a single profile solve and
+/// for the whole §7 capacity-tuning sweep, while materializing strictly
+/// fewer columns.
 #[test]
 fn daxlist161_colgen_agrees_with_full_enumeration() {
     let net = datasets::daxlist_161();
@@ -359,7 +367,14 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
 
     // Single-profile agreement at the Golden-4 capacity.
     let caps = CapacityProfile::uniform(net.len(), 0.8);
-    let full = strategy_lp::optimize_strategies_outcome(&pq, &caps).unwrap();
+    let full_enumeration = strategy_lp::ColumnGeneration {
+        seed_columns: quorums.len(),
+    };
+    let full = strategy_lp::ColGenSolver::new(&pq, full_enumeration.clone())
+        .unwrap()
+        .solve_profile(&caps)
+        .unwrap();
+    assert_eq!(full.colgen.columns_in_master, full.colgen.total_columns);
     let mut solver =
         strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default()).unwrap();
     let cg = solver.solve_profile(&caps).unwrap();
@@ -370,7 +385,7 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
         cg.delay_ms,
         full.delay_ms
     );
-    let stats = cg.colgen.expect("colgen path must report pricing stats");
+    let stats = cg.colgen;
     assert_eq!(stats.total_columns, clients.len() * quorums.len());
     assert!(
         stats.columns_in_master < stats.total_columns,
@@ -382,8 +397,17 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
     // Whole-sweep agreement: same best capacity, same scores.
     let l_opt = sys.optimal_load().unwrap();
     let model = ResponseModel::from_demand(0.007, 16000.0);
-    let full_sweep = strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 10, model).unwrap();
     let weights = vec![1.0; clients.len()];
+    let mut full_solver = strategy_lp::ColGenSolver::new(&pq, full_enumeration).unwrap();
+    let full_sweep = strategy_lp::tune_capacity(
+        &mut full_solver,
+        &pq,
+        &weights,
+        l_opt,
+        CapacityChoice::Sweep { steps: 10 },
+        model,
+    )
+    .unwrap();
     let mut solver =
         strategy_lp::ColGenSolver::new(&pq, strategy_lp::ColumnGeneration::default()).unwrap();
     let cg_sweep = strategy_lp::tune_capacity(
@@ -396,7 +420,7 @@ fn daxlist161_colgen_agrees_with_full_enumeration() {
     )
     .unwrap();
     assert_eq!(solver.pricing_violations(), Some(0));
-    let (full_c, full_eval) = full_sweep.best_point();
+    let (full_c, full_eval) = (&full_sweep.capacity.unwrap(), &full_sweep.eval);
     let (cg_c, cg_eval) = (&cg_sweep.capacity.unwrap(), &cg_sweep.eval);
     assert_eq!(full_c, cg_c, "sweeps disagree on the tuned capacity");
     assert_golden(

@@ -1,10 +1,11 @@
 //! Warm-start regression: the §7 capacity sweeps must do strictly less
-//! simplex work than per-point cold solves — pinned by pivot counters,
-//! not wall clock — while reproducing the same LP optima.
+//! simplex work on one master kept across the sweep than on a fresh
+//! master per point — pinned by pivot counters, not wall clock — while
+//! reproducing the same LP optima.
 
-use quorumnet::core::capacity::capacity_sweep;
-use quorumnet::core::eval::EvalContext;
-use quorumnet::core::strategy_lp::{self, optimize_strategies_outcome, CapacitySweepSolver};
+use quorumnet::core::capacity::{capacity_sweep, CapacityChoice};
+use quorumnet::core::eval::{EvalContext, PlacedQuorums};
+use quorumnet::core::strategy_lp::{self, ColGenSolver, ColumnGeneration, TunedCapacity};
 use quorumnet::prelude::*;
 
 /// The fig7 sweep inputs: Planetlab-50, 3×3 Grid, the Eq. (7.7) capacity
@@ -19,10 +20,31 @@ fn fig7_inputs() -> (Network, Vec<NodeId>, Placement, Vec<Quorum>, f64) {
     (net, clients, placement, quorums, l_opt)
 }
 
-/// Acceptance pin: the warm-started `tune_uniform_capacity_placed`
-/// performs strictly fewer total simplex iterations than solving every
-/// fig7 sweep point cold, with LP objectives equal to 1e-9 relative at
-/// every point.
+/// A fresh default master over `pq`.
+fn master<'a>(pq: &'a PlacedQuorums<'a>) -> ColGenSolver<'a> {
+    ColGenSolver::new(pq, ColumnGeneration::default()).unwrap()
+}
+
+/// The §7 tuner's `steps`-point sweep on one fresh default master,
+/// returned with that master's running pivot total.
+fn tuned_sweep(
+    pq: &PlacedQuorums<'_>,
+    l_opt: f64,
+    steps: usize,
+    model: ResponseModel,
+) -> (TunedCapacity, usize) {
+    let mut solver = master(pq);
+    let weights = vec![1.0; pq.ctx().clients().len()];
+    let choice = CapacityChoice::Sweep { steps };
+    let tuned =
+        strategy_lp::tune_capacity(&mut solver, pq, &weights, l_opt, choice, model).unwrap();
+    (tuned, solver.pivots())
+}
+
+/// Acceptance pin: the §7 tuner's sweep on one master performs strictly
+/// fewer total simplex iterations than solving every fig7 sweep point on
+/// a fresh master, with LP objectives equal to 1e-9 relative at every
+/// point.
 #[test]
 fn warm_fig7_sweep_beats_cold_iteration_count() {
     let (net, clients, placement, quorums, l_opt) = fig7_inputs();
@@ -31,27 +53,21 @@ fn warm_fig7_sweep_beats_cold_iteration_count() {
     let steps = 10; // the paper's grid
     let model = ResponseModel::from_demand(0.007, 16000.0);
 
-    // Warm path: the real tuning loop, counters aggregated inside.
-    let tuned = strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, steps, model).unwrap();
-    let warm_total = tuned.lp_stats.total_iterations();
-    assert!(
-        tuned.lp_stats.warm_points > 0,
-        "no sweep point actually re-solved warm"
-    );
+    // Warm path: the real tuning loop, pivots counted by its master.
+    let (tuned, warm_total) = tuned_sweep(&pq, l_opt, steps, model);
 
-    // Cold path: one from-scratch solve per sweep point.
-    let solver = CapacitySweepSolver::new(&pq).unwrap();
+    // The same points replayed on one master, each against a fresh one.
+    let mut warm = master(&pq);
     let mut cold_total = 0usize;
     let mut feasible = 0usize;
+    let mut warm_points = 0usize;
     for c in capacity_sweep(l_opt, steps) {
         let caps = CapacityProfile::uniform(net.len(), c);
-        match (
-            optimize_strategies_outcome(&pq, &caps),
-            solver.solve_uniform(c),
-        ) {
+        match (master(&pq).solve_profile(&caps), warm.solve_profile(&caps)) {
             (Ok(cold), Ok(warm)) => {
                 cold_total += cold.stats.iterations;
                 feasible += 1;
+                warm_points += usize::from(warm.stats.warm);
                 assert!(
                     (warm.delay_ms - cold.delay_ms).abs() <= 1e-9 * (1.0 + cold.delay_ms.abs()),
                     "LP optimum drifted at c={c}: warm {} vs cold {}",
@@ -65,16 +81,21 @@ fn warm_fig7_sweep_beats_cold_iteration_count() {
             }
         }
     }
+    assert!(warm_points > 0, "no sweep point actually re-solved warm");
     assert_eq!(feasible, tuned.points.len(), "sweep point sets differ");
+    assert_eq!(
+        warm.pivots(),
+        warm_total,
+        "the replay left the tuner's path"
+    );
     assert!(
         warm_total < cold_total,
         "warm sweep must pivot strictly less than cold: {warm_total} vs {cold_total}"
     );
 }
 
-/// The sweep's evaluations are identical whether the caller asks for them
-/// through the high-level tuner or re-derives them point by point from
-/// the shared solver — i.e. the warm layer is deterministic.
+/// The sweep's evaluations are identical whenever the tuner runs it on a
+/// fresh master — i.e. the warm layer is deterministic.
 #[test]
 fn warm_sweep_is_reproducible() {
     let (net, clients, placement, quorums, l_opt) = fig7_inputs();
@@ -82,10 +103,11 @@ fn warm_sweep_is_reproducible() {
     let pq = ctx.place(&placement, &quorums);
     let model = ResponseModel::from_demand(0.007, 16000.0);
 
-    let a = strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 6, model).unwrap();
-    let b = strategy_lp::tune_uniform_capacity_placed(&pq, l_opt, 6, model).unwrap();
+    let (a, a_pivots) = tuned_sweep(&pq, l_opt, 6, model);
+    let (b, b_pivots) = tuned_sweep(&pq, l_opt, 6, model);
+    assert_eq!(a_pivots, b_pivots);
     assert_eq!(a.points.len(), b.points.len());
-    assert_eq!(a.best, b.best);
+    assert_eq!(a.capacity.map(f64::to_bits), b.capacity.map(f64::to_bits));
     for ((c1, e1), (c2, e2)) in a.points.iter().zip(&b.points) {
         assert_eq!(c1.to_bits(), c2.to_bits());
         assert_eq!(e1.avg_response_ms.to_bits(), e2.avg_response_ms.to_bits());
