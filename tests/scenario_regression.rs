@@ -672,13 +672,13 @@ const SINGLETON_DELAY_MS: f64 = 75.208043791862;
 const CLOSEST_GRID3_DELAY_MS: f64 = 79.948862911719;
 const MANYONE_LP_OBJECTIVE_MS: f64 = 50.585604823071;
 const MANYONE_ROUNDED_OBJECTIVE_MS: f64 = 50.624567243531;
-const STRATEGY_LP_C07_RESPONSE_MS: f64 = 155.573639600227;
+const STRATEGY_LP_C07_RESPONSE_MS: f64 = 155.022643509444;
 const PROTOCOL_AVG_RESPONSE_MS: f64 = 85.450249453890;
 const PROTOCOL_AVG_NETWORK_DELAY_MS: f64 = 85.332119143561;
 const PROTOCOL_HORIZON_MS: f64 = 17_310.567_028_232_32;
 
 const DAXLIST161_TUNED_CAPACITY: f64 = 0.6;
-const DAXLIST161_TUNED_RESPONSE_MS: f64 = 173.379314423190;
+const DAXLIST161_TUNED_RESPONSE_MS: f64 = 173.386603359331;
 const DAXLIST161_TUNED_DELAY_MS: f64 = 107.823962171457;
 
 const SCENARIO_TS_LP_DELAY_MS: f64 = 48.338477296683;
