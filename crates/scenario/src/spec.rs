@@ -526,6 +526,17 @@ impl ScenarioSpec {
                 "tolerance must be positive and finite".into(),
             ));
         }
+        // The response model's α = op-time × demand-scale.
+        if !(p.op_time_ms.is_finite() && p.op_time_ms >= 0.0) {
+            return Err(ScenarioError::Invalid(
+                "op-time must be nonnegative and finite".into(),
+            ));
+        }
+        if !(p.demand.is_finite() && p.demand >= 0.0) {
+            return Err(ScenarioError::Invalid(
+                "demand-scale must be nonnegative and finite".into(),
+            ));
+        }
         if self.workload.locations == 0 || self.workload.per_location == 0 {
             return Err(ScenarioError::Invalid(
                 "workload needs at least one location and one client".into(),
@@ -1561,6 +1572,27 @@ tolerance = 0.12
             );
         }
         assert!(ScenarioSpec::parse("[failures]\nfault-tolerant = maybe\n").is_err());
+    }
+
+    #[test]
+    fn bad_response_model_values_are_rejected() {
+        for (key, value) in [
+            ("op-time", "-1"),
+            ("op-time", "nan"),
+            ("op-time", "inf"),
+            ("demand-scale", "-1"),
+            ("demand-scale", "nan"),
+            ("demand-scale", "inf"),
+        ] {
+            let text = format!("[pipeline]\n{key} = {value}\n");
+            let err = ScenarioSpec::parse(&text).unwrap_err();
+            let ScenarioError::Invalid(msg) = err else {
+                panic!("`{key} = {value}`: wrong error: {err}");
+            };
+            assert!(msg.contains(key), "`{key} = {value}`: {msg}");
+        }
+        // Zero is a valid (load-free) response model.
+        ScenarioSpec::parse("[pipeline]\nop-time = 0\ndemand-scale = 0\n").unwrap();
     }
 
     #[test]

@@ -259,9 +259,15 @@ impl Options {
                 "--topology" => o.topology_file = Some(value("--topology")?),
                 "--system" => o.system = value("--system")?,
                 "--strategy" => o.strategy = value("--strategy")?,
-                "--demand" => o.demand = parse_num(&value("--demand")?, "--demand")?,
-                "--op-time" => o.op_time = parse_num(&value("--op-time")?, "--op-time")?,
-                "--capacity" => o.capacity = parse_num(&value("--capacity")?, "--capacity")?,
+                "--demand" => o.demand = parse_nonnegative(&value("--demand")?, "--demand")?,
+                "--op-time" => o.op_time = parse_nonnegative(&value("--op-time")?, "--op-time")?,
+                "--capacity" => {
+                    let c = parse_num(&value("--capacity")?, "--capacity")?;
+                    if !(c.is_finite() && c > 0.0) {
+                        return Err(format!("--capacity must be positive and finite, got `{c}`"));
+                    }
+                    o.capacity = c;
+                }
                 "--dedup" => o.dedup = true,
                 "--colgen" => o.colgen = true,
                 "--locations" => o.locations = parse_usize(&value("--locations")?, "--locations")?,
@@ -377,6 +383,16 @@ fn print_pricing(p: &strategy_lp::ColGenStats) {
 fn parse_num(s: &str, flag: &str) -> Result<f64, String> {
     s.parse::<f64>()
         .map_err(|_| format!("{flag}: `{s}` is not a number"))
+}
+
+/// [`parse_num`] for a demand or a service time: finite and ≥ 0.
+fn parse_nonnegative(s: &str, flag: &str) -> Result<f64, String> {
+    let x = parse_num(s, flag)?;
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("{flag} must be nonnegative and finite, got `{x}`"))
+    }
 }
 
 fn parse_usize(s: &str, flag: &str) -> Result<usize, String> {

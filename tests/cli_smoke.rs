@@ -295,6 +295,20 @@ fn scenario_rejects_missing_or_bad_specs() {
         String::from_utf8_lossy(&out.stderr).contains("bogus"),
         "error should name the unknown key"
     );
+
+    // A bad response-model number is an input error, not a panic.
+    let spec = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/data/scenarios/transit_flash.toml"
+    ))
+    .unwrap();
+    let bad = tempfile::write(spec.replace("[pipeline]", "[pipeline]\nop-time = -1"));
+    let out = run(&["scenario", "--spec", bad.as_str()]);
+    assert_eq!(out.status.code(), Some(1), "op-time = -1 must exit 1");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("op-time"),
+        "error should name op-time"
+    );
 }
 
 #[test]
@@ -357,6 +371,39 @@ fn threads_output_is_identical_across_counts() {
         "4",
     ]);
     assert_eq!(t1, t4, "place output changed with thread count");
+}
+
+#[test]
+fn bad_numeric_flags_rejected() {
+    // `place --strategy lp` and `serve` build their capacity and response
+    // model from these flags: a bad value is an input error, not a panic.
+    for (flag, value) in [
+        ("--capacity", "nan"),
+        ("--capacity", "-1"),
+        ("--capacity", "0"),
+        ("--capacity", "inf"),
+        ("--demand", "nan"),
+        ("--demand", "inf"),
+        ("--demand", "-1"),
+        ("--op-time", "-1"),
+        ("--op-time", "nan"),
+    ] {
+        for cmd in [
+            &["place", "--system", "grid:3", "--strategy", "lp"][..],
+            &["serve"][..],
+        ] {
+            let mut args = cmd.to_vec();
+            args.extend([flag, value]);
+            let out = run(&args);
+            let line = args.join(" ");
+            assert_eq!(out.status.code(), Some(1), "`{line}` must exit 1");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(flag),
+                "`{line}`: the message must name {flag}: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]
