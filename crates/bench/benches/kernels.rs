@@ -97,7 +97,7 @@ fn bench_lp_solver(c: &mut Criterion) {
     });
 
     // Column generation vs full enumeration at paper scale: a 7×7 Grid on
-    // daxlist-161 prices a 16,100-column strategy LP.
+    // daxlist-161 has 161 × 49 = 7,889 (client × quorum) columns.
     let dax = datasets::daxlist_161();
     let dax_clients: Vec<NodeId> = dax.nodes().collect();
     let dax_sys = QuorumSystem::grid(7).unwrap();
@@ -107,8 +107,8 @@ fn bench_lp_solver(c: &mut Criterion) {
     let dax_ctx = EvalContext::new(&dax, &dax_clients);
     let dax_pq = dax_ctx.place(&dax_placement, &dax_quorums);
     // Both sides solve the identical strategy LP (objectives agree to
-    // 1e-9; see tests/scenario_regression.rs): `full` seeds the master
-    // with all 16,100 columns, `colgen` seeds each client's four closest
+    // 1e-9, as Golden 8b checks for the 3×3 Grid): `full` seeds the master
+    // with every column, `colgen` seeds each client's four closest
     // quorums and lets the pricing oracle materialize only the columns
     // that price favorably. The sweep pair replays the ten-point §7
     // sweep through the tuner, each on one master kept across the

@@ -24,8 +24,8 @@
 //! # Restricted master + pricing oracle (column generation)
 //!
 //! Full enumeration materializes one column per (client × quorum) pair —
-//! 16k columns already at daxlist-161 — which caps topology scale long
-//! before the solver does. The [`ColumnGeneration`] path
+//! 7,889 already for a 7×7 Grid at daxlist-161 — which caps topology scale
+//! long before the solver does. The [`ColumnGeneration`] path
 //! restructures the same LP as a **restricted master problem**
 //! ([`ColGenSolver`]): start from each client's few closest quorums (by
 //! the [`EvalContext`] cached distance permutation), solve that small
