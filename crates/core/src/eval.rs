@@ -14,9 +14,9 @@
 //!   search that uses the context.
 //! * [`PlacedQuorums`] — per **(context, placement, enumerated quorum
 //!   list)**: each quorum's host nodes (in element order), its
-//!   deduplicated host set, per-node element counts, node-membership
-//!   bitsets, and the memoized `δ_f(v, Qᵢ)` network-delay matrix that
-//!   both the strategy LP objective and Eq. (4.2) evaluation consume.
+//!   deduplicated host set, per-node element counts, and the memoized
+//!   `δ_f(v, Qᵢ)` network-delay matrix that both the strategy LP
+//!   objective and Eq. (4.2) evaluation consume.
 //!
 //! Every cached value is computed by the **same arithmetic in the same
 //! order** as the uncached code paths it replaces, so cached and
@@ -176,7 +176,6 @@ impl<'a> EvalContext<'a> {
             hosts,
             unique_hosts: OnceLock::new(),
             node_counts: OnceLock::new(),
-            membership: OnceLock::new(),
             delta,
         }
     }
@@ -190,12 +189,11 @@ pub struct PlacedQuorums<'b> {
     placement: &'b Placement,
     quorums: &'b [Quorum],
     hosts: Vec<Vec<NodeId>>,
-    // Lazy: only the LP path reads counts/membership and only the §8
-    // dedup path reads unique hosts, so one-shot evaluations through
-    // the legacy wrappers never pay for them.
+    // Lazy: only the LP path reads counts and only the §8 dedup path
+    // reads unique hosts, so one-shot evaluations through the legacy
+    // wrappers never pay for them.
     unique_hosts: OnceLock<Vec<Vec<NodeId>>>,
     node_counts: OnceLock<Vec<Vec<(usize, f64)>>>,
-    membership: OnceLock<Vec<Vec<u64>>>,
     delta: Vec<Vec<f64>>,
 }
 
@@ -268,25 +266,6 @@ impl<'b> PlacedQuorums<'b> {
                 .collect()
         });
         &counts[i]
-    }
-
-    /// Whether any element of quorum `i` is hosted on node `w`
-    /// (bitset lookup).
-    pub fn touches(&self, i: usize, w: usize) -> bool {
-        let words = self.placement.num_nodes().div_ceil(64);
-        let membership = self.membership.get_or_init(|| {
-            self.unique_hosts_all()
-                .iter()
-                .map(|h| {
-                    let mut bits = vec![0u64; words];
-                    for v in h {
-                        bits[v.index() / 64] |= 1u64 << (v.index() % 64);
-                    }
-                    bits
-                })
-                .collect()
-        });
-        membership[i][w / 64] & (1u64 << (w % 64)) != 0
     }
 
     /// The memoized network delay `δ_f(clients[row], Qᵢ)`.
@@ -366,10 +345,6 @@ mod tests {
             let expect_hosts: Vec<NodeId> = q.iter().map(|u| placement.node_of(u)).collect();
             assert_eq!(pq.hosts(i), expect_hosts.as_slice());
             assert_eq!(pq.unique_hosts(i), placement.quorum_nodes(q).as_slice());
-            for w in 0..net.len() {
-                let touched = expect_hosts.iter().any(|h| h.index() == w);
-                assert_eq!(pq.touches(i, w), touched, "bitset wrong at q{i}, node {w}");
-            }
             let total: f64 = pq.node_counts(i).iter().map(|&(_, c)| c).sum();
             assert_eq!(total, q.len() as f64);
         }
