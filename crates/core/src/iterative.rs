@@ -118,10 +118,10 @@ pub fn optimize_ctx(
         let pq = ctx.place(&placement, quorums);
         let after_placement = evaluate_matrix_placed(&pq, &strategy, model)?;
 
-        // Phase 2: strategies under cap(v) = load_{f_j}(v), on a fresh
-        // master over the new placement (one solve, so nothing carries
-        // over between iterations). Guard against zero-capacity nodes
-        // (they host nothing): give non-support nodes unbounded capacity.
+        // Phase 2: strategies under cap(v) = load_{f_j}(v), solved on a
+        // fresh master over the new placement. Guard against
+        // zero-capacity nodes (they host nothing): give non-support nodes
+        // unbounded capacity.
         let loads = &after_placement.node_loads;
         let caps_j = CapacityProfile::from_values(
             loads
