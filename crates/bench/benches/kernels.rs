@@ -395,6 +395,20 @@ fn bench_des(c: &mut Criterion) {
             s.served()
         });
     });
+    // The same 1M arrivals through the batch form, the aggregated
+    // engine's per-flow path: the station's state stays in locals.
+    group.bench_function("service_station_1m_batch", |b| {
+        b.iter(|| {
+            let mut s = ServiceStation::new();
+            let mut t = SimTime::ZERO;
+            let arrivals = std::iter::repeat_with(|| {
+                t = t + 0.5;
+                t
+            });
+            s.submit_batch(arrivals.take(1_000_000), 1.0, |_, _| {});
+            s.served()
+        });
+    });
     let net = datasets::planetlab_50();
     let sys = QuorumSystem::majority(MajorityKind::FourFifths, 2).unwrap();
     let placement = one_to_one::best_placement(&net, &sys).unwrap();

@@ -212,148 +212,157 @@ impl Extend<f64> for Sample {
     }
 }
 
-/// A bounded-memory streaming quantile estimator (the P² algorithm of
-/// Jain & Chlamtac): five markers track one target quantile regardless of
-/// how many observations arrive, so percentile tracking at millions of
-/// observations costs 40 bytes instead of a full sample buffer.
+/// Sub-buckets per power of two in a [`LogHistogram`]: 2^`SUB_BITS`.
+const SUB_BITS: u32 = 7;
+
+/// Low bits of an `f64` below a [`LogHistogram`] bucket index: the 52
+/// mantissa bits less the `SUB_BITS` that select the sub-bucket.
+const SHIFT: u32 = 52 - SUB_BITS;
+
+/// A bounded-memory streaming quantile estimator: a histogram with 2^7
+/// logarithmic buckets per power of two, indexed straight from the bits
+/// of the `f64` (its exponent and top seven mantissa bits). Zero has a
+/// bucket of its own.
 ///
-/// Exact (nearest-rank, matching [`Sample::percentile`]) while five or
-/// fewer observations have been seen; a piecewise-parabolic approximation
-/// afterwards.
+/// A quantile is the midpoint of the bucket holding the nearest-rank
+/// observation (the one [`Sample::percentile`] returns), clamped to the
+/// observed minimum and maximum. A bucket spans at most 2^-7 of its lower
+/// edge, so every quantile is within 2^-8 (≈0.39%) of the exact value
+/// whenever that value is zero or normal (at least [`f64::MIN_POSITIVE`]).
+/// One repeated value, or a single observation, is reported exactly.
+///
+/// Memory is one counter for each bucket from the smallest positive
+/// observation's to the largest's: 128 counters (1 KiB) per power of two
+/// spanned.
 ///
 /// # Examples
 ///
 /// ```
-/// use qp_des::P2Quantile;
+/// use qp_des::LogHistogram;
 ///
-/// let mut q = P2Quantile::new(0.5);
+/// let mut h = LogHistogram::new();
 /// for x in 1..=1000 {
-///     q.add(x as f64);
+///     h.add(x as f64);
 /// }
-/// assert!((q.estimate() - 500.0).abs() < 10.0);
+/// let median = h.quantile(0.5);
+/// assert!((median - 500.0).abs() <= 500.0 / 256.0);
+/// assert_eq!(h.quantile(1.0), 1000.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct P2Quantile {
-    p: f64,
-    /// First five observations, kept for the exact small-sample path.
-    initial: Vec<f64>,
-    /// Marker heights.
-    q: [f64; 5],
-    /// Actual marker positions (1-based observation counts).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    dn: [f64; 5],
-    count: u64,
+pub struct LogHistogram {
+    /// Observations equal to zero.
+    zeros: u64,
+    /// Positive observations per bucket, for the buckets
+    /// `first..first + len`.
+    counts: Vec<u64>,
+    /// Bucket index of `counts[0]`.
+    first: usize,
+    n: u64,
+    min: f64,
+    max: f64,
 }
 
-impl P2Quantile {
-    /// An estimator for the `p`-quantile, `p` strictly between 0 and 1
-    /// (e.g. `0.95` for the 95th percentile).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < p < 1`.
-    pub fn new(p: f64) -> Self {
-        assert!(
-            p > 0.0 && p < 1.0,
-            "quantile must be strictly between 0 and 1, got {p}"
-        );
-        P2Quantile {
-            p,
-            initial: Vec::with_capacity(5),
-            q: [0.0; 5],
-            n: [0.0; 5],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
+impl Default for LogHistogram {
+    fn default() -> Self {
+        LogHistogram::new()
+    }
+}
+
+impl LogHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        LogHistogram {
+            zeros: 0,
+            counts: Vec::new(),
+            first: 0,
+            n: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
+    }
+
+    /// The value halfway through `bucket`: its lower edge's bits with the
+    /// next mantissa bit set.
+    fn midpoint(bucket: usize) -> f64 {
+        f64::from_bits(((bucket as u64) << SHIFT) | (1 << (SHIFT - 1)))
     }
 
     /// Adds an observation.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is NaN.
+    /// Panics if `x` is negative, infinite or NaN.
     pub fn add(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN observation");
-        self.count += 1;
-        if self.count <= 5 {
-            self.initial.push(x);
-            if self.count == 5 {
-                let mut sorted = self.initial.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN stored"));
-                for (i, &x) in sorted.iter().enumerate() {
-                    self.q[i] = x;
-                    self.n[i] = (i + 1) as f64;
-                }
-            }
-            return;
-        }
-        // Locate the cell containing x, stretching the extremes if needed.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
+        assert!(
+            x >= 0.0 && x.is_finite(),
+            "observation must be a nonnegative finite number, got {x}"
+        );
+        if x == 0.0 {
+            self.zeros += 1;
         } else {
-            let mut k = 0;
-            while x >= self.q[k + 1] {
-                k += 1;
+            // The bits of a positive `f64` order like its value.
+            let bucket = (x.to_bits() >> SHIFT) as usize;
+            match self.counts.get_mut(bucket.wrapping_sub(self.first)) {
+                Some(count) => *count += 1,
+                None => self.add_outside(bucket),
             }
-            k
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
         }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-        // Nudge interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let parabolic = self.q[i]
-                    + d / (self.n[i + 1] - self.n[i - 1])
-                        * ((self.n[i] - self.n[i - 1] + d) * (self.q[i + 1] - self.q[i])
-                            / (self.n[i + 1] - self.n[i])
-                            + (self.n[i + 1] - self.n[i] - d) * (self.q[i] - self.q[i - 1])
-                                / (self.n[i] - self.n[i - 1]));
-                self.q[i] = if self.q[i - 1] < parabolic && parabolic < self.q[i + 1] {
-                    parabolic
-                } else {
-                    // Parabolic step left the bracket; fall back to linear.
-                    let j = if d > 0.0 { i + 1 } else { i - 1 };
-                    self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-                };
-                self.n[i] += d;
-            }
+        self.n += 1;
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
+    }
+
+    /// Counts one observation in a bucket outside the stored range,
+    /// widening the range to reach it.
+    #[cold]
+    fn add_outside(&mut self, bucket: usize) {
+        if self.counts.is_empty() {
+            self.first = bucket;
+            self.counts.push(1);
+        } else if bucket < self.first {
+            let gap = self.first - bucket;
+            self.counts.splice(0..0, std::iter::repeat_n(0, gap));
+            self.first = bucket;
+            self.counts[0] = 1;
+        } else {
+            self.counts.resize(bucket - self.first, 0);
+            self.counts.push(1);
         }
     }
 
-    /// Number of observations seen.
+    /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.n
     }
 
-    /// Current estimate of the target quantile (0 when empty; exact
-    /// nearest-rank while at most five observations have been seen).
-    pub fn estimate(&self) -> f64 {
-        match self.count {
-            0 => 0.0,
-            1..=5 => {
-                let mut sorted = self.initial.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN stored"));
-                let rank = (self.p * sorted.len() as f64).ceil() as usize;
-                sorted[rank.clamp(1, sorted.len()) - 1]
-            }
-            _ => self.q[2],
+    /// The `p`-quantile, `p` in `[0, 1]` (e.g. `0.95` for the 95th
+    /// percentile), within 2^-8 of the nearest-rank observation; 0 when
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn quantile(&self, p: f64) -> f64 {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "quantile must be in [0, 1], got {p}"
+        );
+        if self.n == 0 {
+            return 0.0;
         }
+        // Nearest rank, as `Sample::percentile` computes it.
+        let rank = ((p * self.n as f64).ceil() as u64).clamp(1, self.n);
+        let mut seen = self.zeros;
+        if seen >= rank {
+            return 0.0;
+        }
+        for (i, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return Self::midpoint(self.first + i).clamp(self.min, self.max);
+            }
+        }
+        unreachable!("bucket counts sum to the observation count")
     }
 }
 
@@ -438,48 +447,83 @@ mod tests {
     }
 
     #[test]
-    fn p2_exact_on_small_samples() {
-        // While <= 5 observations, the estimator matches nearest-rank exactly.
+    fn histogram_within_bound_on_small_samples() {
+        // One to five observations: every quantile lies within 2^-8 of the
+        // nearest-rank one, and a single observation is exact.
         let xs = [7.0, 1.0, 4.0, 9.0, 2.0];
         for upto in 1..=xs.len() {
-            for &(p, pct) in &[(0.5, 50.0), (0.95, 95.0)] {
-                let mut est = P2Quantile::new(p);
+            for pct in [0.0, 25.0, 50.0, 95.0, 100.0] {
+                let mut h = LogHistogram::new();
                 let mut sample = Sample::new();
                 for &x in &xs[..upto] {
-                    est.add(x);
+                    h.add(x);
                     sample.add(x);
                 }
-                assert_eq!(est.estimate(), sample.percentile(pct), "n={upto} p={p}");
+                let (est, exact) = (h.quantile(pct / 100.0), sample.percentile(pct));
+                assert!(
+                    (est - exact).abs() <= exact / 256.0,
+                    "n={upto} p={pct}: {est} vs {exact}"
+                );
+                if upto == 1 {
+                    assert_eq!(est, exact);
+                }
             }
         }
     }
 
     #[test]
-    fn p2_tracks_large_streams() {
+    fn histogram_tracks_large_streams() {
         // Deterministic scrambled stream over [0, 1000).
-        let mut est50 = P2Quantile::new(0.5);
-        let mut est95 = P2Quantile::new(0.95);
+        let mut h = LogHistogram::new();
         let mut sample = Sample::new();
         for i in 0u64..10_000 {
             let x = (i.wrapping_mul(2654435761) % 100_000) as f64 / 100.0;
-            est50.add(x);
-            est95.add(x);
+            h.add(x);
             sample.add(x);
         }
-        let (true50, true95) = (sample.percentile(50.0), sample.percentile(95.0));
-        assert!((est50.estimate() - true50).abs() / true50 < 0.02);
-        assert!((est95.estimate() - true95).abs() / true95 < 0.02);
-        assert_eq!(est50.count(), 10_000);
+        for pct in [50.0, 95.0, 99.0] {
+            let exact = sample.percentile(pct);
+            let est = h.quantile(pct / 100.0);
+            assert!(
+                (est - exact).abs() <= exact / 256.0,
+                "p{pct}: {est} vs {exact}"
+            );
+        }
+        assert_eq!(h.count(), 10_000);
     }
 
     #[test]
-    fn p2_empty_estimate_is_zero() {
-        assert_eq!(P2Quantile::new(0.5).estimate(), 0.0);
+    fn histogram_midpoints_split_their_buckets() {
+        // 136.495 lies in [136, 137): 128 · (1 + 8/128) up to the next
+        // 1/128 step.
+        let mut h = LogHistogram::new();
+        h.add(136.495);
+        h.add(200.0);
+        assert_eq!(h.quantile(0.5), 136.5);
+        // Zero keeps a bucket of its own and reads back as zero.
+        let mut z = LogHistogram::new();
+        z.add(0.0);
+        z.add(0.0);
+        z.add(3.0);
+        assert_eq!(z.quantile(0.5), 0.0);
+        assert_eq!(z.quantile(1.0), 3.0);
     }
 
     #[test]
-    #[should_panic(expected = "strictly between")]
-    fn p2_rejects_out_of_range_quantile() {
-        let _ = P2Quantile::new(1.0);
+    fn histogram_empty_quantile_is_zero() {
+        assert_eq!(LogHistogram::new().quantile(0.5), 0.0);
+        assert_eq!(LogHistogram::default().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile must be in [0, 1]")]
+    fn histogram_rejects_out_of_range_quantile() {
+        let _ = LogHistogram::new().quantile(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonnegative finite")]
+    fn histogram_rejects_nan() {
+        LogHistogram::new().add(f64::NAN);
     }
 }

@@ -31,6 +31,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `ms` is negative, NaN, or infinite.
+    #[inline]
     pub fn from_ms(ms: f64) -> Self {
         assert!(
             ms.is_finite() && ms >= 0.0,

@@ -2,7 +2,7 @@
 //! and statistics identities.
 
 use proptest::prelude::*;
-use qp_des::{EventQueue, P2Quantile, Sample, ServiceStation, SimTime, Tally, TimeWheel};
+use qp_des::{EventQueue, LogHistogram, Sample, ServiceStation, SimTime, Tally, TimeWheel};
 
 proptest! {
     #[test]
@@ -58,18 +58,99 @@ proptest! {
     }
 
     #[test]
-    fn p2_estimate_stays_within_observed_range(
-        xs in proptest::collection::vec(0.0f64..1e4, 1..300),
-        p in prop_oneof![Just(0.5f64), Just(0.95), Just(0.99)],
+    fn histogram_quantiles_within_bound_of_nearest_rank(
+        shape in 0usize..4,
+        us in proptest::collection::vec(0.0f64..1.0, 1..400),
+        few in 1usize..=5,
+        pct in prop_oneof![Just(50.0f64), Just(95.0), Just(99.0), 0.0f64..=100.0],
     ) {
-        let mut est = P2Quantile::new(p);
+        let xs: Vec<f64> = match shape {
+            // Zeros mixed with positive values.
+            0 => us.iter().map(|&u| if u < 0.3 { 0.0 } else { u * 1e3 }).collect(),
+            // One value repeated.
+            1 => vec![us[0] * 1e4; us.len()],
+            // Heavy tail: Pareto draws spanning dozens of powers of two.
+            2 => us.iter().map(|&u| 1.0 / ((1.0 - u) * (1.0 - u))).collect(),
+            // One to five observations.
+            _ => us.iter().take(few).map(|&u| u * 500.0).collect(),
+        };
+        let mut hist = LogHistogram::new();
+        let mut sample = Sample::new();
         for &x in &xs {
-            est.add(x);
+            hist.add(x);
+            sample.add(x);
         }
+        // `Sample` takes a percentile and divides by 100; passing the
+        // quotient gives the histogram the same nearest rank.
+        let exact = sample.percentile(pct);
+        let est = hist.quantile(pct / 100.0);
+        prop_assert!(
+            (est - exact).abs() <= exact * 2f64.powi(-8),
+            "p{} of {} values: {} vs exact {}",
+            pct,
+            xs.len(),
+            est,
+            exact
+        );
         let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let e = est.estimate();
-        prop_assert!(e >= lo - 1e-9 && e <= hi + 1e-9);
+        prop_assert!(est >= lo && est <= hi);
+        if shape == 1 || xs.len() == 1 {
+            // The clamp to the observed extremes makes these exact.
+            prop_assert_eq!(est, exact);
+        }
+        prop_assert_eq!(hist.count(), xs.len() as u64);
+    }
+
+    #[test]
+    fn submit_batch_matches_repeated_submit(
+        // Steps of an arrival walk: zero repeats an arrival, negative
+        // steps unsort the sequence.
+        steps in proptest::collection::vec(
+            prop_oneof![Just(0.0f64), -5.0f64..5.0, 0.0f64..20.0],
+            0..80,
+        ),
+        sorted in prop_oneof![Just(true), Just(false)],
+        service in prop_oneof![Just(0.0f64), 0.0f64..4.0],
+        backlog in prop_oneof![Just(0.0f64), 0.0f64..100.0],
+        earlier in proptest::collection::vec(0.0f64..50.0, 0..4),
+    ) {
+        let mut t = 10.0f64;
+        let mut arrivals: Vec<f64> = steps
+            .iter()
+            .map(|&step| {
+                t = (t + step).max(0.0);
+                t
+            })
+            .collect();
+        if sorted {
+            arrivals.sort_by(f64::total_cmp);
+        }
+        // A carried backlog plus a few earlier submissions give the batch
+        // a station that is already mid-run.
+        let station = || {
+            let mut s = ServiceStation::with_initial_backlog(SimTime::from_ms(backlog));
+            for &a in &earlier {
+                s.submit(SimTime::from_ms(a), 1.5);
+            }
+            s
+        };
+        let mut one_by_one = station();
+        let singles: Vec<(usize, u64)> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| (i, one_by_one.submit(SimTime::from_ms(a), service).as_ms().to_bits()))
+            .collect();
+        let mut batched = station();
+        let mut departures = Vec::new();
+        batched.submit_batch(
+            arrivals.iter().map(|&a| SimTime::from_ms(a)),
+            service,
+            |i, d| departures.push((i, d.as_ms().to_bits())),
+        );
+        prop_assert_eq!(departures, singles);
+        // Debug renders every field, floats in round-trip form.
+        prop_assert_eq!(format!("{batched:?}"), format!("{one_by_one:?}"));
     }
 
     #[test]

@@ -234,11 +234,14 @@ fn location_rows(
 }
 
 /// Runs the aggregated flow-level simulation and reports the same
-/// statistics as [`crate::simulate`] (percentiles always come from the
-/// bounded-memory P² estimator).
+/// statistics as [`crate::simulate`]. Percentiles always come from the
+/// bounded-memory log-bucket histogram ([`qp_des::LogHistogram`]), within
+/// 2^-8 of the exact nearest-rank ones, whatever
+/// [`ProtocolConfig::streaming_percentiles`] says.
 ///
 /// Each client's response chain is still evaluated individually — only
-/// event scheduling and station contention are batched per flow — so the
+/// event scheduling and station contention are batched per flow, each
+/// batch served in one [`ServiceStation::submit_batch`] pass — so the
 /// result reduces to the exact engine when flows do not interleave.
 ///
 /// # Errors
@@ -419,19 +422,19 @@ pub fn simulate_aggregated(
     while let Some((_now, (f, ni))) = wheel.pop() {
         let flow = &mut flows[f as usize];
         let fnode = &flow.nodes[ni as usize];
-        let station = &mut servers[fnode.node];
         let off = flow.offset;
         // Serve the batch as one consecutive chain: member j's fragment
         // arrives a one-way delay after its send time and departs per the
         // station's FIFO recursion.
-        for j in off..off + flow.n {
-            let arrival = SimTime::from_ms(c_prev[j] + fnode.one_way_ms);
-            let depart = station.submit(arrival, fnode.service_ms);
-            let reply_at = depart.as_ms() + fnode.one_way_ms;
-            if reply_at > c_new[j] {
-                c_new[j] = reply_at;
-            }
-        }
+        let one_way_ms = fnode.one_way_ms;
+        let replies = &mut c_new[off..off + flow.n];
+        servers[fnode.node].submit_batch(
+            c_prev[off..off + flow.n]
+                .iter()
+                .map(|&sent| SimTime::from_ms(sent + one_way_ms)),
+            fnode.service_ms,
+            |j, depart| replies[j] = replies[j].max(depart.as_ms() + one_way_ms),
+        );
         flow.pending -= 1;
         if flow.pending > 0 {
             continue;
@@ -616,6 +619,15 @@ mod tests {
             agg.avg_response_ms,
             exact.avg_response_ms
         );
+        // Same responses, so the streamed percentiles sit within the
+        // histogram's 2^-8 of the exact engine's buffered ones.
+        for (a, e) in [
+            (agg.percentiles_ms.0, exact.percentiles_ms.0),
+            (agg.percentiles_ms.1, exact.percentiles_ms.1),
+            (agg.percentiles_ms.2, exact.percentiles_ms.2),
+        ] {
+            assert!((a - e).abs() <= e / 256.0, "aggregated {a} vs exact {e}");
+        }
     }
 
     #[test]

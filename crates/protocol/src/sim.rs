@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qp_core::Placement;
-use qp_des::{P2Quantile, Sample, ServiceStation, SimTime, Tally, TimeWheel};
+use qp_des::{LogHistogram, Sample, ServiceStation, SimTime, Tally, TimeWheel};
 use qp_quorum::{ElementId, Quorum, QuorumSystem, StrategyMatrix};
 use qp_topology::{Network, NodeId};
 
@@ -106,11 +106,12 @@ pub struct ProtocolConfig {
     /// (service time = the slowest co-located element's), instead of once
     /// per element. No effect on one-to-one placements.
     pub dedup_colocated: bool,
-    /// Compute response-time percentiles with the bounded-memory P²
-    /// estimator instead of buffering every measured response. Keeps
-    /// memory flat at millions of requests at the cost of approximate
-    /// (±~1–2%) percentiles. The aggregated engine always streams; the
-    /// exact engine buffers unless this is set.
+    /// Compute response-time percentiles from a bounded-memory
+    /// log-bucket histogram ([`qp_des::LogHistogram`]) instead of
+    /// buffering every measured response. Keeps memory flat at millions
+    /// of requests; each percentile is within 2^-8 (≈0.39%) of the exact
+    /// nearest-rank one. The aggregated engine always streams; the exact
+    /// engine buffers unless this is set.
     pub streaming_percentiles: bool,
     /// Optional residual per-*node* backlog carried in from a previous
     /// run: node `w` will not serve new arrivals before
@@ -452,29 +453,23 @@ pub(crate) fn validate_inputs(
 
 /// Response-time accumulator that either buffers every observation
 /// (exact percentiles, the historical behaviour) or streams through a
-/// [`Tally`] plus three P² markers (flat memory).
+/// [`Tally`] plus a [`LogHistogram`] (bounded memory, percentiles within
+/// 2^-8 of the exact ones).
 pub(crate) enum ResponseStats {
     Buffered(Sample),
-    // Boxed: the three P² marker sets dwarf the Sample variant.
-    Streaming(Box<StreamingStats>),
-}
-
-pub(crate) struct StreamingStats {
-    tally: Tally,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+    Streaming {
+        tally: Tally,
+        histogram: LogHistogram,
+    },
 }
 
 impl ResponseStats {
     pub(crate) fn new(streaming: bool) -> Self {
         if streaming {
-            ResponseStats::Streaming(Box::new(StreamingStats {
+            ResponseStats::Streaming {
                 tally: Tally::new(),
-                p50: P2Quantile::new(0.50),
-                p95: P2Quantile::new(0.95),
-                p99: P2Quantile::new(0.99),
-            }))
+                histogram: LogHistogram::new(),
+            }
         } else {
             ResponseStats::Buffered(Sample::new())
         }
@@ -483,11 +478,9 @@ impl ResponseStats {
     pub(crate) fn add(&mut self, x: f64) {
         match self {
             ResponseStats::Buffered(sample) => sample.add(x),
-            ResponseStats::Streaming(s) => {
-                s.tally.add(x);
-                s.p50.add(x);
-                s.p95.add(x);
-                s.p99.add(x);
+            ResponseStats::Streaming { tally, histogram } => {
+                tally.add(x);
+                histogram.add(x);
             }
         }
     }
@@ -495,14 +488,14 @@ impl ResponseStats {
     pub(crate) fn count(&self) -> u64 {
         match self {
             ResponseStats::Buffered(sample) => sample.len() as u64,
-            ResponseStats::Streaming(s) => s.tally.count(),
+            ResponseStats::Streaming { tally, .. } => tally.count(),
         }
     }
 
     pub(crate) fn mean(&self) -> f64 {
         match self {
             ResponseStats::Buffered(sample) => sample.mean(),
-            ResponseStats::Streaming(s) => s.tally.mean(),
+            ResponseStats::Streaming { tally, .. } => tally.mean(),
         }
     }
 
@@ -519,7 +512,11 @@ impl ResponseStats {
                     )
                 }
             }
-            ResponseStats::Streaming(s) => (s.p50.estimate(), s.p95.estimate(), s.p99.estimate()),
+            ResponseStats::Streaming { histogram, .. } => (
+                histogram.quantile(0.50),
+                histogram.quantile(0.95),
+                histogram.quantile(0.99),
+            ),
         }
     }
 }
@@ -1087,8 +1084,9 @@ mod tests {
 
     #[test]
     fn streaming_percentiles_agree_on_small_runs() {
-        // The opt-in P² path must match the buffered percentiles closely
-        // on a modest run (exactly, for the mean and counts).
+        // The opt-in histogram path must match the buffered percentiles
+        // within its 2^-8 bound on a modest run (exactly, for the mean and
+        // counts).
         let (net, sys, placement) = setup();
         let clients = ClientPopulation::representative(&net, &sys, &placement, 6, 3);
         let cfg = ProtocolConfig {
@@ -1123,7 +1121,7 @@ mod tests {
             (buffered.percentiles_ms.1, streamed.percentiles_ms.1),
             (buffered.percentiles_ms.2, streamed.percentiles_ms.2),
         ] {
-            assert!((b - s).abs() / b < 0.05, "buffered {b} vs streamed {s}");
+            assert!((b - s).abs() <= b / 256.0, "buffered {b} vs streamed {s}");
         }
     }
 
