@@ -433,7 +433,16 @@ pub fn simulate_aggregated(
                 .iter()
                 .map(|&sent| SimTime::from_ms(sent + one_way_ms)),
             fnode.service_ms,
-            |j, depart| replies[j] = replies[j].max(depart.as_ms() + one_way_ms),
+            |j, depart| {
+                let reply_at = depart.as_ms() + one_way_ms;
+                // Store the later reply unconditionally, so the select
+                // compiles to a branch-free max.
+                replies[j] = if reply_at > replies[j] {
+                    reply_at
+                } else {
+                    replies[j]
+                };
+            },
         );
         flow.pending -= 1;
         if flow.pending > 0 {
