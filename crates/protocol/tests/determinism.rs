@@ -7,7 +7,7 @@ use qp_protocol::{
     simulate, ClientPopulation, FaultConfig, ProtocolConfig, QuorumChoice, SimReport,
 };
 use qp_quorum::{MajorityKind, QuorumSystem, StrategyMatrix};
-use qp_topology::{datasets, Network, NodeId};
+use qp_topology::{datasets, DistanceMatrix, Network, NodeId};
 
 /// Field-by-field bitwise equality for two reports (f64s compared via
 /// `to_bits`, so `-0.0 != 0.0` and NaNs would be caught too).
@@ -85,15 +85,20 @@ fn different_seeds_diverge_under_random_quorum_choice() {
     );
 }
 
-/// FNV-1a over the bit patterns of a vector field.
-fn digest(xs: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ xs.len() as u64;
-    for x in xs {
-        for byte in x.to_bits().to_le_bytes() {
+/// FNV-1a over 64-bit words.
+fn digest_words(words: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ words.len() as u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
             h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
     }
     h
+}
+
+/// FNV-1a over the bit patterns of a vector field.
+fn digest(xs: &[f64]) -> u64 {
+    digest_words(xs.iter().map(|x| x.to_bits()))
 }
 
 /// Every [`SimReport`] field as bits: the scalars directly, each vector
@@ -254,12 +259,53 @@ fn pinned_runs() -> Vec<(&'static str, SimReport)> {
     ]
 }
 
+/// Eight nodes with round trips of 2·(1 + (i + j) mod 4) ms before metric
+/// closure: every one-way delay, and with 1 ms services every departure
+/// and reply, is a whole number of milliseconds, so events of different
+/// requests land on exactly the same instant and pop in FIFO order.
+fn integer_rtt_network() -> Network {
+    let n = 8;
+    let upper: Vec<f64> = (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| 2.0 * (1 + (i + j) % 4) as f64))
+        .collect();
+    Network::from_distances(DistanceMatrix::from_upper_triangle(n, &upper).unwrap())
+}
+
+/// Q/U t = 1 on nodes 0–5 of [`integer_rtt_network`], four `Balanced`
+/// clients at each of nodes 0, 6 and 7, seeds 0–3: the exact-time-tie
+/// configuration, one report per seed.
+fn integer_tie_runs() -> Vec<SimReport> {
+    let net = integer_rtt_network();
+    let sys = QuorumSystem::majority(MajorityKind::FourFifths, 1).unwrap();
+    let placement = Placement::new((0..6).map(NodeId::new).collect(), net.len()).unwrap();
+    let pop = ClientPopulation::new(vec![NodeId::new(0), NodeId::new(6), NodeId::new(7)], 4);
+    (0..4)
+        .map(|seed| {
+            let cfg = ProtocolConfig {
+                warmup_requests: 5,
+                measured_requests: 60,
+                seed,
+                ..ProtocolConfig::default()
+            };
+            simulate(&net, &sys, &placement, &pop, QuorumChoice::Balanced, &cfg).unwrap()
+        })
+        .collect()
+}
+
+/// One pinned row for several runs: each [`report_bits`] word digested
+/// across the runs in order.
+fn runs_bits(reports: &[SimReport]) -> [u64; 14] {
+    let bits: Vec<[u64; 14]> = reports.iter().map(report_bits).collect();
+    std::array::from_fn(|k| digest_words(bits.iter().map(|b| b[k])))
+}
+
 /// [`report_bits`] of each pinned run, recorded before the exact engine
 /// moved from the binary heap to the time wheel. `carried_streaming`'s
 /// three percentile words were re-recorded when the streaming percentiles
 /// moved from P² estimators to the log-bucket histogram (136.5, 154.5 and
 /// 155.5 ms, against exact nearest-rank values of 136.495, 154.823 and
-/// 155.767 ms).
+/// 155.767 ms). `integer_ties` is [`runs_bits`] over [`integer_tie_runs`],
+/// recorded on the engine that scheduled one reply event per fragment.
 const PINS: &[(&str, [u64; 14])] = &[
     (
         "balanced",
@@ -451,12 +497,32 @@ const PINS: &[(&str, [u64; 14])] = &[
             0x6d4458b5dd59ad7,
         ],
     ),
+    (
+        "integer_ties",
+        [
+            0x3ef76a801cb428f9,
+            0x5badc757360e76a1,
+            0x769c6fa13109c921,
+            0xba52990547be7961,
+            0x2a6069bc05701097,
+            0xd4a3c63babbfc201,
+            0x63b746b044e03221,
+            0xf71f44ddc1b1f3a1,
+            0xf71f44ddc1b1f3a1,
+            0xf71f44ddc1b1f3a1,
+            0xcf2566e8650bff8f,
+            0xfbe593be683f3e69,
+            0x471f71f79b2ebe19,
+            0x70bd0e0f7631fb29,
+        ],
+    ),
 ];
 
 #[test]
 fn exact_engine_reports_are_pinned_bit_for_bit() {
     let runs = pinned_runs();
-    let got: Vec<(&str, [u64; 14])> = runs.iter().map(|(n, r)| (*n, report_bits(r))).collect();
+    let mut got: Vec<(&str, [u64; 14])> = runs.iter().map(|(n, r)| (*n, report_bits(r))).collect();
+    got.push(("integer_ties", runs_bits(&integer_tie_runs())));
     let render = |rows: &[(&str, [u64; 14])]| {
         rows.iter()
             .map(|(n, b)| format!("    (\"{n}\", {b:#x?}),"))
