@@ -45,7 +45,7 @@ mod wheel;
 pub use queue::EventQueue;
 pub use stats::{LogHistogram, Sample, Tally};
 pub use time::SimTime;
-pub use wheel::TimeWheel;
+pub use wheel::{Ticket, TimeWheel};
 
 /// A single-server FIFO queue with deterministic per-request service times
 /// — the model of a protocol server's request-processing loop.

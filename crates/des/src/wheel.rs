@@ -10,7 +10,10 @@
 //! The wheel pops events in exactly the same order as [`EventQueue`]:
 //! nondecreasing time, FIFO among ties (a single global sequence number is
 //! carried through slots *and* the overflow heap), so the two queues are
-//! interchangeable schedule-for-schedule.
+//! interchangeable schedule-for-schedule. A caller may also take an
+//! event's sequence number now and schedule the event later
+//! ([`TimeWheel::reserve`], [`TimeWheel::push_reserved`]); it then pops
+//! where a push at the reservation moment would have.
 
 use crate::{EventQueue, SimTime};
 
@@ -88,6 +91,12 @@ impl<E> Level<E> {
     }
 }
 
+/// A sequence number taken by [`TimeWheel::reserve`] for an event to be
+/// scheduled later with [`TimeWheel::push_reserved`]. Tickets order as
+/// their reservations did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Ticket(u64);
+
 /// A three-level hierarchical time wheel with heap overflow.
 ///
 /// The event queue of both protocol engines, built for simulations whose
@@ -95,6 +104,18 @@ impl<E> Level<E> {
 /// O(1) amortized. Pop order is identical to [`EventQueue`] —
 /// nondecreasing time with FIFO tie-breaking — which the
 /// schedule-equivalence tests below pin down.
+///
+/// FIFO order is the order of sequence numbers, which [`push`] takes at
+/// the moment of the push. [`reserve`] takes the next one without
+/// scheduling anything, and [`push_reserved`] schedules an event under it
+/// later: the event pops exactly where it would have had it been pushed
+/// at the reservation moment, ahead of every later push at the same
+/// time. A reservation may go unused; it leaves a gap in the numbering
+/// and nothing else.
+///
+/// [`push`]: TimeWheel::push
+/// [`reserve`]: TimeWheel::reserve
+/// [`push_reserved`]: TimeWheel::push_reserved
 ///
 /// `quantum_ms` is the width of one level-0 slot: events within the same
 /// quantum land in the same slot and are ordered by an exact linear scan,
@@ -122,7 +143,10 @@ pub struct TimeWheel<E> {
     /// Events beyond the level-2 window, keyed by time and carrying their
     /// global sequence number so FIFO ties survive migration.
     overflow: EventQueue<(u64, E)>,
+    /// Next sequence number: pushes and reservations each take one.
     seq: u64,
+    /// Events scheduled so far; unused reservations are not counted.
+    pushed: u64,
     now: SimTime,
     len: usize,
 }
@@ -144,6 +168,7 @@ impl<E> TimeWheel<E> {
             cursor: 0,
             overflow: EventQueue::new(),
             seq: 0,
+            pushed: 0,
             now: SimTime::ZERO,
             len: 0,
         }
@@ -159,14 +184,35 @@ impl<E> TimeWheel<E> {
     ///
     /// Panics if `time` is before the time of the last popped event.
     pub fn push(&mut self, time: SimTime, event: E) {
+        let ticket = self.reserve();
+        self.push_reserved(time, ticket, event);
+    }
+
+    /// Takes the sequence number the next [`push`](TimeWheel::push) would
+    /// have taken, without scheduling anything.
+    pub fn reserve(&mut self) -> Ticket {
+        let ticket = Ticket(self.seq);
+        self.seq += 1;
+        ticket
+    }
+
+    /// Schedules `event` at `time` under a ticket from
+    /// [`reserve`](TimeWheel::reserve): among events at `time` it pops in
+    /// its reservation's place, whatever was pushed in between. Each
+    /// ticket is meant to be used once, and before the wheel pops an event
+    /// that belongs after it; the wheel checks only the time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is before the time of the last popped event.
+    pub fn push_reserved(&mut self, time: SimTime, ticket: Ticket, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule at {time} before current time {}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.route(time, seq, event);
+        self.route(time, ticket.0, event);
+        self.pushed += 1;
         self.len += 1;
     }
 
@@ -177,18 +223,20 @@ impl<E> TimeWheel<E> {
         }
     }
 
-    /// Total events ever pushed — the logical push counter the
-    /// observability layer flushes into the shared registry
+    /// Total events ever scheduled, by [`push`](TimeWheel::push) or
+    /// [`push_reserved`](TimeWheel::push_reserved) — the logical push
+    /// counter the observability layer flushes into the shared registry
     /// (`des_wheel_push_total`) at the end of a simulation run, so the
-    /// per-event hot path stays instrumentation-free. Internal cascade
-    /// migrations between levels are not counted.
+    /// per-event hot path stays instrumentation-free. Reservations are
+    /// not events: an unused one is not counted. Internal cascade
+    /// migrations between levels are not counted either.
     pub fn pushes(&self) -> u64 {
-        self.seq
+        self.pushed
     }
 
     /// Total events ever popped.
     pub fn pops(&self) -> u64 {
-        self.seq - self.len as u64
+        self.pushed - self.len as u64
     }
 
     /// Files an entry into the shallowest level that covers its quantum,
@@ -403,6 +451,44 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn reserved_push_pops_in_its_reservation_place() {
+        let mut w = TimeWheel::new(1.0);
+        let t = SimTime::from_ms(3.0);
+        w.push(t, 'a');
+        let ticket = w.reserve();
+        w.push(t, 'c');
+        w.push_reserved(t, ticket, 'b');
+        let order: Vec<char> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c']);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule")]
+    fn rejects_a_reserved_push_into_the_past() {
+        let mut w = TimeWheel::new(1.0);
+        let ticket = w.reserve();
+        w.push(SimTime::from_ms(10.0), ());
+        w.pop();
+        w.push_reserved(SimTime::from_ms(5.0), ticket, ());
+    }
+
+    #[test]
+    fn counters_ignore_unused_reservations() {
+        let mut w = TimeWheel::new(1.0);
+        w.reserve();
+        w.push(SimTime::from_ms(1.0), 0);
+        let ticket = w.reserve();
+        w.reserve();
+        w.push_reserved(SimTime::from_ms(2.0), ticket, 1);
+        assert_eq!((w.pushes(), w.pops(), w.len()), (2, 0, 2));
+        w.pop();
+        w.reserve();
+        assert_eq!((w.pushes(), w.pops(), w.len()), (2, 1, 1));
+        w.pop();
+        assert_eq!((w.pushes(), w.pops()), (2, 2));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and statistics identities.
 
 use proptest::prelude::*;
-use qp_des::{EventQueue, LogHistogram, Sample, ServiceStation, SimTime, Tally, TimeWheel};
+use qp_des::{EventQueue, LogHistogram, Sample, ServiceStation, SimTime, Tally, Ticket, TimeWheel};
 
 proptest! {
     #[test]
@@ -55,6 +55,93 @@ proptest! {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn reserved_pushes_match_heap_schedule(
+        quantum in prop_oneof![Just(0.1f64), Just(1.0)],
+        ops in proptest::collection::vec(
+            (
+                // 0 push, 1 reserve for a later push, 2 reserve and never
+                // use, 3 push a pending reservation, 4 pop.
+                0usize..5,
+                // Offsets ahead of the current time: few values, so ties
+                // are common; 300 and 7e4 start on higher wheel levels,
+                // and 2.5e7 lies beyond the level-2 window of both quanta
+                // and goes through the overflow heap.
+                prop_oneof![
+                    Just(0.0f64),
+                    Just(0.5),
+                    Just(2.5),
+                    Just(300.0),
+                    Just(7.0e4),
+                    Just(2.5e7)
+                ],
+                0usize..8,
+            ),
+            1..200,
+        ),
+    ) {
+        // The heap gets each reserved event at its reservation moment,
+        // the wheel only a ticket then and the event some time later:
+        // every pop must still agree, ties included.
+        let mut wheel = TimeWheel::new(quantum);
+        let mut heap = EventQueue::new();
+        let mut pending: Vec<(SimTime, Ticket, u32)> = Vec::new();
+        let mut id = 0u32;
+        let pop_both = |wheel: &mut TimeWheel<u32>,
+                        heap: &mut EventQueue<u32>,
+                        pending: &mut Vec<(SimTime, Ticket, u32)>| {
+            // A reserved event must be on the wheel before the heap could
+            // pop it; later ones may stay pending.
+            if let Some(next) = heap.peek_time() {
+                let (due, later): (Vec<_>, Vec<_>) =
+                    pending.drain(..).partition(|&(t, _, _)| t <= next);
+                *pending = later;
+                for (t, ticket, e) in due {
+                    wheel.push_reserved(t, ticket, e);
+                }
+            }
+            (wheel.pop(), heap.pop())
+        };
+        for (kind, offset, pick) in ops {
+            let t = SimTime::from_ms(wheel.now().as_ms() + offset);
+            match kind {
+                0 => {
+                    wheel.push(t, id);
+                    heap.push(t, id);
+                    id += 1;
+                }
+                1 => {
+                    pending.push((t, wheel.reserve(), id));
+                    heap.push(t, id);
+                    id += 1;
+                }
+                2 => {
+                    wheel.reserve();
+                }
+                3 if !pending.is_empty() => {
+                    let (t, ticket, e) = pending.remove(pick % pending.len());
+                    wheel.push_reserved(t, ticket, e);
+                }
+                3 => {}
+                _ => {
+                    let (a, b) = pop_both(&mut wheel, &mut heap, &mut pending);
+                    prop_assert_eq!(a, b);
+                }
+            }
+            prop_assert_eq!(wheel.len() + pending.len(), heap.len());
+            prop_assert_eq!(wheel.pushes() + pending.len() as u64, heap.pushes());
+            prop_assert_eq!(wheel.pops(), heap.pops());
+        }
+        loop {
+            let (a, b) = pop_both(&mut wheel, &mut heap, &mut pending);
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert!(pending.is_empty());
     }
 
     #[test]
