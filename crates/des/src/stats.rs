@@ -15,7 +15,7 @@
 /// assert_eq!(t.mean(), 5.0);
 /// assert_eq!(t.population_std_dev(), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tally {
     n: u64,
     mean: f64,
@@ -124,6 +124,13 @@ impl Tally {
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Default for Tally {
+    /// The empty accumulator of [`Tally::new`], extrema at ±∞.
+    fn default() -> Self {
+        Tally::new()
     }
 }
 
@@ -381,6 +388,18 @@ mod tests {
         assert_eq!(t.min(), Some(1.0));
         assert_eq!(t.max(), Some(3.0));
         assert_eq!(t.count(), 2);
+    }
+
+    #[test]
+    fn default_tally_tracks_extrema_like_new() {
+        let mut up = Tally::default();
+        up.add(5.0);
+        up.add(7.0);
+        assert_eq!((up.min(), up.max()), (Some(5.0), Some(7.0)));
+        let mut down = Tally::default();
+        down.add(-3.0);
+        assert_eq!((down.min(), down.max()), (Some(-3.0), Some(-3.0)));
+        assert_eq!(Tally::default(), Tally::new());
     }
 
     #[test]
