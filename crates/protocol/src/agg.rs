@@ -499,7 +499,7 @@ pub fn simulate_aggregated(
     };
     let percentiles = response_stats.percentiles();
     // End-of-run flush mirroring the exact engine's: the fluid loop stays
-    // instrumentation-free and the wheel's sequence counter supplies the
+    // instrumentation-free and the wheel's event counters supply the
     // push/pop totals.
     if qp_obs::enabled() {
         qp_obs::counter_add("des_agg_runs_total", 1);

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qp_core::Placement;
-use qp_des::{LogHistogram, Sample, ServiceStation, SimTime, Tally, TimeWheel};
+use qp_des::{LogHistogram, Sample, ServiceStation, SimTime, Tally, Ticket, TimeWheel};
 use qp_quorum::{ElementId, Quorum, QuorumSystem, StrategyMatrix};
 use qp_topology::{Network, NodeId};
 
@@ -187,7 +187,10 @@ enum Event {
         service_ms: f64,
         request: usize,
     },
-    /// A server's reply reaches the issuing client.
+    /// The attempt's last server reply reaches the issuing client. The
+    /// attempt completes only then, so its earlier replies get no events:
+    /// this one is scheduled once every live fragment has been served, at
+    /// the time and under the ticket of the latest reply.
     Reply { request: usize },
     /// The client-side timer for a request attempt fires (fault model
     /// only; scheduled only for attempts that touch a crashed element).
@@ -201,19 +204,24 @@ struct RequestState {
     /// Send time of the logical request's *first* attempt; response times
     /// are measured from here so retries pay for their timeouts.
     first_sent_at: SimTime,
-    /// Replies still owed, dead fragments included (so an attempt that
-    /// touches a crashed element never completes).
-    remaining: usize,
-    /// Events still scheduled for this slot: live arrivals or their
-    /// replies, plus a pending timeout. At zero the slot is free.
+    /// Live fragments not yet served; serving the last schedules `reply`.
+    arrivals: usize,
+    /// The latest (time, ticket) among the served fragments' replies:
+    /// where the attempt's [`Event::Reply`] pops.
+    reply: Option<(SimTime, Ticket)>,
+    /// Reply and timeout events the slot still owes: one reply if any
+    /// fragment is live, plus a pending timeout. Arrivals pop before their
+    /// attempt's reply, so at zero no event refers to the slot and it is
+    /// free.
     scheduled: usize,
     /// Idle-network floor: max over the quorum of RTT + service.
     floor_ms: f64,
     measured: bool,
     /// Retry attempt index (0 = first attempt).
     attempt: usize,
-    /// Timed out: late replies are ignored and completion is impossible.
-    abandoned: bool,
+    /// A fragment went to a crashed element and never replies: the attempt
+    /// cannot complete, and its reply, if it has one, is ignored.
+    doomed: bool,
 }
 
 /// Mutable state of one exact run: the event wheel, the request slots
@@ -249,8 +257,9 @@ impl ExactState {
         }
     }
 
-    /// Retires one scheduled event of `slot`, freeing the slot when it was
-    /// the last, and returns the slot's state for the handler to read.
+    /// Retires the reply or timeout of `slot`, freeing the slot when it was
+    /// the last event it owed, and returns the slot's state for the
+    /// handler to read.
     fn retire(&mut self, slot: usize) -> RequestState {
         let state = &mut self.slots[slot];
         state.scheduled -= 1;
@@ -544,6 +553,17 @@ pub(crate) fn residual_busy(servers: &[ServiceStation], horizon: SimTime) -> Vec
 /// Runs the protocol simulation to completion (every client finishes its
 /// warmup + measured requests) and reports aggregate statistics.
 ///
+/// Each request attempt sends one message per quorum element (per hosting
+/// node under [`ProtocolConfig::dedup_colocated`]). Every message is an
+/// arrival event at its server, and serving the attempt's last live
+/// message schedules its one reply event: q + 1 wheel events for a
+/// q-element quorum, plus a timeout for an attempt that touches a crashed
+/// element under [`ProtocolConfig::fault`]. The reply pops at the latest
+/// of the messages' reply times and, among events at that instant, in the
+/// FIFO place a push of that message's reply would have taken
+/// ([`TimeWheel::reserve`]). Reports therefore equal, bit for bit, those
+/// of an engine that schedules one reply event per message.
+///
 /// # Errors
 ///
 /// [`SimError::SizeMismatch`] if the placement does not cover the system's
@@ -761,12 +781,13 @@ pub fn simulate(
         let request = st.occupy(RequestState {
             client,
             first_sent_at,
-            remaining: st.messages.len(),
-            scheduled: live + usize::from(doomed),
+            arrivals: live,
+            reply: None,
+            scheduled: usize::from(live > 0) + usize::from(doomed),
             floor_ms,
             measured,
             attempt,
-            abandoned: false,
+            doomed,
         });
         for &(w, service_ms, dead) in &st.messages {
             if dead {
@@ -815,14 +836,21 @@ pub fn simulate(
                 request,
             } => {
                 let depart = servers[node].submit(now, service_ms);
-                let loc = client_locs[st.slots[request].client];
-                let one_way = net.distance(loc, NodeId::new(node)) / 2.0;
-                st.wheel.push(depart + one_way, Event::Reply { request });
+                let slot = &mut st.slots[request];
+                let one_way = net.distance(client_locs[slot.client], NodeId::new(node)) / 2.0;
+                // The ticket a push of this fragment's reply would take:
+                // the attempt's reply pops where its last one would have,
+                // FIFO ties with other requests' events included.
+                slot.reply = slot.reply.max(Some((depart + one_way, st.wheel.reserve())));
+                slot.arrivals -= 1;
+                if slot.arrivals == 0 {
+                    let (at, ticket) = slot.reply.expect("a served fragment sets the reply");
+                    st.wheel.push_reserved(at, ticket, Event::Reply { request });
+                }
             }
             Event::Reply { request } => {
-                st.slots[request].remaining -= 1;
                 let req = st.retire(request);
-                if req.remaining == 0 && !req.abandoned {
+                if !req.doomed {
                     completed += 1;
                     let rt = now - req.first_sent_at;
                     if req.measured {
@@ -836,9 +864,8 @@ pub fn simulate(
                 }
             }
             Event::Timeout { request } => {
-                // Only an attempt with a dead fragment gets a timer, and
-                // that fragment never replies: the attempt is still open.
-                st.slots[request].abandoned = true;
+                // Only a doomed attempt gets a timer: it cannot have
+                // completed, and any late reply it still owes is ignored.
                 let req = st.retire(request);
                 let f = fault
                     .as_ref()
@@ -895,7 +922,7 @@ pub fn simulate(
     let horizon_ms = horizon.as_ms().max(f64::MIN_POSITIVE);
     let percentiles = response_stats.percentiles();
     // End-of-run flush: the hot loop above stays instrumentation-free;
-    // the wheel's push/pop totals come from its own sequence counter.
+    // the wheel's push/pop totals come from its own event counter.
     if qp_obs::enabled() {
         qp_obs::counter_add("des_exact_runs_total", 1);
         qp_obs::counter_add("des_wheel_push_total", st.wheel.pushes());
