@@ -95,8 +95,9 @@ pub struct WeightedStrategyLp {
 }
 
 /// Builds the demand-weighted strategy LP in *q-substitution* form — the
-/// re-entry point for long-lived solvers (the `quorumd` daemon) that edit
-/// one resident LP across many deltas instead of rebuilding it.
+/// one LP of the `quorumd` daemon, which keeps it resident and edits it
+/// across many deltas instead of rebuilding it, and rebuilds it only for
+/// its cold cross-check.
 ///
 /// Substituting `q_{v,i} = ŵ_v · p_{v,i}` (with `ŵ` the normalized
 /// per-client demand weights) keeps the **constraint matrix constant**
@@ -113,7 +114,10 @@ pub struct WeightedStrategyLp {
 /// capacity tuning touch only capacity right-hand sides (both warm-dual
 /// territory), and site slowdowns touch only objective coefficients
 /// (warm-primal territory). The objective is the demand-weighted average
-/// delay directly, and strategies recover as `p_vi = q_vi / ŵ_v`.
+/// delay directly, and strategies recover as `p_vi = q_vi / ŵ_v`. The
+/// [`ColGenSolver`] master is in p-form instead, where `ŵ_v` multiplies
+/// every coefficient of client `v`'s columns: a demand shift renormalizes
+/// all the weights and so changes every column.
 ///
 /// `delta[v][i]` is the effective cost of client `v` using quorum `i`
 /// (callers fold slowdown factors and any symmetry-breaking jitter in);
@@ -331,10 +335,13 @@ impl ColGenStats {
 /// Weights generalize the objective to the exact demand-weighted average
 /// delay (`minimize Σ_v ŵ_v Σᵢ p_vi δ_f(v, Qᵢ)` with
 /// `avg_v load ≤ cap` becoming `Σ_v ŵ_v · load_v ≤ cap`); uniform weights
-/// reproduce LP (4.3)–(4.6) exactly.
+/// reproduce LP (4.3)–(4.6) exactly. They are fixed for the master's
+/// life: a caller whose demand changes online (the `quorumd` daemon)
+/// edits the q-form LP of [`build_weighted_strategy_model`] instead.
 #[derive(Debug, Clone)]
 pub struct ColGenSolver<'a> {
-    delta: DeltaSource<'a>,
+    /// The placed geometry: `δ_f(v, Qᵢ)` and each quorum's node counts.
+    pq: &'a PlacedQuorums<'a>,
     weights: Vec<f64>,
     inst: SimplexInstance,
     /// Convexity row per client, in client order (row `v`).
@@ -359,64 +366,6 @@ pub struct ColGenSolver<'a> {
     pivots: usize,
     /// Pricing work absorbed from every successful solve.
     pricing: ColGenStats,
-}
-
-/// Where a [`ColGenSolver`] reads `δ(v, i)` and quorum node counts from.
-#[derive(Debug, Clone)]
-enum DeltaSource<'a> {
-    Placed(&'a PlacedQuorums<'a>),
-    /// Raw per-(client, quorum) delays plus quorum geometry — the form a
-    /// caller with its own (possibly perturbed) delay matrix holds, e.g.
-    /// the placement daemon with slowdown-scaled effective deltas.
-    Matrix {
-        delta: &'a [Vec<f64>],
-        node_counts: &'a [Vec<(usize, f64)>],
-        element_counts: &'a [usize],
-    },
-}
-
-impl DeltaSource<'_> {
-    fn n_clients(&self) -> usize {
-        match self {
-            DeltaSource::Placed(pq) => pq.ctx().clients().len(),
-            DeltaSource::Matrix { delta, .. } => delta.len(),
-        }
-    }
-
-    fn n_quorums(&self) -> usize {
-        match self {
-            DeltaSource::Placed(pq) => pq.quorums().len(),
-            DeltaSource::Matrix { node_counts, .. } => node_counts.len(),
-        }
-    }
-
-    fn net_len(&self) -> usize {
-        match self {
-            DeltaSource::Placed(pq) => pq.ctx().net().len(),
-            DeltaSource::Matrix { element_counts, .. } => element_counts.len(),
-        }
-    }
-
-    fn delta(&self, v: usize, i: usize) -> f64 {
-        match self {
-            DeltaSource::Placed(pq) => pq.delta(v, i),
-            DeltaSource::Matrix { delta, .. } => delta[v][i],
-        }
-    }
-
-    fn node_counts(&self, i: usize) -> &[(usize, f64)] {
-        match self {
-            DeltaSource::Placed(pq) => pq.node_counts(i),
-            DeltaSource::Matrix { node_counts, .. } => &node_counts[i],
-        }
-    }
-
-    fn element_counts(&self) -> Vec<usize> {
-        match self {
-            DeltaSource::Placed(pq) => pq.placement().element_counts(),
-            DeltaSource::Matrix { element_counts, .. } => element_counts.to_vec(),
-        }
-    }
 }
 
 impl<'a> ColGenSolver<'a> {
@@ -447,54 +396,8 @@ impl<'a> ColGenSolver<'a> {
         weights: &[f64],
         cfg: ColumnGeneration,
     ) -> Result<Self, CoreError> {
-        Self::build(DeltaSource::Placed(pq), weights, cfg)
-    }
-
-    /// [`ColGenSolver::with_weights`] over a raw delay matrix instead of
-    /// a [`PlacedQuorums`] binding: `delta[v][i]` is the (possibly
-    /// perturbed) delay client `v` pays at quorum `i`, `node_counts[i]`
-    /// the quorum's sorted `(node, element-count)` pairs, and
-    /// `element_counts[w]` how many universe elements node `w` hosts
-    /// (`0` ⇒ no capacity row — the node never carries load). This is the
-    /// entry point for callers that own their delay matrix, e.g. the
-    /// placement daemon with slowdown-scaled effective deltas.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::SizeMismatch`] as for
-    /// [`with_weights`](Self::with_weights), or if a `delta` row does not
-    /// cover every quorum.
-    pub fn from_matrix(
-        delta: &'a [Vec<f64>],
-        node_counts: &'a [Vec<(usize, f64)>],
-        element_counts: &'a [usize],
-        weights: &[f64],
-        cfg: ColumnGeneration,
-    ) -> Result<Self, CoreError> {
-        let m = node_counts.len();
-        if let Some(row) = delta.iter().find(|row| row.len() != m) {
-            return Err(CoreError::SizeMismatch {
-                reason: format!("delta row covers {} of {m} quorums", row.len()),
-            });
-        }
-        Self::build(
-            DeltaSource::Matrix {
-                delta,
-                node_counts,
-                element_counts,
-            },
-            weights,
-            cfg,
-        )
-    }
-
-    fn build(
-        delta: DeltaSource<'a>,
-        weights: &[f64],
-        cfg: ColumnGeneration,
-    ) -> Result<Self, CoreError> {
-        let n = delta.n_clients();
-        let m = delta.n_quorums();
+        let n = pq.ctx().clients().len();
+        let m = pq.quorums().len();
         let mismatch = |reason: String| CoreError::SizeMismatch { reason };
         if n == 0 || m == 0 {
             return Err(mismatch("need at least one client and one quorum".into()));
@@ -521,12 +424,7 @@ impl<'a> ColGenSolver<'a> {
         let order: Vec<Vec<usize>> = (0..n)
             .map(|v| {
                 let mut idx: Vec<usize> = (0..m).collect();
-                idx.sort_by(|&a, &b| {
-                    delta
-                        .delta(v, a)
-                        .total_cmp(&delta.delta(v, b))
-                        .then(a.cmp(&b))
-                });
+                idx.sort_by(|&a, &b| pq.delta(v, a).total_cmp(&pq.delta(v, b)).then(a.cmp(&b)));
                 idx
             })
             .collect();
@@ -544,12 +442,7 @@ impl<'a> ColGenSolver<'a> {
                 // daxlist-161 LP it tripled the cold pivot count (370 →
                 // 1049, plus 2002 bound flips) as p's churned between
                 // bounds the convexity row enforces anyway.
-                row_vars.push(model.add_var(
-                    "",
-                    0.0,
-                    f64::INFINITY,
-                    weights[v] * delta.delta(v, i),
-                ));
+                row_vars.push(model.add_var("", 0.0, f64::INFINITY, weights[v] * pq.delta(v, i)));
                 col_map.push((v, i));
                 present[v][i] = true;
             }
@@ -564,8 +457,8 @@ impl<'a> ColGenSolver<'a> {
         // touches: columns generated later must land in an existing row.
         // Unbounded/sweep capacities use a never-binding rhs (total
         // weighted load at w cannot exceed its element count).
-        let counts = delta.element_counts();
-        let net_len = delta.net_len();
+        let counts = pq.placement().element_counts();
+        let net_len = pq.ctx().net().len();
         let mut cap_rows = Vec::new();
         let mut cap_row_of = vec![None; net_len];
         for w in 0..net_len {
@@ -574,7 +467,7 @@ impl<'a> ColGenSolver<'a> {
             }
             let mut terms: Vec<(VarId, f64)> = Vec::new();
             for (var, &(v, i)) in col_map.iter().enumerate() {
-                let nc = delta.node_counts(i);
+                let nc = pq.node_counts(i);
                 if let Ok(pos) = nc.binary_search_by_key(&w, |&(j, _)| j) {
                     terms.push((VarId::from_index(var), weights[v] * nc[pos].1));
                 }
@@ -585,7 +478,7 @@ impl<'a> ColGenSolver<'a> {
         }
         let inst = SimplexInstance::new(model)?;
         Ok(ColGenSolver {
-            delta,
+            pq,
             weights,
             inst,
             conv_rows,
@@ -608,7 +501,7 @@ impl<'a> ColGenSolver<'a> {
 
     /// Columns full enumeration would materialize.
     pub fn total_columns(&self) -> usize {
-        self.delta.n_clients() * self.delta.n_quorums()
+        self.pq.ctx().clients().len() * self.pq.quorums().len()
     }
 
     /// Simplex pivots summed over every successful solve so far.
@@ -641,12 +534,12 @@ impl<'a> ColGenSolver<'a> {
         &mut self,
         caps: &CapacityProfile,
     ) -> Result<StrategyLpOutcome, CoreError> {
-        if caps.len() != self.delta.net_len() {
+        let net_len = self.pq.ctx().net().len();
+        if caps.len() != net_len {
             return Err(CoreError::SizeMismatch {
                 reason: format!(
-                    "capacity profile covers {} nodes, network has {}",
-                    caps.len(),
-                    self.delta.net_len()
+                    "capacity profile covers {} nodes, network has {net_len}",
+                    caps.len()
                 ),
             });
         }
@@ -689,9 +582,8 @@ impl<'a> ColGenSolver<'a> {
         };
         stats.warm = warm_any;
 
-        let n = self.delta.n_clients();
-        let m = self.delta.n_quorums();
-        let net_len = self.delta.net_len();
+        let n = self.pq.ctx().clients().len();
+        let m = self.pq.quorums().len();
         let mut rows = vec![vec![0.0; m]; n];
         for (var, &(v, i)) in self.col_map.iter().enumerate() {
             rows[v][i] = sol.value(VarId::from_index(var)).max(0.0);
@@ -761,16 +653,16 @@ impl<'a> ColGenSolver<'a> {
     /// quorum index). Returns how many columns were appended; 0 proves
     /// optimality of the restricted optimum for the full LP.
     fn price_and_add(&mut self, sol: &Solution) -> Result<usize, CoreError> {
-        let n = self.delta.n_clients();
-        let m = self.delta.n_quorums();
-        let mut y = vec![0.0; self.delta.net_len()];
+        let n = self.pq.ctx().clients().len();
+        let m = self.pq.quorums().len();
+        let mut y = vec![0.0; self.pq.ctx().net().len()];
         for &(w, row, _) in &self.cap_rows {
             y[w] = sol.dual(row);
         }
         let mut s = vec![0.0; m];
         for i in 0..m {
             let mut acc = 0.0;
-            for &(w, count) in self.delta.node_counts(i) {
+            for &(w, count) in self.pq.node_counts(i) {
                 acc += y[w] * count;
             }
             s[i] = acc;
@@ -784,7 +676,7 @@ impl<'a> ColGenSolver<'a> {
                 if self.present[v][i] {
                     continue;
                 }
-                let rc = w_v * (self.delta.delta(v, i) - s[i]) - mu;
+                let rc = w_v * (self.pq.delta(v, i) - s[i]) - mu;
                 if rc < -PRICING_TOLERANCE && best.is_none_or(|(b, _)| rc < b) {
                     best = Some((rc, i));
                 }
@@ -804,8 +696,8 @@ impl<'a> ColGenSolver<'a> {
     /// client's prefix covers all quorums — full enumeration — so an
     /// infeasibility reported after that is genuine.
     fn grow(&mut self) -> Result<bool, CoreError> {
-        let n = self.delta.n_clients();
-        let m = self.delta.n_quorums();
+        let n = self.pq.ctx().clients().len();
+        let m = self.pq.quorums().len();
         loop {
             let mut advanced = false;
             let mut added = false;
@@ -836,14 +728,14 @@ impl<'a> ColGenSolver<'a> {
     fn add_master_column(&mut self, v: usize, i: usize) -> Result<(), CoreError> {
         let w_v = self.weights[v];
         let mut terms = vec![(self.conv_rows[v], 1.0)];
-        for &(w, count) in self.delta.node_counts(i) {
+        for &(w, count) in self.pq.node_counts(i) {
             if let Some(row) = self.cap_row_of[w] {
                 terms.push((row, w_v * count));
             }
         }
         let var = self
             .inst
-            .add_column("", w_v * self.delta.delta(v, i), &terms)?;
+            .add_column("", w_v * self.pq.delta(v, i), &terms)?;
         debug_assert_eq!(var.index(), self.col_map.len());
         self.col_map.push((v, i));
         self.present[v][i] = true;
@@ -857,12 +749,12 @@ impl<'a> ColGenSolver<'a> {
     /// before the first successful solve.
     pub fn pricing_violations(&self) -> Option<usize> {
         let (mu, y) = self.last_duals.as_ref()?;
-        let n = self.delta.n_clients();
-        let m = self.delta.n_quorums();
+        let n = self.pq.ctx().clients().len();
+        let m = self.pq.quorums().len();
         let mut s = vec![0.0; m];
         for i in 0..m {
             let mut acc = 0.0;
-            for &(w, count) in self.delta.node_counts(i) {
+            for &(w, count) in self.pq.node_counts(i) {
                 acc += y[w] * count;
             }
             s[i] = acc;
@@ -873,7 +765,7 @@ impl<'a> ColGenSolver<'a> {
                 if self.present[v][i] {
                     continue;
                 }
-                let rc = self.weights[v] * (self.delta.delta(v, i) - s[i]) - mu[v];
+                let rc = self.weights[v] * (self.pq.delta(v, i) - s[i]) - mu[v];
                 if rc < -PRICING_TOLERANCE {
                     violations += 1;
                 }

@@ -7,8 +7,6 @@ use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
-use std::path::Path;
-#[cfg(unix)]
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -272,13 +270,6 @@ pub fn connect(endpoint: &Endpoint) -> io::Result<impl io::Read + io::Write> {
     })
 }
 
-/// Parses an endpoint from CLI flags: a path for `--socket`, an address
-/// for `--listen`/`--connect`.
-#[cfg(unix)]
-pub fn unix_endpoint(path: &Path) -> Endpoint {
-    Endpoint::Unix(path.to_path_buf())
-}
-
 /// One framing outcome from the byte-capped request reader.
 #[derive(Debug, PartialEq, Eq)]
 enum RequestLine {
@@ -475,7 +466,7 @@ pub fn execute(session: &mut Session, cmd: Command) -> Response {
         }
         Command::Query => {
             let s = session.status();
-            let mut detail = vec![
+            let detail = vec![
                 format!("seq {}", s.seq),
                 format!("nodes {}", s.num_nodes),
                 format!("quorums {}", s.num_quorums),
@@ -509,16 +500,6 @@ pub fn execute(session: &mut Session, cmd: Command) -> Response {
                 format!("warm_pivots {}", s.warm_pivots),
                 format!("degraded {}", u8::from(s.degraded)),
             ];
-            if let Some(p) = s.colgen {
-                detail.push(format!(
-                    "pricing {} of {} columns ({} generated) passes {} solves {}",
-                    p.columns_in_master,
-                    p.total_columns,
-                    p.columns_generated,
-                    p.oracle_passes,
-                    p.master_resolves
-                ));
-            }
             Response::ok(format!("status seq={}", s.seq), detail)
         }
         Command::Snapshot => {

@@ -1,17 +1,16 @@
 //! Live placement sessions: state, delta application, warm re-solve,
 //! capacity re-tuning, migration plans, and cold cross-checks.
 
-use qp_core::capacity::{capacity_sweep, CapacityProfile};
-use qp_core::strategy_lp::{
-    build_weighted_strategy_model, ColGenSolver, ColGenStats, ColumnGeneration,
-};
-use qp_core::{CoreError, Placement};
+use qp_core::capacity::capacity_sweep;
+use qp_core::strategy_lp::build_weighted_strategy_model;
+use qp_core::Placement;
 use qp_lp::{LpError, SimplexInstance, Solution, VarId};
 use qp_quorum::Quorum;
 use qp_topology::Network;
 
 use crate::protocol::Delta;
 
+use std::convert::Infallible;
 use std::fmt;
 
 /// Relative symmetry-breaking jitter folded into every objective
@@ -38,13 +37,10 @@ pub struct SessionConfig {
     pub l_opt: f64,
     /// Number of sweep points `cᵢ = L_opt + i·(1−L_opt)/steps`.
     pub sweep_steps: usize,
-    /// When set, capacity re-tunes run through the restricted-master
-    /// column-generation solver over the effective-delta matrix instead
-    /// of the resident full LP; pricing statistics accumulate across
-    /// tunes and surface in [`Status::colgen`]. The symmetry-breaking
-    /// jitter keeps the optimum unique, so answers agree with the cold
-    /// cross-check either way.
-    pub colgen: Option<ColumnGeneration>,
+    /// Always `None`; removed with the next benchmark change. The field
+    /// only keeps struct literals that name it compiling: sessions tune
+    /// on the resident LP alone.
+    pub colgen: Option<Infallible>,
 }
 
 /// Errors from session construction or delta application.
@@ -164,10 +160,6 @@ pub struct Status {
     /// Whether the session is pinned on its last-good answer because the
     /// most recent delta left the LP infeasible (or the solver errored).
     pub degraded: bool,
-    /// Accumulated pricing statistics when the session tunes through
-    /// column generation ([`SessionConfig::colgen`]); `None` on the
-    /// resident-LP path.
-    pub colgen: Option<ColGenStats>,
 }
 
 /// Outcome of a warm-vs-cold cross-check ([`Session::cold_check`]).
@@ -251,11 +243,6 @@ pub struct Session {
     current: Answer,
     warm_pivots: u64,
     degraded: bool,
-    // Column-generation mode: config, per-node element counts (the
-    // capacity-row layout), and accumulated pricing statistics.
-    colgen: Option<ColumnGeneration>,
-    element_counts: Vec<usize>,
-    pricing: Option<ColGenStats>,
 }
 
 impl Session {
@@ -306,7 +293,6 @@ impl Session {
         // Geometry: hosts in element order (repeats preserved — they are
         // what make many-to-one load coefficients > 1), and per-quorum
         // sorted (node, element-count) pairs.
-        let element_counts = cfg.placement.element_counts();
         let mut hosts: Vec<Vec<usize>> = Vec::with_capacity(m);
         let mut node_counts: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
         let mut loaded = vec![false; n];
@@ -390,9 +376,6 @@ impl Session {
             },
             warm_pivots: 0,
             degraded: false,
-            colgen: cfg.colgen,
-            element_counts,
-            pricing: None,
         };
         let (answer, _pivots) = session.tune()?;
         session.current = answer;
@@ -529,7 +512,6 @@ impl Session {
                 .collect(),
             warm_pivots: self.warm_pivots,
             degraded: self.degraded,
-            colgen: self.pricing,
         }
     }
 
@@ -742,9 +724,6 @@ impl Session {
     /// capacity grid warm, adopts the response-minimizing point, and
     /// returns the tuned answer plus the pivots spent.
     fn tune(&mut self) -> Result<(Answer, u64), SessionError> {
-        if self.colgen.is_some() {
-            return self.tune_colgen();
-        }
         let mut pivots: u64 = 0;
         // Step 1: re-establish an optimal basis at the current state.
         // After an objective delta this is the primal warm re-solve; a
@@ -789,87 +768,7 @@ impl Session {
         pivots += sol.stats().iterations as u64;
         let q = self.q_matrix(&sol);
         let answer = Answer {
-            strategy: strategies(&q, &self.weights),
-            delay_ms: self.score(&q, 0.0),
-            response_ms: self.score(&q, self.alpha),
-            capacity: best_c,
-            pivots,
-        };
-        self.warm_pivots += pivots;
-        Ok((answer, pivots))
-    }
-
-    /// [`tune`](Self::tune) through the restricted-master
-    /// column-generation solver: a fresh master over the *current*
-    /// effective-delta matrix (slowdowns and jitter included) sweeps the
-    /// same capacity grid, generating columns to proven optimality at
-    /// each point. Columns accumulate across the sweep inside one master,
-    /// so later points re-solve warm; pricing statistics accumulate in
-    /// [`Status::colgen`]. The jittered optimum is unique, so the answer
-    /// matches the resident-LP path to cross-check accuracy.
-    fn tune_colgen(&mut self) -> Result<(Answer, u64), SessionError> {
-        let cfg = self.colgen.clone().expect("colgen tune without config");
-        let n = self.weights.len();
-        let to_err = |e: CoreError| match e {
-            CoreError::Infeasible => SessionError::Infeasible("lp infeasible".into()),
-            CoreError::Lp(lp) => SessionError::Lp(lp),
-            other => SessionError::Config(other.to_string()),
-        };
-        let mut solver = ColGenSolver::from_matrix(
-            &self.delta_eff,
-            &self.node_counts,
-            &self.element_counts,
-            &self.weights,
-            cfg,
-        )
-        .map_err(to_err)?;
-        let caps_at = |c: f64| {
-            CapacityProfile::from_values(
-                (0..n)
-                    .map(|w| if self.crashed[w] { 0.0 } else { c })
-                    .collect(),
-            )
-        };
-        let mut pivots: u64 = 0;
-        let grid = capacity_sweep(self.l_opt, self.sweep_steps);
-        let mut scored: Vec<(f64, f64)> = Vec::new(); // (capacity, score)
-        for &c in &grid {
-            let outcome = match solver.solve_profile(&caps_at(c)) {
-                Ok(outcome) => outcome,
-                Err(CoreError::Infeasible) => continue,
-                Err(e) => return Err(to_err(e)),
-            };
-            pivots += outcome.stats.iterations as u64;
-            let q = self.q_from_strategy(&outcome.strategy);
-            let score = self.score(&q, self.alpha);
-            scored.push((c, score));
-        }
-        let Some(best_c) = pick_capacity(&scored) else {
-            return Err(SessionError::Infeasible(
-                "no sweep capacity admits a strategy — restore nodes".into(),
-            ));
-        };
-        // Land on the winner; the master already holds its columns, so
-        // this re-solve is warm and generates nothing new.
-        let outcome = solver.solve_profile(&caps_at(best_c)).map_err(to_err)?;
-        pivots += outcome.stats.iterations as u64;
-        let q = self.q_from_strategy(&outcome.strategy);
-        // The master's running totals cover every solve of this tune:
-        // fold them into the session's (latest column census, summed work).
-        let mut pricing = self.pricing.unwrap_or_default();
-        pricing.absorb(&solver.pricing());
-        drop(solver);
-        self.capacity = best_c;
-        self.pricing = Some(pricing);
-        // Keep the (unsolved) resident LP's capacities in step with the
-        // adopted answer, mirroring the resident-path invariant.
-        for row_idx in 0..self.cap_rows.len() {
-            let (w, row) = self.cap_rows[row_idx];
-            self.instance
-                .set_rhs(row, if self.crashed[w] { 0.0 } else { best_c });
-        }
-        let answer = Answer {
-            strategy: strategies(&q, &self.weights),
+            strategy: strategies(&q),
             delay_ms: self.score(&q, 0.0),
             response_ms: self.score(&q, self.alpha),
             capacity: best_c,
@@ -892,18 +791,6 @@ impl Session {
             &self.slowdown,
             alpha,
         )
-    }
-
-    /// The weighted `q = ŵ_v · p_vi` matrix from a column-generation
-    /// strategy (rows of zero-weight clients collapse to all-zero,
-    /// matching the resident LP's convention).
-    fn q_from_strategy(&self, strategy: &qp_quorum::StrategyMatrix) -> Vec<Vec<f64>> {
-        (0..self.weights.len())
-            .map(|v| {
-                let w = self.weights[v];
-                strategy.row(v).iter().map(|&p| w * p).collect()
-            })
-            .collect()
     }
 
     /// Extracts the `q` matrix from a solution of the resident LP.
@@ -1053,10 +940,9 @@ fn pick_capacity(scored: &[(f64, f64)]) -> Option<f64> {
 
 /// Recovers normalized per-client strategies `p = q / ŵ` (rows of a
 /// zero-weight client stay all-zero).
-fn strategies(q: &[Vec<f64>], weights: &[f64]) -> Vec<Vec<f64>> {
+fn strategies(q: &[Vec<f64>]) -> Vec<Vec<f64>> {
     q.iter()
-        .zip(weights)
-        .map(|(row, _w)| {
+        .map(|row| {
             let total: f64 = row.iter().sum();
             if total > 0.0 {
                 row.iter().map(|&qi| qi / total).collect()
@@ -1148,7 +1034,7 @@ pub fn cold_recompute(inp: &ColdInputs) -> Result<(Answer, u64), SessionError> {
     let q = q_of(&sol);
     Ok((
         Answer {
-            strategy: strategies(&q, &inp.weights),
+            strategy: strategies(&q),
             delay_ms: score(&q, 0.0),
             response_ms: score(&q, inp.alpha),
             capacity: best_c,
@@ -1165,7 +1051,7 @@ mod tests {
     use qp_quorum::QuorumSystem;
     use qp_topology::datasets;
 
-    fn session_with(steps: usize, colgen: Option<ColumnGeneration>) -> Session {
+    fn session(steps: usize) -> Session {
         let net = datasets::euclidean_random(12, 100.0, 7);
         let sys = QuorumSystem::grid(3).unwrap();
         let placement = one_to_one::best_placement(&net, &sys).unwrap();
@@ -1177,13 +1063,9 @@ mod tests {
             alpha: 12.0,
             l_opt: sys.optimal_load().unwrap_or(0.5),
             sweep_steps: steps,
-            colgen,
+            colgen: None,
         })
         .unwrap()
-    }
-
-    fn session(steps: usize) -> Session {
-        session_with(steps, None)
     }
 
     #[test]
@@ -1351,68 +1233,33 @@ mod tests {
 
     #[test]
     fn reported_delay_excludes_the_tie_breaking_jitter() {
-        // After a slowdown, every tuning path (resident LP, column
-        // generation, cold recompute) reports Σ ŵ·p·δ at the
-        // slowdown-scaled delays, not the jittered LP objective.
-        for colgen in [None, Some(ColumnGeneration::default())] {
-            let mut s = session_with(6, colgen);
-            let site = s.hosts[0][0];
-            let answer = s
-                .apply(&Delta::Slowdown { site, factor: 3.0 })
-                .unwrap()
-                .answer;
-            let (cold, _) = cold_recompute(&s.cold_inputs()).unwrap();
-            for a in [&answer, &cold] {
-                let mut expected = 0.0;
-                for (v, row) in a.strategy.iter().enumerate() {
-                    for (i, &p) in row.iter().enumerate() {
-                        let delay = s.hosts[i]
-                            .iter()
-                            .map(|&w| s.dist[v][w] * s.slowdown[w])
-                            .fold(f64::MIN, f64::max);
-                        expected += s.weights[v] * p * delay;
-                    }
+        // After a slowdown, both tuning paths (the resident LP and the
+        // cold recompute) report Σ ŵ·p·δ at the slowdown-scaled delays,
+        // not the jittered LP objective.
+        let mut s = session(6);
+        let site = s.hosts[0][0];
+        let answer = s
+            .apply(&Delta::Slowdown { site, factor: 3.0 })
+            .unwrap()
+            .answer;
+        let (cold, _) = cold_recompute(&s.cold_inputs()).unwrap();
+        for a in [&answer, &cold] {
+            let mut expected = 0.0;
+            for (v, row) in a.strategy.iter().enumerate() {
+                for (i, &p) in row.iter().enumerate() {
+                    let delay = s.hosts[i]
+                        .iter()
+                        .map(|&w| s.dist[v][w] * s.slowdown[w])
+                        .fold(f64::MIN, f64::max);
+                    expected += s.weights[v] * p * delay;
                 }
-                assert!(
-                    (a.delay_ms - expected).abs() <= 1e-12 * expected,
-                    "reported {} vs unjittered {expected}",
-                    a.delay_ms
-                );
             }
+            assert!(
+                (a.delay_ms - expected).abs() <= 1e-12 * expected,
+                "reported {} vs unjittered {expected}",
+                a.delay_ms
+            );
         }
-    }
-
-    #[test]
-    fn colgen_session_matches_resident_path_and_reports_pricing() {
-        let mut full = session(6);
-        let mut cg = session_with(6, Some(ColumnGeneration::default()));
-        // The jittered optimum is unique, so both tuning paths land on
-        // the same vertex and the same sweep winner.
-        assert_eq!(full.answer().capacity, cg.answer().capacity);
-        let rel = |a: f64, b: f64| (a - b).abs() / (1.0 + a.abs().max(b.abs()));
-        assert!(rel(full.answer().delay_ms, cg.answer().delay_ms) <= 1e-9);
-        assert!(rel(full.answer().response_ms, cg.answer().response_ms) <= 1e-9);
-        let pricing = cg.status().colgen.expect("colgen session reports pricing");
-        assert!(pricing.columns_in_master > 0);
-        assert!(pricing.columns_in_master <= pricing.total_columns);
-        assert!(pricing.master_resolves > 0);
-        assert!(full.status().colgen.is_none());
-
-        // Deltas re-tune through the same restricted master semantics.
-        let d = Delta::Slowdown {
-            site: 0,
-            factor: 3.0,
-        };
-        let a = full.apply(&d).unwrap();
-        let b = cg.apply(&d).unwrap();
-        assert_eq!(a.answer.capacity, b.answer.capacity);
-        assert!(rel(a.answer.delay_ms, b.answer.delay_ms) <= 1e-9);
-        let after = cg.status().colgen.unwrap();
-        assert!(after.master_resolves > pricing.master_resolves);
-
-        // The colgen answer survives the warm-vs-cold cross-check.
-        let check = cg.cold_check().unwrap();
-        assert!(check.ok, "cross-check failed: {check:?}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!                    [--checkpoint FILE] [--jsonl-out FILE]
 //! quorumnet serve    (--socket PATH | --listen ADDR) --system grid:3
 //!                    [--demand 16000] [--op-time 0.007] [--sweep 10]
-//!                    [--colgen] [--state-dir DIR] [--snapshot-every N]
+//!                    [--state-dir DIR] [--snapshot-every N]
 //! quorumnet ctl      (--socket PATH | --connect ADDR) [--cmd "..." ...]
 //! ```
 //!
@@ -163,7 +163,6 @@ fn print_help() {
          --socket PATH       listen on a Unix-domain socket\n  \
          --listen ADDR       listen on a TCP address (e.g. 127.0.0.1:0)\n  \
          --sweep N           capacity sweep points per re-tune (default 10)\n  \
-         --colgen            re-tune through the column-generation solver\n  \
          --state-dir DIR     crash-safe persistence: fsync'd delta WAL + atomic\n  \
                              snapshots in DIR; on start, recover from DIR and\n  \
                              cross-check against a cold recompute (≤ 1e-9)\n  \
@@ -189,7 +188,6 @@ struct Options {
     op_time: f64,
     capacity: f64,
     dedup: bool,
-    colgen: bool,
     locations: usize,
     clients_per_location: usize,
     requests: usize,
@@ -221,7 +219,6 @@ impl Default for Options {
             op_time: 0.007,
             capacity: 1.0,
             dedup: false,
-            colgen: false,
             locations: 10,
             clients_per_location: 5,
             requests: 150,
@@ -269,7 +266,6 @@ impl Options {
                     o.capacity = c;
                 }
                 "--dedup" => o.dedup = true,
-                "--colgen" => o.colgen = true,
                 "--locations" => o.locations = parse_usize(&value("--locations")?, "--locations")?,
                 "--clients-per-location" => {
                     o.clients_per_location =
@@ -731,7 +727,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         alpha: opts.model().alpha(),
         l_opt,
         sweep_steps: opts.sweep,
-        colgen: opts.colgen.then(ColumnGeneration::default),
+        colgen: None,
     };
     let (session, persistence) = match &opts.state_dir {
         Some(dir) => {
@@ -881,8 +877,9 @@ mod tests {
 
     #[test]
     fn parses_colgen_flag() {
-        assert!(Options::parse(&s(&["--colgen"])).unwrap().colgen);
-        assert!(!Options::parse(&s(&[])).unwrap().colgen);
+        // `serve` tunes on the resident LP only; the old opt-in is gone.
+        let err = Options::parse(&s(&["--colgen"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--colgen`");
     }
 
     #[test]

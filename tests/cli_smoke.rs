@@ -84,13 +84,9 @@ fn help_runs_clean() {
     let stdout = assert_ok(&["help"]);
     assert!(stdout.contains("quorumnet"));
     assert!(stdout.contains("simulate"));
-    // `--colgen` is a serve flag only: `place` always solves the LP on
-    // the restricted master.
-    let serve = stdout.find("serve flags:").expect("serve section");
-    let ctl = stdout.find("ctl flags:").expect("ctl section");
-    assert_eq!(stdout.matches("--colgen").count(), 1, "{stdout}");
-    let colgen = stdout.find("--colgen").unwrap();
-    assert!(serve < colgen && colgen < ctl, "{stdout}");
+    // `serve` tunes on its resident LP only: no command offers `--colgen`.
+    assert!(stdout.contains("serve flags:"), "{stdout}");
+    assert!(!stdout.contains("--colgen"), "{stdout}");
 }
 
 #[test]
@@ -404,6 +400,11 @@ fn bad_numeric_flags_rejected() {
             );
         }
     }
+    // The column-generation opt-in of `serve` is gone: an unknown flag.
+    let out = run(&["serve", "--colgen"]);
+    assert_eq!(out.status.code(), Some(1), "`serve --colgen` must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--colgen`"), "{stderr}");
 }
 
 #[test]
