@@ -2,7 +2,7 @@
 
 use qp_core::eval::EvalContext;
 use qp_core::one_to_one;
-use qp_core::response::{evaluate_balanced_ctx, evaluate_closest_ctx};
+use qp_core::response::{evaluate_balanced, evaluate_closest};
 use qp_core::singleton::singleton_delay;
 use qp_core::ResponseModel;
 use qp_par::ParPool;
@@ -71,7 +71,7 @@ pub fn fig6_3(scale: Scale) -> Table {
     let responses: Vec<f64> = ParPool::global().run(jobs.len(), |i| {
         let (_, sys, _) = &jobs[i];
         let placement = one_to_one::best_placement_ctx(&ctx, sys).expect("universe fits");
-        evaluate_closest_ctx(&ctx, sys, &placement, model)
+        evaluate_closest(ctx.net(), ctx.clients(), sys, &placement, model)
             .expect("evaluation succeeds")
             .avg_response_ms
     });
@@ -125,10 +125,10 @@ fn grid_daxlist(demands: &[f64], id: &str, title: &str, scale: Scale) -> Table {
         let mut row = vec![(k * k) as f64];
         for &demand in demands {
             let model = ResponseModel::from_demand(OP_SRV_TIME_MS, demand);
-            let closest =
-                evaluate_closest_ctx(&ctx, &sys, &placement, model).expect("evaluation succeeds");
-            let balanced =
-                evaluate_balanced_ctx(&ctx, &sys, &placement, model).expect("grid enumerates");
+            let closest = evaluate_closest(ctx.net(), ctx.clients(), &sys, &placement, model)
+                .expect("evaluation succeeds");
+            let balanced = evaluate_balanced(ctx.net(), ctx.clients(), &sys, &placement, model)
+                .expect("grid enumerates");
             row.push(closest.avg_network_delay_ms);
             row.push(closest.avg_response_ms);
             row.push(balanced.avg_network_delay_ms);

@@ -3,7 +3,7 @@
 use qp_core::capacity::{capacity_sweep, CapacityProfile};
 use qp_core::eval::EvalContext;
 use qp_core::manyone::ManyToOneConfig;
-use qp_core::response::evaluate_closest_ctx;
+use qp_core::response::evaluate_closest;
 use qp_core::{iterative, one_to_one, CoreError, ResponseModel};
 use qp_par::ParPool;
 use qp_quorum::QuorumSystem;
@@ -38,7 +38,7 @@ pub fn fig8_9(scale: Scale) -> Table {
     // One-to-one baseline (capacity-independent).
     let ctx = EvalContext::new(&net, &clients);
     let one_one = one_to_one::best_placement_ctx(&ctx, &sys).expect("fits");
-    let baseline = evaluate_closest_ctx(&ctx, &sys, &one_one, model)
+    let baseline = evaluate_closest(ctx.net(), ctx.clients(), &sys, &one_one, model)
         .expect("evaluation succeeds")
         .avg_network_delay_ms;
 

@@ -273,11 +273,6 @@ impl<'b> PlacedQuorums<'b> {
         self.delta[row][i]
     }
 
-    /// The full delay row of client `row` over all bound quorums.
-    pub fn delta_row(&self, row: usize) -> &[f64] {
-        &self.delta[row]
-    }
-
     /// `ρ_f(clients[row], Qᵢ)` (Eq. 4.1) given precomputed node loads —
     /// the cached-host equivalent of `response::rho`, iterating the same
     /// element order.

@@ -12,7 +12,7 @@ use qp_topology::{Network, NodeId};
 
 use crate::capacity::CapacityProfile;
 use crate::eval::EvalContext;
-use crate::response::{evaluate_balanced_ctx, evaluate_closest_ctx, ResponseModel};
+use crate::response::{evaluate_balanced, evaluate_closest, ResponseModel};
 use crate::{CoreError, Placement};
 
 /// How candidate placements are scored during the best-anchor search.
@@ -370,10 +370,12 @@ pub fn best_placement_by_ctx(
             let placement = placement_for_ctx(ctx, anchors[i], system)?;
             let delay = match objective {
                 SelectionObjective::ClosestDelay => {
-                    evaluate_closest_ctx(ctx, system, &placement, model)?.avg_network_delay_ms
+                    evaluate_closest(ctx.net(), ctx.clients(), system, &placement, model)?
+                        .avg_network_delay_ms
                 }
                 SelectionObjective::BalancedDelay => {
-                    evaluate_balanced_ctx(ctx, system, &placement, model)?.avg_network_delay_ms
+                    evaluate_balanced(ctx.net(), ctx.clients(), system, &placement, model)?
+                        .avg_network_delay_ms
                 }
             };
             Ok((delay, placement))

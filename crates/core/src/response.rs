@@ -273,36 +273,6 @@ pub fn evaluate_closest(
     Ok(evaluate_choices(net, clients, placement, &choices, model))
 }
 
-/// [`evaluate_closest`] reading the network and client set from an
-/// [`EvalContext`], for callers threading one context through a sweep.
-///
-/// # Errors
-///
-/// As for [`evaluate_closest`].
-pub fn evaluate_closest_ctx(
-    ctx: &EvalContext<'_>,
-    system: &QuorumSystem,
-    placement: &Placement,
-    model: ResponseModel,
-) -> Result<Evaluation, CoreError> {
-    evaluate_closest(ctx.net(), ctx.clients(), system, placement, model)
-}
-
-/// [`evaluate_balanced`] reading the network and client set from an
-/// [`EvalContext`].
-///
-/// # Errors
-///
-/// As for [`evaluate_balanced`].
-pub fn evaluate_balanced_ctx(
-    ctx: &EvalContext<'_>,
-    system: &QuorumSystem,
-    placement: &Placement,
-    model: ResponseModel,
-) -> Result<Evaluation, CoreError> {
-    evaluate_balanced(ctx.net(), ctx.clients(), system, placement, model)
-}
-
 /// Evaluates an explicit strategy matrix over an enumerated quorum list
 /// (Eq. 4.2 verbatim).
 ///

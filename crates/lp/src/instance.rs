@@ -88,12 +88,6 @@ impl SimplexInstance {
         &self.model
     }
 
-    /// Whether a warm basis from a previous solve is available, i.e.
-    /// whether the next [`resolve`](Self::resolve) can skip phase 1.
-    pub fn is_warm(&self) -> bool {
-        self.warm.is_some()
-    }
-
     /// Changes the right-hand side of constraint `row` (a row index from
     /// the model's `add_*` methods). The warm basis stays valid: rhs
     /// changes never affect dual feasibility.

@@ -322,15 +322,6 @@ impl Model {
         self.rows[row].rhs = rhs;
     }
 
-    /// The right-hand side of a constraint row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn row_rhs(&self, row: usize) -> f64 {
-        self.rows[row].rhs
-    }
-
     /// Replaces the bounds of an existing variable.
     ///
     /// On a plain `Model` any new bounds are accepted (the standard form
