@@ -15,13 +15,17 @@
 //!    distance) and renormalize. Every surviving assignment is provably
 //!    within `(1+ε)` of `u`'s fractional distance; capacities inflate by at
 //!    most `(1+ε)/ε`.
-//! 3. **Rounding.** Cycle-cancelling on the bipartite support graph (cost
-//!    never increases, element totals preserved) until the support is a
-//!    forest — at which point all but at most `|support nodes| − 1`
-//!    elements are integral — then a capacity-aware greedy pass assigns the
-//!    leftovers to their cheapest surviving node with room (or the one with
-//!    most slack). The result is the paper's "almost-capacity-respecting"
-//!    placement: capacity can be exceeded, but only by a bounded factor.
+//! 3. **Rounding.** The filtered support, as a bipartite graph between
+//!    elements and nodes, is a forest. In the LP, column `x_{u,w}` has
+//!    coefficient `load_p(u)` in node `w`'s capacity row, whatever `w`
+//!    is, so the columns along any cycle of the support are linearly
+//!    dependent: a basic optimum's support has no cycle, and filtering
+//!    only removes edges. So all but at most `|support nodes| − 1`
+//!    elements are integral, and a capacity-aware greedy pass assigns the
+//!    leftovers to their cheapest surviving node with room (or the one
+//!    with most slack). The result is the paper's
+//!    "almost-capacity-respecting" placement: capacity can be exceeded,
+//!    but only by a bounded factor.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use qp_lp::{Model, Sense, VarId};
@@ -140,46 +144,10 @@ pub fn place_for_client(
     let v_count = net.len();
     let effective_cap = |w: usize| caps.get(NodeId::new(w)) * config.capacity_slack;
 
-    // ---- 1. Fractional LP. ----
-    let (model, vars) = placement_lp(net, v0, weights, &effective_cap);
-    let sol = model.solve()?;
-    let lp_objective = sol.objective();
-    let mut x: Vec<Vec<f64>> = vars
-        .iter()
-        .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
-        .collect();
+    // ---- 1 and 2. Fractional LP, Lin–Vitter filtering. ----
+    let (lp_objective, x) = filtered_lp(net, v0, weights, &effective_cap, config.epsilon)?;
 
-    // ---- 2. Lin–Vitter filtering. ----
-    let eps = config.epsilon;
-    assert!(eps > 0.0, "ε must be positive");
-    for (u, row) in x.iter_mut().enumerate() {
-        let du: f64 = row
-            .iter()
-            .enumerate()
-            .map(|(w, &f)| f * net.distance(v0, NodeId::new(w)))
-            .sum();
-        let cutoff = (1.0 + eps) * du;
-        let mut kept = 0.0;
-        for (w, f) in row.iter_mut().enumerate() {
-            // Keep zero-distance entries always (cutoff may be 0 when the
-            // whole mass sits on v0 itself).
-            if net.distance(v0, NodeId::new(w)) > cutoff + 1e-12 {
-                *f = 0.0;
-            } else {
-                kept += *f;
-            }
-        }
-        debug_assert!(kept > 0.0, "filtering must keep positive mass (Markov)");
-        for f in row.iter_mut() {
-            *f /= kept;
-        }
-        let _ = u;
-    }
-
-    // ---- 3a. Cycle cancelling to a forest. ----
-    cancel_cycles(&mut x, net, v0, weights, config.support_tol);
-
-    // ---- 3b. Integralize. ----
+    // ---- 3. Integralize the forest-shaped support. ----
     let tol = config.support_tol;
     let mut assignment: Vec<Option<usize>> = vec![None; n];
     let mut residual_load = vec![0.0; v_count];
@@ -313,108 +281,48 @@ fn placement_lp(
     (model, vars)
 }
 
-/// Removes all cycles from the bipartite support graph of `x` by pushing
-/// flow around each cycle in the non-cost-increasing direction until an
-/// edge hits zero. Preserves each element's total (= 1) exactly.
-fn cancel_cycles(x: &mut [Vec<f64>], net: &Network, v0: NodeId, weights: &[f64], tol: f64) {
-    let n = x.len();
-    let v_count = net.len();
-    loop {
-        let Some(cycle) = find_cycle(x, n, v_count, tol) else {
-            return;
-        };
-        // cycle: sequence of (element, node) edges alternating direction:
-        // +e0, -e1, +e2, … (even length).
-        let mut dcost = 0.0;
-        for (idx, &(u, w)) in cycle.iter().enumerate() {
-            let sign = if idx % 2 == 0 { 1.0 } else { -1.0 };
-            dcost += sign * weights[u] * net.distance(v0, NodeId::new(w));
-        }
-        // Push in the direction that does not increase cost.
-        let dir = if dcost <= 0.0 { 1.0 } else { -1.0 };
-        // θ = min flow over edges that lose mass.
-        let mut theta = f64::INFINITY;
-        for (idx, &(u, w)) in cycle.iter().enumerate() {
-            let sign = if idx % 2 == 0 { dir } else { -dir };
-            if sign < 0.0 {
-                theta = theta.min(x[u][w]);
-            }
-        }
-        debug_assert!(theta.is_finite() && theta >= 0.0);
-        for (idx, &(u, w)) in cycle.iter().enumerate() {
-            let sign = if idx % 2 == 0 { dir } else { -dir };
-            x[u][w] += sign * theta;
-            if x[u][w] < tol {
-                x[u][w] = 0.0;
-            }
-        }
-    }
-}
-
-/// Finds one cycle in the bipartite support graph, returned as an even-
-/// length edge sequence `(element, node)` tracing the cycle. `None` if the
-/// support is a forest.
-fn find_cycle(x: &[Vec<f64>], n: usize, v_count: usize, tol: f64) -> Option<Vec<(usize, usize)>> {
-    // Vertices: 0..n are elements, n..n+v_count are nodes.
-    let total = n + v_count;
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); total];
-    for (u, row) in x.iter().enumerate() {
-        for (w, &f) in row.iter().enumerate() {
-            if f > tol {
-                adj[u].push(n + w);
-                adj[n + w].push(u);
-            }
-        }
-    }
-    let mut state = vec![0u8; total]; // 0 unseen, 1 on stack, 2 done
-    let mut parent = vec![usize::MAX; total];
-    for start in 0..total {
-        if state[start] != 0 {
-            continue;
-        }
-        // Iterative DFS.
-        let mut stack = vec![(start, usize::MAX, 0usize)];
-        state[start] = 1;
-        while let Some(&mut (v, from, ref mut next)) = stack.last_mut() {
-            if *next < adj[v].len() {
-                let to = adj[v][*next];
-                *next += 1;
-                if to == from {
-                    // Skip the tree edge back to the parent once (parallel
-                    // edges cannot occur in this bipartite support graph).
-                    continue;
-                }
-                if state[to] == 1 {
-                    // Found a cycle: unwind from v back to `to`.
-                    let mut cycle_vertices = vec![to, v];
-                    let mut cur = v;
-                    while parent[cur] != to {
-                        cur = parent[cur];
-                        cycle_vertices.insert(1, cur);
-                    }
-                    // cycle_vertices: to, …, v (path), and edge v–to closes
-                    // it. Convert vertex cycle to (element, node) edges.
-                    let mut edges = Vec::with_capacity(cycle_vertices.len());
-                    for i in 0..cycle_vertices.len() {
-                        let a = cycle_vertices[i];
-                        let b = cycle_vertices[(i + 1) % cycle_vertices.len()];
-                        let (u, w) = if a < n { (a, b - n) } else { (b, a - n) };
-                        edges.push((u, w));
-                    }
-                    return Some(edges);
-                }
-                if state[to] == 0 {
-                    state[to] = 1;
-                    parent[to] = v;
-                    stack.push((to, v, 0));
-                }
+/// Steps 1 and 2 of the pipeline: solves the placement LP for anchor
+/// `v0` under capacities `cap(w)`, then Lin–Vitter-filters its optimum
+/// with parameter `eps`. Returns the LP objective and the filtered
+/// fractions `x[u][w]`: each element's row sums to 1, and the support is
+/// a forest (see the module doc).
+fn filtered_lp(
+    net: &Network,
+    v0: NodeId,
+    weights: &[f64],
+    cap: &dyn Fn(usize) -> f64,
+    eps: f64,
+) -> Result<(f64, Vec<Vec<f64>>), CoreError> {
+    let (model, vars) = placement_lp(net, v0, weights, cap);
+    let sol = model.solve()?;
+    let mut x: Vec<Vec<f64>> = vars
+        .iter()
+        .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
+        .collect();
+    assert!(eps > 0.0, "ε must be positive");
+    for row in &mut x {
+        let du: f64 = row
+            .iter()
+            .enumerate()
+            .map(|(w, &f)| f * net.distance(v0, NodeId::new(w)))
+            .sum();
+        let cutoff = (1.0 + eps) * du;
+        let mut kept = 0.0;
+        for (w, f) in row.iter_mut().enumerate() {
+            // Keep zero-distance entries always (cutoff may be 0 when the
+            // whole mass sits on v0 itself).
+            if net.distance(v0, NodeId::new(w)) > cutoff + 1e-12 {
+                *f = 0.0;
             } else {
-                state[v] = 2;
-                stack.pop();
+                kept += *f;
             }
         }
+        debug_assert!(kept > 0.0, "filtering must keep positive mass (Markov)");
+        for f in row.iter_mut() {
+            *f /= kept;
+        }
     }
-    None
+    Ok((sol.objective(), x))
 }
 
 /// Best many-to-one placement across all anchors: runs
@@ -608,22 +516,85 @@ mod tests {
         assert_eq!(best.placement.universe_size(), 4);
     }
 
+    /// Over seeded random instances (zero and positive weights, finite,
+    /// infinite and mixed capacities, slack 1 and 2), every filtered row
+    /// sums to 1 and the support is a forest: as a graph on the elements
+    /// and the nodes it touches, its edge count is its vertex count minus
+    /// its component count.
     #[test]
-    fn cycle_cancelling_preserves_element_totals() {
-        // Hand-built fractional solution with a cycle:
-        // u0: ½ on w0, ½ on w1; u1: ½ on w0, ½ on w1.
-        let net = datasets::euclidean_random(2, 10.0, 0);
-        let mut x = vec![vec![0.5, 0.5], vec![0.5, 0.5]];
-        cancel_cycles(&mut x, &net, NodeId::new(0), &[1.0, 1.0], 1e-9);
-        for row in &x {
-            let total: f64 = row.iter().sum();
-            assert!((total - 1.0).abs() < 1e-9);
+    fn filtered_support_is_a_forest() {
+        fn root(parent: &mut [usize], mut a: usize) -> usize {
+            while parent[a] != a {
+                parent[a] = parent[parent[a]];
+                a = parent[a];
+            }
+            a
         }
-        // Forest now: at most n + |V| − 1 = 3 support edges.
-        let edges: usize = x
-            .iter()
-            .map(|row| row.iter().filter(|&&f| f > 1e-9).count())
-            .sum();
-        assert!(edges <= 3);
+        let tol = ManyToOneConfig::default().support_tol;
+        let mut solved = 0;
+        for seed in 0..48u64 {
+            let h = |k: usize| qp_par::job_seed(0xf0_2e57 + seed, k);
+            let frac = |k: usize| (h(k) >> 11) as f64 / (1u64 << 53) as f64;
+            let v_count = 5 + (h(0) % 12) as usize;
+            let n = 3 + (h(1) % 10) as usize;
+            let net = datasets::euclidean_random(v_count, 100.0, seed);
+            let weights: Vec<f64> = (0..n)
+                .map(|u| {
+                    if h(10 + u) % 4 == 0 {
+                        0.0
+                    } else {
+                        0.05 + frac(10 + u)
+                    }
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            // Uniform capacity with 10–100% headroom over the total load.
+            let c = total * (1.1 + 0.9 * frac(2)) / v_count as f64;
+            let slack = [1.0, 2.0][(h(3) % 2) as usize];
+            let cap = |w: usize| -> f64 {
+                match seed % 3 {
+                    0 => f64::INFINITY,
+                    1 => c * slack,
+                    _ if h(100 + w) % 3 == 0 => f64::INFINITY,
+                    _ => 0.5 * c * slack,
+                }
+            };
+            let v0 = NodeId::new((h(4) % v_count as u64) as usize);
+            let (_, x) = match filtered_lp(&net, v0, &weights, &cap, 1.0) {
+                Ok(out) => out,
+                Err(CoreError::Infeasible) => continue,
+                Err(e) => panic!("seed {seed}: {e}"),
+            };
+            solved += 1;
+            let mut parent: Vec<usize> = (0..n + v_count).collect();
+            let mut touched = vec![false; n + v_count];
+            let mut edges = 0;
+            for (u, row) in x.iter().enumerate() {
+                let sum: f64 = row.iter().sum();
+                assert!(
+                    (sum - 1.0).abs() <= 1e-9,
+                    "seed {seed}: element {u} sums to {sum}"
+                );
+                for (w, &f) in row.iter().enumerate() {
+                    if f > tol {
+                        edges += 1;
+                        touched[u] = true;
+                        touched[n + w] = true;
+                        let (a, b) = (root(&mut parent, u), root(&mut parent, n + w));
+                        parent[a] = b;
+                    }
+                }
+            }
+            let vertices = touched.iter().filter(|&&t| t).count();
+            let components = (0..n + v_count)
+                .filter(|&a| touched[a] && root(&mut parent, a) == a)
+                .count();
+            assert_eq!(
+                edges,
+                vertices - components,
+                "seed {seed}: support has a cycle"
+            );
+        }
+        assert!(solved >= 40, "only {solved} of 48 instances were feasible");
     }
 }
