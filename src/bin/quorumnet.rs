@@ -877,7 +877,7 @@ mod tests {
 
     #[test]
     fn parses_colgen_flag() {
-        // `serve` tunes on the resident LP only; the old opt-in is gone.
+        // `serve` has no column-generation opt-in.
         let err = Options::parse(&s(&["--colgen"])).unwrap_err();
         assert_eq!(err, "unknown flag `--colgen`");
     }

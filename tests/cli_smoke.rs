@@ -400,7 +400,7 @@ fn bad_numeric_flags_rejected() {
             );
         }
     }
-    // The column-generation opt-in of `serve` is gone: an unknown flag.
+    // `serve` has no column-generation opt-in: `--colgen` is unknown.
     let out = run(&["serve", "--colgen"]);
     assert_eq!(out.status.code(), Some(1), "`serve --colgen` must exit 1");
     let stderr = String::from_utf8_lossy(&out.stderr);
