@@ -244,10 +244,10 @@ fn bench_metric_closure(c: &mut Criterion) {
     group.finish();
 }
 
-/// Transit-stub generation. `transit_stub_2000` is the shape of
-/// `data/scenarios/transit_colgen_2000.toml` (one Dijkstra matrix, no
-/// closure); the 500-site pair prices the dense Floyd–Warshall closure
-/// the default path adds (a closed 2,000-site build takes seconds).
+/// Transit-stub generation: one Dijkstra matrix over the sparse link
+/// graph, never closed. `transit_stub_2000` is the shape of
+/// `data/scenarios/transit_colgen_2000.toml`; `transit_stub_500` cuts it
+/// to 500 sites.
 fn bench_topology(c: &mut Criterion) {
     let mut group = c.benchmark_group("topology");
     group.sample_size(10);
@@ -257,26 +257,21 @@ fn bench_topology(c: &mut Criterion) {
         stubs_per_transit: 9,
         stub_size: 11,
         jitter_frac: 0.04,
-        sparse_apsp: true,
         ..datasets::TransitStubConfig::default()
     };
     assert_eq!(colgen_2000.sites(), 2000);
     group.bench_function(BenchmarkId::new("transit_stub_2000", "sparse"), |b| {
         b.iter(|| colgen_2000.generate(11));
     });
-    for sparse_apsp in [false, true] {
-        let cfg = datasets::TransitStubConfig {
-            stubs_per_transit: 4,
-            stub_size: 6,
-            sparse_apsp,
-            ..colgen_2000.clone()
-        };
-        assert_eq!(cfg.sites(), 500);
-        let id = if sparse_apsp { "sparse" } else { "closed" };
-        group.bench_function(BenchmarkId::new("transit_stub_500", id), |b| {
-            b.iter(|| cfg.generate(11));
-        });
-    }
+    let cfg_500 = datasets::TransitStubConfig {
+        stubs_per_transit: 4,
+        stub_size: 6,
+        ..colgen_2000.clone()
+    };
+    assert_eq!(cfg_500.sites(), 500);
+    group.bench_function(BenchmarkId::new("transit_stub_500", "sparse"), |b| {
+        b.iter(|| cfg_500.generate(11));
+    });
     group.finish();
 }
 

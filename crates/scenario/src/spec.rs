@@ -15,7 +15,6 @@
 //! transit-size = 2
 //! stubs-per-transit = 1
 //! stub-size = 3
-//! sparse-apsp = false        # true: Dijkstra matrix, no O(n³) closure
 //!
 //! [workload]
 //! locations = 6
@@ -959,9 +958,6 @@ fn parse_topology(entries: &RawEntries) -> Result<TopologySource, ScenarioError>
             if let Some((v, l)) = entries.take("topology", "jitter")? {
                 config.jitter_frac = num(&v, l, "jitter")?;
             }
-            if let Some((v, l)) = entries.take("topology", "sparse-apsp")? {
-                config.sparse_apsp = boolean(&v, l, "sparse-apsp")?;
-            }
             Ok(TopologySource::TransitStub { config, seed })
         }
         "hierarchical" => {
@@ -1345,16 +1341,24 @@ tolerance = 0.12
 
     #[test]
     fn unknown_key_is_rejected_with_line() {
-        // `colgen` is not a key: every spec runs the location-level LP.
-        for (text, key) in [
-            ("[pipeline]\nbogus = 1\n", "bogus"),
-            ("[pipeline]\ncolgen = true\n", "colgen"),
+        // `colgen` is not a key, whatever its value: every spec runs the
+        // location-level LP. Nor is `sparse-apsp`: every transit-stub
+        // network is its Dijkstra matrix.
+        for (text, at, key) in [
+            ("[pipeline]\nbogus = 1\n", 2, "bogus"),
+            ("[pipeline]\ncolgen = true\n", 2, "colgen"),
+            ("[pipeline]\ncolgen = maybe\n", 2, "colgen"),
+            (
+                "[topology]\nsource = transit-stub\nsparse-apsp = true\n",
+                3,
+                "sparse-apsp",
+            ),
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             let ScenarioError::Parse { line, message } = err else {
                 panic!("wrong error: {err}");
             };
-            assert_eq!(line, 2);
+            assert_eq!(line, at, "{text}");
             assert!(message.contains(key), "{message}");
         }
     }
@@ -1435,43 +1439,6 @@ tolerance = 0.12
         assert!(ScenarioSpec::parse("[workload]\ndemand = pareto\n").is_err());
         assert!(ScenarioSpec::parse("[workload]\nflash-focus = 1\n").is_err());
         assert!(ScenarioSpec::parse("[topology]\nsource = marsnet\n").is_err());
-    }
-
-    #[test]
-    fn colgen_and_sparse_apsp_keys_parse() {
-        // Only `sparse-apsp` is a key; `colgen` is refused (see
-        // unknown_key_is_rejected_with_line).
-        let text = "[topology]\nsource = transit-stub\nsparse-apsp = true\n";
-        let spec = ScenarioSpec::parse(text).unwrap();
-        let TopologySource::TransitStub { config, .. } = &spec.topology else {
-            panic!("wrong source: {:?}", spec.topology);
-        };
-        assert!(config.sparse_apsp);
-        // Defaults off: the seed goldens depend on it.
-        let spec = ScenarioSpec::parse("[topology]\nsource = transit-stub\n").unwrap();
-        let TopologySource::TransitStub { config, .. } = &spec.topology else {
-            panic!("wrong source");
-        };
-        assert!(!config.sparse_apsp);
-    }
-
-    #[test]
-    fn colgen_and_sparse_apsp_reject_non_booleans() {
-        // `colgen` is an unknown key whatever its value.
-        assert!(matches!(
-            ScenarioSpec::parse("[pipeline]\ncolgen = maybe\n"),
-            Err(ScenarioError::Parse { line: 2, .. })
-        ));
-        assert!(matches!(
-            ScenarioSpec::parse("[topology]\nsource = transit-stub\nsparse-apsp = 1\n"),
-            Err(ScenarioError::Parse { line: 3, .. })
-        ));
-        // sparse-apsp applies to the transit-stub generator only; anywhere
-        // else it is an unknown key.
-        assert!(matches!(
-            ScenarioSpec::parse("[topology]\nsource = euclidean\nsparse-apsp = true\n"),
-            Err(ScenarioError::Parse { line: 3, .. })
-        ));
     }
 
     #[test]

@@ -263,22 +263,6 @@ pub struct TransitStubConfig {
     pub intra_stub_ms: (f64, f64),
     /// Relative standard deviation of multiplicative delay jitter.
     pub jitter_frac: f64,
-    /// Build the network from the Dijkstra matrix
-    /// ([`crate::Graph::all_pairs_shortest_paths`]) alone, without the
-    /// dense O(n³) Floyd–Warshall [`DistanceMatrix::metric_closure`].
-    ///
-    /// Shortest-path distances on a connected graph already satisfy the
-    /// triangle inequality, so the closure is semantically redundant here
-    /// — but it is *not* a bitwise no-op: floating-point summation order
-    /// differs between Dijkstra relaxations and Floyd–Warshall
-    /// `d[i][k] + d[k][j]` probes, so closing the 2,000-site matrix of
-    /// `data/scenarios/transit_colgen_2000.toml` changes 59% of its
-    /// entries, by at most 6.5e-16 relative. With `sparse_apsp` generation
-    /// is O(n·(m + n log n)): that topology builds in 0.73 s on a 2-vCPU
-    /// VM, and its matrix is metric to `1e-9`.
-    /// Defaults to `false`, which closes the matrix, so existing seeds
-    /// stay bit-identical.
-    pub sparse_apsp: bool,
 }
 
 impl Default for TransitStubConfig {
@@ -293,7 +277,6 @@ impl Default for TransitStubConfig {
             transit_stub_ms: (1.0, 8.0),
             intra_stub_ms: (0.3, 3.0),
             jitter_frac: 0.05,
-            sparse_apsp: false,
         }
     }
 }
@@ -311,6 +294,14 @@ impl TransitStubConfig {
     /// Transit routers are labelled `t{domain}-{router}`, stub sites
     /// `s{domain}-{router}-{stub}-{site}`.
     ///
+    /// The distances are the Dijkstra matrix of the sampled link graph
+    /// ([`crate::Graph::all_pairs_shortest_paths`]), bit for bit. Shortest
+    /// paths already satisfy the triangle inequality, so no O(n³)
+    /// [`DistanceMatrix::metric_closure`] runs on it, and generation is
+    /// O(n·(m + n log n)): the 2,000-site topology of
+    /// `data/scenarios/transit_colgen_2000.toml` builds in 0.73 s on a
+    /// 2-vCPU VM.
+    ///
     /// # Panics
     ///
     /// Panics if any count is zero, a delay range is invalid
@@ -320,12 +311,7 @@ impl TransitStubConfig {
         let matrix = graph
             .all_pairs_shortest_paths()
             .expect("transit-stub graph is connected by construction");
-        if self.sparse_apsp {
-            Network::from_shortest_paths(matrix, labels)
-        } else {
-            Network::with_labels(matrix.metric_closure(), labels)
-        }
-        .expect("one label per site")
+        Network::from_shortest_paths(matrix, labels).expect("one label per site")
     }
 
     /// The sampled link graph and the site labels, a pure function of
@@ -779,39 +765,18 @@ mod tests {
     }
 
     #[test]
-    fn transit_stub_sparse_apsp_matches_closure_to_tolerance() {
-        // The sparse path is the Dijkstra matrix itself, bit for bit: no
-        // closure runs on it. Closing it changes entries only at the ulp
-        // level, so it must be metric and agree with the closed network
-        // to far better than the 1e-9 relative tolerance the goldens use.
-        let closed_cfg = TransitStubConfig::default();
-        let sparse_cfg = TransitStubConfig {
-            sparse_apsp: true,
-            ..TransitStubConfig::default()
-        };
-        let closed = closed_cfg.generate(7);
-        let sparse = sparse_cfg.generate(7);
-        let (graph, _) = sparse_cfg.graph(7);
+    fn transit_stub_network_is_the_dijkstra_matrix() {
+        // The generator returns the shortest-path matrix itself, bit for
+        // bit: no closure runs on it, and it is metric all the same.
+        let cfg = TransitStubConfig::default();
+        let net = cfg.generate(7);
+        let (graph, _) = cfg.graph(7);
         assert_eq!(
-            sparse.distances(),
+            net.distances(),
             &graph.all_pairs_shortest_paths().unwrap(),
-            "the sparse path must not close the shortest-path matrix"
+            "the generator must not close the shortest-path matrix"
         );
-        assert_eq!(closed.len(), sparse.len());
-        assert!(sparse.distances().is_metric(1e-9));
-        for i in closed.nodes() {
-            for j in closed.nodes() {
-                let a = closed.distance(i, j);
-                let b = sparse.distance(i, j);
-                let scale = a.abs().max(1.0);
-                assert!(
-                    (a - b).abs() <= 1e-12 * scale,
-                    "sparse APSP drifted at ({i}, {j}): {a} vs {b}"
-                );
-            }
-        }
-        // Determinism holds on the sparse path too.
-        assert_eq!(sparse_cfg.generate(7), sparse);
+        assert!(net.distances().is_metric(1e-9));
     }
 
     #[test]

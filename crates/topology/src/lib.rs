@@ -57,8 +57,8 @@ pub use node::NodeId;
 /// Matrices from measurements or formulas ([`Network::from_distances`],
 /// [`Network::with_labels`], [`io::read_matrix_file`]) are metrically
 /// closed on construction. Shortest-path matrices ([`Network::from_graph`],
-/// [`datasets::TransitStubConfig`] with `sparse_apsp`) already are the
-/// metric, and are not closed again.
+/// [`datasets::TransitStubConfig`]) already are the metric, and are not
+/// closed again.
 ///
 /// # Examples
 ///

@@ -148,14 +148,12 @@ proptest! {
         routers in 1usize..4,
         stubs in 1usize..3,
         stub_size in 1usize..5,
-        sparse in 0u8..2,
     ) {
         let cfg = datasets::TransitStubConfig {
             transit_domains: domains,
             transit_size: routers,
             stubs_per_transit: stubs,
             stub_size,
-            sparse_apsp: sparse == 1,
             ..datasets::TransitStubConfig::default()
         };
         let a = cfg.generate(seed);
