@@ -682,7 +682,7 @@ const DAXLIST161_TUNED_RESPONSE_MS: f64 = 173.386603359331;
 const DAXLIST161_TUNED_DELAY_MS: f64 = 107.823962171457;
 
 const SCENARIO_TS_LP_DELAY_MS: f64 = 48.338477296683;
-const SCENARIO_TS_PHASE0_RESPONSE_MS: f64 = 49.470651817452;
+const SCENARIO_TS_PHASE0_RESPONSE_MS: f64 = 49.475822322019;
 const SCENARIO_TS_PHASE2_RESPONSE_MS: f64 = 48.425538319987;
 const SCENARIO_COLGEN2000_LP_DELAY_MS: f64 = 81.652446318974;
 const SCENARIO_COLGEN2000_RESPONSE_MS: f64 = 1580.290114573411;
