@@ -68,7 +68,6 @@ fn qu_point(
             seed: 0,
             service_multipliers: None,
             dedup_colocated: false,
-            streaming_percentiles: false,
             initial_server_busy_ms: None,
             fault: None,
         },

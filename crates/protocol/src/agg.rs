@@ -29,13 +29,11 @@
 //! are bit-identical regardless of seed or thread count.
 
 use qp_core::Placement;
-use qp_des::{ServiceStation, SimTime, Tally, TimeWheel};
+use qp_des::{LogHistogram, ServiceStation, SimTime, Tally, TimeWheel};
 use qp_quorum::{Quorum, QuorumSystem};
 use qp_topology::{Network, NodeId};
 
-use crate::sim::{
-    build_servers, crashed_mask, group_by_node, residual_busy, validate_inputs, ResponseStats,
-};
+use crate::sim::{build_servers, crashed_mask, group_by_node, residual_busy, validate_inputs};
 use crate::{ClientPopulation, FaultConfig, ProtocolConfig, QuorumChoice, SimError, SimReport};
 
 /// Enumeration cap when the aggregated engine must materialize the quorum
@@ -234,10 +232,9 @@ fn location_rows(
 }
 
 /// Runs the aggregated flow-level simulation and reports the same
-/// statistics as [`crate::simulate`]. Percentiles always come from the
-/// bounded-memory log-bucket histogram ([`qp_des::LogHistogram`]), within
-/// 2^-8 of the exact nearest-rank ones, whatever
-/// [`ProtocolConfig::streaming_percentiles`] says.
+/// statistics as [`crate::simulate`]. Percentiles come from the
+/// bounded-memory log-bucket histogram ([`LogHistogram`]), within 2^-8 of
+/// the exact nearest-rank ones.
 ///
 /// Each client's response chain is still evaluated individually — only
 /// event scheduling and station contention are batched per flow, each
@@ -396,7 +393,8 @@ pub fn simulate_aggregated(
     let mut resp_sum = vec![0.0f64; total_members];
 
     let mut servers: Vec<ServiceStation> = build_servers(net.len(), config);
-    let mut response_stats = ResponseStats::new(true);
+    let mut response_tally = Tally::new();
+    let mut response_histogram = LogHistogram::new();
     let mut floor_tally = Tally::new();
 
     // One event per (flow, round, contacted node), keyed by the earliest
@@ -452,7 +450,8 @@ pub fn simulate_aggregated(
         if flow.rounds_done >= config.warmup_requests {
             for j in off..off + flow.n {
                 let rt = c_new[j] - c_prev[j];
-                response_stats.add(rt);
+                response_tally.add(rt);
+                response_histogram.add(rt);
                 resp_sum[j] += rt;
             }
             floor_tally.add_n(flow.floor_ms, flow.n as u64);
@@ -482,7 +481,7 @@ pub fn simulate_aggregated(
     );
     let measured = total_members as u64 * config.measured_requests as u64;
     assert_eq!(
-        response_stats.count(),
+        response_tally.count(),
         measured,
         "request conservation: {measured} measured requests expected"
     );
@@ -497,7 +496,11 @@ pub fn simulate_aggregated(
             .map(|&s| s / config.measured_requests as f64)
             .collect()
     };
-    let percentiles = response_stats.percentiles();
+    let percentiles = (
+        response_histogram.quantile(0.50),
+        response_histogram.quantile(0.95),
+        response_histogram.quantile(0.99),
+    );
     // End-of-run flush mirroring the exact engine's: the fluid loop stays
     // instrumentation-free and the wheel's event counters supply the
     // push/pop totals.
@@ -505,14 +508,14 @@ pub fn simulate_aggregated(
         qp_obs::counter_add("des_agg_runs_total", 1);
         qp_obs::counter_add("des_wheel_push_total", wheel.pushes());
         qp_obs::counter_add("des_wheel_pop_total", wheel.pops());
-        qp_obs::counter_add("des_requests_completed_total", response_stats.count());
+        qp_obs::counter_add("des_requests_completed_total", response_tally.count());
         qp_obs::counter_add("des_timeouts_total", timeouts);
         qp_obs::counter_add("des_retries_total", retries);
         qp_obs::counter_add("des_failovers_total", failovers);
         qp_obs::observe("des_sim_horizon_ms", horizon.as_ms());
     }
     Ok(SimReport {
-        avg_response_ms: response_stats.mean(),
+        avg_response_ms: response_tally.mean(),
         avg_network_delay_ms: floor_tally.mean(),
         per_client_response_ms: per_client,
         percentiles_ms: percentiles,
@@ -521,7 +524,7 @@ pub fn simulate_aggregated(
             .iter()
             .map(|s| s.utilization(SimTime::from_ms(horizon_ms)))
             .collect(),
-        completed_requests: response_stats.count(),
+        completed_requests: response_tally.count(),
         horizon_ms: horizon.as_ms(),
         residual_busy_ms: residual_busy(&servers, horizon),
         timeouts,

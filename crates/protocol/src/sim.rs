@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qp_core::Placement;
-use qp_des::{LogHistogram, Sample, ServiceStation, SimTime, Tally, Ticket, TimeWheel};
+use qp_des::{Sample, ServiceStation, SimTime, Tally, Ticket, TimeWheel};
 use qp_quorum::{ElementId, Quorum, QuorumSystem, StrategyMatrix};
 use qp_topology::{Network, NodeId};
 
@@ -106,13 +106,6 @@ pub struct ProtocolConfig {
     /// (service time = the slowest co-located element's), instead of once
     /// per element. No effect on one-to-one placements.
     pub dedup_colocated: bool,
-    /// Compute response-time percentiles from a bounded-memory
-    /// log-bucket histogram ([`qp_des::LogHistogram`]) instead of
-    /// buffering every measured response. Keeps memory flat at millions
-    /// of requests; each percentile is within 2^-8 (≈0.39%) of the exact
-    /// nearest-rank one. The aggregated engine always streams; the exact
-    /// engine buffers unless this is set.
-    pub streaming_percentiles: bool,
     /// Optional residual per-*node* backlog carried in from a previous
     /// run: node `w` will not serve new arrivals before
     /// `initial_server_busy_ms[w]`. Length must equal the network size
@@ -133,7 +126,6 @@ impl Default for ProtocolConfig {
             seed: 0,
             service_multipliers: None,
             dedup_colocated: false,
-            streaming_percentiles: false,
             initial_server_busy_ms: None,
             fault: None,
         }
@@ -460,76 +452,6 @@ pub(crate) fn validate_inputs(
     Ok(())
 }
 
-/// Response-time accumulator that either buffers every observation
-/// (exact percentiles, the historical behaviour) or streams through a
-/// [`Tally`] plus a [`LogHistogram`] (bounded memory, percentiles within
-/// 2^-8 of the exact ones).
-pub(crate) enum ResponseStats {
-    Buffered(Sample),
-    Streaming {
-        tally: Tally,
-        histogram: LogHistogram,
-    },
-}
-
-impl ResponseStats {
-    pub(crate) fn new(streaming: bool) -> Self {
-        if streaming {
-            ResponseStats::Streaming {
-                tally: Tally::new(),
-                histogram: LogHistogram::new(),
-            }
-        } else {
-            ResponseStats::Buffered(Sample::new())
-        }
-    }
-
-    pub(crate) fn add(&mut self, x: f64) {
-        match self {
-            ResponseStats::Buffered(sample) => sample.add(x),
-            ResponseStats::Streaming { tally, histogram } => {
-                tally.add(x);
-                histogram.add(x);
-            }
-        }
-    }
-
-    pub(crate) fn count(&self) -> u64 {
-        match self {
-            ResponseStats::Buffered(sample) => sample.len() as u64,
-            ResponseStats::Streaming { tally, .. } => tally.count(),
-        }
-    }
-
-    pub(crate) fn mean(&self) -> f64 {
-        match self {
-            ResponseStats::Buffered(sample) => sample.mean(),
-            ResponseStats::Streaming { tally, .. } => tally.mean(),
-        }
-    }
-
-    pub(crate) fn percentiles(&mut self) -> (f64, f64, f64) {
-        match self {
-            ResponseStats::Buffered(sample) => {
-                if sample.is_empty() {
-                    (0.0, 0.0, 0.0)
-                } else {
-                    (
-                        sample.percentile(50.0),
-                        sample.percentile(95.0),
-                        sample.percentile(99.0),
-                    )
-                }
-            }
-            ResponseStats::Streaming { histogram, .. } => (
-                histogram.quantile(0.50),
-                histogram.quantile(0.95),
-                histogram.quantile(0.99),
-            ),
-        }
-    }
-}
-
 /// One [`ServiceStation`] per physical node, seeded with any carried-in
 /// backlog from [`ProtocolConfig::initial_server_busy_ms`].
 pub(crate) fn build_servers(net_len: usize, config: &ProtocolConfig) -> Vec<ServiceStation> {
@@ -612,7 +534,7 @@ pub fn simulate(
     };
     // One station per physical node: co-located elements share a machine.
     let mut servers: Vec<ServiceStation> = build_servers(net.len(), config);
-    let mut response_stats = ResponseStats::new(config.streaming_percentiles);
+    let mut responses = Sample::new();
     let mut floor_tally = Tally::new();
     let mut per_client: Vec<Tally> = (0..n_clients).map(|_| Tally::new()).collect();
 
@@ -854,7 +776,7 @@ pub fn simulate(
                     completed += 1;
                     let rt = now - req.first_sent_at;
                     if req.measured {
-                        response_stats.add(rt);
+                        responses.add(rt);
                         floor_tally.add(req.floor_ms);
                         per_client[req.client].add(rt);
                     }
@@ -920,21 +842,29 @@ pub fn simulate(
 
     let horizon = st.wheel.now();
     let horizon_ms = horizon.as_ms().max(f64::MIN_POSITIVE);
-    let percentiles = response_stats.percentiles();
+    let percentiles = if responses.is_empty() {
+        (0.0, 0.0, 0.0)
+    } else {
+        (
+            responses.percentile(50.0),
+            responses.percentile(95.0),
+            responses.percentile(99.0),
+        )
+    };
     // End-of-run flush: the hot loop above stays instrumentation-free;
     // the wheel's push/pop totals come from its own event counter.
     if qp_obs::enabled() {
         qp_obs::counter_add("des_exact_runs_total", 1);
         qp_obs::counter_add("des_wheel_push_total", st.wheel.pushes());
         qp_obs::counter_add("des_wheel_pop_total", st.wheel.pops());
-        qp_obs::counter_add("des_requests_completed_total", response_stats.count());
+        qp_obs::counter_add("des_requests_completed_total", responses.len() as u64);
         qp_obs::counter_add("des_timeouts_total", timeouts);
         qp_obs::counter_add("des_retries_total", retries);
         qp_obs::counter_add("des_failovers_total", failovers);
         qp_obs::observe("des_sim_horizon_ms", horizon.as_ms());
     }
     Ok(SimReport {
-        avg_response_ms: response_stats.mean(),
+        avg_response_ms: responses.mean(),
         avg_network_delay_ms: floor_tally.mean(),
         per_client_response_ms: per_client.iter().map(Tally::mean).collect(),
         percentiles_ms: percentiles,
@@ -943,7 +873,7 @@ pub fn simulate(
             .iter()
             .map(|s| s.utilization(SimTime::from_ms(horizon_ms)))
             .collect(),
-        completed_requests: response_stats.count(),
+        completed_requests: responses.len() as u64,
         horizon_ms: horizon.as_ms(),
         residual_busy_ms: residual_busy(&servers, horizon),
         timeouts,
@@ -1107,49 +1037,6 @@ mod tests {
             assert_eq!(in_q0, served, "element {u}");
         }
         let _ = sys;
-    }
-
-    #[test]
-    fn streaming_percentiles_agree_on_small_runs() {
-        // The opt-in histogram path must match the buffered percentiles
-        // within its 2^-8 bound on a modest run (exactly, for the mean and
-        // counts).
-        let (net, sys, placement) = setup();
-        let clients = ClientPopulation::representative(&net, &sys, &placement, 6, 3);
-        let cfg = ProtocolConfig {
-            seed: 11,
-            ..ProtocolConfig::default()
-        };
-        let buffered = simulate(
-            &net,
-            &sys,
-            &placement,
-            &clients,
-            QuorumChoice::Balanced,
-            &cfg,
-        )
-        .unwrap();
-        let streamed = simulate(
-            &net,
-            &sys,
-            &placement,
-            &clients,
-            QuorumChoice::Balanced,
-            &ProtocolConfig {
-                streaming_percentiles: true,
-                ..cfg
-            },
-        )
-        .unwrap();
-        assert_eq!(buffered.completed_requests, streamed.completed_requests);
-        assert!((buffered.avg_response_ms - streamed.avg_response_ms).abs() < 1e-9);
-        for (b, s) in [
-            (buffered.percentiles_ms.0, streamed.percentiles_ms.0),
-            (buffered.percentiles_ms.1, streamed.percentiles_ms.1),
-            (buffered.percentiles_ms.2, streamed.percentiles_ms.2),
-        ] {
-            assert!((b - s).abs() <= b / 256.0, "buffered {b} vs streamed {s}");
-        }
     }
 
     #[test]

@@ -214,7 +214,6 @@ fn pinned_runs() -> Vec<(&'static str, SimReport)> {
     let carried = ProtocolConfig {
         seed: 3,
         warmup_requests: 0,
-        streaming_percentiles: true,
         initial_server_busy_ms: Some(backlog),
         ..base.clone()
     };

@@ -242,7 +242,6 @@ impl ScenarioRunner {
                 seed: qp_par::job_seed(pipeline.seed, phase),
                 service_multipliers: mults,
                 dedup_colocated: false,
-                streaming_percentiles: false,
                 initial_server_busy_ms: carry.take(),
                 fault: spec.failures.fault.clone(),
             };

@@ -40,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     seed: 7,
                     service_multipliers: None,
                     dedup_colocated: false,
-                    streaming_percentiles: false,
                     initial_server_busy_ms: None,
                     fault: None,
                 },
