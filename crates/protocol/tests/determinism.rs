@@ -148,8 +148,7 @@ fn skewed_grid_choice(sys: &QuorumSystem, locations: usize) -> QuorumChoice {
 }
 
 /// The pinned matrix: one exact-engine run per configuration the engine
-/// distinguishes (choice rule, grouping, fault handling, carried state,
-/// percentile mode).
+/// distinguishes (choice rule, grouping, fault handling, carried state).
 fn pinned_runs() -> Vec<(&'static str, SimReport)> {
     use QuorumChoice::{Balanced, Closest};
     let net = datasets::planetlab_50();
@@ -251,10 +250,7 @@ fn pinned_runs() -> Vec<(&'static str, SimReport)> {
             "crash_exhausted",
             run(&qu1, &p_qu1, &two, Balanced, crash(6, 2, 1e9, 1)),
         ),
-        (
-            "carried_streaming",
-            run(&qu2, &p_qu2, &three, Balanced, carried),
-        ),
+        ("carried", run(&qu2, &p_qu2, &three, Balanced, carried)),
     ]
 }
 
@@ -299,12 +295,13 @@ fn runs_bits(reports: &[SimReport]) -> [u64; 14] {
 }
 
 /// [`report_bits`] of each pinned run, recorded before the exact engine
-/// moved from the binary heap to the time wheel. `carried_streaming`'s
-/// three percentile words were re-recorded when the streaming percentiles
-/// moved from P² estimators to the log-bucket histogram (136.5, 154.5 and
-/// 155.5 ms, against exact nearest-rank values of 136.495, 154.823 and
-/// 155.767 ms). `integer_ties` is [`runs_bits`] over [`integer_tie_runs`],
-/// recorded on the engine that scheduled one reply event per fragment.
+/// moved from the binary heap to the time wheel. `carried`'s mean and
+/// percentile words were re-recorded when the exact engine lost its
+/// streamed-percentile mode: they are the buffered mean and exact
+/// nearest-rank percentiles (136.495, 154.823 and 155.767 ms, where the
+/// histogram read 136.5, 154.5 and 155.5 ms). `integer_ties` is
+/// [`runs_bits`] over [`integer_tie_runs`], recorded on the engine that
+/// scheduled one reply event per fragment.
 const PINS: &[(&str, [u64; 14])] = &[
     (
         "balanced",
@@ -478,13 +475,13 @@ const PINS: &[(&str, [u64; 14])] = &[
         ],
     ),
     (
-        "carried_streaming",
+        "carried",
         [
-            0x405ed391b748829a,
+            0x405ed391b74882be,
             0x405eb4cfadaa6de7,
-            0x4061100000000000,
-            0x4063500000000000,
-            0x4063700000000000,
+            0x40610fdae432ec40,
+            0x40635a565b322fa0,
+            0x406378878fa68540,
             0x40c22ae8080a2cda,
             0x21c,
             0x0,
