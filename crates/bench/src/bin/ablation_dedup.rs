@@ -15,6 +15,7 @@
 
 use qp_bench::Table;
 use qp_core::capacity::CapacityProfile;
+use qp_core::eval::EvalContext;
 use qp_core::manyone::ManyToOneConfig;
 use qp_core::response::evaluate_balanced;
 use qp_core::{iterative, one_to_one, singleton, Placement, ResponseModel};
@@ -33,9 +34,9 @@ fn main() {
     // Candidate placements, least to most co-located.
     let one_one = one_to_one::best_placement(&net, &sys).expect("fits");
     let iter_caps = CapacityProfile::uniform(net.len(), 1.0);
-    let m2o = iterative::optimize(
-        &net,
-        &clients,
+    let ctx = EvalContext::new(&net, &clients);
+    let m2o = iterative::optimize_ctx(
+        &ctx,
         &quorums,
         &iter_caps,
         ResponseModel::network_delay_only(),

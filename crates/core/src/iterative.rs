@@ -17,7 +17,6 @@
 //! non-increasing until termination.
 
 use qp_quorum::{Quorum, StrategyMatrix};
-use qp_topology::{Network, NodeId};
 
 use crate::capacity::CapacityProfile;
 use crate::eval::EvalContext;
@@ -51,7 +50,11 @@ pub struct IterativeResult {
     pub history: Vec<IterationRecord>,
 }
 
-/// Runs the iterative algorithm.
+/// Runs the iterative algorithm against an [`EvalContext`] (clients = the
+/// context's client set): each iteration binds the new placement to the
+/// context once and feeds the cached geometry to both the strategy LP and
+/// the Eq. (4.2) evaluations, instead of recomputing the delay matrix
+/// three times per iteration.
 ///
 /// * `caps0` — the original capacities `cap⁰(v)` used by every placement
 ///   phase.
@@ -63,32 +66,6 @@ pub struct IterativeResult {
 /// * [`CoreError::Infeasible`] if the first placement phase cannot satisfy
 ///   `caps0` for any anchor.
 /// * Propagates LP and size errors.
-///
-/// # Panics
-///
-/// Panics if `clients` is empty or `max_iterations == 0`.
-pub fn optimize(
-    net: &Network,
-    clients: &[NodeId],
-    quorums: &[Quorum],
-    caps0: &CapacityProfile,
-    model: ResponseModel,
-    max_iterations: usize,
-    config: &ManyToOneConfig,
-) -> Result<IterativeResult, CoreError> {
-    assert!(!clients.is_empty(), "at least one client required");
-    let ctx = EvalContext::new(net, clients);
-    optimize_ctx(&ctx, quorums, caps0, model, max_iterations, config)
-}
-
-/// [`optimize`] against an [`EvalContext`]: each iteration binds the
-/// new placement to the context once and feeds the cached geometry to
-/// both the strategy LP and the Eq. (4.2) evaluations, instead of
-/// recomputing the delay matrix three times per iteration.
-///
-/// # Errors
-///
-/// As for [`optimize`].
 ///
 /// # Panics
 ///
@@ -166,7 +143,7 @@ pub fn optimize_ctx(
 mod tests {
     use super::*;
     use qp_quorum::QuorumSystem;
-    use qp_topology::datasets;
+    use qp_topology::{datasets, Network, NodeId};
 
     fn setup() -> (Network, Vec<NodeId>, Vec<Quorum>) {
         let net = datasets::euclidean_random(14, 100.0, 21);
@@ -176,15 +153,13 @@ mod tests {
         (net, clients, quorums)
     }
 
-    use qp_topology::Network;
-
     #[test]
     fn strategy_phase_never_hurts() {
         let (net, clients, quorums) = setup();
         let caps0 = CapacityProfile::uniform(net.len(), 0.8);
-        let result = optimize(
-            &net,
-            &clients,
+        let ctx = EvalContext::new(&net, &clients);
+        let result = optimize_ctx(
+            &ctx,
             &quorums,
             &caps0,
             ResponseModel::with_alpha(10.0),
@@ -205,9 +180,9 @@ mod tests {
     fn terminates_when_no_improvement() {
         let (net, clients, quorums) = setup();
         let caps0 = CapacityProfile::uniform(net.len(), 0.8);
-        let result = optimize(
-            &net,
-            &clients,
+        let ctx = EvalContext::new(&net, &clients);
+        let result = optimize_ctx(
+            &ctx,
             &quorums,
             &caps0,
             ResponseModel::network_delay_only(),
@@ -225,9 +200,9 @@ mod tests {
     fn returned_evaluation_is_best_seen() {
         let (net, clients, quorums) = setup();
         let caps0 = CapacityProfile::uniform(net.len(), 0.9);
-        let result = optimize(
-            &net,
-            &clients,
+        let ctx = EvalContext::new(&net, &clients);
+        let result = optimize_ctx(
+            &ctx,
             &quorums,
             &caps0,
             ResponseModel::with_alpha(50.0),
@@ -244,9 +219,9 @@ mod tests {
     fn infeasible_caps_propagate() {
         let (net, clients, quorums) = setup();
         let caps0 = CapacityProfile::uniform(net.len(), 1e-6);
-        let err = optimize(
-            &net,
-            &clients,
+        let ctx = EvalContext::new(&net, &clients);
+        let err = optimize_ctx(
+            &ctx,
             &quorums,
             &caps0,
             ResponseModel::network_delay_only(),

@@ -126,20 +126,6 @@ pub fn ball_placement(net: &Network, v0: NodeId, n: usize) -> Result<Placement, 
     ball_nodes_placement(net.len(), v0, n, |v, m| net.ball(v, m))
 }
 
-/// [`ball_placement`] served from an [`EvalContext`]'s cached distance
-/// permutations — identical output, `O(n)` per call instead of a sort.
-///
-/// # Errors
-///
-/// As for [`ball_placement`].
-pub fn ball_placement_ctx(
-    ctx: &EvalContext<'_>,
-    v0: NodeId,
-    n: usize,
-) -> Result<Placement, CoreError> {
-    ball_nodes_placement(ctx.net().len(), v0, n, |v, m| ctx.ball(v, m))
-}
-
 fn ball_nodes_placement(
     num_nodes: usize,
     v0: NodeId,
@@ -210,20 +196,6 @@ pub fn grid_shell_placement(net: &Network, v0: NodeId, k: usize) -> Result<Place
     grid_shell_from_ball(net.len(), v0, k, |v, m| net.ball(v, m))
 }
 
-/// [`grid_shell_placement`] served from an [`EvalContext`]'s cached
-/// distance permutations — identical output.
-///
-/// # Errors
-///
-/// As for [`grid_shell_placement`].
-pub fn grid_shell_placement_ctx(
-    ctx: &EvalContext<'_>,
-    v0: NodeId,
-    k: usize,
-) -> Result<Placement, CoreError> {
-    grid_shell_from_ball(ctx.net().len(), v0, k, |v, m| ctx.ball(v, m))
-}
-
 fn grid_shell_from_ball(
     num_nodes: usize,
     v0: NodeId,
@@ -267,40 +239,20 @@ fn grid_shell_from_ball(
     Placement::new(assignment, num_nodes)
 }
 
-/// The single-anchor one-to-one placement appropriate for `system`:
-/// [`ball_placement`] for Majorities (and explicit systems, as a documented
-/// fallback), [`grid_shell_placement`] for Grids.
-///
-/// # Errors
-///
-/// Propagates the construction errors of the underlying placement.
-pub fn placement_for(
-    net: &Network,
+/// The single-anchor one-to-one placement appropriate for `system`, from
+/// the ball oracle `ball(v, m)` = `B(v, m)`: [`ball_placement`] for
+/// Majorities (and explicit systems, as a documented fallback),
+/// [`grid_shell_placement`] for Grids.
+fn placement_for(
+    num_nodes: usize,
     v0: NodeId,
     system: &QuorumSystem,
+    ball: impl Fn(NodeId, usize) -> Vec<NodeId>,
 ) -> Result<Placement, CoreError> {
     if let Some(k) = system.as_grid() {
-        grid_shell_placement(net, v0, k)
+        grid_shell_from_ball(num_nodes, v0, k, ball)
     } else {
-        ball_placement(net, v0, system.universe_size())
-    }
-}
-
-/// [`placement_for`] served from an [`EvalContext`]'s cached distance
-/// permutations.
-///
-/// # Errors
-///
-/// As for [`placement_for`].
-pub fn placement_for_ctx(
-    ctx: &EvalContext<'_>,
-    v0: NodeId,
-    system: &QuorumSystem,
-) -> Result<Placement, CoreError> {
-    if let Some(k) = system.as_grid() {
-        grid_shell_placement_ctx(ctx, v0, k)
-    } else {
-        ball_placement_ctx(ctx, v0, system.universe_size())
+        ball_nodes_placement(num_nodes, v0, system.universe_size(), ball)
     }
 }
 
@@ -352,13 +304,9 @@ pub fn best_placement_by(
 /// serial search — so the result is identical for any thread count.
 ///
 /// The context's cached distance permutations also make each anchor's
-/// ball/shell construction `O(n)` instead of `O(n log n)`.
-///
-/// # Errors
-///
-/// Propagates construction and evaluation errors (the error of the
-/// lowest-indexed failing anchor, as in the serial search).
-pub fn best_placement_by_ctx(
+/// ball/shell construction `O(n)` instead of `O(n log n)`. An error is
+/// the lowest-indexed failing anchor's, as in the serial search.
+fn best_placement_by_ctx(
     ctx: &EvalContext<'_>,
     system: &QuorumSystem,
     objective: SelectionObjective,
@@ -367,7 +315,8 @@ pub fn best_placement_by_ctx(
     let model = ResponseModel::network_delay_only();
     let scored: Vec<Result<(f64, Placement), CoreError>> =
         ParPool::global().run(anchors.len(), |i| {
-            let placement = placement_for_ctx(ctx, anchors[i], system)?;
+            let placement =
+                placement_for(ctx.net().len(), anchors[i], system, |v, m| ctx.ball(v, m))?;
             let delay = match objective {
                 SelectionObjective::ClosestDelay => {
                     evaluate_closest(ctx.net(), ctx.clients(), system, &placement, model)?
@@ -570,17 +519,14 @@ mod tests {
         let net = datasets::euclidean_random(10, 50.0, 5);
         let grid = QuorumSystem::grid(3).unwrap();
         let maj = QuorumSystem::majority(MajorityKind::SimpleMajority, 2).unwrap();
+        let ball = |v, m| net.ball(v, m);
         assert_eq!(
-            placement_for(&net, NodeId::new(0), &grid)
-                .unwrap()
-                .universe_size(),
-            9
+            placement_for(net.len(), NodeId::new(0), &grid, ball).unwrap(),
+            grid_shell_placement(&net, NodeId::new(0), 3).unwrap()
         );
         assert_eq!(
-            placement_for(&net, NodeId::new(0), &maj)
-                .unwrap()
-                .universe_size(),
-            5
+            placement_for(net.len(), NodeId::new(0), &maj, ball).unwrap(),
+            ball_placement(&net, NodeId::new(0), 5).unwrap()
         );
     }
 }

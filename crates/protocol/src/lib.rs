@@ -50,6 +50,6 @@ mod sim;
 mod workload;
 
 pub use agg::{simulate_aggregated, simulate_with_engine, SimEngine};
-pub use multi::{simulate_many, simulate_many_with};
+pub use multi::simulate_many;
 pub use sim::{simulate, FaultConfig, ProtocolConfig, QuorumChoice, SimError, SimReport};
 pub use workload::ClientPopulation;

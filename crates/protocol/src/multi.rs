@@ -14,8 +14,7 @@ use qp_topology::Network;
 
 use qp_core::Placement;
 
-use crate::agg::{simulate_with_engine, SimEngine};
-use crate::sim::{ProtocolConfig, QuorumChoice, SimError, SimReport};
+use crate::sim::{simulate, ProtocolConfig, QuorumChoice, SimError, SimReport};
 use crate::ClientPopulation;
 
 /// Runs one simulation per seed — `config` with its `seed` replaced —
@@ -58,51 +57,12 @@ pub fn simulate_many(
     config: &ProtocolConfig,
     seeds: &[u64],
 ) -> Result<Vec<SimReport>, SimError> {
-    simulate_many_with(
-        net,
-        system,
-        placement,
-        clients,
-        choice,
-        config,
-        seeds,
-        SimEngine::Exact,
-    )
-}
-
-/// [`simulate_many`] with an explicit engine choice. The aggregated
-/// engine ignores the seed entirely (it draws no random numbers), so its
-/// per-seed reports are identical — useful when a pipeline wants the
-/// same repetition structure for either engine.
-///
-/// # Errors
-///
-/// The error of the lowest-indexed failing run.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_many_with(
-    net: &Network,
-    system: &QuorumSystem,
-    placement: &Placement,
-    clients: &ClientPopulation,
-    choice: &QuorumChoice,
-    config: &ProtocolConfig,
-    seeds: &[u64],
-    engine: SimEngine,
-) -> Result<Vec<SimReport>, SimError> {
     let runs: Vec<Result<SimReport, SimError>> = ParPool::global().run(seeds.len(), |i| {
         let cfg = ProtocolConfig {
             seed: seeds[i],
             ..config.clone()
         };
-        simulate_with_engine(
-            net,
-            system,
-            placement,
-            clients,
-            choice.clone(),
-            &cfg,
-            engine,
-        )
+        simulate(net, system, placement, clients, choice.clone(), &cfg)
     });
     runs.into_iter().collect()
 }
@@ -110,7 +70,6 @@ pub fn simulate_many_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::simulate;
     use qp_core::one_to_one;
     use qp_quorum::MajorityKind;
     use qp_topology::datasets;

@@ -1,6 +1,7 @@
 //! Integration: many-to-one placements and the iterative algorithm across
 //! crates (§4.1.2 + §4.2 + Figure 8.9's claims).
 
+use quorumnet::core::eval::EvalContext;
 use quorumnet::core::iterative;
 use quorumnet::core::manyone::{self, ManyToOneConfig};
 use quorumnet::prelude::*;
@@ -78,9 +79,9 @@ fn iterative_improves_on_one_to_one_when_colocatable() {
     // Capacity 1.0 with slack 2.0 admits co-location (element weight
     // 7/16 ≈ 0.44; two fit within 2.0).
     let caps0 = CapacityProfile::uniform(net.len(), 1.0);
-    let result = iterative::optimize(
-        &net,
-        &clients,
+    let ctx = EvalContext::new(&net, &clients);
+    let result = iterative::optimize_ctx(
+        &ctx,
         &quorums,
         &caps0,
         model,
@@ -107,9 +108,9 @@ fn iterative_history_is_coherent() {
     let sys = QuorumSystem::grid(2).unwrap();
     let quorums = sys.enumerate(16).unwrap();
     let caps0 = CapacityProfile::uniform(net.len(), 0.9);
-    let result = iterative::optimize(
-        &net,
-        &clients,
+    let ctx = EvalContext::new(&net, &clients);
+    let result = iterative::optimize_ctx(
+        &ctx,
         &quorums,
         &caps0,
         ResponseModel::with_alpha(20.0),
