@@ -116,15 +116,6 @@ impl Placement {
         counts
     }
 
-    /// The elements hosted on each node (length = `num_nodes`).
-    pub fn elements_by_node(&self) -> Vec<Vec<ElementId>> {
-        let mut by_node = vec![Vec::new(); self.num_nodes];
-        for (u, v) in self.assignment.iter().enumerate() {
-            by_node[v.index()].push(ElementId::new(u));
-        }
-        by_node
-    }
-
     /// Aggregates per-element loads into per-node loads:
     /// `load_f(w) = Σ_{u : f(u) = w} load(u)` (§4, "Load").
     ///
@@ -185,8 +176,6 @@ mod tests {
         let f = p(&[2, 2, 0], 4);
         assert_eq!(f.support_set(), vec![NodeId::new(0), NodeId::new(2)]);
         assert_eq!(f.element_counts(), vec![1, 0, 2, 0]);
-        let by_node = f.elements_by_node();
-        assert_eq!(by_node[2], vec![ElementId::new(0), ElementId::new(1)]);
     }
 
     #[test]

@@ -126,24 +126,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile (0 ≤ q ≤ 1)
-    /// — a deterministic, conservative estimate. `None` when empty.
-    #[must_use]
-    pub fn quantile_bound(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(bucket_bound(i).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
     /// Non-empty buckets as `(upper_bound, cumulative_count)` pairs.
     pub fn cumulative_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         let mut cum = 0;
@@ -310,17 +292,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab, whole);
-    }
-
-    #[test]
-    fn quantile_bound_brackets_the_data() {
-        let mut h = Histogram::new();
-        for i in 1..=100 {
-            h.observe(f64::from(i));
-        }
-        let p50 = h.quantile_bound(0.5).unwrap();
-        assert!((50.0..=64.0).contains(&p50), "{p50}");
-        assert_eq!(h.quantile_bound(1.0), Some(100.0));
     }
 
     #[test]

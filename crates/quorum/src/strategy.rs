@@ -139,28 +139,8 @@ impl StrategyMatrix {
         avg
     }
 
-    /// Per-element loads induced by client `v`:
-    /// `load_v(u) = Σ_{Q ∋ u} p_v(Q)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `quorums.len()` mismatches the
-    /// matrix.
-    pub fn client_element_loads(&self, v: usize, quorums: &[Quorum], universe: usize) -> Vec<f64> {
-        assert_eq!(quorums.len(), self.num_quorums, "quorum list mismatch");
-        let mut load = vec![0.0; universe];
-        for (q, &p) in quorums.iter().zip(&self.rows[v]) {
-            if p > 0.0 {
-                for u in q.iter() {
-                    load[u.index()] += p;
-                }
-            }
-        }
-        load
-    }
-
     /// Per-element loads averaged over all clients:
-    /// `load(u) = avg_v load_v(u)`.
+    /// `load(u) = avg_v Σ_{Q ∋ u} p_v(Q)`.
     ///
     /// # Panics
     ///
@@ -185,23 +165,12 @@ impl StrategyMatrix {
         }
         load
     }
-
-    /// System load of this strategy: the maximum element load.
-    ///
-    /// # Panics
-    ///
-    /// As for [`StrategyMatrix::element_loads`].
-    pub fn system_load(&self, quorums: &[Quorum], universe: usize) -> f64 {
-        self.element_loads(quorums, universe)
-            .into_iter()
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ElementId, QuorumSystem};
+    use crate::QuorumSystem;
 
     fn grid2() -> (QuorumSystem, Vec<Quorum>) {
         let g = QuorumSystem::grid(2).unwrap();
@@ -249,7 +218,6 @@ mod tests {
         for l in loads {
             assert!((l - 0.75).abs() < 1e-12);
         }
-        assert!((s.system_load(&qs, g.universe_size()) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -257,9 +225,8 @@ mod tests {
         let (g, qs) = grid2();
         // Client always uses quorum 0 = row 0 ∪ col 0 = {0,1,2}.
         let s = StrategyMatrix::deterministic(&[0], qs.len());
-        let loads = s.client_element_loads(0, &qs, g.universe_size());
+        let loads = s.element_loads(&qs, g.universe_size());
         assert_eq!(loads, vec![1.0, 1.0, 1.0, 0.0]);
-        let _ = ElementId::new(0);
     }
 
     #[test]

@@ -94,20 +94,6 @@ impl Graph {
         Ok(())
     }
 
-    /// Single-source shortest-path distances (Dijkstra).
-    ///
-    /// Unreachable nodes get `f64::INFINITY`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    pub fn shortest_paths_from(&self, src: NodeId) -> Vec<f64> {
-        assert!(src.index() < self.n, "source node out of range");
-        let mut dist = vec![f64::INFINITY; self.n];
-        self.dijkstra(src.index(), &mut dist, &mut BinaryHeap::new());
-        dist
-    }
-
     /// All-pairs shortest-path distances, as a [`DistanceMatrix`].
     ///
     /// Runs Dijkstra from every node into the rows of one flat `n × n`
@@ -228,8 +214,8 @@ mod tests {
         g.add_edge(NodeId::new(0), NodeId::new(2), 4.0).unwrap();
         g.add_edge(NodeId::new(2), NodeId::new(3), 1.0).unwrap();
         g.add_edge(NodeId::new(0), NodeId::new(3), 5.0).unwrap();
-        let d = g.shortest_paths_from(NodeId::new(0));
-        assert_eq!(d, vec![0.0, 1.0, 3.0, 2.0]);
+        let d = g.all_pairs_shortest_paths().unwrap();
+        assert_eq!(d.row(NodeId::new(0)), &[0.0, 1.0, 3.0, 2.0]);
     }
 
     #[test]

@@ -205,38 +205,6 @@ impl Network {
     pub fn average_distances(&self) -> Vec<f64> {
         average_distances(&self.dist)
     }
-
-    /// Restricts the network to a subset of sites, renumbering nodes in the
-    /// order given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node is out of range or `subset` contains duplicates.
-    pub fn subnetwork(&self, subset: &[NodeId]) -> Network {
-        let mut seen = vec![false; self.len()];
-        for &v in subset {
-            assert!(
-                !std::mem::replace(&mut seen[v.index()], true),
-                "duplicate node {v} in subset"
-            );
-        }
-        let k = subset.len();
-        let mut rows = vec![vec![0.0; k]; k];
-        for (i, &a) in subset.iter().enumerate() {
-            for (j, &b) in subset.iter().enumerate() {
-                rows[i][j] = self.dist.get(a, b);
-            }
-        }
-        let dist = DistanceMatrix::from_rows(&rows).expect("square by construction");
-        let labels = subset
-            .iter()
-            .map(|&v| self.labels[v.index()].clone())
-            .collect();
-        Network {
-            dist: dist.metric_closure(),
-            labels,
-        }
-    }
 }
 
 /// The default labels `site-0`, `site-1`, ….
@@ -307,21 +275,5 @@ mod tests {
                 actual: 1
             }
         ));
-    }
-
-    #[test]
-    fn subnetwork_preserves_pairwise_distances() {
-        let net = line3();
-        let sub = net.subnetwork(&[NodeId::new(2), NodeId::new(0)]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.distance(NodeId::new(0), NodeId::new(1)), 30.0);
-        assert_eq!(sub.label(NodeId::new(0)), "site-2");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate node")]
-    fn subnetwork_rejects_duplicates() {
-        let net = line3();
-        let _ = net.subnetwork(&[NodeId::new(0), NodeId::new(0)]);
     }
 }

@@ -243,24 +243,6 @@ proptest! {
     }
 
     #[test]
-    fn subnetwork_preserves_distances(seed in 0u64..200, keep in 2usize..10) {
-        let net = datasets::euclidean_random(15, 100.0, seed);
-        let subset: Vec<NodeId> = (0..keep).map(NodeId::new).collect();
-        let sub = net.subnetwork(&subset);
-        for (i, &a) in subset.iter().enumerate() {
-            for (j, &b) in subset.iter().enumerate() {
-                // Euclidean metrics stay metric under restriction, so the
-                // closure in `subnetwork` must not change anything.
-                prop_assert!(
-                    (sub.distance(NodeId::new(i), NodeId::new(j)) - net.distance(a, b))
-                        .abs()
-                        < 1e-9
-                );
-            }
-        }
-    }
-
-    #[test]
     fn ring_metric_is_exact(n in 3usize..20, step in 0.5f64..50.0) {
         let net = datasets::ring(n, step);
         for i in 0..n {
