@@ -266,12 +266,12 @@ impl Options {
                     o.capacity = c;
                 }
                 "--dedup" => o.dedup = true,
-                "--locations" => o.locations = parse_usize(&value("--locations")?, "--locations")?,
+                "--locations" => o.locations = parse_count(&value("--locations")?, "--locations")?,
                 "--clients-per-location" => {
                     o.clients_per_location =
-                        parse_usize(&value("--clients-per-location")?, "--clients-per-location")?
+                        parse_count(&value("--clients-per-location")?, "--clients-per-location")?
                 }
-                "--requests" => o.requests = parse_usize(&value("--requests")?, "--requests")?,
+                "--requests" => o.requests = parse_count(&value("--requests")?, "--requests")?,
                 "--seed" => o.seed = parse_usize(&value("--seed")?, "--seed")? as u64,
                 "--sim" => o.sim = value("--sim")?,
                 "--spec" => o.specs.push(value("--spec")?),
@@ -280,31 +280,15 @@ impl Options {
                 "--jsonl-out" => o.jsonl_out = Some(value("--jsonl-out")?),
                 "--state-dir" => o.state_dir = Some(value("--state-dir")?),
                 "--snapshot-every" => {
-                    let n = parse_usize(&value("--snapshot-every")?, "--snapshot-every")?;
-                    if n == 0 {
-                        return Err("--snapshot-every must be at least 1".to_string());
-                    }
-                    o.snapshot_every = n;
+                    o.snapshot_every = parse_count(&value("--snapshot-every")?, "--snapshot-every")?
                 }
                 "--trace" => o.trace = Some(value("--trace")?),
                 "--socket" => o.socket = Some(value("--socket")?),
                 "--listen" => o.listen = Some(value("--listen")?),
                 "--connect" => o.connect = Some(value("--connect")?),
                 "--cmd" => o.cmds.push(value("--cmd")?),
-                "--sweep" => {
-                    let n = parse_usize(&value("--sweep")?, "--sweep")?;
-                    if n == 0 {
-                        return Err("--sweep must be at least 1".to_string());
-                    }
-                    o.sweep = n;
-                }
-                "--threads" => {
-                    let n = parse_usize(&value("--threads")?, "--threads")?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".to_string());
-                    }
-                    o.threads = Some(n);
-                }
+                "--sweep" => o.sweep = parse_count(&value("--sweep")?, "--sweep")?,
+                "--threads" => o.threads = Some(parse_count(&value("--threads")?, "--threads")?),
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -314,7 +298,11 @@ impl Options {
     fn network(&self) -> Result<Network, String> {
         if let Some(path) = &self.topology_file {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            return topo_io::parse_matrix(&text).map_err(|e| e.to_string());
+            let net = topo_io::parse_matrix(&text).map_err(|e| e.to_string())?;
+            if net.is_empty() {
+                return Err(format!("{path}: the topology has no sites"));
+            }
+            return Ok(net);
         }
         match self.dataset.as_str() {
             "planetlab50" => Ok(datasets::planetlab_50()),
@@ -394,6 +382,14 @@ fn parse_nonnegative(s: &str, flag: &str) -> Result<f64, String> {
 fn parse_usize(s: &str, flag: &str) -> Result<usize, String> {
     s.parse::<usize>()
         .map_err(|_| format!("{flag}: `{s}` is not a nonnegative integer"))
+}
+
+/// [`parse_usize`] for a count that must be at least 1.
+fn parse_count(s: &str, flag: &str) -> Result<usize, String> {
+    match parse_usize(s, flag)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 /// Parses `grid:K` or `majority:KIND:T` (shared with scenario specs).

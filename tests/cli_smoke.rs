@@ -371,8 +371,20 @@ fn threads_output_is_identical_across_counts() {
 
 #[test]
 fn bad_numeric_flags_rejected() {
+    // A bad value is an input error whose message names the flag or file,
+    // not a panic.
+    let rejected = |args: &[&str], needle: &str| {
+        let out = run(args);
+        let line = args.join(" ");
+        assert_eq!(out.status.code(), Some(1), "`{line}` must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(needle),
+            "`{line}`: the message must name {needle}: {stderr}"
+        );
+    };
     // `place --strategy lp` and `serve` build their capacity and response
-    // model from these flags: a bad value is an input error, not a panic.
+    // model from these flags.
     for (flag, value) in [
         ("--capacity", "nan"),
         ("--capacity", "-1"),
@@ -390,21 +402,21 @@ fn bad_numeric_flags_rejected() {
         ] {
             let mut args = cmd.to_vec();
             args.extend([flag, value]);
-            let out = run(&args);
-            let line = args.join(" ");
-            assert_eq!(out.status.code(), Some(1), "`{line}` must exit 1");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains(flag),
-                "`{line}`: the message must name {flag}: {stderr}"
-            );
+            rejected(&args, flag);
         }
     }
+    // `simulate` sizes its client population and its run from these.
+    for flag in ["--locations", "--clients-per-location", "--requests"] {
+        rejected(
+            &["simulate", "--system", "majority:fourfifths:1", flag, "0"],
+            flag,
+        );
+    }
+    // A topology file with no sites.
+    let empty = tempfile::write("# no sites\n".to_string());
+    rejected(&["info", "--topology", empty.as_str()], empty.as_str());
     // `serve` has no column-generation opt-in: `--colgen` is unknown.
-    let out = run(&["serve", "--colgen"]);
-    assert_eq!(out.status.code(), Some(1), "`serve --colgen` must exit 1");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag `--colgen`"), "{stderr}");
+    rejected(&["serve", "--colgen"], "unknown flag `--colgen`");
 }
 
 #[test]
