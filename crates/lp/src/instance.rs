@@ -8,11 +8,10 @@
 //! answer to the §7 capacity sweeps: hundreds of LPs sharing one
 //! constraint matrix and differing only in capacity rhs values.
 //!
-//! Sweep drivers share one solved base instance across parallel jobs via
-//! [`SimplexInstance::resolve_with_rhs`], a non-mutating warm re-solve
-//! (per-point cost: one rhs vector); each job is a pure function of its
-//! input, so results stay bit-identical at any thread count. Instances
-//! are also `Clone` for callers that want to mutate diverging copies.
+//! [`SimplexInstance::resolve_with_rhs`] is a non-mutating warm re-solve
+//! over one solved base instance (per-point cost: one rhs vector).
+//! quorumd's capacity re-tune calls it once per sweep point, in order;
+//! each call is a pure function of the instance and its updates.
 
 use crate::model::Prepared;
 use crate::simplex::{
@@ -216,9 +215,9 @@ impl SimplexInstance {
 
     /// Cold two-phase solve; records the optimal basis for later warm
     /// re-solves, together with its refactorized representation and
-    /// reduced costs. Sweep drivers clone a solved instance once per
-    /// parameter point, so sharing that basis-dependent state here means
-    /// no clone ever refactorizes the (identical) warm basis again —
+    /// reduced costs. [`resolve_with_rhs`](Self::resolve_with_rhs) never
+    /// mutates the instance, so priming that state here means none of a
+    /// sweep's points refactorizes the (identical) warm basis again —
     /// results are bit-for-bit the same either way.
     ///
     /// # Errors
