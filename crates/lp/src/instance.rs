@@ -12,11 +12,19 @@
 //! over one solved base instance (per-point cost: one rhs vector).
 //! quorumd's capacity re-tune calls it once per sweep point, in order;
 //! each call is a pure function of the instance and its updates.
+//!
+//! The cold [`SimplexInstance::solve`] shares its phase 1 across cost
+//! vectors. Phase 1 and the artificial pivot-outs after it read only the
+//! columns, bounds and rhs, so the instance keeps their end state and a
+//! later cold solve under new costs
+//! ([`SimplexInstance::set_objectives`]) runs phase 2 only — bit for bit
+//! what a full cold solve returns. The many-to-one placement search
+//! solves one LP per anchor this way, all differing only in their costs.
 
 use crate::model::Prepared;
 use crate::simplex::{
-    prime_warm, resolve_dual, resolve_primal, solve_two_phase, DualOutcome, PrimalOutcome,
-    WarmStart,
+    phase_one, phase_two, prime_warm, resolve_dual, resolve_primal, solve_two_phase, DualOutcome,
+    Phase1, PrimalOutcome, WarmStart, REFACTOR_EVERY,
 };
 use crate::{LpError, Model, Solution, VarId};
 
@@ -30,6 +38,14 @@ use crate::{LpError, Model, Solution, VarId};
 /// feasibility (costs are untouched), so `resolve` after any sequence of
 /// such mutations is exact, not approximate; it falls back to a cold solve
 /// on numerical trouble, so it is never *less* reliable than `solve`.
+///
+/// The first cold solve keeps its phase-1 end state (the basis, the bound
+/// flags, the effective rhs, the basis factorization with its etas, and
+/// the pivot budget left). Later cold solves start phase 2 from it until
+/// [`set_rhs`](Self::set_rhs), [`set_var_bounds`](Self::set_var_bounds)
+/// or [`add_column`](Self::add_column) drops it;
+/// [`set_objectives`](Self::set_objectives) keeps it, because phase 1
+/// never reads the costs.
 ///
 /// # Examples
 ///
@@ -62,6 +78,10 @@ pub struct SimplexInstance {
     /// and dual-simplex warm starts are unsound until the next primal (or
     /// cold) re-solve clears the flag.
     costs_dirty: bool,
+    /// Phase-1 end state of the last cold solve over the current
+    /// columns, bounds and rhs, with no work counted
+    /// ([`Phase1::reused`]): the next cold solve starts phase 2 from it.
+    phase1: Option<Phase1>,
 }
 
 impl SimplexInstance {
@@ -78,6 +98,7 @@ impl SimplexInstance {
             prepared,
             warm: None,
             costs_dirty: false,
+            phase1: None,
         })
     }
 
@@ -97,6 +118,7 @@ impl SimplexInstance {
     pub fn set_rhs(&mut self, row: usize, rhs: f64) {
         self.model.set_rhs(row, rhs);
         self.prepared.refresh_row_rhs(&self.model, row);
+        self.phase1 = None;
     }
 
     /// Changes the bounds of variable `v`. The finiteness *pattern* of the
@@ -137,17 +159,12 @@ impl SimplexInstance {
         }
         self.model.set_var_bounds(v, lower, upper);
         self.prepared.refresh_bounds(&self.model);
+        self.phase1 = None;
         Ok(())
     }
 
-    /// Changes the objective coefficient of variable `v` — the parametric
-    /// entry point for *objective-side* deltas (RTT drift rescaling the
-    /// per-flow delay coefficients, demand-weight changes folded into
-    /// costs). The frozen standard-form cost vector is refreshed in place;
-    /// the warm basis stays primal feasible but its reduced costs (and any
-    /// cached pricing state) are invalidated, so the next
-    /// [`resolve`](Self::resolve) reoptimizes with the *primal* simplex
-    /// from the old basis instead of the dual.
+    /// Changes the objective coefficient of variable `v`: the one-element
+    /// case of [`set_objectives`](Self::set_objectives).
     ///
     /// # Errors
     ///
@@ -158,15 +175,47 @@ impl SimplexInstance {
     ///
     /// Panics if `v` is out of range.
     pub fn set_objective(&mut self, v: VarId, obj: f64) -> Result<(), LpError> {
-        if !obj.is_finite() {
-            return Err(LpError::InvalidModel {
-                reason: format!("objective coefficient for {v} must be finite"),
-            });
+        self.set_objectives(&[(v, obj)])
+    }
+
+    /// Changes the objective coefficients of the listed variables — the
+    /// parametric entry point for *objective-side* deltas (RTT drift
+    /// rescaling the per-flow delay coefficients, demand-weight changes
+    /// folded into costs, a new anchor of the many-to-one placement LP).
+    /// The frozen standard-form cost vector is refreshed once, in place;
+    /// the warm basis stays primal feasible but its reduced costs (and any
+    /// cached pricing state) are invalidated, so the next
+    /// [`resolve`](Self::resolve) reoptimizes with the *primal* simplex
+    /// from the old basis instead of the dual. The kept phase-1 end state
+    /// stays valid: the next [`solve`](Self::solve) runs phase 2 only.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::InvalidModel`] if any coefficient is not finite. The
+    /// instance is unchanged on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable is out of range.
+    pub fn set_objectives(&mut self, terms: &[(VarId, f64)]) -> Result<(), LpError> {
+        for &(v, obj) in terms {
+            assert!(v.index() < self.model.num_vars(), "variable out of range");
+            if !obj.is_finite() {
+                return Err(LpError::InvalidModel {
+                    reason: format!("objective coefficient for {v} must be finite"),
+                });
+            }
         }
-        if self.model.objective_coeff(v) == obj {
+        let mut changed = false;
+        for &(v, obj) in terms {
+            if self.model.objective_coeff(v).to_bits() != obj.to_bits() {
+                self.model.set_objective(v, obj);
+                changed = true;
+            }
+        }
+        if !changed {
             return Ok(());
         }
-        self.model.set_objective(v, obj);
         self.prepared.refresh_objective(&self.model);
         if let Some(w) = &mut self.warm {
             // The cached reduced costs were computed under the old costs.
@@ -210,6 +259,7 @@ impl SimplexInstance {
             }
         }
         self.costs_dirty = true;
+        self.phase1 = None;
         Ok(v)
     }
 
@@ -220,23 +270,45 @@ impl SimplexInstance {
     /// sweep's points refactorizes the (identical) warm basis again —
     /// results are bit-for-bit the same either way.
     ///
+    /// Phase 1 runs only if no cold solve has completed it since the
+    /// instance was built or its columns, bounds or rhs last changed;
+    /// otherwise phase 2 starts from the kept end state (a phase 1 that
+    /// fails keeps nothing). The result is bit for bit
+    /// that of a full cold solve. [`Solution::stats`] counts the work this
+    /// call did: the solve that runs phase 1 counts both phases, a solve
+    /// that reuses it counts phase 2 only.
+    ///
     /// # Errors
     ///
     /// As for [`Model::solve`].
     pub fn solve(&mut self) -> Result<Solution, LpError> {
-        match solve_two_phase(&self.prepared, &self.prepared.b, self.model.num_vars()) {
+        let outcome = self.solve_cold();
+        self.costs_dirty = false;
+        match outcome {
             Ok((sol, mut warm)) => {
                 prime_warm(&self.prepared, &mut warm);
                 self.warm = Some(warm);
-                self.costs_dirty = false;
                 Ok(sol)
             }
             Err(e) => {
                 self.warm = None;
-                self.costs_dirty = false;
                 Err(e)
             }
         }
+    }
+
+    /// Cold two-phase solve at the instance's rhs, phase 2 from the kept
+    /// phase-1 end state when there is one (recording it when not).
+    fn solve_cold(&mut self) -> Result<(Solution, WarmStart), LpError> {
+        let start = match &self.phase1 {
+            Some(kept) => kept.clone(),
+            None => {
+                let start = phase_one(&self.prepared, &self.prepared.b, REFACTOR_EVERY)?;
+                self.phase1 = Some(start.reused());
+                start
+            }
+        };
+        phase_two(&self.prepared, start, self.model.num_vars())
     }
 
     /// Re-solves after mutations, warm-starting from the previous optimal
@@ -303,7 +375,7 @@ impl SimplexInstance {
                 // Confirm with a cold solve: the dual-unbounded test and the
                 // phase-1 infeasibility test use different tolerance paths,
                 // and sweep drivers key behavior off this verdict.
-                match solve_two_phase(&self.prepared, &self.prepared.b, self.model.num_vars()) {
+                match self.solve_cold() {
                     Err(LpError::Infeasible) => {
                         // Keep the dual-feasible point: the next parameter
                         // point can still re-solve warm.

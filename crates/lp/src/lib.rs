@@ -54,9 +54,17 @@
 //!    substrate for **restricted-master column generation**
 //!    (`qp-core::strategy_lp::ColGenSolver`): a pricing oracle appends
 //!    only profitable columns and re-solves, never materializing the full
-//!    column set. [`Solution::stats`] exposes pivot/refactorization/bound-flip/
+//!    column set. [`SimplexInstance::set_objectives`] changes costs in
+//!    one batch and keeps the instance's **phase-1 end state**: phase 1
+//!    and the artificial pivot-outs read only columns, bounds and rhs, so
+//!    the next cold `solve()` runs phase 2 alone and returns bit for bit
+//!    what a full cold solve returns. That serves LP families differing
+//!    only in their costs, such as the many-to-one placement search's one
+//!    LP per anchor; `set_rhs`, `set_var_bounds` and `add_column` drop
+//!    the state. [`Solution::stats`] exposes pivot/refactorization/bound-flip/
 //!    pricing counters, so warm-vs-cold work is observable in tests, not
-//!    just wall clock. Every re-solve is a pure function of
+//!    just wall clock; they count the work a call did (phase 2 only when
+//!    phase 1 was reused). Every re-solve is a pure function of
 //!    `(instance, parameters)`, keeping sweep results bit-identical at
 //!    any thread count.
 //! 3. **Modeling layer** ([`Model`], [`Solution`]) — variables with general

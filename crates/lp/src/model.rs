@@ -764,14 +764,7 @@ impl Prepared {
                 }
             }
         }
-        self.obj_offset = self
-            .recover
-            .iter()
-            .map(|rec| match *rec {
-                Recover::Shifted { col, shift, sign } => sign * self.costs[col] * shift,
-                Recover::Split { .. } => 0.0,
-            })
-            .sum();
+        self.obj_offset = self.shift_offset();
         // Bound moves change which rows see a shifted variable.
         let recover = &self.recover;
         for (flag, r) in self.row_has_shift.iter_mut().zip(model.rows()) {
@@ -811,14 +804,21 @@ impl Prepared {
                 }
             }
         }
-        self.obj_offset = self
-            .recover
-            .iter()
-            .map(|rec| match *rec {
-                Recover::Shifted { col, shift, sign } => sign * self.costs[col] * shift,
-                Recover::Split { .. } => 0.0,
-            })
-            .sum();
+        self.obj_offset = self.shift_offset();
+    }
+
+    /// The objective constant of the bound shifts, summed exactly as
+    /// [`Prepared::from_model`] sums it (`sign · cost` is the user cost,
+    /// and split variables add nothing), so a refreshed standard form
+    /// solves bit for bit like a freshly built one.
+    fn shift_offset(&self) -> f64 {
+        let mut offset = 0.0;
+        for rec in &self.recover {
+            if let Recover::Shifted { col, shift, sign } = *rec {
+                offset += sign * self.costs[col] * shift;
+            }
+        }
+        offset
     }
 }
 

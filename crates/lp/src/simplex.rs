@@ -34,7 +34,7 @@ use crate::{LpError, Solution};
 pub(crate) const TOL: f64 = 1e-9;
 
 /// Rebuild the basis factorization from scratch every this many pivots.
-const REFACTOR_EVERY: usize = 128;
+pub(crate) const REFACTOR_EVERY: usize = 128;
 
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGENERATE_SWITCH: usize = 40;
@@ -1064,24 +1064,62 @@ pub(crate) fn solve_two_phase(
     b: &[f64],
     num_vars: usize,
 ) -> Result<(Solution, WarmStart), LpError> {
-    solve_cold(prepared, b, num_vars, REFACTOR_EVERY)
+    phase_two(prepared, phase_one(prepared, b, REFACTOR_EVERY)?, num_vars)
 }
 
-/// [`solve_two_phase`] at an explicit refactorization cadence (the tests
-/// pin that the cadence never changes the optimum).
-fn solve_cold(
+/// Where a cold solve's phase 2 starts: the end state of phase 1 and of
+/// the artificial pivot-outs after it — basis, bound flags, effective
+/// rhs, basis representation with its etas, and the pivot budget left.
+///
+/// Phase 1 reads only the columns, the bounds and the rhs, never the
+/// costs, so one `Phase1` serves every cost vector over the same
+/// constraints: [`phase_two`] from a clone of it returns, bit for bit,
+/// what a full cold solve under those costs returns.
+#[derive(Debug, Clone)]
+pub(crate) struct Phase1 {
+    basis: Vec<usize>,
+    at_upper: Vec<bool>,
+    b_eff: Vec<f64>,
+    art_sign: Vec<f64>,
+    repr: BasisRepr,
+    refactor_every: usize,
+    iter_budget: usize,
+    /// Work done so far, carried into the phase-2 solution's counters.
+    iterations: usize,
+    refactors: usize,
+    bound_flips: usize,
+    full_prices: usize,
+}
+
+impl Phase1 {
+    /// This end state with no work counted, for a later solve that reuses
+    /// it: such a solve counts its phase 2 only.
+    pub(crate) fn reused(&self) -> Phase1 {
+        Phase1 {
+            iterations: 0,
+            refactors: 0,
+            bound_flips: 0,
+            full_prices: 0,
+            ..self.clone()
+        }
+    }
+}
+
+/// Phase 1 of a cold solve (minimize the sum of artificials from the
+/// slack crash basis), the feasibility verdict, and the pivot-outs of
+/// lingering artificials, at an explicit refactorization cadence (the
+/// tests pin that the cadence never changes the optimum).
+pub(crate) fn phase_one(
     prepared: &Prepared,
     b: &[f64],
-    num_vars: usize,
     refactor_every: usize,
-) -> Result<(Solution, WarmStart), LpError> {
+) -> Result<Phase1, LpError> {
     let m = b.len();
     let n_cols = prepared.cols.num_cols();
     let mut iter_budget = 200 * (m + 1) + 20 * n_cols + 20_000;
 
     let mut t = State::new(prepared, b, refactor_every)?;
 
-    // ---- Phase 1: minimize the sum of artificials. ----
     let phase1_cost = move |j: usize| if j >= n_cols { 1.0 } else { 0.0 };
     match run_phase(&mut t, &phase1_cost, &|_| true, &mut iter_budget)? {
         PhaseEnd::Unbounded => {
@@ -1127,7 +1165,47 @@ fn solve_cold(
         }
     }
 
-    // ---- Phase 2: original costs, artificials barred. ----
+    Ok(Phase1 {
+        basis: t.basis,
+        at_upper: t.at_upper,
+        b_eff: t.b_eff,
+        art_sign: t.art_sign,
+        repr: t.repr.into_owned(),
+        refactor_every: t.refactor_every,
+        iter_budget,
+        iterations: t.iterations,
+        refactors: t.refactors,
+        bound_flips: t.bound_flips,
+        full_prices: t.full_prices,
+    })
+}
+
+/// Phase 2 of a cold solve from `start`, under the prepared costs with
+/// artificials barred. Returns the solution together with the final
+/// (optimal) warm-start point for warm re-solves.
+pub(crate) fn phase_two(
+    prepared: &Prepared,
+    start: Phase1,
+    num_vars: usize,
+) -> Result<(Solution, WarmStart), LpError> {
+    let n_cols = prepared.cols.num_cols();
+    let mut iter_budget = start.iter_budget;
+    let mut t = State {
+        cols: &prepared.cols,
+        upper: &prepared.upper,
+        n_arts: start.basis.len(),
+        m: start.basis.len(),
+        b_eff: start.b_eff,
+        at_upper: start.at_upper,
+        art_sign: start.art_sign,
+        basis: start.basis,
+        repr: Cow::Owned(start.repr),
+        refactor_every: start.refactor_every,
+        iterations: start.iterations,
+        refactors: start.refactors,
+        bound_flips: start.bound_flips,
+        full_prices: start.full_prices,
+    };
     let costs = &prepared.costs;
     let phase2_cost = move |j: usize| if j < costs.len() { costs[j] } else { 0.0 };
     let phase2_allowed = move |j: usize| j < n_cols;
@@ -1466,7 +1544,8 @@ mod tests {
         m.add_le(&[(y, 2.0)], 12.0);
         m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
         let p = Prepared::from_model(&m).unwrap();
-        let (every_pivot, _) = super::solve_cold(&p, &p.b, m.num_vars(), 1).unwrap();
+        let start = super::phase_one(&p, &p.b, 1).unwrap();
+        let (every_pivot, _) = super::phase_two(&p, start, m.num_vars()).unwrap();
         let default = m.solve().unwrap();
         assert!((every_pivot.objective() - 36.0).abs() < 1e-7);
         assert!((every_pivot.objective() - default.objective()).abs() < 1e-9);

@@ -11,11 +11,17 @@ const CERTIFY_TOL: f64 = 1e-7;
 
 /// Work counters from one solve, making warm-vs-cold effort observable in
 /// tests and benchmarks (not just wall clock).
+///
+/// The counters count the work the call did. A cold
+/// [`crate::SimplexInstance::solve`] that reuses the phase-1 end state of
+/// an earlier cold solve on the same instance counts its phase 2 only;
+/// the solve that ran phase 1 counts both phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
     /// Simplex pivots performed: basis changes only, so the counter is
     /// directly comparable across paths (phase 1 + artificial pivot-outs +
-    /// phase 2 for a cold solve; dual-simplex pivots for a warm re-solve).
+    /// phase 2 for a cold solve, phase 2 alone when phase 1 was reused;
+    /// dual-simplex pivots for a warm re-solve).
     /// Pricing rounds that find no entering column are not counted, and
     /// neither are [`bound flips`](Self::bound_flips).
     pub iterations: usize,

@@ -1,0 +1,340 @@
+//! A `SimplexInstance` runs phase 1 once and shares its end state across
+//! cold solves under new costs. Over seeded random models (`≤`, `≥` and
+//! `=` rows, finite, infinite and negative bounds, free variables,
+//! maximization, infeasible models and redundant rows), each
+//! `set_objectives` + `solve()` must return bit for bit what a solve that
+//! runs phase 1 afresh returns, or the same error.
+
+use qp_lp::{LpError, Model, Sense, SimplexInstance, Solution, VarId};
+
+const INF: f64 = f64::INFINITY;
+
+/// splitmix64: a small seeded generator, so every case replays by seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// A multiple of 1/4 in `[lo, hi]`: exact in binary, and coarse
+    /// enough to make ties and degenerate vertices common.
+    fn quarter(&mut self, lo: i64, hi: i64) -> f64 {
+        let steps = (hi - lo) as u64 * 4 + 1;
+        (lo * 4 + self.below(steps) as i64) as f64 / 4.0
+    }
+
+    /// A nonzero coefficient in `±[1/4, 3]`.
+    fn coeff(&mut self) -> f64 {
+        let c = self.quarter(1, 3) - 0.75;
+        if self.below(2) == 0 {
+            c
+        } else {
+            -c
+        }
+    }
+}
+
+/// A random model with zero costs. Its rows hold at a random point
+/// within the bounds, except in about one model in eight, which also
+/// gets a contradictory pair of rows.
+fn random_model(rng: &mut Rng) -> Model {
+    let sense = if rng.below(3) == 0 {
+        Sense::Maximize
+    } else {
+        Sense::Minimize
+    };
+    let mut m = Model::new(sense);
+    let n = 2 + rng.below(6) as usize;
+    let mut vars = Vec::with_capacity(n);
+    let mut point = Vec::with_capacity(n);
+    for j in 0..n {
+        let (lo, hi) = match rng.below(6) {
+            0 => (0.0, INF),
+            1 => (0.0, rng.quarter(1, 6)),
+            2 => (rng.quarter(-4, -1), INF),
+            3 => (-INF, rng.quarter(-2, 4)),
+            4 => (-INF, INF),
+            _ => {
+                // Finite on both sides, sometimes fixed.
+                let lo = rng.quarter(-3, 2);
+                (lo, lo + rng.quarter(0, 4))
+            }
+        };
+        vars.push(m.add_var(&format!("x{j}"), lo, hi, 0.0));
+        point.push(rng.quarter(-2, 4).clamp(lo, hi));
+    }
+    let mut eq_rows: Vec<(Vec<(VarId, f64)>, f64)> = Vec::new();
+    for _ in 0..1 + rng.below(6) {
+        let mut terms = Vec::new();
+        let mut activity = 0.0;
+        for (&v, &x) in vars.iter().zip(&point) {
+            if rng.below(3) != 0 {
+                let c = rng.coeff();
+                terms.push((v, c));
+                activity += c * x;
+            }
+        }
+        match rng.below(3) {
+            0 => {
+                m.add_le(&terms, activity + rng.quarter(0, 3));
+            }
+            1 => {
+                m.add_ge(&terms, activity - rng.quarter(0, 3));
+            }
+            _ => {
+                m.add_eq(&terms, activity);
+                eq_rows.push((terms, activity));
+            }
+        }
+    }
+    // Redundant rows: a doubled copy of an equality leaves an artificial
+    // that phase 1 cannot pivot out.
+    if let Some((terms, rhs)) = eq_rows.first() {
+        if rng.below(2) == 0 {
+            let doubled: Vec<_> = terms.iter().map(|&(v, c)| (v, 2.0 * c)).collect();
+            m.add_eq(&doubled, 2.0 * rhs);
+        }
+    }
+    if rng.below(8) == 0 {
+        let terms: Vec<_> = vars.iter().map(|&v| (v, rng.coeff())).collect();
+        let rhs = rng.quarter(-4, 4);
+        m.add_le(&terms, rhs);
+        m.add_ge(&terms, rhs + 1.0);
+    }
+    m
+}
+
+fn random_costs(rng: &mut Rng, num_vars: usize) -> Vec<(VarId, f64)> {
+    (0..num_vars)
+        .map(|j| (VarId::from_index(j), rng.quarter(-5, 5)))
+        .collect()
+}
+
+/// Asserts two solve outcomes are bit for bit equal: values, objective
+/// and duals, or the same error.
+fn assert_same(got: &Result<Solution, LpError>, want: &Result<Solution, LpError>, case: &str) {
+    match (got, want) {
+        (Ok(g), Ok(w)) => {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g.values()), bits(w.values()), "{case}: values");
+            assert_eq!(
+                g.objective().to_bits(),
+                w.objective().to_bits(),
+                "{case}: objective"
+            );
+            let duals = |s: &Solution| (0..s.num_rows()).map(|r| s.dual(r).to_bits()).collect();
+            let (gd, wd): (Vec<u64>, Vec<u64>) = (duals(g), duals(w));
+            assert_eq!(gd, wd, "{case}: duals");
+        }
+        (Err(g), Err(w)) => assert_eq!(g, w, "{case}: error"),
+        _ => panic!("{case}: got {got:?}, want {want:?}"),
+    }
+}
+
+/// Asserts a solve that reused phase 1 counted no more work than the
+/// solve that ran it.
+fn assert_counts_phase_two_only(got: &Solution, full: &Solution, case: &str) {
+    let (g, f) = (got.stats(), full.stats());
+    assert!(!g.warm, "{case}: a cold solve");
+    assert!(
+        g.iterations <= f.iterations
+            && g.refactors <= f.refactors
+            && g.bound_flips <= f.bound_flips
+            && g.full_prices <= f.full_prices,
+        "{case}: reused {g:?} vs full {f:?}"
+    );
+}
+
+#[test]
+fn set_objectives_then_solve_matches_a_fresh_model_solve() {
+    let (mut optimal, mut infeasible, mut unbounded, mut reused_less) = (0, 0, 0, 0);
+    for seed in 0..400 {
+        let mut rng = Rng(seed);
+        let model = random_model(&mut rng);
+        let mut inst = model.instance().unwrap();
+        for k in 0..4 {
+            let case = format!("seed {seed} cost vector {k}");
+            let costs = random_costs(&mut rng, model.num_vars());
+            let mut fresh = model.clone();
+            for &(v, c) in &costs {
+                fresh.set_objective(v, c);
+            }
+            let want = fresh.solve();
+            inst.set_objectives(&costs).unwrap();
+            let got = inst.solve();
+            assert_same(&got, &want, &case);
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    optimal += 1;
+                    if k == 0 {
+                        assert_eq!(g.stats(), w.stats(), "{case}: the solve that runs phase 1");
+                    } else {
+                        assert_counts_phase_two_only(g, w, &case);
+                        reused_less += usize::from(g.stats().iterations < w.stats().iterations);
+                    }
+                }
+                (Err(LpError::Infeasible), _) => infeasible += 1,
+                (Err(LpError::Unbounded), _) => unbounded += 1,
+                _ => {}
+            }
+        }
+    }
+    // The generator reaches every outcome, and reuse saves pivots.
+    assert!(
+        optimal >= 600 && infeasible >= 100 && unbounded >= 300 && reused_less >= 300,
+        "optimal {optimal}, infeasible {infeasible}, unbounded {unbounded}, \
+         reused with fewer pivots {reused_less}"
+    );
+}
+
+/// One structural edit of an instance.
+#[derive(Debug, Clone)]
+enum Edit {
+    Rhs(usize, f64),
+    Bounds(VarId, f64, f64),
+    Column(f64, Vec<(usize, f64)>),
+}
+
+impl Edit {
+    /// A random edit that the instance accepts: bounds keep their
+    /// finiteness pattern.
+    fn random(rng: &mut Rng, inst: &SimplexInstance) -> Edit {
+        let model = inst.model();
+        match rng.below(3) {
+            0 => Edit::Rhs(
+                rng.below(model.num_rows() as u64) as usize,
+                rng.quarter(-4, 10),
+            ),
+            1 => {
+                let v = VarId::from_index(rng.below(model.num_vars() as u64) as usize);
+                let (lo, hi) = model.var_bounds(v);
+                let lo = if lo.is_finite() {
+                    rng.quarter(-3, 2)
+                } else {
+                    lo
+                };
+                let hi = if hi.is_finite() {
+                    lo.max(-2.0) + rng.quarter(0, 4)
+                } else {
+                    hi
+                };
+                Edit::Bounds(v, lo, hi)
+            }
+            _ => {
+                let mut terms = Vec::new();
+                for row in 0..model.num_rows() {
+                    if rng.below(2) == 0 {
+                        terms.push((row, rng.coeff()));
+                    }
+                }
+                Edit::Column(rng.quarter(-5, 5), terms)
+            }
+        }
+    }
+
+    fn apply(&self, inst: &mut SimplexInstance) {
+        match self {
+            Edit::Rhs(row, rhs) => inst.set_rhs(*row, *rhs),
+            Edit::Bounds(v, lo, hi) => inst.set_var_bounds(*v, *lo, *hi).unwrap(),
+            Edit::Column(obj, terms) => {
+                inst.add_column("gen", *obj, terms).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_phase1_survives_rhs_bound_and_column_edits() {
+    let (mut compared, mut edits) = (0, 0);
+    for seed in 0..300 {
+        let mut rng = Rng(0x5eed_0000 + seed);
+        let model = random_model(&mut rng);
+        let mut inst = model.instance().unwrap();
+        let mut log: Vec<Edit> = Vec::new();
+        // Whether the next cold solve runs phase 1 itself.
+        let mut runs_phase1 = true;
+        for step in 0..6 {
+            let case = format!("seed {seed} step {step} after {log:?}");
+            if step > 0 && rng.below(2) == 0 {
+                let edit = Edit::random(&mut rng, &inst);
+                edit.apply(&mut inst);
+                log.push(edit);
+                runs_phase1 = true;
+                edits += 1;
+            }
+            let costs = random_costs(&mut rng, inst.model().num_vars());
+            inst.set_objectives(&costs).unwrap();
+            if rng.below(3) == 0 {
+                // A warm re-solve in between leaves the kept state alone
+                // (its cold fallback may run phase 1 itself).
+                let _ = inst.resolve();
+                runs_phase1 = false;
+            }
+            let got = inst.solve();
+            // The oracle replays the same edits on a new instance, whose
+            // one solve runs phase 1 afresh.
+            let mut replay = model.instance().unwrap();
+            for edit in &log {
+                edit.apply(&mut replay);
+            }
+            replay.set_objectives(&costs).unwrap();
+            let want = replay.solve();
+            assert_same(&got, &want, &case);
+            if let (Ok(g), Ok(w)) = (&got, &want) {
+                compared += 1;
+                if runs_phase1 {
+                    assert_eq!(g.stats(), w.stats(), "{case}: the solve that runs phase 1");
+                } else {
+                    assert_counts_phase_two_only(g, w, &case);
+                }
+            }
+            runs_phase1 = false;
+        }
+    }
+    assert!(
+        compared >= 600 && edits >= 500,
+        "compared {compared}, edits {edits}"
+    );
+}
+
+#[test]
+fn set_objectives_is_all_or_nothing() {
+    let mut m = Model::new(Sense::Minimize);
+    let x = m.add_var("x", 0.0, INF, 1.0);
+    let y = m.add_var("y", 0.0, INF, 2.0);
+    m.add_ge(&[(x, 1.0), (y, 1.0)], 3.0);
+    let mut inst = m.instance().unwrap();
+    let before = inst.solve().unwrap();
+    for bad in [f64::NAN, INF, -INF] {
+        let err = inst.set_objectives(&[(x, 5.0), (y, bad)]).unwrap_err();
+        assert!(matches!(err, LpError::InvalidModel { .. }));
+        assert_eq!(inst.model().objective_coeff(x), 1.0, "no term is written");
+    }
+    let again = inst.solve().unwrap();
+    assert_eq!(again.objective().to_bits(), before.objective().to_bits());
+    assert_eq!(again.values(), before.values());
+}
+
+/// A refreshed cost vector sums its bound-shift offset exactly as a fresh
+/// build does, down to the sign of a zero objective.
+#[test]
+fn refreshed_offset_keeps_the_sign_of_a_zero_objective() {
+    // No slack column adds a +0.0 term to the objective sum.
+    let mut m = Model::new(Sense::Maximize);
+    let x = m.add_var("x", 0.0, INF, 0.0);
+    m.add_eq(&[(x, 1.0)], 0.0);
+    let mut inst = m.instance().unwrap();
+    inst.set_objectives(&[(x, 1.0)]).unwrap();
+    let got = inst.solve();
+    m.set_objective(x, 1.0);
+    assert_same(&got, &m.solve(), "max x s.t. x = 0");
+}
