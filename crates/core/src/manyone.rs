@@ -26,9 +26,15 @@
 //!    with most slack). The result is the paper's
 //!    "almost-capacity-respecting" placement: capacity can be exceeded,
 //!    but only by a bounded factor.
+//!
+//! Only the LP's costs depend on `v₀`: its weights and capacities do not.
+//! [`best_placement`] therefore builds the LP once per search and solves
+//! it per anchor under that anchor's costs on one [`SimplexInstance`],
+//! which runs phase 1 once for the whole search (bit for bit what
+//! independent solves return).
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
-use qp_lp::{Model, Sense, VarId};
+use qp_lp::{Model, Sense, SimplexInstance, VarId};
 use qp_quorum::Quorum;
 use qp_topology::{Network, NodeId};
 
@@ -122,6 +128,22 @@ pub fn place_for_client(
     caps: &CapacityProfile,
     config: &ManyToOneConfig,
 ) -> Result<ManyToOneOutcome, CoreError> {
+    let (mut lp, vars) = search_lp(net, weights, caps, config)?;
+    place_on(&mut lp, &vars, net, v0, weights, caps, config)
+}
+
+/// Checks the inputs of a many-to-one search and builds its placement LP
+/// ([`placement_lp`]) as the one instance every anchor re-solves.
+///
+/// # Panics
+///
+/// As for [`place_for_client`].
+fn search_lp(
+    net: &Network,
+    weights: &[f64],
+    caps: &CapacityProfile,
+    config: &ManyToOneConfig,
+) -> Result<(SimplexInstance, Vec<Vec<VarId>>), CoreError> {
     assert!(!weights.is_empty(), "empty universe");
     assert!(
         weights.iter().all(|&w| w.is_finite() && w >= 0.0),
@@ -140,12 +162,28 @@ pub fn place_for_client(
         config.capacity_slack >= 1.0 && config.capacity_slack.is_finite(),
         "capacity slack must be at least 1"
     );
+    let effective_cap = |w: usize| caps.get(NodeId::new(w)) * config.capacity_slack;
+    let (model, vars) = placement_lp(net, weights, &effective_cap);
+    Ok((SimplexInstance::new(model)?, vars))
+}
+
+/// The pipeline for anchor `v0` on its search's placement LP `lp` (from
+/// [`search_lp`] over the same inputs).
+fn place_on(
+    lp: &mut SimplexInstance,
+    vars: &[Vec<VarId>],
+    net: &Network,
+    v0: NodeId,
+    weights: &[f64],
+    caps: &CapacityProfile,
+    config: &ManyToOneConfig,
+) -> Result<ManyToOneOutcome, CoreError> {
     let n = weights.len();
     let v_count = net.len();
     let effective_cap = |w: usize| caps.get(NodeId::new(w)) * config.capacity_slack;
 
     // ---- 1 and 2. Fractional LP, Lin–Vitter filtering. ----
-    let (lp_objective, x) = filtered_lp(net, v0, weights, &effective_cap, config.epsilon)?;
+    let (lp_objective, x) = filtered_lp(lp, vars, net, v0, weights, config.epsilon)?;
 
     // ---- 3. Integralize the forest-shaped support. ----
     let tol = config.support_tol;
@@ -240,12 +278,13 @@ pub fn place_for_client(
     })
 }
 
-/// Step 1 of the pipeline: the fractional placement LP for anchor `v0`,
-/// with `vars[u][w]` the fraction of element `u` placed on node `w` and
-/// `cap(w)` node `w`'s capacity (rows are skipped for infinite ones).
+/// Step 1 of the pipeline: the fractional placement LP, with
+/// `vars[u][w]` the fraction of element `u` placed on node `w` and
+/// `cap(w)` node `w`'s capacity (rows are skipped for infinite ones). Its
+/// costs are zero: they are the only part that depends on the anchor, and
+/// [`anchor_costs`] supplies them.
 fn placement_lp(
     net: &Network,
-    v0: NodeId,
     weights: &[f64],
     cap: &dyn Fn(usize) -> f64,
 ) -> (Model, Vec<Vec<VarId>>) {
@@ -256,8 +295,7 @@ fn placement_lp(
     for u in 0..n {
         let mut row = Vec::with_capacity(v_count);
         for w in 0..v_count {
-            let d = net.distance(v0, NodeId::new(w));
-            row.push(model.add_var(&format!("x_{u}_{w}"), 0.0, f64::INFINITY, weights[u] * d));
+            row.push(model.add_var(&format!("x_{u}_{w}"), 0.0, f64::INFINITY, 0.0));
         }
         vars.push(row);
     }
@@ -281,20 +319,38 @@ fn placement_lp(
     (model, vars)
 }
 
-/// Steps 1 and 2 of the pipeline: solves the placement LP for anchor
-/// `v0` under capacities `cap(w)`, then Lin–Vitter-filters its optimum
-/// with parameter `eps`. Returns the LP objective and the filtered
-/// fractions `x[u][w]`: each element's row sums to 1, and the support is
-/// a forest (see the module doc).
-fn filtered_lp(
+/// Anchor `v0`'s costs in the placement LP: `weights[u]·d(v0, w)` on
+/// `vars[u][w]`.
+fn anchor_costs(
     net: &Network,
     v0: NodeId,
     weights: &[f64],
-    cap: &dyn Fn(usize) -> f64,
+    vars: &[Vec<VarId>],
+) -> Vec<(VarId, f64)> {
+    let mut costs = Vec::with_capacity(weights.len() * net.len());
+    for (u, row) in vars.iter().enumerate() {
+        for (w, &x) in row.iter().enumerate() {
+            costs.push((x, weights[u] * net.distance(v0, NodeId::new(w))));
+        }
+    }
+    costs
+}
+
+/// Steps 1 and 2 of the pipeline: solves the placement LP `lp` (from
+/// [`placement_lp`], variables `vars`) under anchor `v0`'s costs, then
+/// Lin–Vitter-filters its optimum with parameter `eps`. Returns the LP
+/// objective and the filtered fractions `x[u][w]`: each element's row
+/// sums to 1, and the support is a forest (see the module doc).
+fn filtered_lp(
+    lp: &mut SimplexInstance,
+    vars: &[Vec<VarId>],
+    net: &Network,
+    v0: NodeId,
+    weights: &[f64],
     eps: f64,
 ) -> Result<(f64, Vec<Vec<f64>>), CoreError> {
-    let (model, vars) = placement_lp(net, v0, weights, cap);
-    let sol = model.solve()?;
+    lp.set_objectives(&anchor_costs(net, v0, weights, vars))?;
+    let sol = lp.solve()?;
     let mut x: Vec<Vec<f64>> = vars
         .iter()
         .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
@@ -325,10 +381,12 @@ fn filtered_lp(
     Ok((sol.objective(), x))
 }
 
-/// Best many-to-one placement across all anchors: runs
+/// Best many-to-one placement across all anchors: runs the pipeline of
 /// [`place_for_client`] for every `v₀ ∈ V` and keeps the placement with the
 /// lowest average (over all clients) expected network delay under the
-/// given global strategy.
+/// given global strategy. The anchors share one placement LP, so its
+/// phase 1 runs once per search; the result is bit for bit that of
+/// independent [`place_for_client`] calls.
 ///
 /// # Errors
 ///
@@ -354,10 +412,11 @@ pub fn best_placement(
         });
     }
     let weights = element_weights(probs, quorums, universe);
+    let (mut lp, vars) = search_lp(net, &weights, caps, config)?;
     let clients: Vec<NodeId> = net.nodes().collect();
     let mut best: Option<(f64, ManyToOneOutcome)> = None;
     for v0 in net.nodes() {
-        let outcome = match place_for_client(net, v0, &weights, caps, config) {
+        let outcome = match place_on(&mut lp, &vars, net, v0, &weights, caps, config) {
             Ok(o) => o,
             Err(CoreError::Infeasible) => continue,
             Err(e) => return Err(e),
@@ -497,9 +556,12 @@ mod tests {
         let quorums = g.enumerate(16).unwrap();
         let weights = element_weights(&uniform_probs(4), &quorums, 4);
         for cap in [0.8, f64::INFINITY] {
+            let (model, vars) = placement_lp(&net, &weights, &|_| cap);
+            let mut lp = model.instance().unwrap();
             for v0 in 0..4 {
-                let (model, _) = placement_lp(&net, NodeId::new(v0), &weights, &|_| cap);
-                model.solve().unwrap().certify(&model).unwrap();
+                lp.set_objectives(&anchor_costs(&net, NodeId::new(v0), &weights, &vars))
+                    .unwrap();
+                lp.solve().unwrap().certify(lp.model()).unwrap();
             }
         }
     }
@@ -518,9 +580,9 @@ mod tests {
 
     /// Over seeded random instances (zero and positive weights, finite,
     /// infinite and mixed capacities, slack 1 and 2), every filtered row
-    /// sums to 1 and the support is a forest: as a graph on the elements
-    /// and the nodes it touches, its edge count is its vertex count minus
-    /// its component count.
+    /// sums to 1 and the support is a forest for every anchor solved on
+    /// the shared LP: as a graph on the elements and the nodes it touches,
+    /// its edge count is its vertex count minus its component count.
     #[test]
     fn filtered_support_is_a_forest() {
         fn root(parent: &mut [usize], mut a: usize) -> usize {
@@ -559,42 +621,179 @@ mod tests {
                     _ => 0.5 * c * slack,
                 }
             };
-            let v0 = NodeId::new((h(4) % v_count as u64) as usize);
-            let (_, x) = match filtered_lp(&net, v0, &weights, &cap, 1.0) {
-                Ok(out) => out,
-                Err(CoreError::Infeasible) => continue,
-                Err(e) => panic!("seed {seed}: {e}"),
-            };
-            solved += 1;
-            let mut parent: Vec<usize> = (0..n + v_count).collect();
-            let mut touched = vec![false; n + v_count];
-            let mut edges = 0;
-            for (u, row) in x.iter().enumerate() {
-                let sum: f64 = row.iter().sum();
-                assert!(
-                    (sum - 1.0).abs() <= 1e-9,
-                    "seed {seed}: element {u} sums to {sum}"
+            let (model, vars) = placement_lp(&net, &weights, &cap);
+            let mut lp = model.instance().unwrap();
+            for anchor in 0..3 {
+                let v0 = NodeId::new((h(4 + anchor) % v_count as u64) as usize);
+                let (_, x) = match filtered_lp(&mut lp, &vars, &net, v0, &weights, 1.0) {
+                    Ok(out) => out,
+                    Err(CoreError::Infeasible) => continue,
+                    Err(e) => panic!("seed {seed}: {e}"),
+                };
+                solved += 1;
+                let mut parent: Vec<usize> = (0..n + v_count).collect();
+                let mut touched = vec![false; n + v_count];
+                let mut edges = 0;
+                for (u, row) in x.iter().enumerate() {
+                    let sum: f64 = row.iter().sum();
+                    assert!(
+                        (sum - 1.0).abs() <= 1e-9,
+                        "seed {seed}: element {u} sums to {sum}"
+                    );
+                    for (w, &f) in row.iter().enumerate() {
+                        if f > tol {
+                            edges += 1;
+                            touched[u] = true;
+                            touched[n + w] = true;
+                            let (a, b) = (root(&mut parent, u), root(&mut parent, n + w));
+                            parent[a] = b;
+                        }
+                    }
+                }
+                let vertices = touched.iter().filter(|&&t| t).count();
+                let components = (0..n + v_count)
+                    .filter(|&a| touched[a] && root(&mut parent, a) == a)
+                    .count();
+                assert_eq!(
+                    edges,
+                    vertices - components,
+                    "seed {seed} anchor {v0}: support has a cycle"
                 );
-                for (w, &f) in row.iter().enumerate() {
-                    if f > tol {
-                        edges += 1;
-                        touched[u] = true;
-                        touched[n + w] = true;
-                        let (a, b) = (root(&mut parent, u), root(&mut parent, n + w));
-                        parent[a] = b;
+            }
+        }
+        assert!(
+            solved >= 120,
+            "only {solved} of 144 anchor LPs were feasible"
+        );
+    }
+
+    /// The search as it ran before its anchors shared one LP: an
+    /// independent [`place_for_client`] (its own LP, phase 1 and all) per
+    /// anchor. The oracle for [`best_placement`].
+    fn independent_best_placement(
+        net: &Network,
+        quorums: &[Quorum],
+        probs: &[f64],
+        caps: &CapacityProfile,
+        config: &ManyToOneConfig,
+    ) -> Result<ManyToOneOutcome, CoreError> {
+        let universe = quorums
+            .iter()
+            .flat_map(|q| q.iter())
+            .map(|u| u.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let weights = element_weights(probs, quorums, universe);
+        let clients: Vec<NodeId> = net.nodes().collect();
+        let mut best: Option<(f64, ManyToOneOutcome)> = None;
+        for v0 in net.nodes() {
+            let outcome = match place_for_client(net, v0, &weights, caps, config) {
+                Ok(o) => o,
+                Err(CoreError::Infeasible) => continue,
+                Err(e) => return Err(e),
+            };
+            let mut total = 0.0;
+            for &v in &clients {
+                for (q, &p) in quorums.iter().zip(probs) {
+                    if p > 0.0 {
+                        let d = q
+                            .iter()
+                            .map(|u| net.distance(v, outcome.placement.node_of(u)))
+                            .fold(f64::MIN, f64::max);
+                        total += p * d;
                     }
                 }
             }
-            let vertices = touched.iter().filter(|&&t| t).count();
-            let components = (0..n + v_count)
-                .filter(|&a| touched[a] && root(&mut parent, a) == a)
-                .count();
-            assert_eq!(
-                edges,
-                vertices - components,
-                "seed {seed}: support has a cycle"
-            );
+            let score = total / clients.len() as f64;
+            match &best {
+                Some((s, _)) if *s <= score => {}
+                _ => best = Some((score, outcome)),
+            }
         }
-        assert!(solved >= 40, "only {solved} of 48 instances were feasible");
+        best.map(|(_, o)| o).ok_or(CoreError::Infeasible)
+    }
+
+    /// Over seeded random instances (zero weights, finite, infinite and
+    /// mixed capacities, slack 1 and 2, infeasible totals), the search on
+    /// one shared LP equals independent per-anchor pipelines bit for bit.
+    #[test]
+    fn best_placement_equals_independent_anchor_solves() {
+        let (mut feasible, mut infeasible, mut zero_weight) = (0, 0, 0);
+        for seed in 0..40u64 {
+            let h = |k: usize| qp_par::job_seed(0x5a_a4ed + seed, k);
+            let frac = |k: usize| (h(k) >> 11) as f64 / (1u64 << 53) as f64;
+            let v_count = 5 + (h(0) % 10) as usize;
+            let k = if v_count >= 9 && h(1) % 2 == 0 { 3 } else { 2 };
+            let net = datasets::euclidean_random(v_count, 100.0, seed);
+            let quorums = QuorumSystem::grid(k).unwrap().enumerate(100).unwrap();
+            // Each quorum is unused with probability 1/2, which can leave
+            // an element with zero weight.
+            let mut probs: Vec<f64> = (0..quorums.len())
+                .map(|i| {
+                    if h(10 + i) % 2 == 0 {
+                        0.0
+                    } else {
+                        0.1 + frac(10 + i)
+                    }
+                })
+                .collect();
+            if probs.iter().all(|&p| p == 0.0) {
+                probs[0] = 1.0;
+            }
+            let sum: f64 = probs.iter().sum();
+            probs.iter_mut().for_each(|p| *p /= sum);
+            let weights = element_weights(&probs, &quorums, k * k);
+            zero_weight += usize::from(weights.contains(&0.0));
+            let total: f64 = weights.iter().sum();
+            // Uniform capacity between 60% and 150% of the total load over
+            // the nodes, so some totals are infeasible at slack 1.
+            let c = total * (0.6 + 0.9 * frac(2)) / v_count as f64;
+            let caps = CapacityProfile::from_values(
+                (0..v_count)
+                    .map(|w| match seed % 3 {
+                        0 => f64::INFINITY,
+                        1 => c,
+                        _ if h(100 + w) % 3 == 0 => f64::INFINITY,
+                        _ => 0.5 * c,
+                    })
+                    .collect(),
+            );
+            let config = ManyToOneConfig {
+                capacity_slack: [1.0, 2.0][(h(3) % 2) as usize],
+                ..ManyToOneConfig::default()
+            };
+            let shared = best_placement(&net, &quorums, &probs, &caps, &config);
+            let oracle = independent_best_placement(&net, &quorums, &probs, &caps, &config);
+            match (shared, oracle) {
+                (Ok(a), Ok(b)) => {
+                    feasible += 1;
+                    assert_eq!(a.placement, b.placement, "seed {seed}");
+                    assert_eq!(
+                        a.lp_objective.to_bits(),
+                        b.lp_objective.to_bits(),
+                        "seed {seed}"
+                    );
+                    assert_eq!(
+                        a.rounded_objective.to_bits(),
+                        b.rounded_objective.to_bits(),
+                        "seed {seed}"
+                    );
+                    assert_eq!(
+                        a.max_capacity_ratio.to_bits(),
+                        b.max_capacity_ratio.to_bits(),
+                        "seed {seed}"
+                    );
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "seed {seed}");
+                    infeasible += usize::from(a == CoreError::Infeasible);
+                }
+                (a, b) => panic!("seed {seed}: shared {a:?}, independent {b:?}"),
+            }
+        }
+        assert!(
+            feasible >= 30 && infeasible >= 3 && zero_weight >= 10,
+            "feasible {feasible}, infeasible {infeasible}, with a zero weight {zero_weight}"
+        );
     }
 }
