@@ -584,6 +584,48 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Deltas the session refuses (an overflowing slowdown, demand
+    /// weights that overflow or leave a share the LP cannot resolve)
+    /// advance nothing, so none is logged, and the state directory still
+    /// recovers to the live answer.
+    #[test]
+    fn refused_overflow_deltas_leave_the_wal_recoverable() {
+        let dir = state_dir("refused");
+        let mut live = Session::new(config()).unwrap();
+        let mut persist = Persistence::open(&dir, 100, &live).unwrap();
+        let d = Delta::Slowdown {
+            site: 4,
+            factor: 2.5,
+        };
+        live.apply(&d).unwrap();
+        persist.record(&d, &live).unwrap();
+        for d in [
+            Delta::Slowdown {
+                site: 4,
+                factor: 1e308,
+            },
+            Delta::Demand {
+                loc: 0,
+                weight: 1e308,
+            },
+            Delta::Demand {
+                loc: 1,
+                weight: 1e308,
+            },
+        ] {
+            assert!(matches!(live.apply(&d), Err(SessionError::BadDelta(_))));
+            assert_eq!(live.seq(), 1);
+        }
+        drop(persist);
+
+        let (recovered, report) = recover(config(), &dir).unwrap();
+        assert_eq!(report.wal_deltas, 1);
+        assert!(report.checked);
+        assert_eq!(recovered.persisted_state(), live.persisted_state());
+        assert_same_answer(&live, &recovered);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn empty_state_dir_recovers_to_a_fresh_session() {
         let dir = state_dir("fresh");

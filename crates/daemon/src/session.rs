@@ -20,6 +20,13 @@ use std::fmt;
 /// WAN delays) to be irrelevant to the answer.
 const JITTER: f64 = 1e-7;
 
+/// Smallest positive share of the total demand a client may hold. The
+/// solver's tolerance is ~1e-9, so below it a client's convexity row is
+/// noise to the LP and its strategy is not determined: the warm answer
+/// and the cold cross-check then disagree, and recovery refuses the state
+/// directory.
+const MIN_DEMAND_SHARE: f64 = 1e-9;
+
 /// Everything needed to open a [`Session`].
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -449,10 +456,8 @@ impl Session {
         if state.raw_weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
             return bad("persisted demand weight must be finite and ≥ 0".into());
         }
-        let total: f64 = state.raw_weights.iter().sum();
-        if total <= 0.0 {
-            return bad("persisted demand weights sum to zero".into());
-        }
+        let total = demand_total(&state.raw_weights)
+            .map_err(|m| SessionError::Config(format!("persisted {m}")))?;
         if state.slowdown.iter().any(|f| !f.is_finite() || *f <= 0.0) {
             return bad("persisted slowdown factor must be finite and > 0".into());
         }
@@ -460,17 +465,15 @@ impl Session {
             return bad(format!("persisted crashed node out of range for {n} nodes"));
         }
 
+        self.set_slowdown(state.slowdown.clone())
+            .map_err(|e| match e {
+                SessionError::BadDelta(m) => SessionError::Config(format!("persisted {m}")),
+                e => e,
+            })?;
         self.raw_weights = state.raw_weights.clone();
         for v in 0..n {
             self.weights[v] = self.raw_weights[v] / total;
             self.instance.set_rhs(self.conv_rows[v], self.weights[v]);
-        }
-        let changed: Vec<usize> = (0..n)
-            .filter(|&w| state.slowdown[w] != self.slowdown[w])
-            .collect();
-        self.slowdown = state.slowdown.clone();
-        for w in changed {
-            self.refresh_objective_for_site(w)?;
         }
         for &w in &state.crashed {
             self.crashed[w] = true;
@@ -539,8 +542,9 @@ impl Session {
                         "slowdown factor {factor} must be finite and > 0"
                     )));
                 }
-                self.slowdown[site] = factor;
-                self.refresh_objective_for_site(site)?;
+                let mut slowdown = self.slowdown.clone();
+                slowdown[site] = factor;
+                self.set_slowdown(slowdown)?;
             }
             Delta::Demand { loc, weight } => {
                 if loc >= n {
@@ -553,15 +557,10 @@ impl Session {
                         "demand weight {weight} must be finite and ≥ 0"
                     )));
                 }
-                let old = self.raw_weights[loc];
-                self.raw_weights[loc] = weight;
-                let total: f64 = self.raw_weights.iter().sum();
-                if total <= 0.0 {
-                    self.raw_weights[loc] = old;
-                    return Err(SessionError::BadDelta(
-                        "total demand would drop to zero".into(),
-                    ));
-                }
+                let mut raw_weights = self.raw_weights.clone();
+                raw_weights[loc] = weight;
+                let total = demand_total(&raw_weights).map_err(SessionError::BadDelta)?;
+                self.raw_weights = raw_weights;
                 for v in 0..n {
                     self.weights[v] = self.raw_weights[v] / total;
                     self.instance.set_rhs(self.conv_rows[v], self.weights[v]);
@@ -589,13 +588,12 @@ impl Session {
                         "node {node} out of range for {n} nodes"
                     )));
                 }
+                let mut slowdown = self.slowdown.clone();
+                slowdown[node] = 1.0;
+                self.set_slowdown(slowdown)?;
                 self.crashed[node] = false;
                 if let Some(row) = self.cap_row_of(node) {
                     self.instance.set_rhs(row, self.capacity);
-                }
-                if self.slowdown[node] != 1.0 {
-                    self.slowdown[node] = 1.0;
-                    self.refresh_objective_for_site(node)?;
                 }
             }
         }
@@ -690,32 +688,52 @@ impl Session {
             .map(|&(_, row)| row)
     }
 
-    /// Recomputes `δ'(v, i)` for every quorum touching `site` and pushes
-    /// the changed objective coefficients into the resident instance —
-    /// the primal-warm-start path.
-    fn refresh_objective_for_site(&mut self, site: usize) -> Result<(), SessionError> {
+    /// Adopts the per-site slowdown factors `slowdown`: recomputes
+    /// `δ'(v, i)` for every quorum touching a site whose factor changes
+    /// and pushes the changed objective coefficients into the resident
+    /// instance in one batch — the primal-warm-start path.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::BadDelta`] if a coefficient would not be finite (a
+    /// factor so large that a delay overflows). Nothing is written then.
+    fn set_slowdown(&mut self, slowdown: Vec<f64>) -> Result<(), SessionError> {
         let m = self.quorums.len();
         let n = self.weights.len();
+        let sites: Vec<usize> = (0..n)
+            .filter(|&w| slowdown[w] != self.slowdown[w])
+            .collect();
+        let mut changed: Vec<(VarId, f64)> = Vec::new();
         for i in 0..m {
-            if self.node_counts[i]
-                .binary_search_by_key(&site, |&(j, _)| j)
-                .is_err()
-            {
+            let touched = sites.iter().any(|&site| {
+                self.node_counts[i]
+                    .binary_search_by_key(&site, |&(j, _)| j)
+                    .is_ok()
+            });
+            if !touched {
                 continue;
             }
             for v in 0..n {
                 let mut d = f64::MIN;
                 for &w in &self.hosts[i] {
-                    d = d.max(self.dist[v][w] * self.slowdown[w]);
+                    d = d.max(self.dist[v][w] * slowdown[w]);
                 }
                 let val = d * self.jitter[v][i];
+                if !val.is_finite() {
+                    return Err(SessionError::BadDelta(format!(
+                        "slowdown makes the delay from client {v} to quorum {i} overflow"
+                    )));
+                }
                 if val != self.delta_eff[v][i] {
-                    self.delta_eff[v][i] = val;
-                    self.instance
-                        .set_objective(VarId::from_index(v * m + i), val)?;
+                    changed.push((VarId::from_index(v * m + i), val));
                 }
             }
         }
+        self.instance.set_objectives(&changed)?;
+        for &(x, val) in &changed {
+            self.delta_eff[x.index() / m][x.index() % m] = val;
+        }
+        self.slowdown = slowdown;
         Ok(())
     }
 
@@ -951,6 +969,27 @@ fn strategies(q: &[Vec<f64>]) -> Vec<Vec<f64>> {
             }
         })
         .collect()
+}
+
+/// The total of the raw demand weights `raw` (each finite and ≥ 0), or
+/// why they cannot be normalized into shares the LP resolves: the total
+/// is zero or overflows, or a positive weight's share of it is below
+/// [`MIN_DEMAND_SHARE`].
+fn demand_total(raw: &[f64]) -> Result<f64, String> {
+    let total: f64 = raw.iter().sum();
+    if total <= 0.0 {
+        return Err("demand weights sum to zero".into());
+    }
+    if !total.is_finite() {
+        return Err(format!("demand weights sum to {total}"));
+    }
+    if let Some(v) = (0..raw.len()).find(|&v| raw[v] > 0.0 && raw[v] / total < MIN_DEMAND_SHARE) {
+        return Err(format!(
+            "client {v}'s demand share {:e} is below {MIN_DEMAND_SHARE:e}",
+            raw[v] / total
+        ));
+    }
+    Ok(total)
 }
 
 /// Replays a [`ColdInputs`] snapshot from scratch: fresh model per sweep
@@ -1209,6 +1248,80 @@ mod tests {
             Err(SessionError::BadDelta(_))
         ));
         assert_eq!(s.status().seq, seq + 1);
+    }
+
+    /// A slowdown factor that passes the finite-and-positive check but
+    /// overflows a delay is refused before anything is written: the
+    /// persisted state, the effective delays and the resident LP's costs
+    /// are unchanged, and the session keeps passing its cold check.
+    #[test]
+    fn overflowing_slowdown_is_refused_without_writing() {
+        let mut s = session(4);
+        let site = s.hosts[0][0];
+        let state = s.persisted_state();
+        let delta_eff = s.delta_eff.clone();
+        let costs = |s: &Session| -> Vec<u64> {
+            let model = s.instance.model();
+            (0..model.num_vars())
+                .map(|j| model.objective_coeff(VarId::from_index(j)).to_bits())
+                .collect()
+        };
+        let before = costs(&s);
+        for factor in [1e308, f64::MAX] {
+            assert!(matches!(
+                s.apply(&Delta::Slowdown { site, factor }),
+                Err(SessionError::BadDelta(_))
+            ));
+            assert_eq!(s.persisted_state(), state);
+            assert_eq!(s.delta_eff, delta_eff);
+            assert_eq!(costs(&s), before);
+            assert!(s.cold_check().unwrap().ok);
+        }
+        // A restored state carrying such a factor is refused the same way.
+        let mut bad = state.clone();
+        bad.slowdown[site] = 1e308;
+        assert!(matches!(
+            s.restore_state(&bad),
+            Err(SessionError::Config(_))
+        ));
+        assert_eq!(s.persisted_state(), state);
+        s.apply(&Delta::Slowdown { site, factor: 2.5 }).unwrap();
+        assert!(s.cold_check().unwrap().ok);
+    }
+
+    /// Demand weights whose total overflows, or that leave a client a
+    /// positive share too small for the LP to resolve, are refused before
+    /// anything is written, and the session keeps passing its cold check.
+    #[test]
+    fn unresolvable_demand_weights_are_refused_without_writing() {
+        let mut s = session(4);
+        let state = s.persisted_state();
+        let delay = s.answer().delay_ms;
+        for (loc, weight) in [(0, 1e308), (1, 1e308), (0, 1e11), (0, f64::MAX)] {
+            assert!(matches!(
+                s.apply(&Delta::Demand { loc, weight }),
+                Err(SessionError::BadDelta(_))
+            ));
+            assert_eq!(s.persisted_state(), state);
+            assert_eq!(s.answer().delay_ms.to_bits(), delay.to_bits());
+            assert!(s.cold_check().unwrap().ok);
+        }
+        for weights in [[1e308, 1e308], [1e11, 1.0]] {
+            let mut bad = state.clone();
+            bad.raw_weights[..2].copy_from_slice(&weights);
+            assert!(matches!(
+                s.restore_state(&bad),
+                Err(SessionError::Config(_))
+            ));
+            assert_eq!(s.persisted_state(), state);
+        }
+        // A large ratio the LP still resolves is accepted and checks.
+        s.apply(&Delta::Demand {
+            loc: 0,
+            weight: 1e6,
+        })
+        .unwrap();
+        assert!(s.cold_check().unwrap().ok);
     }
 
     #[test]
