@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use qp_core::capacity::{capacity_sweep, CapacityChoice, CapacityProfile};
 use qp_core::eval::EvalContext;
-use qp_core::manyone::{element_weights, place_for_client, ManyToOneConfig};
+use qp_core::manyone::{self, element_weights, place_for_client, ManyToOneConfig};
 use qp_core::strategy_lp::{ColGenSolver, ColumnGeneration};
 use qp_core::{combinatorics, one_to_one, response, strategy_lp, ResponseModel};
 use qp_des::{EventQueue, ServiceStation, SimTime, TimeWheel};
@@ -163,6 +163,25 @@ fn bench_lp_solver(c: &mut Criterion) {
             });
         });
     }
+
+    // The many-to-one anchor search in fig8_9's shape: a uniform strategy
+    // on the 5×5 Grid, capacity 1.0 with slack 2, one placement LP
+    // (25 elements × 50 nodes) per Planetlab-50 anchor.
+    let pl = datasets::planetlab_50();
+    let grid5 = QuorumSystem::grid(5).unwrap().enumerate(100_000).unwrap();
+    let uniform = vec![1.0 / grid5.len() as f64; grid5.len()];
+    let pl_caps = CapacityProfile::uniform(pl.len(), 1.0);
+    let slack2 = ManyToOneConfig {
+        capacity_slack: 2.0,
+        ..ManyToOneConfig::default()
+    };
+    group.bench_function("manyone_best_placement_grid5_planetlab50", |b| {
+        b.iter(|| {
+            manyone::best_placement(&pl, &grid5, &uniform, &pl_caps, &slack2)
+                .expect("feasible at 1.0")
+                .lp_objective
+        });
+    });
     group.finish();
 }
 
