@@ -19,7 +19,7 @@
 //! | `crash <node>` | capacity rhs → 0 | dual simplex |
 //! | `restore <node>` | capacity rhs back | dual simplex |
 //! | `slowdown <site> <σ>` | objective coefficients | **primal** re-solve |
-//! |  | (tuning sweep) | `resolve_with_rhs` per point |
+//! |  | (tuning sweep) | capacity rhs per point, dual simplex from the last |
 //!
 //! After each delta the session re-tunes the uniform capacity over the
 //! §7 sweep grid, adopts the response-minimizing point, and reports a

@@ -739,8 +739,10 @@ impl Session {
 
     /// Re-solves at the current right-hand sides (clearing any pending
     /// objective change through the primal warm path), sweeps the
-    /// capacity grid warm, adopts the response-minimizing point, and
-    /// returns the tuned answer plus the pivots spent.
+    /// capacity grid warm — each point's capacity rhs set on the resident
+    /// instance and re-solved from the previous point's basis — adopts the
+    /// response-minimizing point, and returns the tuned answer plus the
+    /// pivots spent.
     fn tune(&mut self) -> Result<(Answer, u64), SessionError> {
         let mut pivots: u64 = 0;
         // Step 1: re-establish an optimal basis at the current state.
@@ -752,16 +754,13 @@ impl Session {
             Err(LpError::Infeasible) => {}
             Err(e) => return Err(e.into()),
         }
-        // Step 2: warm sweep over the capacity grid.
+        // Step 2: warm sweep over the capacity grid, one point after
+        // another on the resident instance.
         let grid = capacity_sweep(self.l_opt, self.sweep_steps);
         let mut scored: Vec<(f64, f64)> = Vec::new(); // (capacity, score)
         for &c in &grid {
-            let updates: Vec<(usize, f64)> = self
-                .cap_rows
-                .iter()
-                .map(|&(w, row)| (row, if self.crashed[w] { 0.0 } else { c }))
-                .collect();
-            let sol = match self.instance.resolve_with_rhs(&updates) {
+            self.set_capacity_rows(c);
+            let sol = match self.instance.resolve() {
                 Ok(sol) => sol,
                 Err(LpError::Infeasible) => continue,
                 Err(e) => return Err(e.into()),
@@ -777,10 +776,7 @@ impl Session {
             ));
         };
         // Step 3: adopt the winner and land the resident basis on it.
-        for &(w, row) in &self.cap_rows {
-            self.instance
-                .set_rhs(row, if self.crashed[w] { 0.0 } else { best_c });
-        }
+        self.set_capacity_rows(best_c);
         self.capacity = best_c;
         let sol = self.instance.resolve()?;
         pivots += sol.stats().iterations as u64;
@@ -794,6 +790,15 @@ impl Session {
         };
         self.warm_pivots += pivots;
         Ok((answer, pivots))
+    }
+
+    /// Sets every capacity row of the resident LP to `c`, except crashed
+    /// nodes', which stay at 0.
+    fn set_capacity_rows(&mut self, c: f64) {
+        for &(w, row) in &self.cap_rows {
+            self.instance
+                .set_rhs(row, if self.crashed[w] { 0.0 } else { c });
+        }
     }
 
     /// Demand-weighted response of `q` under model (4.1) with load

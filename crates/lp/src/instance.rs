@@ -6,12 +6,10 @@
 //! the previous optimal basis with the dual simplex instead of re-running
 //! both phases from scratch. This is the classical parametric-LP
 //! answer to the §7 capacity sweeps: hundreds of LPs sharing one
-//! constraint matrix and differing only in capacity rhs values.
-//!
-//! [`SimplexInstance::resolve_with_rhs`] is a non-mutating warm re-solve
-//! over one solved base instance (per-point cost: one rhs vector).
-//! quorumd's capacity re-tune calls it once per sweep point, in order;
-//! each call is a pure function of the instance and its updates.
+//! constraint matrix and differing only in capacity rhs values. A sweep
+//! sets each point's rhs and calls `resolve()`, one point after another,
+//! so each point starts from its neighbour's optimal basis; quorumd's
+//! capacity re-tune and the restricted master's sweeps both run this way.
 //!
 //! The cold [`SimplexInstance::solve`] shares its phase 1 across cost
 //! vectors. Phase 1 and the artificial pivot-outs after it read only the
@@ -23,8 +21,8 @@
 
 use crate::model::Prepared;
 use crate::simplex::{
-    phase_one, phase_two, prime_warm, resolve_dual, resolve_primal, solve_two_phase, DualOutcome,
-    Phase1, PrimalOutcome, WarmStart, REFACTOR_EVERY,
+    phase_one, phase_two, resolve_dual, resolve_primal, DualOutcome, Phase1, PrimalOutcome,
+    WarmStart, REFACTOR_EVERY,
 };
 use crate::{LpError, Model, Solution, VarId};
 
@@ -183,8 +181,8 @@ impl SimplexInstance {
     /// rescaling the per-flow delay coefficients, demand-weight changes
     /// folded into costs, a new anchor of the many-to-one placement LP).
     /// The frozen standard-form cost vector is refreshed once, in place;
-    /// the warm basis stays primal feasible but its reduced costs (and any
-    /// cached pricing state) are invalidated, so the next
+    /// the warm basis stays primal feasible but its reduced costs are
+    /// invalidated, so the next
     /// [`resolve`](Self::resolve) reoptimizes with the *primal* simplex
     /// from the old basis instead of the dual. The kept phase-1 end state
     /// stays valid: the next [`solve`](Self::solve) runs phase 2 only.
@@ -217,10 +215,6 @@ impl SimplexInstance {
             return Ok(());
         }
         self.prepared.refresh_objective(&self.model);
-        if let Some(w) = &mut self.warm {
-            // The cached reduced costs were computed under the old costs.
-            w.cache = None;
-        }
         self.costs_dirty = true;
         Ok(())
     }
@@ -263,12 +257,8 @@ impl SimplexInstance {
         Ok(v)
     }
 
-    /// Cold two-phase solve; records the optimal basis for later warm
-    /// re-solves, together with its refactorized representation and
-    /// reduced costs. [`resolve_with_rhs`](Self::resolve_with_rhs) never
-    /// mutates the instance, so priming that state here means none of a
-    /// sweep's points refactorizes the (identical) warm basis again —
-    /// results are bit-for-bit the same either way.
+    /// Cold two-phase solve; records the optimal basis and its bound flags
+    /// for later warm re-solves.
     ///
     /// Phase 1 runs only if no cold solve has completed it since the
     /// instance was built or its columns, bounds or rhs last changed;
@@ -285,8 +275,7 @@ impl SimplexInstance {
         let outcome = self.solve_cold();
         self.costs_dirty = false;
         match outcome {
-            Ok((sol, mut warm)) => {
-                prime_warm(&self.prepared, &mut warm);
+            Ok((sol, warm)) => {
                 self.warm = Some(warm);
                 Ok(sol)
             }
@@ -303,7 +292,7 @@ impl SimplexInstance {
         let start = match &self.phase1 {
             Some(kept) => kept.clone(),
             None => {
-                let start = phase_one(&self.prepared, &self.prepared.b, REFACTOR_EVERY)?;
+                let start = phase_one(&self.prepared, REFACTOR_EVERY)?;
                 self.phase1 = Some(start.reused());
                 start
             }
@@ -341,12 +330,7 @@ impl SimplexInstance {
             // primal feasible, its reduced costs are not. Reoptimize with
             // the primal simplex (dual warm starts would be unsound).
             let warm = self.warm.as_ref().expect("checked above");
-            let outcome = resolve_primal(
-                &self.prepared,
-                &self.prepared.b,
-                self.model.num_vars(),
-                warm,
-            );
+            let outcome = resolve_primal(&self.prepared, self.model.num_vars(), warm);
             return match outcome {
                 PrimalOutcome::Optimal(sol, warm) => {
                     self.warm = Some(*warm);
@@ -360,12 +344,7 @@ impl SimplexInstance {
             };
         }
         let warm = self.warm.as_ref().expect("checked above");
-        let outcome = resolve_dual(
-            &self.prepared,
-            &self.prepared.b,
-            self.model.num_vars(),
-            warm,
-        );
+        let outcome = resolve_dual(&self.prepared, self.model.num_vars(), warm);
         match outcome {
             DualOutcome::Optimal(sol, warm) => {
                 self.warm = Some(warm);
@@ -393,54 +372,6 @@ impl SimplexInstance {
                 }
             }
             DualOutcome::Stalled => self.solve(),
-        }
-    }
-
-    /// Warm re-solve at modified right-hand sides **without mutating or
-    /// cloning the instance**: `updates` pairs constraint rows (indices
-    /// from the model's `add_*` methods) with new rhs values; rows not
-    /// listed keep their current rhs. Results are identical to cloning
-    /// the instance, applying [`set_rhs`](Self::set_rhs) per row, and
-    /// calling [`resolve`](Self::resolve) — but the only per-call copy is
-    /// one rhs vector, so this is the sweep hot path: hundreds of
-    /// parameter points fan out over one shared solved instance, each a
-    /// pure function of `(instance, updates)`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Model::solve`]; infeasible points report
-    /// [`LpError::Infeasible`] after cold confirmation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row index is out of range or an rhs is not finite.
-    pub fn resolve_with_rhs(&self, updates: &[(usize, f64)]) -> Result<Solution, LpError> {
-        let num_rows = self.model.num_rows();
-        let mut b = self.prepared.b.clone();
-        for &(row, rhs) in updates {
-            assert!(row < num_rows, "row index out of range");
-            assert!(rhs.is_finite(), "constraint rhs must be finite");
-            let (i, v) = self.prepared.standardized_rhs(&self.model, row, rhs);
-            b[i] = v;
-        }
-        let n_cols = self.prepared.cols.num_cols();
-        // A warm point recorded before a `set_objective` is not dual
-        // feasible under the current costs — fall back cold rather than
-        // let the dual simplex "verify" optimality against stale prices.
-        let warm = self
-            .warm
-            .as_ref()
-            .filter(|w| !self.costs_dirty && w.basis.iter().all(|&j| j < n_cols));
-        let cold =
-            || solve_two_phase(&self.prepared, &b, self.model.num_vars()).map(|(sol, _)| sol);
-        let Some(warm) = warm else {
-            return cold();
-        };
-        match resolve_dual(&self.prepared, &b, self.model.num_vars(), warm) {
-            DualOutcome::Optimal(sol, _) => Ok(sol),
-            // Cold-confirm the infeasibility verdict, mirroring `resolve`.
-            DualOutcome::Infeasible(_) => cold(),
-            DualOutcome::Stalled => cold(),
         }
     }
 }
@@ -706,34 +637,6 @@ mod tests {
         // both instead of comparing values.
         warm.certify(inst.model()).unwrap();
         cold.certify(&cold_model).unwrap();
-    }
-
-    #[test]
-    fn resolve_with_rhs_goes_cold_while_costs_dirty() {
-        // A stale-cost warm point must not feed the dual simplex: the
-        // non-mutating sweep path falls back to a cold solve until the
-        // owner resolves the objective change.
-        let (m, (x, _), rows) = classic();
-        let mut inst = m.instance().unwrap();
-        inst.solve().unwrap();
-        inst.set_objective(x, 10.0).unwrap();
-
-        let at = inst.resolve_with_rhs(&[(rows[0], 2.0)]).unwrap();
-        let mut cold_model = m.clone();
-        cold_model.set_objective(x, 10.0);
-        cold_model.set_rhs(rows[0], 2.0);
-        let cold = cold_model.solve().unwrap();
-        assert!(
-            (at.objective() - cold.objective()).abs() <= 1e-9 * (1.0 + cold.objective().abs()),
-            "sweep {} vs cold {}",
-            at.objective(),
-            cold.objective()
-        );
-        // After resolving, the sweep path is warm again.
-        inst.resolve().unwrap();
-        let warm = inst.resolve_with_rhs(&[(rows[0], 2.0)]).unwrap();
-        assert_eq!(warm.objective().to_bits(), at.objective().to_bits());
-        assert!(warm.stats().warm);
     }
 
     #[test]

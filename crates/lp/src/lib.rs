@@ -37,15 +37,13 @@
 //!    basic values, rebuilt at refactorization points) for re-optimizing
 //!    after right-hand-side or bound changes.
 //! 2. **Parametric instances** ([`SimplexInstance`]) — a reusable solver
-//!    built once from a [`Model`]: `solve()` runs cold and caches the
-//!    optimal basis *with its factorization and reduced costs*;
-//!    [`SimplexInstance::set_rhs`] / [`SimplexInstance::set_var_bounds`]
-//!    mutate the frozen standard form in place, and
-//!    [`SimplexInstance::resolve`] dual-simplex-reoptimizes from the
-//!    previous optimal basis. [`SimplexInstance::resolve_with_rhs`] is
-//!    the sweep hot path: a *non-mutating* warm re-solve at modified
-//!    right-hand sides whose only per-call copy is one rhs vector — no
-//!    instance clone, no re-factorization of the shared basis.
+//!    built once from a [`Model`]: `solve()` runs cold and records the
+//!    optimal basis; [`SimplexInstance::set_rhs`] /
+//!    [`SimplexInstance::set_var_bounds`] mutate the frozen standard form
+//!    in place, and [`SimplexInstance::resolve`] dual-simplex-reoptimizes
+//!    from the previous optimal basis. That is the one warm re-solve path,
+//!    and sweeps chain it: each point sets its rhs and calls `resolve()`,
+//!    starting a few dual pivots from its neighbour's optimum.
 //!    [`SimplexInstance::add_column`] grows the frozen standard form by
 //!    one variable *in place* — the CSC matrix gains a column, the basis
 //!    and its factorization are untouched (the new column enters nonbasic
@@ -64,9 +62,8 @@
 //!    the state. [`Solution::stats`] exposes pivot/refactorization/bound-flip/
 //!    pricing counters, so warm-vs-cold work is observable in tests, not
 //!    just wall clock; they count the work a call did (phase 2 only when
-//!    phase 1 was reused). Every re-solve is a pure function of
-//!    `(instance, parameters)`, keeping sweep results bit-identical at
-//!    any thread count.
+//!    phase 1 was reused). Solves are deterministic: the same edits and
+//!    solves in the same order return the same bits at any thread count.
 //! 3. **Modeling layer** ([`Model`], [`Solution`]) — variables with general
 //!    bounds (finite lower bounds are shifted away, free variables split,
 //!    finite upper bounds kept on the columns), `≤`/`≥`/`=` constraints,
@@ -78,8 +75,8 @@
 //! The LPs in this repository are small-to-medium (hundreds of rows, up to
 //! a few tens of thousands of columns) but are re-solved *hundreds of
 //! times* with only capacity right-hand sides changing (§7 sweeps); the
-//! factorized basis, candidate-list pricing, and clone-free warm re-solves
-//! are what make those sweeps cheap.
+//! factorized basis, candidate-list pricing, and warm re-solves chained
+//! from one sweep point to the next are what make those sweeps cheap.
 //!
 //! # Examples
 //!

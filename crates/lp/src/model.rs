@@ -355,7 +355,7 @@ impl Model {
     ///   failure (not expected for well-scaled inputs).
     pub fn solve(&self) -> Result<Solution, LpError> {
         let prepared = Prepared::from_model(self)?;
-        let (sol, _warm) = solve_two_phase(&prepared, &prepared.b, self.num_vars())?;
+        let (sol, _warm) = solve_two_phase(&prepared, self.num_vars())?;
         Ok(sol)
     }
 
@@ -720,33 +720,23 @@ impl Prepared {
         col
     }
 
-    /// Standardizes a prospective rhs value for user row `row` (terms from
-    /// `model`, shifts from this standard form) without touching any
-    /// state: returns `(standardized_row_index, value)`. Exactly the
-    /// arithmetic of [`Prepared::refresh_row_rhs`]: rows without shifted
-    /// variables skip the term walk entirely (subtracting an exact `0.0`
-    /// per term is the identity).
-    pub(crate) fn standardized_rhs(&self, model: &Model, row: usize, rhs: f64) -> (usize, f64) {
-        let (i, sign) = self.row_map[row];
-        if !self.row_has_shift[row] {
-            return (i, rhs * sign);
-        }
-        let r = &model.rows()[row];
-        let mut v = rhs;
-        for &(user_j, coeff) in &r.terms {
-            v -= coeff * self.recover[user_j].shift();
-        }
-        (i, v * sign)
-    }
-
     /// Re-derives the standardized right-hand side of one user row from the
     /// model's current rhs, keeping the column layout and the row-sign
     /// normalization frozen at construction time. A rhs crossing zero may
     /// therefore leave `b[row] < 0`; the solver paths accept that (signed
-    /// artificials cold, dual simplex warm).
+    /// artificials cold, dual simplex warm). Rows without shifted
+    /// variables skip the term walk entirely (subtracting an exact `0.0`
+    /// per term is the identity).
     pub(crate) fn refresh_row_rhs(&mut self, model: &Model, row: usize) {
-        let (i, v) = self.standardized_rhs(model, row, model.rows()[row].rhs);
-        self.b[i] = v;
+        let (i, sign) = self.row_map[row];
+        let r = &model.rows()[row];
+        let mut v = r.rhs;
+        if self.row_has_shift[row] {
+            for &(user_j, coeff) in &r.terms {
+                v -= coeff * self.recover[user_j].shift();
+            }
+        }
+        self.b[i] = v * sign;
     }
 
     /// Re-derives shifts, the objective offset, column upper bounds, and

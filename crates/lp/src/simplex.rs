@@ -20,8 +20,6 @@
 //! sign-flipped) rows.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
-use std::borrow::Cow;
-
 use crate::factor::{Eta, SparseLu};
 use crate::model::{Csc, Prepared};
 use crate::pricing::Pricer;
@@ -64,9 +62,6 @@ pub(crate) struct WarmStart {
     pub basis: Vec<usize>,
     /// Nonbasic-at-upper-bound flag per structural column.
     pub at_upper: Vec<bool>,
-    /// Basis-dependent solver state shared by re-solves (see
-    /// [`prime_warm`]); `None` means each re-solve recomputes it.
-    pub cache: Option<WarmCache>,
 }
 
 impl WarmStart {
@@ -78,56 +73,14 @@ impl WarmStart {
     /// `old_num_cols + row`, so after the append a stale artificial index
     /// would alias the new structural column and silently corrupt the
     /// basis. Otherwise the new column joins as nonbasic at its lower
-    /// bound (the basis stays primal feasible) and any cached reduced
-    /// costs are dropped: the appended column's price is unknown to the
-    /// cache, which is the whole reason it was generated.
+    /// bound (the basis stays primal feasible).
     pub(crate) fn push_column(&mut self, old_num_cols: usize) -> bool {
         if self.basis.iter().any(|&j| j >= old_num_cols) {
             return false;
         }
         self.at_upper.push(false);
-        self.cache = None;
         true
     }
-}
-
-/// Cached per-basis dual-simplex start state: the refactorized basis
-/// representation and the structural reduced costs. Both depend only on
-/// `(columns, costs, basis)` — never on rhs or bound *values* — so one
-/// computation serves every parameter point re-solved from the same
-/// basis. Cloning it (per sweep point) copies the LU arrays, which is far
-/// cheaper than refactorizing.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmCache {
-    repr: BasisRepr,
-    rc: Vec<f64>,
-}
-
-/// Computes the [`WarmCache`] for a warm-start point, exactly as the next
-/// [`resolve_dual`] would (same refactorization, same reduced-cost
-/// arithmetic — re-solve results are bit-identical with or without the
-/// cache). No-op if a cache is already present, the basis still contains
-/// artificials (re-solves fall back to cold there), or factorization
-/// fails (the re-solve will discover that itself and fall back).
-pub(crate) fn prime_warm(prepared: &Prepared, warm: &mut WarmStart) {
-    if warm.cache.is_some() {
-        return;
-    }
-    let n_cols = prepared.cols.num_cols();
-    if warm.basis.iter().any(|&j| j >= n_cols) {
-        return;
-    }
-    let Ok((t, _)) = State::from_basis(prepared, &prepared.b, warm) else {
-        return;
-    };
-    let costs = &prepared.costs;
-    let cost_fn = move |j: usize| if j < costs.len() { costs[j] } else { 0.0 };
-    let y = t.duals(&cost_fn);
-    let rc = (0..n_cols)
-        .map(|j| t.reduced_cost(j, &y, &cost_fn))
-        .collect();
-    let repr = t.repr.into_owned();
-    warm.cache = Some(WarmCache { repr, rc });
 }
 
 /// The basis representation: sparse LU factors of the basis at the last
@@ -159,10 +112,8 @@ pub(crate) struct State<'a> {
     /// Basic column per row (indices ≥ `cols.num_cols()` denote
     /// artificials).
     basis: Vec<usize>,
-    /// Basis representation. Borrowed (from a shared [`WarmCache`]) until
-    /// the first pivot/refactorization clones it — zero-pivot re-solves
-    /// never copy the factorization at all.
-    repr: Cow<'a, BasisRepr>,
+    /// Basis representation.
+    repr: BasisRepr,
     /// Refactorize after this many pivots ([`REFACTOR_EVERY`] outside
     /// tests).
     refactor_every: usize,
@@ -181,8 +132,9 @@ impl<'a> State<'a> {
     /// lower bound, from a slack crash basis: rows whose slack can sit
     /// basic at a feasible value (`b_i ≥ 0` and a `+1` singleton slack)
     /// start on the slack, every other row on its artificial.
-    fn new(prepared: &'a Prepared, b: &[f64], refactor_every: usize) -> Result<Self, LpError> {
+    fn new(prepared: &'a Prepared, refactor_every: usize) -> Result<Self, LpError> {
         let cols = &prepared.cols;
+        let b = &prepared.b;
         let m = b.len();
         let art_sign: Vec<f64> = b
             .iter()
@@ -215,14 +167,14 @@ impl<'a> State<'a> {
             upper: &prepared.upper,
             n_arts: m,
             m,
-            b_eff: b.to_vec(),
+            b_eff: b.clone(),
             at_upper: vec![false; cols.num_cols()],
             art_sign,
             basis,
-            repr: Cow::Owned(BasisRepr {
+            repr: BasisRepr {
                 lu,
                 etas: Vec::new(),
-            }),
+            },
             refactor_every,
             iterations: 0,
             refactors: 0,
@@ -235,18 +187,13 @@ impl<'a> State<'a> {
         Ok(state)
     }
 
-    /// State over an existing basis + bound status (warm start). When the
-    /// warm point carries a [`WarmCache`], its representation is adopted
-    /// directly (no refactorization) and the cached reduced costs are
-    /// returned alongside. Fails with [`LpError::Singular`] if the
+    /// State over an existing basis + bound status (warm start), with the
+    /// basis refactorized. Fails with [`LpError::Singular`] if the
     /// recorded basis cannot be factorized.
-    fn from_basis(
-        prepared: &'a Prepared,
-        b: &[f64],
-        warm: &'a WarmStart,
-    ) -> Result<(Self, Option<Vec<f64>>), LpError> {
+    fn from_basis(prepared: &'a Prepared, warm: &WarmStart) -> Result<Self, LpError> {
         let cols = &prepared.cols;
         let upper = &prepared.upper;
+        let b = &prepared.b;
         let m = b.len();
         let basis = warm.basis.clone();
         let at_upper = warm.at_upper.clone();
@@ -257,7 +204,7 @@ impl<'a> State<'a> {
             .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
             .collect();
         // Effective rhs folds in every nonbasic-at-upper contribution.
-        let mut b_eff = b.to_vec();
+        let mut b_eff = b.clone();
         for j in 0..cols.num_cols() {
             if at_upper[j] {
                 let (rows, vals) = cols.col(j);
@@ -266,18 +213,6 @@ impl<'a> State<'a> {
                 }
             }
         }
-        let (repr, cached_rc, need_refactor) = match &warm.cache {
-            Some(WarmCache { repr, rc }) => (Cow::Borrowed(repr), Some(rc.clone()), false),
-            None => {
-                // A placeholder representation: `refactor` below fills it
-                // in from the recorded basis before any solve touches it.
-                let repr = BasisRepr {
-                    lu: SparseLu::placeholder(),
-                    etas: Vec::new(),
-                };
-                (Cow::Owned(repr), None, true)
-            }
-        };
         let mut state = State {
             cols,
             upper,
@@ -287,17 +222,20 @@ impl<'a> State<'a> {
             at_upper,
             art_sign,
             basis,
-            repr,
+            // A placeholder representation: `refactor` below fills it in
+            // from the recorded basis before any solve touches it.
+            repr: BasisRepr {
+                lu: SparseLu::placeholder(),
+                etas: Vec::new(),
+            },
             refactor_every: REFACTOR_EVERY,
             iterations: 0,
             refactors: 0,
             bound_flips: 0,
             full_prices: 0,
         };
-        if need_refactor {
-            state.refactor()?;
-        }
-        Ok((state, cached_rc))
+        state.refactor()?;
+        Ok(state)
     }
 
     /// The column of A for index `j` (artificials are signed unit columns).
@@ -478,7 +416,7 @@ impl<'a> State<'a> {
     /// the pivot's eta to the representation (product-form update).
     fn pivot(&mut self, r: usize, j: usize, d: &[f64]) {
         debug_assert!(d[r].abs() > TOL, "pivot on ~zero element");
-        self.repr.to_mut().etas.push(Eta::from_pivot(r, d));
+        self.repr.etas.push(Eta::from_pivot(r, d));
         self.basis[r] = j;
     }
 
@@ -490,7 +428,7 @@ impl<'a> State<'a> {
         let cols = self.cols;
         let basis = &self.basis;
         let art_sign = &self.art_sign;
-        let repr = self.repr.to_mut();
+        let repr = &mut self.repr;
         repr.lu = SparseLu::factor(m, TOL * 1e-3, |k, out| {
             let j = basis[k];
             if j < cols.num_cols() {
@@ -673,26 +611,21 @@ pub(crate) enum DualOutcome {
 /// a right-hand-side or bound change.
 ///
 /// The warm point must come from a previous optimal solve of the same
-/// `prepared` columns (same costs); only `b` and the bound values may have
-/// changed. Artificials are barred from entering, mirroring phase 2. A
+/// `prepared` columns (same costs); only the rhs and the bound values may
+/// have changed. Artificials are barred from entering, mirroring phase 2. A
 /// basic variable can violate either of its bounds; the leaving choice
 /// picks the largest devex-weighted violation on either side and the dual
 /// ratio test admits entering candidates from both bounds with the
 /// matching sign condition.
-pub(crate) fn resolve_dual(
-    prepared: &Prepared,
-    b: &[f64],
-    num_vars: usize,
-    warm: &WarmStart,
-) -> DualOutcome {
+pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStart) -> DualOutcome {
     let n_cols = prepared.cols.num_cols();
-    let Ok((mut t, cached_rc)) = State::from_basis(prepared, b, warm) else {
+    let Ok(mut t) = State::from_basis(prepared, warm) else {
         return DualOutcome::Stalled;
     };
     let costs = &prepared.costs;
     let cost_fn = move |j: usize| if j < costs.len() { costs[j] } else { 0.0 };
 
-    let b_scale: f64 = b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+    let b_scale: f64 = prepared.b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
     let feas_tol = TOL * (1.0 + b_scale);
     let mut budget = warm_budget(t.m);
     let mut since_refactor = 0usize;
@@ -708,18 +641,11 @@ pub(crate) fn resolve_dual(
     //   duals and no second pass over the column nonzeros;
     // * `in_basis`: two flag writes per pivot instead of an O(n) rebuild.
     let mut x = t.basic_values();
-    let mut rc: Vec<f64> = match cached_rc {
-        // The cached reduced costs are exactly what the recomputation
-        // below would produce (same repr, same arithmetic).
-        Some(rc) => rc,
-        None => {
-            let y = t.duals(&cost_fn);
-            t.full_prices += 1;
-            (0..n_cols)
-                .map(|j| t.reduced_cost(j, &y, &cost_fn))
-                .collect()
-        }
-    };
+    let y = t.duals(&cost_fn);
+    t.full_prices += 1;
+    let mut rc: Vec<f64> = (0..n_cols)
+        .map(|j| t.reduced_cost(j, &y, &cost_fn))
+        .collect();
     let mut in_basis = basis_mask(&t, n_cols + t.n_arts);
     let mut alphas = vec![0.0f64; n_cols];
     // Reused per-pivot buffers (no per-pivot allocation).
@@ -768,7 +694,6 @@ pub(crate) fn resolve_dual(
             let warm = WarmStart {
                 basis: t.basis,
                 at_upper: t.at_upper,
-                cache: None,
             };
             return DualOutcome::Optimal(sol, warm);
         };
@@ -824,7 +749,6 @@ pub(crate) fn resolve_dual(
             let warm = WarmStart {
                 basis: t.basis,
                 at_upper: t.at_upper,
-                cache: None,
             };
             return DualOutcome::Infeasible(warm);
         };
@@ -927,16 +851,13 @@ pub(crate) enum PrimalOutcome {
 /// (feasibility depends only on `A`, `b`, and bounds) but its reduced
 /// costs are stale, so dual-simplex warm starts are unsound; instead we
 /// resume the phase-2 primal loop from the old basis with artificials
-/// barred. The warm point's cached reduced costs (if any) are ignored —
-/// they were computed under the old costs — but a cached basis
-/// *representation* is cost-independent and is adopted as-is.
+/// barred.
 ///
 /// Primal feasibility of the warm point is verified up front (a caller
 /// that chained rhs/bound edits since the last re-solve may have broken
 /// it); violations return [`PrimalOutcome::Stalled`] for a cold fallback.
 pub(crate) fn resolve_primal(
     prepared: &Prepared,
-    b: &[f64],
     num_vars: usize,
     warm: &WarmStart,
 ) -> PrimalOutcome {
@@ -944,11 +865,11 @@ pub(crate) fn resolve_primal(
     if warm.basis.iter().any(|&j| j >= n_cols) {
         return PrimalOutcome::Stalled;
     }
-    let Ok((mut t, _cached_rc)) = State::from_basis(prepared, b, warm) else {
+    let Ok(mut t) = State::from_basis(prepared, warm) else {
         return PrimalOutcome::Stalled;
     };
     let x = t.basic_values();
-    let b_scale: f64 = b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+    let b_scale: f64 = prepared.b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
     let feas_tol = TOL * (1.0 + b_scale);
     for (i, &xi) in x.iter().enumerate() {
         let ub = t.upper_of(t.basis[i]);
@@ -966,7 +887,6 @@ pub(crate) fn resolve_primal(
             let warm = WarmStart {
                 basis: t.basis,
                 at_upper: t.at_upper,
-                cache: None,
             };
             PrimalOutcome::Optimal(sol, Box::new(warm))
         }
@@ -1061,10 +981,9 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
 /// point for warm re-solves.
 pub(crate) fn solve_two_phase(
     prepared: &Prepared,
-    b: &[f64],
     num_vars: usize,
 ) -> Result<(Solution, WarmStart), LpError> {
-    phase_two(prepared, phase_one(prepared, b, REFACTOR_EVERY)?, num_vars)
+    phase_two(prepared, phase_one(prepared, REFACTOR_EVERY)?, num_vars)
 }
 
 /// Where a cold solve's phase 2 starts: the end state of phase 1 and of
@@ -1109,16 +1028,12 @@ impl Phase1 {
 /// slack crash basis), the feasibility verdict, and the pivot-outs of
 /// lingering artificials, at an explicit refactorization cadence (the
 /// tests pin that the cadence never changes the optimum).
-pub(crate) fn phase_one(
-    prepared: &Prepared,
-    b: &[f64],
-    refactor_every: usize,
-) -> Result<Phase1, LpError> {
-    let m = b.len();
+pub(crate) fn phase_one(prepared: &Prepared, refactor_every: usize) -> Result<Phase1, LpError> {
+    let m = prepared.b.len();
     let n_cols = prepared.cols.num_cols();
     let mut iter_budget = 200 * (m + 1) + 20 * n_cols + 20_000;
 
-    let mut t = State::new(prepared, b, refactor_every)?;
+    let mut t = State::new(prepared, refactor_every)?;
 
     let phase1_cost = move |j: usize| if j >= n_cols { 1.0 } else { 0.0 };
     match run_phase(&mut t, &phase1_cost, &|_| true, &mut iter_budget)? {
@@ -1136,7 +1051,7 @@ pub(crate) fn phase_one(
         .filter(|&(_, &j)| j >= n_cols)
         .map(|(i, _)| x[i].max(0.0))
         .sum();
-    if infeas > TOL * (1.0 + b.iter().sum::<f64>().abs()) {
+    if infeas > TOL * (1.0 + prepared.b.iter().sum::<f64>().abs()) {
         return Err(LpError::Infeasible);
     }
 
@@ -1170,7 +1085,7 @@ pub(crate) fn phase_one(
         at_upper: t.at_upper,
         b_eff: t.b_eff,
         art_sign: t.art_sign,
-        repr: t.repr.into_owned(),
+        repr: t.repr,
         refactor_every: t.refactor_every,
         iter_budget,
         iterations: t.iterations,
@@ -1199,7 +1114,7 @@ pub(crate) fn phase_two(
         at_upper: start.at_upper,
         art_sign: start.art_sign,
         basis: start.basis,
-        repr: Cow::Owned(start.repr),
+        repr: start.repr,
         refactor_every: start.refactor_every,
         iterations: start.iterations,
         refactors: start.refactors,
@@ -1218,7 +1133,6 @@ pub(crate) fn phase_two(
     let warm = WarmStart {
         basis: t.basis,
         at_upper: t.at_upper,
-        cache: None,
     };
     Ok((sol, warm))
 }
@@ -1544,7 +1458,7 @@ mod tests {
         m.add_le(&[(y, 2.0)], 12.0);
         m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
         let p = Prepared::from_model(&m).unwrap();
-        let start = super::phase_one(&p, &p.b, 1).unwrap();
+        let start = super::phase_one(&p, 1).unwrap();
         let (every_pivot, _) = super::phase_two(&p, start, m.num_vars()).unwrap();
         let default = m.solve().unwrap();
         assert!((every_pivot.objective() - 36.0).abs() < 1e-7);
