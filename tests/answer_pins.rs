@@ -251,19 +251,19 @@ fn quorumd_session_replay_is_pinned() {
 
     const REPLAY: [u64; 5] = [
         0x21b1_e58e_dd8c_26c9,
-        0x342c_1c77_cc33_49b5,
-        0x35cf_943f_568f_8334,
-        0x2352_78e2_a765_4d1c,
-        0x14d0_6f02_abe4_044c,
+        0x3302_31e8_5236_e2dd,
+        0x99e7_06bb_2ee6_1343,
+        0xa068_775c_88ce_61f0,
+        0xa7d9_2d1a_6db0_a96f,
     ];
     const STATUS: [u64; 8] = [
         40,
         0x3fdf_3b64_5a1c_ac08,
         0x405e_542f_41fc_e3ef,
-        0x4064_b4b4_8c01_c24b,
+        0x4064_b4b4_8c01_c24c,
         0xcbf2_9ce4_8422_2325,
         0x4010_bb8f_fd5f_6e0b,
-        13027,
+        7233,
         0,
     ];
     assert_eq!(replay, REPLAY, "replay pin moved: {replay:#x?}");
