@@ -71,7 +71,8 @@ pub struct SimplexInstance {
     /// Optimal (dual-feasible) warm-start point — basis plus the
     /// nonbasic-at-upper-bound flags — of the last successful solve.
     warm: Option<WarmStart>,
-    /// Set by [`SimplexInstance::set_objective`]: the frozen costs changed
+    /// Set by [`SimplexInstance::set_objectives`] and
+    /// [`SimplexInstance::add_column`]: the frozen costs changed
     /// since the warm point was recorded, so its reduced costs are stale
     /// and dual-simplex warm starts are unsound until the next primal (or
     /// cold) re-solve clears the flag.
@@ -159,21 +160,6 @@ impl SimplexInstance {
         self.prepared.refresh_bounds(&self.model);
         self.phase1 = None;
         Ok(())
-    }
-
-    /// Changes the objective coefficient of variable `v`: the one-element
-    /// case of [`set_objectives`](Self::set_objectives).
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::InvalidModel`] if `obj` is not finite. The instance is
-    /// unchanged on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn set_objective(&mut self, v: VarId, obj: f64) -> Result<(), LpError> {
-        self.set_objectives(&[(v, obj)])
     }
 
     /// Changes the objective coefficients of the listed variables — the
@@ -303,8 +289,8 @@ impl SimplexInstance {
     /// Re-solves after mutations, warm-starting from the previous optimal
     /// basis: with the dual simplex after rhs/bound changes (the basis
     /// stays dual feasible) and with the primal simplex after
-    /// [`set_objective`](Self::set_objective) (the basis stays primal
-    /// feasible). Falls back to a cold [`solve`](Self::solve) when no warm
+    /// [`set_objectives`](Self::set_objectives) or
+    /// [`add_column`](Self::add_column) (the basis stays primal feasible). Falls back to a cold [`solve`](Self::solve) when no warm
     /// basis exists, when the warm basis still contains artificials
     /// (redundant rows), or on numerical trouble — so the result is always
     /// as trustworthy as a cold solve, just cheaper in the common case.
@@ -562,7 +548,7 @@ mod tests {
         let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = inst.set_objective(x, bad).unwrap_err();
+            let err = inst.set_objectives(&[(x, bad)]).unwrap_err();
             assert!(matches!(err, LpError::InvalidModel { .. }));
         }
         let sol = inst.resolve().unwrap();
@@ -577,8 +563,7 @@ mod tests {
         assert!((cold.objective() - 36.0).abs() < 1e-7);
 
         // Flip the profit balance: max 5x + y now prefers x=4.
-        inst.set_objective(x, 5.0).unwrap();
-        inst.set_objective(y, 1.0).unwrap();
+        inst.set_objectives(&[(x, 5.0), (y, 1.0)]).unwrap();
         let warm = inst.resolve().unwrap();
         assert!(warm.stats().warm, "expected the primal warm path");
 
@@ -604,7 +589,7 @@ mod tests {
         let cold = inst.solve().unwrap();
         // Setting the same coefficient keeps the dual warm path (no dirty
         // flag), and the re-solve costs zero pivots.
-        inst.set_objective(x, 3.0).unwrap();
+        inst.set_objectives(&[(x, 3.0)]).unwrap();
         let warm = inst.resolve().unwrap();
         assert_eq!(warm.stats().iterations, 0);
         assert_eq!(warm.objective().to_bits(), cold.objective().to_bits());
@@ -617,7 +602,7 @@ mod tests {
         inst.solve().unwrap();
 
         inst.set_rhs(rows[2], 24.0);
-        inst.set_objective(y, 2.0).unwrap();
+        inst.set_objectives(&[(y, 2.0)]).unwrap();
         inst.set_rhs(rows[0], 6.0);
         let warm = inst.resolve().unwrap();
 
@@ -649,10 +634,10 @@ mod tests {
         m.add_ge(&[(x, 1.0)], 1.0);
         let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
-        inst.set_objective(x, -1.0).unwrap();
+        inst.set_objectives(&[(x, -1.0)]).unwrap();
         assert_eq!(inst.resolve().unwrap_err(), LpError::Unbounded);
         // And back: the instance recovers.
-        inst.set_objective(x, 2.0).unwrap();
+        inst.set_objectives(&[(x, 2.0)]).unwrap();
         let back = inst.resolve().unwrap();
         assert!((back.objective() - 2.0).abs() < 1e-7);
     }

@@ -212,7 +212,7 @@ proptest! {
                 LpDelta::Cost { pick, scale } => {
                     let v = VarId::from_index(pick % (n * m));
                     let cur = instance.model().objective_coeff(v);
-                    instance.set_objective(v, cur * scale).unwrap();
+                    instance.set_objectives(&[(v, cur * scale)]).unwrap();
                 }
             }
             match (instance.resolve(), instance.model().solve()) {
