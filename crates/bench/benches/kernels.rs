@@ -173,7 +173,6 @@ fn bench_lp_solver(c: &mut Criterion) {
     let pl_caps = CapacityProfile::uniform(pl.len(), 1.0);
     let slack2 = ManyToOneConfig {
         capacity_slack: 2.0,
-        ..ManyToOneConfig::default()
     };
     group.bench_function("manyone_best_placement_grid5_planetlab50", |b| {
         b.iter(|| {

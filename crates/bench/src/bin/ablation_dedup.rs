@@ -43,7 +43,6 @@ fn main() {
         2,
         &ManyToOneConfig {
             capacity_slack: 2.0,
-            ..ManyToOneConfig::default()
         },
     )
     .expect("feasible at capacity 1.0")

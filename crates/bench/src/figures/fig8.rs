@@ -58,7 +58,6 @@ pub fn fig8_9(scale: Scale) -> Table {
     // even at tight capacities (see `ManyToOneConfig::capacity_slack`).
     let m2o = ManyToOneConfig {
         capacity_slack: 2.0,
-        ..ManyToOneConfig::default()
     };
     // Every sweep point is an independent run of the full iterative
     // algorithm (two LPs per iteration) — the coarsest useful parallel

@@ -42,16 +42,18 @@ use crate::capacity::CapacityProfile;
 use crate::CoreError;
 use crate::Placement;
 
+/// Lin–Vitter filtering parameter `ε > 0`; larger values keep more of
+/// the fractional solution (weaker distance guarantee, milder capacity
+/// inflation). The classical choice `ε = 1` bounds surviving assignments
+/// by `2 D_u` and capacity inflation by `2`.
+const EPSILON: f64 = 1.0;
+
+/// Support-graph entries at or below this threshold are treated as zero.
+const SUPPORT_TOL: f64 = 1e-9;
+
 /// Tunables for the many-to-one pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManyToOneConfig {
-    /// Lin–Vitter filtering parameter `ε > 0`; larger values keep more of
-    /// the fractional solution (weaker distance guarantee, milder capacity
-    /// inflation). The classical choice `ε = 1` bounds surviving
-    /// assignments by `2 D_u` and capacity inflation by `2`.
-    pub epsilon: f64,
-    /// Support-graph entries below this threshold are treated as zero.
-    pub support_tol: f64,
     /// Multiplier (≥ 1) applied to capacities inside the placement LP and
     /// the rounding pass. The paper's algorithm is *almost*
     /// capacity-respecting — "the load can exceed the capacity only by a
@@ -65,8 +67,6 @@ pub struct ManyToOneConfig {
 impl Default for ManyToOneConfig {
     fn default() -> Self {
         ManyToOneConfig {
-            epsilon: 1.0,
-            support_tol: 1e-9,
             capacity_slack: 1.0,
         }
     }
@@ -183,15 +183,14 @@ fn place_on(
     let effective_cap = |w: usize| caps.get(NodeId::new(w)) * config.capacity_slack;
 
     // ---- 1 and 2. Fractional LP, Lin–Vitter filtering. ----
-    let (lp_objective, x) = filtered_lp(lp, vars, net, v0, weights, config.epsilon)?;
+    let (lp_objective, x) = filtered_lp(lp, vars, net, v0, weights)?;
 
     // ---- 3. Integralize the forest-shaped support. ----
-    let tol = config.support_tol;
     let mut assignment: Vec<Option<usize>> = vec![None; n];
     let mut residual_load = vec![0.0; v_count];
     let mut fractional: Vec<usize> = Vec::new();
     for u in 0..n {
-        let support: Vec<usize> = (0..v_count).filter(|&w| x[u][w] > tol).collect();
+        let support: Vec<usize> = (0..v_count).filter(|&w| x[u][w] > SUPPORT_TOL).collect();
         match support.len() {
             0 => {
                 // Numerically lost mass: treat as free to place anywhere
@@ -210,7 +209,7 @@ fn place_on(
     // cheapest surviving node with room, else the node with the most slack.
     fractional.sort_by(|&a, &b| weights[b].partial_cmp(&weights[a]).expect("finite weights"));
     for u in fractional {
-        let mut support: Vec<usize> = (0..v_count).filter(|&w| x[u][w] > tol).collect();
+        let mut support: Vec<usize> = (0..v_count).filter(|&w| x[u][w] > SUPPORT_TOL).collect();
         if support.is_empty() {
             support = (0..v_count).collect();
         }
@@ -338,7 +337,7 @@ fn anchor_costs(
 
 /// Steps 1 and 2 of the pipeline: solves the placement LP `lp` (from
 /// [`placement_lp`], variables `vars`) under anchor `v0`'s costs, then
-/// Lin–Vitter-filters its optimum with parameter `eps`. Returns the LP
+/// Lin–Vitter-filters its optimum with parameter [`EPSILON`]. Returns the LP
 /// objective and the filtered fractions `x[u][w]`: each element's row
 /// sums to 1, and the support is a forest (see the module doc).
 fn filtered_lp(
@@ -347,7 +346,6 @@ fn filtered_lp(
     net: &Network,
     v0: NodeId,
     weights: &[f64],
-    eps: f64,
 ) -> Result<(f64, Vec<Vec<f64>>), CoreError> {
     lp.set_objectives(&anchor_costs(net, v0, weights, vars))?;
     let sol = lp.solve()?;
@@ -355,14 +353,13 @@ fn filtered_lp(
         .iter()
         .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
         .collect();
-    assert!(eps > 0.0, "ε must be positive");
     for row in &mut x {
         let du: f64 = row
             .iter()
             .enumerate()
             .map(|(w, &f)| f * net.distance(v0, NodeId::new(w)))
             .sum();
-        let cutoff = (1.0 + eps) * du;
+        let cutoff = (1.0 + EPSILON) * du;
         let mut kept = 0.0;
         for (w, f) in row.iter_mut().enumerate() {
             // Keep zero-distance entries always (cutoff may be 0 when the
@@ -592,7 +589,6 @@ mod tests {
             }
             a
         }
-        let tol = ManyToOneConfig::default().support_tol;
         let mut solved = 0;
         for seed in 0..48u64 {
             let h = |k: usize| qp_par::job_seed(0xf0_2e57 + seed, k);
@@ -625,7 +621,7 @@ mod tests {
             let mut lp = model.instance().unwrap();
             for anchor in 0..3 {
                 let v0 = NodeId::new((h(4 + anchor) % v_count as u64) as usize);
-                let (_, x) = match filtered_lp(&mut lp, &vars, &net, v0, &weights, 1.0) {
+                let (_, x) = match filtered_lp(&mut lp, &vars, &net, v0, &weights) {
                     Ok(out) => out,
                     Err(CoreError::Infeasible) => continue,
                     Err(e) => panic!("seed {seed}: {e}"),
@@ -641,7 +637,7 @@ mod tests {
                         "seed {seed}: element {u} sums to {sum}"
                     );
                     for (w, &f) in row.iter().enumerate() {
-                        if f > tol {
+                        if f > SUPPORT_TOL {
                             edges += 1;
                             touched[u] = true;
                             touched[n + w] = true;
@@ -760,7 +756,6 @@ mod tests {
             );
             let config = ManyToOneConfig {
                 capacity_slack: [1.0, 2.0][(h(3) % 2) as usize],
-                ..ManyToOneConfig::default()
             };
             let shared = best_placement(&net, &quorums, &probs, &caps, &config);
             let oracle = independent_best_placement(&net, &quorums, &probs, &caps, &config);

@@ -88,7 +88,6 @@ fn iterative_improves_on_one_to_one_when_colocatable() {
         2,
         &ManyToOneConfig {
             capacity_slack: 2.0,
-            ..ManyToOneConfig::default()
         },
     )
     .unwrap();
