@@ -602,6 +602,10 @@ mod tests {
         for d in [
             Delta::Slowdown {
                 site: 4,
+                factor: 1e50,
+            },
+            Delta::Slowdown {
+                site: 4,
                 factor: 1e308,
             },
             Delta::Demand {

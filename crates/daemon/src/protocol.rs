@@ -29,7 +29,9 @@ pub enum Delta {
     Slowdown {
         /// Node index of the slowed site.
         site: usize,
-        /// Multiplicative factor (> 0; `1.0` clears the slowdown).
+        /// Multiplicative factor in `(0, 1e5]` (`1.0` clears the
+        /// slowdown); a session refuses a larger one, which the LP cannot
+        /// resolve.
         factor: f64,
     },
     /// Client `loc`'s demand weight becomes `weight`.

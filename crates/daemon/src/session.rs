@@ -27,6 +27,19 @@ const JITTER: f64 = 1e-7;
 /// directory.
 const MIN_DEMAND_SHARE: f64 = 1e-9;
 
+/// Largest slowdown factor a site may take. A huge factor stretches the
+/// objective over more decades than the solver's tolerance resolves.
+/// Probed in powers of ten on one host site each of planetlab50 `grid:3`
+/// and `grid:5` and daxlist161 `grid:7`, at demand 0 and 16000, the
+/// smallest breaking factor was 1e7: from there `cold_check` hit the LP
+/// iteration limit on daxlist161 `grid:7`, and from 1e8 `apply` itself
+/// failed there at demand 16000, leaving the session degraded. On
+/// planetlab50 the check broke from 1e8 (`grid:5`) and 1e10 (`grid:3`).
+/// Every factor up to 1e6 passed, and so did every factor down to
+/// 1e-300. So the bound sits two decades below the first failure, and
+/// there is no lower bound beyond `> 0`.
+const MAX_SLOWDOWN: f64 = 1e5;
+
 /// Everything needed to open a [`Session`].
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -458,8 +471,10 @@ impl Session {
         }
         let total = demand_total(&state.raw_weights)
             .map_err(|m| SessionError::Config(format!("persisted {m}")))?;
-        if state.slowdown.iter().any(|f| !f.is_finite() || *f <= 0.0) {
-            return bad("persisted slowdown factor must be finite and > 0".into());
+        if let Some(f) = state.slowdown.iter().find(|&&f| !slowdown_ok(f)) {
+            return bad(format!(
+                "persisted slowdown factor {f:e} must be > 0 and ≤ {MAX_SLOWDOWN:e}"
+            ));
         }
         if state.crashed.iter().any(|&w| w >= n) {
             return bad(format!("persisted crashed node out of range for {n} nodes"));
@@ -537,9 +552,9 @@ impl Session {
                         "site {site} out of range for {n} nodes"
                     )));
                 }
-                if !factor.is_finite() || factor <= 0.0 {
+                if !slowdown_ok(factor) {
                     return Err(SessionError::BadDelta(format!(
-                        "slowdown factor {factor} must be finite and > 0"
+                        "slowdown factor {factor:e} must be > 0 and ≤ {MAX_SLOWDOWN:e}"
                     )));
                 }
                 let mut slowdown = self.slowdown.clone();
@@ -976,6 +991,12 @@ fn strategies(q: &[Vec<f64>]) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Whether `factor` is a slowdown factor the LP resolves: in
+/// `(0, MAX_SLOWDOWN]`, which also refuses NaN and infinities.
+fn slowdown_ok(factor: f64) -> bool {
+    factor > 0.0 && factor <= MAX_SLOWDOWN
+}
+
 /// The total of the raw demand weights `raw` (each finite and ≥ 0), or
 /// why they cannot be normalized into shares the LP resolves: the total
 /// is zero or overflows, or a positive weight's share of it is below
@@ -1255,10 +1276,11 @@ mod tests {
         assert_eq!(s.status().seq, seq + 1);
     }
 
-    /// A slowdown factor that passes the finite-and-positive check but
-    /// overflows a delay is refused before anything is written: the
+    /// A slowdown factor above [`MAX_SLOWDOWN`] (one that overflows a
+    /// delay among them) is refused before anything is written: the
     /// persisted state, the effective delays and the resident LP's costs
-    /// are unchanged, and the session keeps passing its cold check.
+    /// are unchanged, and the session keeps passing its cold check. The
+    /// bound itself is accepted.
     #[test]
     fn overflowing_slowdown_is_refused_without_writing() {
         let mut s = session(4);
@@ -1272,7 +1294,7 @@ mod tests {
                 .collect()
         };
         let before = costs(&s);
-        for factor in [1e308, f64::MAX] {
+        for factor in [1e50, 1e308, f64::MAX] {
             assert!(matches!(
                 s.apply(&Delta::Slowdown { site, factor }),
                 Err(SessionError::BadDelta(_))
@@ -1283,15 +1305,19 @@ mod tests {
             assert!(s.cold_check().unwrap().ok);
         }
         // A restored state carrying such a factor is refused the same way.
-        let mut bad = state.clone();
-        bad.slowdown[site] = 1e308;
-        assert!(matches!(
-            s.restore_state(&bad),
-            Err(SessionError::Config(_))
-        ));
-        assert_eq!(s.persisted_state(), state);
-        s.apply(&Delta::Slowdown { site, factor: 2.5 }).unwrap();
-        assert!(s.cold_check().unwrap().ok);
+        for factor in [1e50, 1e308] {
+            let mut bad = state.clone();
+            bad.slowdown[site] = factor;
+            assert!(matches!(
+                s.restore_state(&bad),
+                Err(SessionError::Config(_))
+            ));
+            assert_eq!(s.persisted_state(), state);
+        }
+        for factor in [2.5, MAX_SLOWDOWN] {
+            s.apply(&Delta::Slowdown { site, factor }).unwrap();
+            assert!(s.cold_check().unwrap().ok);
+        }
     }
 
     /// Demand weights whose total overflows, or that leave a client a
