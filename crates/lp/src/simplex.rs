@@ -1064,18 +1064,26 @@ pub(crate) fn phase_one(prepared: &Prepared, refactor_every: usize) -> Result<Ph
             continue;
         }
         // Find a nonbasic structural column with a usable pivot in row r.
-        // At-upper columns are skipped: swapping in an at-lower column at
-        // value zero keeps the solution (and `b_eff`) untouched.
+        // At-lower columns come first: swapping one in at value zero keeps
+        // the solution (and `b_eff`) untouched. Failing that, an at-upper
+        // column enters at its bound: the row is not redundant then, and
+        // phase 2 moving that column off its bound would move the
+        // artificial, which has no upper bound, off zero.
         let mask = basis_mask(&t, n_cols + t.n_arts);
-        for j in 0..n_cols {
-            if mask[j] || t.is_at_upper(j) {
-                continue;
-            }
-            let d = t.ftran(j);
-            if d[r].abs() > TOL * 100.0 {
-                t.iterations += 1;
-                t.pivot(r, j, &d);
-                break;
+        'search: for from_upper in [false, true] {
+            for j in 0..n_cols {
+                if mask[j] || t.is_at_upper(j) != from_upper {
+                    continue;
+                }
+                let d = t.ftran(j);
+                if d[r].abs() > TOL * 100.0 {
+                    if from_upper {
+                        t.clear_at_upper(j);
+                    }
+                    t.iterations += 1;
+                    t.pivot(r, j, &d);
+                    break 'search;
+                }
             }
         }
     }
@@ -1445,6 +1453,27 @@ mod tests {
         let x = m.add_var("x", 0.0, 1.0, 1.0);
         m.add_ge(&[(x, 1.0)], 2.0); // x ≤ 1 by bound, x ≥ 2 by row
         assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
+    }
+
+    /// An equality row whose only pivot after phase 1 is a column at its
+    /// upper bound is not redundant: phase 2 must keep it, and may not
+    /// pull the column off its bound by letting the row's artificial grow.
+    #[test]
+    fn artificial_pivoted_out_by_an_at_upper_column() {
+        // x0 = 0 twice over; then 0.5·x1 = 1.5 twice over forces x1 = 3,
+        // its upper bound, although the cost pulls it down to 0.5.
+        let mut m = Model::new(Sense::Minimize);
+        let x0 = m.add_var("x0", 0.0, f64::INFINITY, 4.75);
+        let x1 = m.add_var("x1", 0.5, 3.0, 1.75);
+        m.add_le(&[(x0, -2.25), (x1, 2.25)], 9.0);
+        m.add_eq(&[(x0, 0.75)], 0.0);
+        m.add_eq(&[(x0, -1.75)], 0.0);
+        m.add_eq(&[(x0, 1.0), (x1, -0.5)], -1.5);
+        m.add_eq(&[(x0, 2.0), (x1, 0.5)], 1.5);
+        let sol = m.solve().unwrap();
+        sol.certify(&m).unwrap();
+        assert!((sol.value(x1) - 3.0).abs() < 1e-9, "{:?}", sol.values());
+        assert!((sol.objective() - 5.25).abs() < 1e-9);
     }
 
     /// Frequent refactorization must not change results (it only resets
