@@ -3,9 +3,11 @@
 //! `=` rows, finite, infinite and negative bounds, free variables,
 //! maximization, infeasible models and redundant rows), each
 //! `set_objectives` + `solve()` must return bit for bit what a solve that
-//! runs phase 1 afresh returns, or the same error.
+//! runs phase 1 afresh returns, or the same error. A chain of rhs edits,
+//! each re-solved warm with `resolve()` as a capacity sweep does, must
+//! agree with fresh solves and certify.
 
-use qp_lp::{LpError, Model, Sense, SimplexInstance, Solution, VarId};
+use qp_lp::{LpError, Model, Relation, Sense, SimplexInstance, Solution, VarId};
 
 const INF: f64 = f64::INFINITY;
 
@@ -337,4 +339,78 @@ fn refreshed_offset_keeps_the_sign_of_a_zero_objective() {
     let got = inst.solve();
     m.set_objective(x, 1.0);
     assert_same(&got, &m.solve(), "max x s.t. x = 0");
+}
+
+/// A chain of rhs edits on one instance, each followed by `resolve()`,
+/// the way a capacity sweep runs: every point starts from the previous
+/// point's basis, and some points are infeasible. Each must agree with a
+/// fresh solve of the edited model — the same verdict, the objective to
+/// 1e-9 relative — and the warm solution must certify against the model.
+#[test]
+fn chained_rhs_resolves_match_a_fresh_model_solve() {
+    let (mut points, mut warm, mut infeasible, mut unbounded) = (0, 0, 0, 0);
+    for seed in 0..600 {
+        let mut rng = Rng(0xc4a1_0000 + seed);
+        let mut model = random_model(&mut rng);
+        for (v, c) in random_costs(&mut rng, model.num_vars()) {
+            model.set_objective(v, c);
+        }
+        let mut inst = model.instance().unwrap();
+        let _ = inst.solve();
+        let inequalities: Vec<usize> = model
+            .constraint_rows()
+            .enumerate()
+            .filter(|(_, (_, relation, _))| *relation != Relation::Eq)
+            .map(|(row, _)| row)
+            .collect();
+        for step in 0..6 + rng.below(5) {
+            // Mostly an inequality row, as a capacity sweep edits, nudged
+            // as between neighbouring sweep points; sometimes any row, or
+            // a jump anywhere.
+            let row = if inequalities.is_empty() || rng.below(5) == 0 {
+                rng.below(model.num_rows() as u64) as usize
+            } else {
+                inequalities[rng.below(inequalities.len() as u64) as usize]
+            };
+            let rhs = if rng.below(4) == 0 {
+                rng.quarter(-4, 10)
+            } else {
+                let (_, _, old) = model.constraint_rows().nth(row).unwrap();
+                old + rng.quarter(-1, 1)
+            };
+            inst.set_rhs(row, rhs);
+            model.set_rhs(row, rhs);
+            let case = format!("seed {seed} step {step}: row {row} rhs {rhs}");
+            let got = inst.resolve();
+            let want = model.solve();
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    let scale = 1.0 + w.objective().abs();
+                    assert!(
+                        (g.objective() - w.objective()).abs() <= 1e-9 * scale,
+                        "{case}: objective {} vs {}",
+                        g.objective(),
+                        w.objective()
+                    );
+                    if let Err(e) = g.certify(&model) {
+                        panic!("{case}: {e}");
+                    }
+                    warm += usize::from(g.stats().warm);
+                }
+                (Err(g), Err(w)) => {
+                    assert_eq!(g, w, "{case}: error");
+                    infeasible += usize::from(*g == LpError::Infeasible);
+                    unbounded += usize::from(*g == LpError::Unbounded);
+                }
+                _ => panic!("{case}: got {got:?}, want {want:?}"),
+            }
+            points += 1;
+        }
+    }
+    // Two thirds of the solved points re-solve warm, and the chains
+    // cross infeasible points.
+    assert!(
+        warm >= 900 && infeasible >= 1500,
+        "points {points}, warm {warm}, infeasible {infeasible}, unbounded {unbounded}"
+    );
 }
