@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::simplex::solve_two_phase;
+use crate::simplex::{phase_one, phase_two, REFACTOR_EVERY};
 use crate::{LpError, SimplexInstance, Solution};
 
 /// Identifier of a decision variable within one [`Model`].
@@ -355,7 +355,8 @@ impl Model {
     ///   failure (not expected for well-scaled inputs).
     pub fn solve(&self) -> Result<Solution, LpError> {
         let prepared = Prepared::from_model(self)?;
-        let (sol, _warm) = solve_two_phase(&prepared, self.num_vars())?;
+        let start = phase_one(&prepared, REFACTOR_EVERY)?;
+        let (sol, _warm) = phase_two(&prepared, start, self.num_vars())?;
         Ok(sol)
     }
 

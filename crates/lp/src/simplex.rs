@@ -976,16 +976,6 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
     Solution::new(num_vars, values, objective, duals, stats)
 }
 
-/// Full two-phase cold solve over a prepared standard-form problem.
-/// Returns the solution together with the final (optimal) warm-start
-/// point for warm re-solves.
-pub(crate) fn solve_two_phase(
-    prepared: &Prepared,
-    num_vars: usize,
-) -> Result<(Solution, WarmStart), LpError> {
-    phase_two(prepared, phase_one(prepared, REFACTOR_EVERY)?, num_vars)
-}
-
 /// Where a cold solve's phase 2 starts: the end state of phase 1 and of
 /// the artificial pivot-outs after it — basis, bound flags, effective
 /// rhs, basis representation with its etas, and the pivot budget left.
