@@ -48,7 +48,7 @@ fn model() -> ResponseModel {
 
 /// A solve's strategy bits, delay, capacity duals, solver counters and
 /// pricing counters.
-fn outcome_words(o: &StrategyLpOutcome) -> [u64; 11] {
+fn outcome_words(o: &StrategyLpOutcome) -> [u64; 10] {
     let s = &o.strategy;
     let strategy: Vec<f64> = (0..s.num_clients())
         .flat_map(|v| s.row(v).to_vec())
@@ -60,7 +60,6 @@ fn outcome_words(o: &StrategyLpOutcome) -> [u64; 11] {
         o.stats.iterations as u64,
         o.stats.refactors as u64,
         o.stats.full_prices as u64,
-        o.stats.bound_flips as u64,
         o.colgen.columns_in_master as u64,
         o.colgen.columns_generated as u64,
         o.colgen.oracle_passes as u64,
@@ -128,14 +127,13 @@ fn colgen_solver_outcomes_are_pinned() {
     assert_eq!(weighted.pricing_violations(), Some(0));
     let weighted = outcome_words(&o);
 
-    const SWEEP: [u64; 19] = [
+    const SWEEP: [u64; 18] = [
         0x147a_f2cb_3b61_23e7,
         0x4057_ccee_3fc4_4b25,
         0x6fdc_f15f_dc84_1adf,
         350,
         4,
         52,
-        0,
         430,
         230,
         3,
@@ -147,16 +145,15 @@ fn colgen_solver_outcomes_are_pinned() {
         230,
         12,
         13,
-        0x76b8_291f_9f8d_b116,
+        0xdc8b_99be_272c_7988,
     ];
-    const WEIGHTED: [u64; 11] = [
+    const WEIGHTED: [u64; 10] = [
         0x062c_33e3_e9ec_500a,
         0x4055_f8bb_d4c1_5b9e,
         0x78ea_fb5d_0c33_c495,
         244,
         3,
         34,
-        0,
         401,
         201,
         2,
