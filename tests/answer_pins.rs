@@ -1,6 +1,7 @@
-//! Bit-for-bit pins of the strategy-LP answers on planetlab50 `grid:5`
-//! (the e2ebench quorumd deployment): the restricted master's batch
-//! solves and a `quorumd` session replaying a scripted delta stream.
+//! Bit-for-bit pins of the LP answers on planetlab50 `grid:5` (the
+//! e2ebench quorumd deployment): the restricted master's batch solves, a
+//! `quorumd` session replaying a scripted delta stream, and the
+//! many-to-one placement search over its placement LPs.
 //!
 //! These hold the solver paths still while code around them is
 //! refactored: a change that keeps every answer's bits keeps these
@@ -10,6 +11,7 @@
 
 use quorumnet::core::capacity::{capacity_sweep, CapacityChoice};
 use quorumnet::core::eval::EvalContext;
+use quorumnet::core::manyone::{self, ManyToOneConfig};
 use quorumnet::core::strategy_lp::{self, ColGenSolver, ColumnGeneration, StrategyLpOutcome};
 use quorumnet::daemon::{Answer, Delta, Session, SessionConfig};
 use quorumnet::prelude::*;
@@ -265,4 +267,52 @@ fn quorumd_session_replay_is_pinned() {
     ];
     assert_eq!(replay, REPLAY, "replay pin moved: {replay:#x?}");
     assert_eq!(status, STATUS, "status pin moved: {status:#x?}");
+}
+
+/// The many-to-one placement search under uniform quorum probabilities at
+/// three (capacity, slack) points: a digest of the hosts, and the bits of
+/// the LP objective, the rounded objective and the largest capacity ratio.
+#[test]
+fn manyone_best_placement_is_pinned() {
+    let net = datasets::planetlab_50();
+    let quorums = QuorumSystem::grid(5).unwrap().enumerate(100_000).unwrap();
+    let probs = vec![1.0 / quorums.len() as f64; quorums.len()];
+    let searches: Vec<[u64; 4]> = [(1.0, 2.0), (0.5, 2.0), (0.8, 1.0)]
+        .into_iter()
+        .map(|(capacity, capacity_slack)| {
+            let caps = CapacityProfile::uniform(net.len(), capacity);
+            let config = ManyToOneConfig { capacity_slack };
+            let o = manyone::best_placement(&net, &quorums, &probs, &caps, &config)
+                .unwrap_or_else(|e| panic!("capacity {capacity}, slack {capacity_slack}: {e}"));
+            let hosts = o.placement.as_slice().iter().map(|w| w.index() as u64);
+            [
+                digest_words(hosts),
+                o.lp_objective.to_bits(),
+                o.rounded_objective.to_bits(),
+                o.max_capacity_ratio.to_bits(),
+            ]
+        })
+        .collect();
+
+    const SEARCHES: [[u64; 4]; 3] = [
+        [
+            0xc447_c40e_e48b_27ed,
+            0x4053_0f24_1cf2_69cc,
+            0x4052_bffe_6800_a6fd,
+            0x4001_47ae_147a_e147,
+        ],
+        [
+            0xccbe_f532_2d1d_a8b5,
+            0x4054_064f_9312_8701,
+            0x4057_0850_33b1_1712,
+            0x4001_47ae_147a_e148,
+        ],
+        [
+            0xeb8d_9cd6_220d_7d52,
+            0x4062_7dde_e628_0ab6,
+            0x4063_dc32_dbc8_5399,
+            0x3fec_cccc_cccc_cccc,
+        ],
+    ];
+    assert_eq!(searches, SEARCHES, "many-to-one pin moved: {searches:#x?}");
 }
