@@ -51,10 +51,8 @@ pub fn optimal_load_lp(quorums: &[Quorum], universe: usize) -> Result<(f64, Vec<
         });
     }
     let mut m = Model::new(Sense::Minimize);
-    let l = m.add_var("L", 0.0, f64::INFINITY, 1.0);
-    let ps: Vec<_> = (0..quorums.len())
-        .map(|i| m.add_var(&format!("p{i}"), 0.0, f64::INFINITY, 0.0))
-        .collect();
+    let l = m.add_var(1.0);
+    let ps: Vec<_> = (0..quorums.len()).map(|_| m.add_var(0.0)).collect();
     // Σ p = 1.
     let terms: Vec<_> = ps.iter().map(|&p| (p, 1.0)).collect();
     m.add_eq(&terms, 1.0);

@@ -290,14 +290,9 @@ fn placement_lp(
     let n = weights.len();
     let v_count = net.len();
     let mut model = Model::new(Sense::Minimize);
-    let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(n);
-    for u in 0..n {
-        let mut row = Vec::with_capacity(v_count);
-        for w in 0..v_count {
-            row.push(model.add_var(&format!("x_{u}_{w}"), 0.0, f64::INFINITY, 0.0));
-        }
-        vars.push(row);
-    }
+    let vars: Vec<Vec<VarId>> = (0..n)
+        .map(|_| (0..v_count).map(|_| model.add_var(0.0)).collect())
+        .collect();
     for row in &vars {
         let terms: Vec<_> = row.iter().map(|&x| (x, 1.0)).collect();
         model.add_eq(&terms, 1.0);

@@ -183,9 +183,8 @@ pub fn build_weighted_strategy_model(
     for v in 0..n_clients {
         let mut row_vars = Vec::with_capacity(m);
         for i in 0..m {
-            // No upper bound: Σᵢ q_vi = ŵ_v already caps each q, and the
-            // redundant box costs pivots (see `ColGenSolver::build`).
-            row_vars.push(model.add_var("", 0.0, f64::INFINITY, delta[v][i]));
+            // q_vi ≥ 0; Σᵢ q_vi = ŵ_v caps each q.
+            row_vars.push(model.add_var(delta[v][i]));
         }
         vars.push(row_vars);
     }
@@ -437,12 +436,8 @@ impl<'a> ColGenSolver<'a> {
         for v in 0..n {
             let mut row_vars = Vec::with_capacity(k);
             for &i in &order[v][..k] {
-                // No upper bound: the convexity row caps each p, and the
-                // redundant box costs pivots — on the fully enumerated
-                // daxlist-161 LP it tripled the cold pivot count (370 →
-                // 1049, plus 2002 bound flips) as p's churned between
-                // bounds the convexity row enforces anyway.
-                row_vars.push(model.add_var("", 0.0, f64::INFINITY, weights[v] * pq.delta(v, i)));
+                // p ≥ 0; the convexity row caps each p at 1, as (4.6) asks.
+                row_vars.push(model.add_var(weights[v] * pq.delta(v, i)));
                 col_map.push((v, i));
                 present[v][i] = true;
             }
@@ -572,7 +567,6 @@ impl<'a> ColGenSolver<'a> {
             master_resolves += 1;
             stats.iterations += sol.stats().iterations;
             stats.refactors += sol.stats().refactors;
-            stats.bound_flips += sol.stats().bound_flips;
             stats.full_prices += sol.stats().full_prices;
             warm_any |= sol.stats().warm;
             oracle_passes += 1;
@@ -733,9 +727,7 @@ impl<'a> ColGenSolver<'a> {
                 terms.push((row, w_v * count));
             }
         }
-        let var = self
-            .inst
-            .add_column("", w_v * self.pq.delta(v, i), &terms)?;
+        let var = self.inst.add_column(w_v * self.pq.delta(v, i), &terms)?;
         debug_assert_eq!(var.index(), self.col_map.len());
         self.col_map.push((v, i));
         self.present[v][i] = true;

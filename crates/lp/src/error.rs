@@ -20,8 +20,8 @@ pub enum LpError {
         /// Number of simplex iterations performed.
         iterations: usize,
     },
-    /// A variable or coefficient was invalid (NaN, or a lower bound above an
-    /// upper bound).
+    /// A coefficient or row index was invalid (a non-finite coefficient,
+    /// or a row out of range).
     InvalidModel {
         /// Explanation of the defect.
         reason: String,

@@ -2,9 +2,9 @@
 //!
 //! A `SimplexInstance` freezes one model's standard form (column layout,
 //! costs, row-sign normalization) and lets callers mutate right-hand sides
-//! and variable bounds *in place*, then [`SimplexInstance::resolve`] from
-//! the previous optimal basis with the dual simplex instead of re-running
-//! both phases from scratch. This is the classical parametric-LP
+//! and costs *in place* and append columns, then
+//! [`SimplexInstance::resolve`] from the previous optimal basis instead of
+//! re-running both phases from scratch. This is the classical parametric-LP
 //! answer to the §7 capacity sweeps: hundreds of LPs sharing one
 //! constraint matrix and differing only in capacity rhs values. A sweep
 //! sets each point's rhs and calls `resolve()`, one point after another,
@@ -13,7 +13,7 @@
 //!
 //! The cold [`SimplexInstance::solve`] shares its phase 1 across cost
 //! vectors. Phase 1 and the artificial pivot-outs after it read only the
-//! columns, bounds and rhs, so the instance keeps their end state and a
+//! columns and the rhs, so the instance keeps their end state and a
 //! later cold solve under new costs
 //! ([`SimplexInstance::set_objectives`]) runs phase 2 only — bit for bit
 //! what a full cold solve returns. The many-to-one placement search
@@ -29,19 +29,19 @@ use crate::{LpError, Model, Solution, VarId};
 /// A reusable solver bound to one [`Model`] snapshot.
 ///
 /// Mutators ([`set_rhs`](Self::set_rhs),
-/// [`set_var_bounds`](Self::set_var_bounds)) keep the frozen standard form
-/// in sync; [`solve`](Self::solve) runs a cold two-phase solve and
+/// [`set_objectives`](Self::set_objectives),
+/// [`add_column`](Self::add_column)) keep the frozen standard form in
+/// sync; [`solve`](Self::solve) runs a cold two-phase solve and
 /// [`resolve`](Self::resolve) reoptimizes warm from the last optimal
-/// basis. Changing bounds or right-hand sides never disturbs dual
-/// feasibility (costs are untouched), so `resolve` after any sequence of
-/// such mutations is exact, not approximate; it falls back to a cold solve
-/// on numerical trouble, so it is never *less* reliable than `solve`.
+/// basis. Changing right-hand sides never disturbs dual feasibility
+/// (costs are untouched), so `resolve` after any sequence of such
+/// mutations is exact, not approximate; it falls back to a cold solve on
+/// numerical trouble, so it is never *less* reliable than `solve`.
 ///
-/// The first cold solve keeps its phase-1 end state (the basis, the bound
-/// flags, the effective rhs, the basis factorization with its etas, and
-/// the pivot budget left). Later cold solves start phase 2 from it until
-/// [`set_rhs`](Self::set_rhs), [`set_var_bounds`](Self::set_var_bounds)
-/// or [`add_column`](Self::add_column) drops it;
+/// The first cold solve keeps its phase-1 end state (the basis, the basis
+/// factorization with its etas, and the pivot budget left). Later cold
+/// solves start phase 2 from it until [`set_rhs`](Self::set_rhs) or
+/// [`add_column`](Self::add_column) drops it;
 /// [`set_objectives`](Self::set_objectives) keeps it, because phase 1
 /// never reads the costs.
 ///
@@ -51,8 +51,8 @@ use crate::{LpError, Model, Solution, VarId};
 /// use qp_lp::{Model, Sense};
 ///
 /// let mut m = Model::new(Sense::Minimize);
-/// let x = m.add_var("x", 0.0, f64::INFINITY, 2.0);
-/// let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
+/// let x = m.add_var(2.0);
+/// let y = m.add_var(3.0);
 /// let demand = m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
 /// let mut inst = m.instance()?;
 /// let cold = inst.solve()?;
@@ -68,8 +68,7 @@ use crate::{LpError, Model, Solution, VarId};
 pub struct SimplexInstance {
     model: Model,
     prepared: Prepared,
-    /// Optimal (dual-feasible) warm-start point — basis plus the
-    /// nonbasic-at-upper-bound flags — of the last successful solve.
+    /// Optimal (dual-feasible) basis of the last successful solve.
     warm: Option<WarmStart>,
     /// Set by [`SimplexInstance::set_objectives`] and
     /// [`SimplexInstance::add_column`]: the frozen costs changed
@@ -78,7 +77,7 @@ pub struct SimplexInstance {
     /// cold) re-solve clears the flag.
     costs_dirty: bool,
     /// Phase-1 end state of the last cold solve over the current
-    /// columns, bounds and rhs, with no work counted
+    /// columns and rhs, with no work counted
     /// ([`Phase1::reused`]): the next cold solve starts phase 2 from it.
     phase1: Option<Phase1>,
 }
@@ -91,7 +90,7 @@ impl SimplexInstance {
     ///
     /// Propagates standard-form construction failures.
     pub fn new(model: Model) -> Result<Self, LpError> {
-        let prepared = Prepared::from_model(&model)?;
+        let prepared = Prepared::from_model(&model);
         Ok(SimplexInstance {
             model,
             prepared,
@@ -118,48 +117,6 @@ impl SimplexInstance {
         self.model.set_rhs(row, rhs);
         self.prepared.refresh_row_rhs(&self.model, row);
         self.phase1 = None;
-    }
-
-    /// Changes the bounds of variable `v`. The finiteness *pattern* of the
-    /// bounds must match the original ones (finite stays finite, infinite
-    /// stays infinite): the pattern determines the standard-form column
-    /// layout, which is frozen at construction.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::InvalidModel`] if a bound is NaN, `lower > upper`, or
-    /// the finiteness pattern changes. The instance is unchanged on error —
-    /// long-lived callers (sweep drivers, the placement daemon) can reject
-    /// a bad delta and keep re-solving, where a panic or a silently
-    /// poisoned standard form would take the whole session down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn set_var_bounds(&mut self, v: VarId, lower: f64, upper: f64) -> Result<(), LpError> {
-        if lower.is_nan() || upper.is_nan() {
-            return Err(LpError::InvalidModel {
-                reason: format!("NaN bound for {v}"),
-            });
-        }
-        if lower > upper {
-            return Err(LpError::InvalidModel {
-                reason: format!("lower bound {lower} exceeds upper bound {upper} for {v}"),
-            });
-        }
-        let (old_lo, old_hi) = self.model.var_bounds(v);
-        if old_lo.is_finite() != lower.is_finite() || old_hi.is_finite() != upper.is_finite() {
-            return Err(LpError::InvalidModel {
-                reason: format!(
-                    "bound pattern of {v} changed: [{old_lo}, {old_hi}] -> [{lower}, {upper}] \
-                     (finite/infinite sides are frozen at instance construction)"
-                ),
-            });
-        }
-        self.model.set_var_bounds(v, lower, upper);
-        self.prepared.refresh_bounds(&self.model);
-        self.phase1 = None;
-        Ok(())
     }
 
     /// Changes the objective coefficients of the listed variables — the
@@ -205,7 +162,7 @@ impl SimplexInstance {
         Ok(())
     }
 
-    /// Adds a new nonnegative variable *column-wise* (see
+    /// Adds a new variable `x ≥ 0` *column-wise* (see
     /// [`Model::add_column`]) and extends the frozen standard form in
     /// place — no rebuild, no refactorization of untouched state. This is
     /// the column-generation hot path: the pricing oracle appends each
@@ -223,31 +180,28 @@ impl SimplexInstance {
     ///
     /// [`LpError::InvalidModel`] if `obj` or a coefficient is not finite
     /// or a row index is out of range. The instance is unchanged on error.
-    pub fn add_column(
-        &mut self,
-        name: &str,
-        obj: f64,
-        terms: &[(usize, f64)],
-    ) -> Result<VarId, LpError> {
+    pub fn add_column(&mut self, obj: f64, terms: &[(usize, f64)]) -> Result<VarId, LpError> {
         let combined = self.model.combine_column_terms(terms)?;
         let old_cols = self.prepared.cols.num_cols();
-        let v = self.model.add_column(name, obj, &combined)?;
+        let v = self.model.add_column(obj, &combined)?;
         self.prepared.append_column(obj, &combined);
-        if let Some(w) = &mut self.warm {
-            if !w.push_column(old_cols) {
-                self.warm = None;
-            }
+        if self
+            .warm
+            .as_ref()
+            .is_some_and(|w| w.basis.iter().any(|&j| j >= old_cols))
+        {
+            self.warm = None;
         }
         self.costs_dirty = true;
         self.phase1 = None;
         Ok(v)
     }
 
-    /// Cold two-phase solve; records the optimal basis and its bound flags
-    /// for later warm re-solves.
+    /// Cold two-phase solve; records the optimal basis for later warm
+    /// re-solves.
     ///
     /// Phase 1 runs only if no cold solve has completed it since the
-    /// instance was built or its columns, bounds or rhs last changed;
+    /// instance was built or its columns or rhs last changed;
     /// otherwise phase 2 starts from the kept end state (a phase 1 that
     /// fails keeps nothing). The result is bit for bit
     /// that of a full cold solve. [`Solution::stats`] counts the work this
@@ -287,10 +241,11 @@ impl SimplexInstance {
     }
 
     /// Re-solves after mutations, warm-starting from the previous optimal
-    /// basis: with the dual simplex after rhs/bound changes (the basis
-    /// stays dual feasible) and with the primal simplex after
+    /// basis: with the dual simplex after rhs changes (the basis stays dual
+    /// feasible) and with the primal simplex after
     /// [`set_objectives`](Self::set_objectives) or
-    /// [`add_column`](Self::add_column) (the basis stays primal feasible). Falls back to a cold [`solve`](Self::solve) when no warm
+    /// [`add_column`](Self::add_column) (the basis stays primal feasible).
+    /// Falls back to a cold [`solve`](Self::solve) when no warm
     /// basis exists, when the warm basis still contains artificials
     /// (redundant rows), or on numerical trouble — so the result is always
     /// as trustworthy as a cold solve, just cheaper in the common case.
@@ -319,7 +274,7 @@ impl SimplexInstance {
             let outcome = resolve_primal(&self.prepared, self.model.num_vars(), warm);
             return match outcome {
                 PrimalOutcome::Optimal(sol, warm) => {
-                    self.warm = Some(*warm);
+                    self.warm = Some(warm);
                     self.costs_dirty = false;
                     Ok(sol)
                 }
@@ -368,8 +323,8 @@ mod tests {
 
     fn classic() -> (Model, (crate::VarId, crate::VarId), [usize; 3]) {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
+        let x = m.add_var(3.0);
+        let y = m.add_var(5.0);
         let r0 = m.add_le(&[(x, 1.0)], 4.0);
         let r1 = m.add_le(&[(y, 2.0)], 12.0);
         let r2 = m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
@@ -432,7 +387,7 @@ mod tests {
         // min x with 1 ≤ x ≤ 5 via rows; pushing the ≥ row past the ≤ row
         // makes the point infeasible, pulling it back re-solves warm.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, 10.0, 1.0);
+        let x = m.add_var(1.0);
         let lo = m.add_ge(&[(x, 1.0)], 1.0);
         let _hi = m.add_le(&[(x, 1.0)], 5.0);
         let mut inst = m.instance().unwrap();
@@ -443,103 +398,6 @@ mod tests {
         inst.set_rhs(lo, 2.0);
         let back = inst.resolve().unwrap();
         assert!((back.objective() - 2.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn bound_change_resolves_warm() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 7.0, 2.0);
-        let y = m.add_var("y", 0.0, 3.0, 1.0);
-        m.add_le(&[(x, 1.0), (y, 1.0)], 8.0);
-        let mut inst = m.instance().unwrap();
-        let cold = inst.solve().unwrap();
-        assert!((cold.objective() - 15.0).abs() < 1e-7); // x=7, y=1
-
-        inst.set_var_bounds(x, 0.0, 4.0).unwrap();
-        let warm = inst.resolve().unwrap();
-        // x=4, y=3 → 8+3 = 11.
-        assert!(
-            (warm.objective() - 11.0).abs() < 1e-7,
-            "{}",
-            warm.objective()
-        );
-
-        let mut cold_model = m.clone();
-        cold_model.set_var_bounds(x, 0.0, 4.0);
-        let re = cold_model.solve().unwrap();
-        assert!((re.objective() - warm.objective()).abs() <= 1e-9 * (1.0 + re.objective().abs()));
-    }
-
-    #[test]
-    fn bound_pattern_change_is_rejected() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, 1.0, 1.0);
-        let mut inst = m.instance().unwrap();
-        let err = inst.set_var_bounds(x, 0.0, f64::INFINITY).unwrap_err();
-        assert!(matches!(err, LpError::InvalidModel { .. }));
-    }
-
-    #[test]
-    fn bound_pattern_change_is_rejected_under_native_bounds() {
-        // The frozen finiteness pattern from `add_var` binds in native
-        // mode too: the column's native upper bound cannot appear or
-        // disappear after instance construction, in either direction.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, 1.0, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
-        let mut inst = m.instance().unwrap();
-        let err = inst.set_var_bounds(x, 0.0, f64::INFINITY).unwrap_err();
-        assert!(matches!(err, LpError::InvalidModel { .. }));
-        let err = inst.set_var_bounds(y, 0.0, 2.0).unwrap_err();
-        assert!(matches!(err, LpError::InvalidModel { .. }));
-        // Moving a finite bound to a new finite value is fine.
-        inst.set_var_bounds(x, 0.0, 0.5).unwrap();
-    }
-
-    #[test]
-    fn native_bound_change_resolves_warm_and_matches_cold() {
-        // The whole point of native bounds: tightening an upper bound
-        // changes no constraint rows, so the dual simplex repairs the old
-        // optimal basis in a handful of pivots/flips.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 7.0, 2.0);
-        let y = m.add_var("y", 0.0, 3.0, 1.0);
-        m.add_le(&[(x, 1.0), (y, 1.0)], 8.0);
-        let mut inst = m.instance().unwrap();
-        let cold = inst.solve().unwrap();
-        assert!((cold.objective() - 15.0).abs() < 1e-7); // x=7, y=1
-
-        inst.set_var_bounds(x, 0.0, 4.0).unwrap();
-        let warm = inst.resolve().unwrap();
-        assert!((warm.objective() - 11.0).abs() < 1e-7, "x=4, y=3");
-        assert!(warm.stats().warm, "expected the dual-simplex path");
-
-        // And loosening back re-solves warm to the original optimum.
-        inst.set_var_bounds(x, 0.0, 7.0).unwrap();
-        let back = inst.resolve().unwrap();
-        assert!((back.objective() - 15.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn set_var_bounds_rejects_nan_and_crossed_without_mutating() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, 5.0, 1.0);
-        m.add_ge(&[(x, 1.0)], 1.0);
-        let mut inst = m.instance().unwrap();
-        inst.solve().unwrap();
-        for (lo, hi) in [
-            (f64::NAN, 5.0),
-            (0.0, f64::NAN),
-            (f64::NAN, f64::NAN),
-            (3.0, 2.0),
-        ] {
-            let err = inst.set_var_bounds(x, lo, hi).unwrap_err();
-            assert!(matches!(err, LpError::InvalidModel { .. }), "({lo}, {hi})");
-        }
-        // The instance survives the rejected deltas untouched.
-        assert_eq!(inst.model().var_bounds(x), (0.0, 5.0));
-        let sol = inst.resolve().unwrap();
-        assert!((sol.objective() - 1.0).abs() < 1e-7);
     }
 
     #[test]
@@ -630,7 +488,7 @@ mod tests {
         // along the unbounded ray must surface as LpError::Unbounded, via
         // the cold confirmation.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         m.add_ge(&[(x, 1.0)], 1.0);
         let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
@@ -646,15 +504,15 @@ mod tests {
     fn add_column_warm_resolve_matches_cold_rebuild() {
         // min 2x + 3y, x + y ≥ 4 → x = 4, obj 8.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 2.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
+        let x = m.add_var(2.0);
+        let y = m.add_var(3.0);
         let demand = m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
         let mut inst = m.instance().unwrap();
         let before = inst.solve().unwrap();
         assert!((before.objective() - 8.0).abs() < 1e-7);
 
         // A cheaper column covering the same demand takes over.
-        let z = inst.add_column("z", 1.0, &[(demand, 1.0)]).unwrap();
+        let z = inst.add_column(1.0, &[(demand, 1.0)]).unwrap();
         let warm = inst.resolve().unwrap();
         assert!(
             (warm.objective() - 4.0).abs() < 1e-7,
@@ -666,7 +524,7 @@ mod tests {
         warm.certify(inst.model()).unwrap();
 
         let mut cold_model = m.clone();
-        let _ = cold_model.add_column("z", 1.0, &[(demand, 1.0)]).unwrap();
+        let _ = cold_model.add_column(1.0, &[(demand, 1.0)]).unwrap();
         let cold = cold_model.solve().unwrap();
         assert!(
             (warm.objective() - cold.objective()).abs() <= 1e-9 * (1.0 + cold.objective().abs()),
@@ -679,12 +537,12 @@ mod tests {
     #[test]
     fn add_column_negates_cost_under_maximize() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
+        let x = m.add_var(3.0);
         let r = m.add_le(&[(x, 1.0)], 4.0);
         let mut inst = m.instance().unwrap();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 12.0).abs() < 1e-7);
-        let z = inst.add_column("z", 5.0, &[(r, 1.0)]).unwrap();
+        let z = inst.add_column(5.0, &[(r, 1.0)]).unwrap();
         let sol = inst.resolve().unwrap();
         assert!((sol.objective() - 20.0).abs() < 1e-7, "{}", sol.objective());
         assert!((sol.value(z) - 4.0).abs() < 1e-7);
@@ -697,14 +555,14 @@ mod tests {
         // append must discard that warm point instead of letting a stale
         // artificial index alias the new column.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         let r0 = m.add_eq(&[(x, 1.0)], 2.0);
         let r1 = m.add_eq(&[(x, 1.0)], 2.0);
         let mut inst = m.instance().unwrap();
         let first = inst.solve().unwrap();
         assert!((first.objective() - 2.0).abs() < 1e-7);
 
-        let z = inst.add_column("z", 0.25, &[(r0, 1.0), (r1, 1.0)]).unwrap();
+        let z = inst.add_column(0.25, &[(r0, 1.0), (r1, 1.0)]).unwrap();
         let sol = inst.resolve().unwrap();
         assert!((sol.objective() - 0.5).abs() < 1e-7, "{}", sol.objective());
         assert!((sol.value(z) - 2.0).abs() < 1e-7);
@@ -717,11 +575,11 @@ mod tests {
         let mut inst = m.instance().unwrap();
         inst.solve().unwrap();
         assert!(matches!(
-            inst.add_column("z", f64::NAN, &[(rows[0], 1.0)]),
+            inst.add_column(f64::NAN, &[(rows[0], 1.0)]),
             Err(LpError::InvalidModel { .. })
         ));
         assert!(matches!(
-            inst.add_column("z", 1.0, &[(99, 1.0)]),
+            inst.add_column(1.0, &[(99, 1.0)]),
             Err(LpError::InvalidModel { .. })
         ));
         assert_eq!(inst.model().num_vars(), 2);
@@ -734,13 +592,13 @@ mod tests {
         // The colgen shape: solve, append one improving column, warm
         // re-solve, repeat — each append must leave the instance exact.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 10.0);
+        let x = m.add_var(10.0);
         let cover = m.add_ge(&[(x, 1.0)], 6.0);
         let mut inst = m.instance().unwrap();
         let mut obj = inst.solve().unwrap().objective();
         assert!((obj - 60.0).abs() < 1e-7);
         for (cost, expect) in [(6.0, 36.0), (3.0, 18.0), (1.5, 9.0)] {
-            inst.add_column("gen", cost, &[(cover, 1.0)]).unwrap();
+            inst.add_column(cost, &[(cover, 1.0)]).unwrap();
             let sol = inst.resolve().unwrap();
             assert!(sol.objective() < obj, "monotone improvement");
             obj = sol.objective();

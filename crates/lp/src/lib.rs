@@ -23,27 +23,25 @@
 //!      of degenerate pivots the primal simplex switches to Bland's rule
 //!      (a full lowest-index scan) so it cannot cycle. The dual simplex
 //!      gets the matching treatment: devex-weighted leaving rows.
-//!    * **Bounded variables**: finite upper bounds are handled
-//!      *in-solver* by the bounded-variable ratio test — nonbasic columns
-//!      sit at either bound and jump between them in **bound flips** that
-//!      cost no basis change ([`SolveStats::bound_flips`]) — so a
-//!      box-bounded LP factorizes only its constraint rows. Cold solves
-//!      start from a slack crash basis: rows whose slack can sit basic at
-//!      a feasible value skip their artificial.
+//!    * **One variable kind, `x ≥ 0`**: every column is bounded below by
+//!      0 and by nothing else, so a nonbasic column sits at 0 and the
+//!      ratio tests watch one bound. Cold solves start from a slack crash
+//!      basis: rows whose slack can sit basic at a feasible value skip
+//!      their artificial.
 //!
 //!    Shared pivot logic — pricing with the Bland switch, periodic
 //!    refactorization, phase-1 infeasibility detection — drives cold
 //!    solves, plus a **dual simplex** (incremental reduced costs and
 //!    basic values, rebuilt at refactorization points) for re-optimizing
-//!    after right-hand-side or bound changes.
+//!    after right-hand-side changes.
 //! 2. **Parametric instances** ([`SimplexInstance`]) — a reusable solver
 //!    built once from a [`Model`]: `solve()` runs cold and records the
-//!    optimal basis; [`SimplexInstance::set_rhs`] /
-//!    [`SimplexInstance::set_var_bounds`] mutate the frozen standard form
-//!    in place, and [`SimplexInstance::resolve`] dual-simplex-reoptimizes
-//!    from the previous optimal basis. That is the one warm re-solve path,
-//!    and sweeps chain it: each point sets its rhs and calls `resolve()`,
-//!    starting a few dual pivots from its neighbour's optimum.
+//!    optimal basis; [`SimplexInstance::set_rhs`] mutates the frozen
+//!    standard form in place, and [`SimplexInstance::resolve`]
+//!    dual-simplex-reoptimizes from the previous optimal basis. That is
+//!    the one warm re-solve path, and sweeps chain it: each point sets its
+//!    rhs and calls `resolve()`, starting a few dual pivots from its
+//!    neighbour's optimum.
 //!    [`SimplexInstance::add_column`] grows the frozen standard form by
 //!    one variable *in place* — the CSC matrix gains a column, the basis
 //!    and its factorization are untouched (the new column enters nonbasic
@@ -54,23 +52,25 @@
 //!    only profitable columns and re-solves, never materializing the full
 //!    column set. [`SimplexInstance::set_objectives`] changes costs in
 //!    one batch and keeps the instance's **phase-1 end state**: phase 1
-//!    and the artificial pivot-outs read only columns, bounds and rhs, so
-//!    the next cold `solve()` runs phase 2 alone and returns bit for bit
-//!    what a full cold solve returns. That serves LP families differing
-//!    only in their costs, such as the many-to-one placement search's one
-//!    LP per anchor; `set_rhs`, `set_var_bounds` and `add_column` drop
-//!    the state. [`Solution::stats`] exposes pivot/refactorization/bound-flip/
-//!    pricing counters, so warm-vs-cold work is observable in tests, not
-//!    just wall clock; they count the work a call did (phase 2 only when
-//!    phase 1 was reused). Solves are deterministic: the same edits and
+//!    and the artificial pivot-outs read only columns and rhs, so the next
+//!    cold `solve()` runs phase 2 alone and returns bit for bit what a
+//!    full cold solve returns. That serves LP families differing only in
+//!    their costs, such as the many-to-one placement search's one LP per
+//!    anchor; `set_rhs` and `add_column` drop the state.
+//!    [`Solution::stats`] exposes pivot/refactorization/pricing counters,
+//!    so warm-vs-cold work is observable in tests, not just wall clock;
+//!    they count the work a call did (phase 2 only when phase 1 was
+//!    reused). Solves are deterministic: the same edits and
 //!    solves in the same order return the same bits at any thread count.
-//! 3. **Modeling layer** ([`Model`], [`Solution`]) — variables with general
-//!    bounds (finite lower bounds are shifted away, free variables split,
-//!    finite upper bounds kept on the columns), `≤`/`≥`/`=` constraints,
-//!    duals per row. [`Solution::certify`] checks any solution against
-//!    its original model — primal and dual feasibility plus complementary
-//!    slackness — without trusting the solver; the tests use it as their
-//!    oracle.
+//! 3. **Modeling layer** ([`Model`], [`Solution`]) — variables `x ≥ 0`
+//!    with an objective coefficient each, `≤`/`≥`/`=` constraints, duals
+//!    per row. Every LP this repository solves is over such variables; a
+//!    caller that needs another bound writes it through the model (an
+//!    upper bound as a `≤` row, a lower bound as a shift of the rows'
+//!    right-hand sides, a free variable as an `x⁺ − x⁻` pair).
+//!    [`Solution::certify`] checks any solution against its original
+//!    model — primal and dual feasibility plus complementary slackness —
+//!    without trusting the solver; the tests use it as their oracle.
 //!
 //! The LPs in this repository are small-to-medium (hundreds of rows, up to
 //! a few tens of thousands of columns) but are re-solved *hundreds of
@@ -87,8 +87,8 @@
 //! use qp_lp::{Model, Sense};
 //!
 //! let mut m = Model::new(Sense::Maximize);
-//! let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
-//! let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
+//! let x = m.add_var(3.0);
+//! let y = m.add_var(5.0);
 //! m.add_le(&[(x, 1.0)], 4.0);
 //! m.add_le(&[(y, 2.0)], 12.0);
 //! m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
@@ -105,8 +105,8 @@
 //! use qp_lp::{Model, Sense};
 //!
 //! let mut m = Model::new(Sense::Maximize);
-//! let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
-//! let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
+//! let x = m.add_var(3.0);
+//! let y = m.add_var(5.0);
 //! m.add_le(&[(x, 1.0)], 4.0);
 //! m.add_le(&[(y, 2.0)], 12.0);
 //! let coupling = m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
@@ -126,7 +126,6 @@
 
 mod error;
 mod factor;
-mod format;
 mod instance;
 mod model;
 mod pricing;
@@ -134,7 +133,6 @@ mod simplex;
 mod solution;
 
 pub use error::LpError;
-pub use format::format_lp;
 pub use instance::SimplexInstance;
 pub use model::{Model, Relation, Sense, VarId};
 pub use solution::{Solution, SolveStats};

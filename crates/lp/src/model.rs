@@ -56,10 +56,13 @@ pub(crate) struct Row {
     pub rhs: f64,
 }
 
-/// A linear program under construction.
+/// A linear program under construction, over variables `x ≥ 0`.
 ///
-/// Variables carry their bounds and objective coefficient; constraints are
-/// added as term lists. Call [`Model::solve`] to run the simplex solver.
+/// Every variable is nonnegative and has no other bound: a finite upper
+/// bound is a `≤` row, a lower bound a shift of the rows' right-hand
+/// sides, a free variable an `x⁺ − x⁻` pair. Variables carry an objective
+/// coefficient; constraints are added as term lists. Call
+/// [`Model::solve`] to run the simplex solver.
 ///
 /// # Examples
 ///
@@ -69,9 +72,10 @@ pub(crate) struct Row {
 /// use qp_lp::{Model, Sense};
 ///
 /// let mut m = Model::new(Sense::Minimize);
-/// let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
-/// let y = m.add_var("y", 0.0, 2.0, 2.0);
+/// let x = m.add_var(1.0);
+/// let y = m.add_var(2.0);
 /// m.add_ge(&[(x, 1.0), (y, 1.0)], 3.0);
+/// m.add_le(&[(y, 1.0)], 2.0);
 /// let sol = m.solve()?;
 /// assert!((sol.objective() - 3.0).abs() < 1e-7); // x = 3, y = 0
 /// # Ok::<(), qp_lp::LpError>(())
@@ -79,9 +83,6 @@ pub(crate) struct Row {
 #[derive(Debug, Clone)]
 pub struct Model {
     sense: Sense,
-    names: Vec<String>,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
     objective: Vec<f64>,
     rows: Vec<Row>,
 }
@@ -91,80 +92,26 @@ impl Model {
     pub fn new(sense: Sense) -> Self {
         Model {
             sense,
-            names: Vec::new(),
-            lower: Vec::new(),
-            upper: Vec::new(),
             objective: Vec::new(),
             rows: Vec::new(),
         }
     }
 
-    /// Adds a decision variable with bounds `[lower, upper]` and the given
-    /// objective coefficient. Use `f64::NEG_INFINITY` / `f64::INFINITY` for
-    /// free sides.
-    ///
-    /// The *finiteness pattern* of the bounds given here (which sides are
-    /// finite) is what a later [`Model::instance`] freezes into its
-    /// standard form: [`crate::SimplexInstance::set_var_bounds`] may move
-    /// finite bounds to new finite values but rejects any call that makes
-    /// a finite side infinite or vice versa. On a plain [`Model`] (no
-    /// instance built yet) [`Model::set_var_bounds`] may still change the
-    /// pattern freely.
+    /// Adds a decision variable `x ≥ 0` with the given objective
+    /// coefficient.
     ///
     /// # Panics
     ///
-    /// Panics if a bound is NaN, the objective coefficient is not finite, or
-    /// `lower > upper`. Use [`Model::try_add_var`] for a non-panicking
-    /// variant returning a structured [`LpError`].
-    pub fn add_var(&mut self, name: &str, lower: f64, upper: f64, obj: f64) -> VarId {
-        match self.try_add_var(name, lower, upper, obj) {
-            Ok(id) => id,
-            Err(LpError::InvalidModel { reason }) => panic!("{reason}"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`Model::add_var`]: NaN bounds, a non-finite
-    /// objective coefficient, or crossing bounds (`lower > upper`) return
-    /// [`LpError::InvalidModel`] instead of panicking. On error the model
-    /// is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::InvalidModel`] as described above.
-    pub fn try_add_var(
-        &mut self,
-        name: &str,
-        lower: f64,
-        upper: f64,
-        obj: f64,
-    ) -> Result<VarId, LpError> {
-        if lower.is_nan() || upper.is_nan() {
-            return Err(LpError::InvalidModel {
-                reason: format!("NaN bound for {name}"),
-            });
-        }
-        if !obj.is_finite() {
-            return Err(LpError::InvalidModel {
-                reason: format!("objective coefficient for {name} must be finite"),
-            });
-        }
-        if lower > upper {
-            return Err(LpError::InvalidModel {
-                reason: format!("lower bound {lower} exceeds upper bound {upper} for {name}"),
-            });
-        }
-        let id = VarId(self.names.len());
-        self.names.push(name.to_string());
-        self.lower.push(lower);
-        self.upper.push(upper);
+    /// Panics if `obj` is not finite.
+    pub fn add_var(&mut self, obj: f64) -> VarId {
+        assert!(obj.is_finite(), "objective coefficient must be finite");
         self.objective.push(obj);
-        Ok(id)
+        VarId(self.objective.len() - 1)
     }
 
     /// Number of variables added so far.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.objective.len()
     }
 
     /// Number of constraint rows added so far.
@@ -183,7 +130,7 @@ impl Model {
     ///
     /// Panics if `v` does not belong to this model or `obj` is not finite.
     pub fn set_objective(&mut self, v: VarId, obj: f64) {
-        assert!(v.0 < self.names.len(), "variable out of range");
+        assert!(v.0 < self.num_vars(), "variable out of range");
         assert!(obj.is_finite(), "objective coefficient must be finite");
         self.objective[v.0] = obj;
     }
@@ -206,7 +153,7 @@ impl Model {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
         let mut combined: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
-            assert!(v.0 < self.names.len(), "variable {v} out of range");
+            assert!(v.0 < self.num_vars(), "variable {v} out of range");
             assert!(c.is_finite(), "coefficient for {v} must be finite");
             match combined.binary_search_by_key(&v.0, |&(i, _)| i) {
                 Ok(pos) => combined[pos].1 += c,
@@ -222,11 +169,10 @@ impl Model {
         self.rows.len() - 1
     }
 
-    /// Adds a new nonnegative variable *column-wise*: bounds `[0, +∞)`,
-    /// objective coefficient `obj`, and coefficient `c` in each existing
-    /// constraint row listed in `terms` as `(row_index, c)`. Rows not
-    /// listed are untouched; duplicate row entries are summed and zero
-    /// coefficients dropped.
+    /// Adds a new variable `x ≥ 0` *column-wise*: objective coefficient
+    /// `obj`, and coefficient `c` in each existing constraint row listed
+    /// in `terms` as `(row_index, c)`. Rows not listed are untouched;
+    /// duplicate row entries are summed and zero coefficients dropped.
     ///
     /// This is the column-generation entry point: a restricted master
     /// starts from a few columns and the pricing oracle appends profitable
@@ -238,22 +184,14 @@ impl Model {
     ///
     /// [`LpError::InvalidModel`] if `obj` or a coefficient is not finite
     /// or a row index is out of range. The model is unchanged on error.
-    pub fn add_column(
-        &mut self,
-        name: &str,
-        obj: f64,
-        terms: &[(usize, f64)],
-    ) -> Result<VarId, LpError> {
+    pub fn add_column(&mut self, obj: f64, terms: &[(usize, f64)]) -> Result<VarId, LpError> {
         let combined = self.combine_column_terms(terms)?;
         if !obj.is_finite() {
             return Err(LpError::InvalidModel {
-                reason: format!("objective coefficient for {name} must be finite"),
+                reason: "objective coefficient of a new column must be finite".to_string(),
             });
         }
-        let id = VarId(self.names.len());
-        self.names.push(name.to_string());
-        self.lower.push(0.0);
-        self.upper.push(f64::INFINITY);
+        let id = VarId(self.num_vars());
         self.objective.push(obj);
         for (row, coeff) in combined {
             // The new variable's index exceeds every existing one, so a
@@ -262,7 +200,6 @@ impl Model {
         }
         Ok(id)
     }
-
     /// Validates and canonicalizes the `(row, coeff)` terms of a
     /// prospective new column: rows in range, coefficients finite,
     /// duplicates summed, zeros dropped, sorted by row.
@@ -322,29 +259,6 @@ impl Model {
         self.rows[row].rhs = rhs;
     }
 
-    /// Replaces the bounds of an existing variable.
-    ///
-    /// On a plain `Model` any new bounds are accepted (the standard form
-    /// is rebuilt from scratch at the next solve). Once the model has been
-    /// frozen into a [`crate::SimplexInstance`], bound updates must go
-    /// through [`crate::SimplexInstance::set_var_bounds`], which enforces
-    /// that the finiteness pattern chosen at [`Model::add_var`] time is
-    /// preserved and returns [`crate::LpError::InvalidModel`] otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range, a bound is NaN, or `lower > upper`.
-    pub fn set_var_bounds(&mut self, v: VarId, lower: f64, upper: f64) {
-        assert!(v.0 < self.names.len(), "variable out of range");
-        assert!(!lower.is_nan() && !upper.is_nan(), "NaN bound");
-        assert!(
-            lower <= upper,
-            "lower bound {lower} exceeds upper bound {upper}"
-        );
-        self.lower[v.0] = lower;
-        self.upper[v.0] = upper;
-    }
-
     /// Solves the model (a cold two-phase solve).
     ///
     /// # Errors
@@ -354,7 +268,7 @@ impl Model {
     /// * [`LpError::IterationLimit`] / [`LpError::Singular`] on numerical
     ///   failure (not expected for well-scaled inputs).
     pub fn solve(&self) -> Result<Solution, LpError> {
-        let prepared = Prepared::from_model(self)?;
+        let prepared = Prepared::from_model(self);
         let start = phase_one(&prepared, REFACTOR_EVERY)?;
         let (sol, _warm) = phase_two(&prepared, start, self.num_vars())?;
         Ok(sol)
@@ -378,19 +292,6 @@ impl Model {
         &self.objective
     }
 
-    pub(crate) fn bounds(&self) -> (&[f64], &[f64]) {
-        (&self.lower, &self.upper)
-    }
-
-    /// The name given to a variable at creation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.0]
-    }
-
     /// The objective coefficient of a variable.
     ///
     /// # Panics
@@ -398,15 +299,6 @@ impl Model {
     /// Panics if `v` is out of range.
     pub fn objective_coeff(&self, v: VarId) -> f64 {
         self.objective[v.0]
-    }
-
-    /// The `[lower, upper]` bounds of a variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn var_bounds(&self, v: VarId) -> (f64, f64) {
-        (self.lower[v.0], self.upper[v.0])
     }
 
     /// Iterates the constraint rows as `(terms, relation, rhs)`, where
@@ -498,13 +390,11 @@ impl Csc {
 }
 
 /// The standard-form image of a [`Model`]:
-/// `min c·x  s.t.  A x = b,  0 ≤ x ≤ u,  b ≥ 0` (`u_j = +∞` for columns
-/// without a finite upper bound).
+/// `min c·x  s.t.  A x = b,  x ≥ 0,  b ≥ 0`.
 ///
-/// Construction performs, in order: free-variable splitting, lower-bound
-/// shifting, upper bounds kept as column bounds, slack/surplus insertion,
-/// and row sign normalization. The mapping back to user variables is
-/// retained.
+/// Construction inserts slack/surplus columns and normalizes row signs.
+/// The model's variables are the first columns, in order; the slacks
+/// follow, and columns appended by [`Prepared::append_column`] come last.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     /// Column-major sparse matrix (structural + slack columns).
@@ -513,111 +403,30 @@ pub(crate) struct Prepared {
     /// member (a singleton `+1` column), if any. `≤` rows normalized with
     /// positive sign have one; `=` rows and sign-flipped rows do not.
     pub row_slack: Vec<Option<usize>>,
-    /// Per-column upper bound in standard form (`+∞` when unbounded),
-    /// handled in-solver by the bounded-variable ratio test.
-    pub upper: Vec<f64>,
     /// Right-hand side, all entries ≥ 0.
     pub b: Vec<f64>,
     /// Phase-2 costs (minimization), aligned with `cols`.
     pub costs: Vec<f64>,
-    /// Constant added to the phase-2 objective by bound shifts.
-    pub obj_offset: f64,
     /// `true` if the user model was a maximization (costs were negated).
     pub negated: bool,
-    /// For each user variable: how to recover its value.
-    pub recover: Vec<Recover>,
+    /// Standard-form column of each user variable.
+    pub var_col: Vec<usize>,
     /// For each user row: standardized row index and sign multiplier applied
     /// (for dual recovery).
     pub row_map: Vec<(usize, f64)>,
-    /// Per user row: whether any of its terms touches a variable with a
-    /// nonzero bound shift. Shift-free rows (the common case for the
-    /// `x ≥ 0` models the sweeps build) standardize a new rhs in O(1).
-    pub row_has_shift: Vec<bool>,
-}
-
-/// Recipe to recover the value of one user variable from standard-form
-/// column values.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Recover {
-    /// `x = sign · col[j] + shift` (`sign` is −1 for variables substituted
-    /// as `x = hi − x″`, +1 otherwise)
-    Shifted { col: usize, shift: f64, sign: f64 },
-    /// `x = col[pos] - col[neg]` (free variable split)
-    Split { pos: usize, neg: usize },
-}
-
-impl Recover {
-    /// Recovers the user-variable value from standard-form column values.
-    pub(crate) fn value(&self, col_values: &[f64]) -> f64 {
-        match *self {
-            Recover::Shifted { col, shift, sign } => sign * col_values[col] + shift,
-            Recover::Split { pos, neg } => col_values[pos] - col_values[neg],
-        }
-    }
-
-    /// The bound shift applied to the variable's column(s) (0 for splits).
-    fn shift(&self) -> f64 {
-        match *self {
-            Recover::Shifted { shift, .. } => shift,
-            Recover::Split { .. } => 0.0,
-        }
-    }
 }
 
 impl Prepared {
-    /// Builds the standard form. Finite user upper bounds become
-    /// per-column bounds consumed by the bounded-variable simplex.
-    pub(crate) fn from_model(model: &Model) -> Result<Self, LpError> {
-        let (lower, upper) = model.bounds();
-        let user_obj = model.objective_coeffs();
+    /// Builds the standard form.
+    pub(crate) fn from_model(model: &Model) -> Self {
         let negated = model.sense() == Sense::Maximize;
-
-        let mut cols: Vec<Vec<(usize, f64)>> = Vec::new();
-        let mut col_upper: Vec<f64> = Vec::new();
-        let mut costs: Vec<f64> = Vec::new();
-        let mut recover = Vec::with_capacity(lower.len());
-        let mut obj_offset = 0.0;
-
-        for j in 0..lower.len() {
-            let c = if negated { -user_obj[j] } else { user_obj[j] };
-            let (lo, hi) = (lower[j], upper[j]);
-            if lo.is_finite() {
-                // x = x' + lo, 0 ≤ x' ≤ hi − lo (+∞ stays +∞)
-                let col = cols.len();
-                cols.push(Vec::new());
-                col_upper.push(hi - lo);
-                costs.push(c);
-                obj_offset += c * lo;
-                recover.push(Recover::Shifted {
-                    col,
-                    shift: lo,
-                    sign: 1.0,
-                });
-            } else if hi.is_finite() {
-                // x ≤ hi, unbounded below: substitute x = hi - x'', x'' ≥ 0.
-                let col = cols.len();
-                cols.push(Vec::new());
-                col_upper.push(f64::INFINITY);
-                costs.push(-c);
-                obj_offset += c * hi;
-                recover.push(Recover::Shifted {
-                    col,
-                    shift: hi,
-                    sign: -1.0,
-                });
-            } else {
-                // Free variable: x = x⁺ - x⁻.
-                let pos = cols.len();
-                cols.push(Vec::new());
-                col_upper.push(f64::INFINITY);
-                costs.push(c);
-                let neg = cols.len();
-                cols.push(Vec::new());
-                col_upper.push(f64::INFINITY);
-                costs.push(-c);
-                recover.push(Recover::Split { pos, neg });
-            }
-        }
+        let n = model.num_vars();
+        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        let mut costs: Vec<f64> = model
+            .objective_coeffs()
+            .iter()
+            .map(|&c| if negated { -c } else { c })
+            .collect();
 
         let n_rows = model.rows().len();
         let mut b = vec![0.0; n_rows];
@@ -626,26 +435,12 @@ impl Prepared {
 
         // Fill user rows.
         for (i, row) in model.rows().iter().enumerate() {
-            let mut rhs = row.rhs;
-            let mut entries: Vec<(usize, f64)> = Vec::with_capacity(row.terms.len() + 1);
-            for &(user_j, coeff) in &row.terms {
-                match recover[user_j] {
-                    Recover::Shifted { col, shift, sign } => {
-                        rhs -= coeff * shift;
-                        entries.push((col, coeff * sign));
-                    }
-                    Recover::Split { pos, neg } => {
-                        entries.push((pos, coeff));
-                        entries.push((neg, -coeff));
-                    }
-                }
-            }
+            let mut entries = row.terms.clone();
             // Slack / surplus: base coefficient +1 (≤) or −1 (≥).
             let slack = match row.relation {
                 Relation::Le | Relation::Ge => {
                     let s = cols.len();
                     cols.push(Vec::new());
-                    col_upper.push(f64::INFINITY);
                     costs.push(0.0);
                     let coeff = if row.relation == Relation::Le {
                         1.0
@@ -658,8 +453,8 @@ impl Prepared {
                 Relation::Eq => None,
             };
             // Normalize to b ≥ 0.
-            let sign = if rhs < 0.0 { -1.0 } else { 1.0 };
-            b[i] = rhs * sign;
+            let sign = if row.rhs < 0.0 { -1.0 } else { 1.0 };
+            b[i] = row.rhs * sign;
             for (col, coeff) in entries {
                 cols[col].push((i, coeff * sign));
             }
@@ -669,37 +464,22 @@ impl Prepared {
             row_map.push((i, sign));
         }
 
-        let row_has_shift = model
-            .rows()
-            .iter()
-            .map(|r| {
-                r.terms
-                    .iter()
-                    .any(|&(user_j, _)| recover[user_j].shift() != 0.0)
-            })
-            .collect();
-
-        Ok(Prepared {
+        Prepared {
             cols: Csc::from_columns(&cols),
             row_slack,
-            upper: col_upper,
             b,
             costs,
-            obj_offset,
             negated,
-            recover,
+            var_col: (0..n).collect(),
             row_map,
-            row_has_shift,
-        })
+        }
     }
 
-    /// Appends the standard-form image of one new `[0, +∞)` user variable
-    /// with objective `obj` and canonicalized user-row `terms` (from
-    /// [`Model::combine_column_terms`]). With zero bound shift the column
-    /// is its own standard form: entries map through the frozen row-sign
-    /// normalization, the rhs vector and objective offset are untouched,
-    /// and no column upper bound is needed. Returns the new standard-form
-    /// column index.
+    /// Appends the standard-form column of one new user variable with
+    /// objective `obj` and canonicalized user-row `terms` (from
+    /// [`Model::combine_column_terms`]): entries map through the frozen
+    /// row-sign normalization, and the rhs vector is untouched. Returns the
+    /// new standard-form column index.
     pub(crate) fn append_column(&mut self, obj: f64, terms: &[(usize, f64)]) -> usize {
         let col = self.cols.num_cols();
         let mut entries: Vec<(usize, f64)> = terms
@@ -711,13 +491,8 @@ impl Prepared {
             .collect();
         entries.sort_by_key(|&(i, _)| i);
         self.cols.push_column(&entries);
-        self.upper.push(f64::INFINITY);
         self.costs.push(if self.negated { -obj } else { obj });
-        self.recover.push(Recover::Shifted {
-            col,
-            shift: 0.0,
-            sign: 1.0,
-        });
+        self.var_col.push(col);
         col
     }
 
@@ -725,91 +500,21 @@ impl Prepared {
     /// model's current rhs, keeping the column layout and the row-sign
     /// normalization frozen at construction time. A rhs crossing zero may
     /// therefore leave `b[row] < 0`; the solver paths accept that (signed
-    /// artificials cold, dual simplex warm). Rows without shifted
-    /// variables skip the term walk entirely (subtracting an exact `0.0`
-    /// per term is the identity).
+    /// artificials cold, dual simplex warm).
     pub(crate) fn refresh_row_rhs(&mut self, model: &Model, row: usize) {
         let (i, sign) = self.row_map[row];
-        let r = &model.rows()[row];
-        let mut v = r.rhs;
-        if self.row_has_shift[row] {
-            for &(user_j, coeff) in &r.terms {
-                v -= coeff * self.recover[user_j].shift();
-            }
-        }
-        self.b[i] = v * sign;
+        self.b[i] = model.rows()[row].rhs * sign;
     }
 
-    /// Re-derives shifts, the objective offset, column upper bounds, and
-    /// the whole standardized rhs vector from the model's current bounds
-    /// and row right-hand sides. The *pattern* of each variable's bounds
-    /// (which sides are finite) must be unchanged since construction;
-    /// callers enforce this.
-    pub(crate) fn refresh_bounds(&mut self, model: &Model) {
-        let (lower, upper) = model.bounds();
-        for j in 0..lower.len() {
-            if let Recover::Shifted { sign, shift, col } = &mut self.recover[j] {
-                *shift = if *sign >= 0.0 { lower[j] } else { upper[j] };
-                if *sign >= 0.0 && upper[j].is_finite() {
-                    self.upper[*col] = upper[j] - lower[j];
-                }
-            }
-        }
-        self.obj_offset = self.shift_offset();
-        // Bound moves change which rows see a shifted variable.
-        let recover = &self.recover;
-        for (flag, r) in self.row_has_shift.iter_mut().zip(model.rows()) {
-            *flag = r
-                .terms
-                .iter()
-                .any(|&(user_j, _)| recover[user_j].shift() != 0.0);
-        }
-        for row in 0..model.rows().len() {
-            self.refresh_row_rhs(model, row);
-        }
-    }
-
-    /// Re-derives the standard-form cost vector and objective offset from
-    /// the model's current objective coefficients, keeping the column
-    /// layout frozen. Slack/surplus costs stay zero; only structural
-    /// columns are rewritten. This is the
-    /// objective half of the warm-start refresh: after calling it the old
-    /// basis is still primal feasible but its reduced costs are stale, so
-    /// callers must drop any cached pricing state and re-solve via the
-    /// primal path.
+    /// Re-derives the standard-form cost vector from the model's current
+    /// objective coefficients, keeping the column layout frozen. Slack and
+    /// surplus costs stay zero. After calling it the old basis is still
+    /// primal feasible but its reduced costs are stale, so callers must
+    /// drop any cached pricing state and re-solve via the primal path.
     pub(crate) fn refresh_objective(&mut self, model: &Model) {
-        let user_obj = model.objective_coeffs();
-        for (j, rec) in self.recover.iter().enumerate() {
-            let c = if self.negated {
-                -user_obj[j]
-            } else {
-                user_obj[j]
-            };
-            match *rec {
-                Recover::Shifted { col, sign, .. } => {
-                    self.costs[col] = if sign >= 0.0 { c } else { -c };
-                }
-                Recover::Split { pos, neg } => {
-                    self.costs[pos] = c;
-                    self.costs[neg] = -c;
-                }
-            }
+        for (&col, &c) in self.var_col.iter().zip(model.objective_coeffs()) {
+            self.costs[col] = if self.negated { -c } else { c };
         }
-        self.obj_offset = self.shift_offset();
-    }
-
-    /// The objective constant of the bound shifts, summed exactly as
-    /// [`Prepared::from_model`] sums it (`sign · cost` is the user cost,
-    /// and split variables add nothing), so a refreshed standard form
-    /// solves bit for bit like a freshly built one.
-    fn shift_offset(&self) -> f64 {
-        let mut offset = 0.0;
-        for rec in &self.recover {
-            if let Recover::Shifted { col, shift, sign } = *rec {
-                offset += sign * self.costs[col] * shift;
-            }
-        }
-        offset
     }
 }
 
@@ -820,7 +525,7 @@ mod tests {
     #[test]
     fn add_constraint_combines_duplicates() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         m.add_le(&[(x, 1.0), (x, 2.0)], 6.0);
         assert_eq!(m.rows()[0].terms, vec![(0, 3.0)]);
     }
@@ -828,8 +533,8 @@ mod tests {
     #[test]
     fn add_constraint_drops_zero_coeffs() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, 1.0, 1.0);
-        let y = m.add_var("y", 0.0, 1.0, 1.0);
+        let x = m.add_var(1.0);
+        let y = m.add_var(1.0);
         m.add_le(&[(x, 1.0), (y, 0.0)], 1.0);
         assert_eq!(m.rows()[0].terms.len(), 1);
     }
@@ -837,14 +542,13 @@ mod tests {
     #[test]
     fn add_column_appends_var_and_row_terms_sorted() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         let r0 = m.add_ge(&[(x, 1.0)], 2.0);
         let r1 = m.add_le(&[(x, 1.0)], 5.0);
         let z = m
-            .add_column("z", 0.5, &[(r1, 2.0), (r0, 1.0), (r0, 0.5)])
+            .add_column(0.5, &[(r1, 2.0), (r0, 1.0), (r0, 0.5)])
             .unwrap();
         assert_eq!(z.index(), 1);
-        assert_eq!(m.var_bounds(z), (0.0, f64::INFINITY));
         assert_eq!(m.objective_coeff(z), 0.5);
         // Duplicates summed, terms still sorted by variable index.
         assert_eq!(m.rows()[r0].terms, vec![(0, 1.0), (1, 1.5)]);
@@ -854,18 +558,18 @@ mod tests {
     #[test]
     fn add_column_rejects_bad_inputs_without_mutating() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         let r = m.add_ge(&[(x, 1.0)], 1.0);
         assert!(matches!(
-            m.add_column("z", f64::INFINITY, &[(r, 1.0)]),
+            m.add_column(f64::INFINITY, &[(r, 1.0)]),
             Err(LpError::InvalidModel { .. })
         ));
         assert!(matches!(
-            m.add_column("z", 1.0, &[(r + 1, 1.0)]),
+            m.add_column(1.0, &[(r + 1, 1.0)]),
             Err(LpError::InvalidModel { .. })
         ));
         assert!(matches!(
-            m.add_column("z", 1.0, &[(r, f64::NAN)]),
+            m.add_column(1.0, &[(r, f64::NAN)]),
             Err(LpError::InvalidModel { .. })
         ));
         assert_eq!(m.num_vars(), 1);
@@ -886,112 +590,63 @@ mod tests {
         // Row `x ≤ -1` (x ≥ 0) has negative rhs, so it normalizes with
         // sign −1; an appended column's coefficient must flip with it.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         let r = m.add_le(&[(x, 1.0)], -1.0);
-        let mut p = Prepared::from_model(&m).unwrap();
+        let mut p = Prepared::from_model(&m);
         assert_eq!(p.row_map[r], (0, -1.0));
         let col = p.append_column(2.0, &[(r, 3.0)]);
         assert_eq!(p.cols.col(col), (&[0usize][..], &[-3.0][..]));
         assert_eq!(p.costs[col], 2.0);
-        assert_eq!(p.upper[col], f64::INFINITY);
-        assert!(matches!(
-            *p.recover.last().unwrap(),
-            Recover::Shifted { shift, sign, col: c } if shift == 0.0 && sign == 1.0 && c == col
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "lower bound")]
-    fn add_var_rejects_crossed_bounds() {
-        let mut m = Model::new(Sense::Minimize);
-        let _ = m.add_var("x", 2.0, 1.0, 0.0);
+        // Behind the structural column and the row's slack.
+        assert_eq!(p.var_col, vec![0, 2]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn foreign_variable_panics() {
         let mut m1 = Model::new(Sense::Minimize);
-        let _x = m1.add_var("x", 0.0, 1.0, 1.0);
+        let _x = m1.add_var(1.0);
         let mut m2 = Model::new(Sense::Minimize);
         let y = VarId(5);
         m2.add_le(&[(y, 1.0)], 1.0);
     }
 
     #[test]
-    fn prepared_shifts_lower_bounds() {
-        // min x, x ≥ 2 (lower bound) → offset 2, column cost 1.
-        let mut m = Model::new(Sense::Minimize);
-        let _ = m.add_var("x", 2.0, f64::INFINITY, 1.0);
-        let p = Prepared::from_model(&m).unwrap();
-        assert_eq!(p.obj_offset, 2.0);
-        assert_eq!(p.costs, vec![1.0]);
-    }
-
-    #[test]
-    fn prepared_splits_free_vars() {
-        let mut m = Model::new(Sense::Minimize);
-        let _ = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        let p = Prepared::from_model(&m).unwrap();
-        assert_eq!(p.costs, vec![1.0, -1.0]);
-        assert!(matches!(p.recover[0], Recover::Split { .. }));
-    }
-
-    #[test]
-    fn prepared_native_bounds_skip_upper_rows() {
-        // A finite upper bound stays on its column: the model has zero
-        // rows and a column bound of 5, not a bound row plus its slack.
-        let mut m = Model::new(Sense::Minimize);
-        let _ = m.add_var("x", 0.0, 5.0, 1.0);
-        let p = Prepared::from_model(&m).unwrap();
-        assert!(p.b.is_empty());
-        assert_eq!(p.upper, vec![5.0]);
-        assert_eq!(p.cols.num_cols(), 1);
-    }
-
-    #[test]
     fn prepared_adds_upper_bound_rows() {
-        // An upper bound the caller writes as a constraint (`x ≤ 5` on an
-        // unbounded column) is kept as a row with its own slack: one row,
-        // two columns, and no column bound on either.
+        // An upper bound is a constraint (`x ≤ 5`) with its own slack: one
+        // row, two columns.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         let r = m.add_le(&[(x, 1.0)], 5.0);
-        let p = Prepared::from_model(&m).unwrap();
+        let p = Prepared::from_model(&m);
         assert_eq!(p.b, vec![5.0]);
         assert_eq!(p.row_map[r], (0, 1.0));
-        assert_eq!(p.upper, vec![f64::INFINITY, f64::INFINITY]);
         assert_eq!(p.cols.num_cols(), 2);
         assert_eq!(p.cols.col(1), (&[0usize][..], &[1.0][..]));
         assert_eq!(p.row_slack, vec![Some(1)]);
     }
 
     #[test]
-    fn prepared_native_bound_is_shift_relative() {
-        // 2 ≤ x ≤ 7 → column x' = x - 2 with native bound 5.
-        let mut m = Model::new(Sense::Minimize);
-        let _ = m.add_var("x", 2.0, 7.0, 1.0);
-        let p = Prepared::from_model(&m).unwrap();
-        assert_eq!(p.upper, vec![5.0]);
-        assert_eq!(p.obj_offset, 2.0);
-    }
-
-    #[test]
     fn prepared_negates_for_maximize() {
         let mut m = Model::new(Sense::Maximize);
-        let _ = m.add_var("x", 0.0, 1.0, 3.0);
-        let p = Prepared::from_model(&m).unwrap();
+        let _ = m.add_var(3.0);
+        let p = Prepared::from_model(&m);
         assert_eq!(p.costs[0], -3.0);
         assert!(p.negated);
     }
 
     #[test]
     fn prepared_normalizes_negative_rhs() {
-        // x ≤ -1 with x ≥ -5: shift x = x' - 5 → x' - 5 ≤ -1 → x' ≤ 4.
+        // -x ≤ -4 normalizes to x - s = 4: b = 4, the row sign −1, and the
+        // slack no longer a crash-basis member.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", -5.0, f64::INFINITY, 1.0);
-        m.add_le(&[(x, 1.0)], -1.0);
-        let p = Prepared::from_model(&m).unwrap();
+        let x = m.add_var(1.0);
+        m.add_le(&[(x, -1.0)], -4.0);
+        let p = Prepared::from_model(&m);
         assert_eq!(p.b[0], 4.0);
+        assert_eq!(p.row_map[0], (0, -1.0));
+        assert_eq!(p.cols.col(0), (&[0usize][..], &[1.0][..]));
+        assert_eq!(p.row_slack, vec![None]);
     }
 
     #[test]
@@ -1005,73 +660,39 @@ mod tests {
     }
 
     #[test]
-    fn try_add_var_rejects_bad_inputs_without_mutating() {
+    #[should_panic(expected = "objective coefficient must be finite")]
+    fn add_var_rejects_nonfinite_objective() {
         let mut m = Model::new(Sense::Minimize);
-        assert!(matches!(
-            m.try_add_var("x", f64::NAN, 1.0, 0.0),
-            Err(LpError::InvalidModel { .. })
-        ));
-        assert!(matches!(
-            m.try_add_var("x", 0.0, f64::NAN, 0.0),
-            Err(LpError::InvalidModel { .. })
-        ));
-        assert!(matches!(
-            m.try_add_var("x", 2.0, 1.0, 0.0),
-            Err(LpError::InvalidModel { .. })
-        ));
-        assert!(matches!(
-            m.try_add_var("x", 0.0, 1.0, f64::INFINITY),
-            Err(LpError::InvalidModel { .. })
-        ));
-        assert_eq!(m.num_vars(), 0);
-        assert!(m.try_add_var("x", 0.0, 1.0, 1.0).is_ok());
-        assert_eq!(m.num_vars(), 1);
+        let _ = m.add_var(f64::NAN);
     }
 
     #[test]
-    #[should_panic(expected = "NaN bound")]
-    fn add_var_rejects_nan_bound() {
+    fn refresh_objective_rewrites_costs() {
+        // The structural costs change; the slack's stays zero.
         let mut m = Model::new(Sense::Minimize);
-        let _ = m.add_var("x", f64::NAN, 1.0, 0.0);
-    }
-
-    #[test]
-    fn refresh_objective_rewrites_costs_and_offset() {
-        // min 3x + y with 2 ≤ x (shifted, sign +1), y ≤ 4 (shifted, sign −1).
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 2.0, f64::INFINITY, 3.0);
-        let y = m.add_var("y", f64::NEG_INFINITY, 4.0, 1.0);
-        let mut p = Prepared::from_model(&m).unwrap();
-        assert_eq!(p.costs, vec![3.0, -1.0]);
-        assert_eq!(p.obj_offset, 3.0 * 2.0 + 1.0 * 4.0);
+        let x = m.add_var(3.0);
+        let y = m.add_var(1.0);
+        m.add_ge(&[(x, 1.0), (y, 1.0)], 2.0);
+        let mut p = Prepared::from_model(&m);
+        assert_eq!(p.costs, vec![3.0, 1.0, 0.0]);
         m.set_objective(x, 5.0);
         m.set_objective(y, -2.0);
         p.refresh_objective(&m);
-        assert_eq!(p.costs, vec![5.0, 2.0]);
-        assert_eq!(p.obj_offset, 5.0 * 2.0 + (-2.0) * 4.0);
+        assert_eq!(p.costs, vec![5.0, -2.0, 0.0]);
     }
 
     #[test]
-    fn refresh_objective_handles_split_and_maximize() {
+    fn refresh_objective_handles_appended_columns_and_maximize() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 3.0);
-        let mut p = Prepared::from_model(&m).unwrap();
-        assert_eq!(p.costs, vec![-3.0, 3.0]);
+        let x = m.add_var(3.0);
+        let r = m.add_le(&[(x, 1.0)], 4.0);
+        let mut p = Prepared::from_model(&m);
+        let z = m.add_column(2.0, &[(r, 1.0)]).unwrap();
+        p.append_column(2.0, &[(r, 1.0)]);
+        assert_eq!(p.costs, vec![-3.0, 0.0, -2.0]);
         m.set_objective(x, -1.5);
+        m.set_objective(z, 4.0);
         p.refresh_objective(&m);
-        assert_eq!(p.costs, vec![1.5, -1.5]);
-        assert_eq!(p.obj_offset, 0.0);
-    }
-
-    #[test]
-    fn refresh_bounds_updates_native_upper() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 1.0, 4.0, 1.0);
-        let mut p = Prepared::from_model(&m).unwrap();
-        assert_eq!(p.upper, vec![3.0]);
-        m.set_var_bounds(x, 0.5, 6.0);
-        p.refresh_bounds(&m);
-        assert_eq!(p.upper, vec![5.5]);
-        assert_eq!(p.obj_offset, 0.5);
+        assert_eq!(p.costs, vec![1.5, 0.0, -4.0]);
     }
 }

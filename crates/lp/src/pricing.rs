@@ -61,15 +61,10 @@ impl Pricer {
         self.full_prices
     }
 
-    /// How attractive column `j` is: positive iff moving it off its bound
-    /// improves the objective (`−rc` at lower bound, `+rc` at upper).
+    /// How attractive column `j` is: `−rc`, positive iff raising it from 0
+    /// improves the objective.
     fn violation(t: &State<'_>, j: usize, y: &[f64], cost: &dyn Fn(usize) -> f64) -> f64 {
-        let rc = t.reduced_cost(j, y, cost);
-        if t.is_at_upper(j) {
-            rc
-        } else {
-            -rc
-        }
+        -t.reduced_cost(j, y, cost)
     }
 
     /// Picks the entering column, or `None` when a full pass certifies
@@ -213,14 +208,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let n = 6;
         let xs: Vec<_> = (0..n)
-            .map(|i| {
-                m.add_var(
-                    &format!("x{i}"),
-                    0.0,
-                    f64::INFINITY,
-                    2f64.powi(n as i32 - 1 - i as i32),
-                )
-            })
+            .map(|i| m.add_var(2f64.powi(n as i32 - 1 - i as i32)))
             .collect();
         for i in 0..n {
             let mut terms: Vec<_> = (0..i)

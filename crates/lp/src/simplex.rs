@@ -1,23 +1,18 @@
 //! Two-phase revised simplex over a sparse-LU basis factorization, plus
 //! the dual- and primal-simplex reoptimizers used for warm starts.
 //!
-//! The pivot *logic* (ratio tests, Bland switch, refactorization cadence,
-//! bound flips) lives once in [`run_phase`]/[`resolve_dual`]; entering
-//! pricing is delegated to `crate::pricing` (devex over a candidate list,
-//! with a full Bland scan as the anti-cycling fallback), and the basis
-//! algebra is [`BasisRepr`]: a sparse LU at refactor points with
-//! product-form eta updates between them (the `crate::factor` module).
+//! The pivot *logic* (ratio tests, Bland switch, refactorization cadence)
+//! lives once in [`run_phase`]/[`resolve_dual`]; entering pricing is
+//! delegated to `crate::pricing` (devex over a candidate list, with a full
+//! Bland scan as the anti-cycling fallback), and the basis algebra is
+//! [`BasisRepr`]: a sparse LU at refactor points with product-form eta
+//! updates between them (the `crate::factor` module).
 //!
-//! Finite variable upper bounds are handled in-solver: nonbasic columns
-//! carry an at-lower/at-upper flag folded into an effective rhs
-//! (`b_eff = b − Σ u_j·a_j` over at-upper columns), the primal ratio test
-//! watches both bounds of every basic variable plus the entering column's
-//! own range (a *bound flip* when that binds first — no pivot), and the
-//! dual ratio test admits entering candidates from either bound with the
-//! matching sign condition. Cold solves start from a slack crash basis:
-//! rows whose slack can sit basic at a feasible value skip their
-//! artificial, so phase 1 only drives out artificials of equality (and
-//! sign-flipped) rows.
+//! Every column is bounded below by 0 and by nothing else, so a nonbasic
+//! column sits at 0 and the basic values are `B⁻¹ b`. Cold solves start
+//! from a slack crash basis: rows whose slack can sit basic at a feasible
+//! value skip their artificial, so phase 1 only drives out artificials of
+//! equality (and sign-flipped) rows.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use crate::factor::{Eta, SparseLu};
@@ -52,35 +47,11 @@ enum ColRef<'a> {
     Unit(usize, f64),
 }
 
-/// A recorded warm-start point: the optimal basis of a previous solve plus
-/// the bound status of every nonbasic structural column (which ones sat at
-/// their finite upper bound). Both are needed to reconstruct the basic
-/// solution under bounded variables.
+/// A recorded warm-start point: the optimal basis of a previous solve.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmStart {
     /// Basic column per row (indices ≥ structural count are artificials).
     pub basis: Vec<usize>,
-    /// Nonbasic-at-upper-bound flag per structural column.
-    pub at_upper: Vec<bool>,
-}
-
-impl WarmStart {
-    /// Extends this warm point after one structural column was appended at
-    /// the end of the standard form (old column count `old_num_cols`).
-    ///
-    /// Returns `false` — caller must discard the warm point — if the basis
-    /// still references artificials: those are encoded as
-    /// `old_num_cols + row`, so after the append a stale artificial index
-    /// would alias the new structural column and silently corrupt the
-    /// basis. Otherwise the new column joins as nonbasic at its lower
-    /// bound (the basis stays primal feasible).
-    pub(crate) fn push_column(&mut self, old_num_cols: usize) -> bool {
-        if self.basis.iter().any(|&j| j >= old_num_cols) {
-            return false;
-        }
-        self.at_upper.push(false);
-        true
-    }
 }
 
 /// The basis representation: sparse LU factors of the basis at the last
@@ -95,16 +66,10 @@ struct BasisRepr {
 pub(crate) struct State<'a> {
     /// CSC columns of A (structural + slack), then logical artificials.
     cols: &'a Csc,
-    /// Per-structural-column upper bound (`+∞` when unbounded).
-    upper: &'a [f64],
-    n_arts: usize,
+    /// Right-hand side.
+    b: &'a [f64],
+    /// Row count, which is also the artificial count.
     m: usize,
-    /// Effective rhs: `b − Σ_{j at upper} u_j·a_j`. Equal to `b` whenever
-    /// no column is flagged at its upper bound.
-    b_eff: Vec<f64>,
-    /// Nonbasic-at-upper-bound flag per structural column (basic columns
-    /// are never flagged; artificials have no upper bound).
-    at_upper: Vec<bool>,
     /// Sign of `b` per row at construction, giving each artificial column
     /// `s·e_r` so an artificial start is primal feasible even when a warm
     /// instance carries a negative standardized rhs.
@@ -121,25 +86,28 @@ pub(crate) struct State<'a> {
     pub(crate) iterations: usize,
     /// Factorization rebuilds (demanded by cadence or construction).
     pub(crate) refactors: usize,
-    /// Nonbasic bound flips (no basis change).
-    pub(crate) bound_flips: usize,
     /// Full pricing passes over every column.
     pub(crate) full_prices: usize,
 }
 
+/// Per row, the sign of its artificial column: that of `b_r`, so the
+/// artificial starts at `|b_r|`.
+fn art_signs(b: &[f64]) -> Vec<f64> {
+    b.iter()
+        .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
+        .collect()
+}
+
 impl<'a> State<'a> {
-    /// Fresh cold-start state, every structural column nonbasic at its
-    /// lower bound, from a slack crash basis: rows whose slack can sit
-    /// basic at a feasible value (`b_i ≥ 0` and a `+1` singleton slack)
-    /// start on the slack, every other row on its artificial.
+    /// Fresh cold-start state, every structural column nonbasic at 0, from
+    /// a slack crash basis: rows whose slack can sit basic at a feasible
+    /// value (`b_i ≥ 0` and a `+1` singleton slack) start on the slack,
+    /// every other row on its artificial.
     fn new(prepared: &'a Prepared, refactor_every: usize) -> Result<Self, LpError> {
         let cols = &prepared.cols;
         let b = &prepared.b;
         let m = b.len();
-        let art_sign: Vec<f64> = b
-            .iter()
-            .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
-            .collect();
+        let art_sign = art_signs(b);
         let mut crashed = false;
         let basis: Vec<usize> = (0..m)
             .map(|i| {
@@ -164,11 +132,8 @@ impl<'a> State<'a> {
         };
         let mut state = State {
             cols,
-            upper: &prepared.upper,
-            n_arts: m,
+            b,
             m,
-            b_eff: b.clone(),
-            at_upper: vec![false; cols.num_cols()],
             art_sign,
             basis,
             repr: BasisRepr {
@@ -178,7 +143,6 @@ impl<'a> State<'a> {
             refactor_every,
             iterations: 0,
             refactors: 0,
-            bound_flips: 0,
             full_prices: 0,
         };
         if crashed {
@@ -187,41 +151,19 @@ impl<'a> State<'a> {
         Ok(state)
     }
 
-    /// State over an existing basis + bound status (warm start), with the
-    /// basis refactorized. Fails with [`LpError::Singular`] if the
-    /// recorded basis cannot be factorized.
+    /// State over an existing basis (warm start), with the basis
+    /// refactorized. Fails with [`LpError::Singular`] if the recorded basis
+    /// cannot be factorized.
     fn from_basis(prepared: &'a Prepared, warm: &WarmStart) -> Result<Self, LpError> {
-        let cols = &prepared.cols;
-        let upper = &prepared.upper;
         let b = &prepared.b;
         let m = b.len();
-        let basis = warm.basis.clone();
-        let at_upper = warm.at_upper.clone();
-        assert_eq!(basis.len(), m, "basis size must match row count");
-        assert_eq!(at_upper.len(), cols.num_cols(), "bound flags per column");
-        let art_sign: Vec<f64> = b
-            .iter()
-            .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
-            .collect();
-        // Effective rhs folds in every nonbasic-at-upper contribution.
-        let mut b_eff = b.clone();
-        for j in 0..cols.num_cols() {
-            if at_upper[j] {
-                let (rows, vals) = cols.col(j);
-                for (&row, &coeff) in rows.iter().zip(vals) {
-                    b_eff[row] -= upper[j] * coeff;
-                }
-            }
-        }
+        assert_eq!(warm.basis.len(), m, "basis size must match row count");
         let mut state = State {
-            cols,
-            upper,
-            n_arts: m,
+            cols: &prepared.cols,
+            b,
             m,
-            b_eff,
-            at_upper,
-            art_sign,
-            basis,
+            art_sign: art_signs(b),
+            basis: warm.basis.clone(),
             // A placeholder representation: `refactor` below fills it in
             // from the recorded basis before any solve touches it.
             repr: BasisRepr {
@@ -231,7 +173,6 @@ impl<'a> State<'a> {
             refactor_every: REFACTOR_EVERY,
             iterations: 0,
             refactors: 0,
-            bound_flips: 0,
             full_prices: 0,
         };
         state.refactor()?;
@@ -249,59 +190,10 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Upper bound of column `j` (`+∞` for artificials).
-    pub(crate) fn upper_of(&self, j: usize) -> f64 {
-        if j < self.upper.len() {
-            self.upper[j]
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Whether nonbasic column `j` currently sits at its upper bound.
-    pub(crate) fn is_at_upper(&self, j: usize) -> bool {
-        j < self.at_upper.len() && self.at_upper[j]
-    }
-
     /// The basic column of row `r` (pricing needs the leaving variable).
     pub(crate) fn basis_col(&self, r: usize) -> usize {
         self.basis[r]
     }
-
-    /// Flags structural column `j` as nonbasic-at-upper, folding its
-    /// contribution into the effective rhs.
-    fn set_at_upper(&mut self, j: usize) {
-        debug_assert!(!self.at_upper[j]);
-        self.at_upper[j] = true;
-        let u = self.upper[j];
-        let (rows, vals) = self.cols.col(j);
-        for (&row, &coeff) in rows.iter().zip(vals) {
-            self.b_eff[row] -= u * coeff;
-        }
-    }
-
-    /// Clears the nonbasic-at-upper flag of structural column `j`,
-    /// restoring its contribution to the effective rhs.
-    fn clear_at_upper(&mut self, j: usize) {
-        debug_assert!(self.at_upper[j]);
-        self.at_upper[j] = false;
-        let u = self.upper[j];
-        let (rows, vals) = self.cols.col(j);
-        for (&row, &coeff) in rows.iter().zip(vals) {
-            self.b_eff[row] += u * coeff;
-        }
-    }
-
-    /// Jumps nonbasic column `j` to its other bound (no basis change).
-    fn flip_bound(&mut self, j: usize) {
-        if self.at_upper[j] {
-            self.clear_at_upper(j);
-        } else {
-            self.set_at_upper(j);
-        }
-        self.bound_flips += 1;
-    }
-
     /// `B⁻¹ · a_j` into caller-provided buffers (`scratch` is working
     /// space, `out` receives the result) — same arithmetic as
     /// [`State::ftran`], no per-call allocation.
@@ -346,7 +238,7 @@ impl<'a> State<'a> {
     /// [`State::basic_values`] into caller-provided buffers.
     fn basic_values_into(&self, scratch: &mut Vec<f64>, x: &mut Vec<f64>) {
         scratch.clear();
-        scratch.extend_from_slice(&self.b_eff);
+        scratch.extend_from_slice(self.b);
         self.repr.lu.solve_consuming_into(scratch, x);
         for eta in &self.repr.etas {
             eta.apply(x);
@@ -361,8 +253,7 @@ impl<'a> State<'a> {
         out
     }
 
-    /// Current basic solution `x_B = B⁻¹ b_eff` (nonbasic-at-upper
-    /// contributions already folded into the effective rhs).
+    /// Current basic solution `x_B = B⁻¹ b`.
     fn basic_values(&self) -> Vec<f64> {
         let mut scratch = Vec::new();
         let mut x = Vec::new();
@@ -456,17 +347,15 @@ enum PhaseEnd {
 /// costs.
 ///
 /// `allowed` filters which columns may enter (used to bar artificials in
-/// phase 2). Nonbasic columns may enter from either bound, the ratio test
-/// also watches basic variables climbing to *their* upper bounds, and an
-/// entering column whose own bound binds first just flips (no basis
-/// change).
+/// phase 2). The entering column rises from 0, and the ratio test watches
+/// every basic variable falling to 0.
 fn run_phase(
     t: &mut State<'_>,
     cost: &dyn Fn(usize) -> f64,
     allowed: &dyn Fn(usize) -> bool,
     iter_budget: &mut usize,
 ) -> Result<PhaseEnd, LpError> {
-    let n_total = t.cols.num_cols() + t.n_arts;
+    let n_total = t.cols.num_cols() + t.m;
     let mut pricer = Pricer::new(n_total);
     let mut degenerate_run = 0usize;
     let mut bland = false;
@@ -494,55 +383,32 @@ fn run_phase(
         let Some(j) = pricer.select(t, &y, cost, allowed, &in_basis, bland) else {
             break PhaseEnd::Optimal;
         };
-        // Direction sign: +1 entering upward from lower bound, −1 moving
-        // down from upper bound. Basic values change at rate −s·d.
-        let from_upper = t.is_at_upper(j);
-        let s = if from_upper { -1.0 } else { 1.0 };
 
         t.ftran_into(j, &mut scratch, &mut d);
         t.basic_values_into(&mut scratch, &mut x);
-        // Ratio test over both bounds of every basic variable.
+        // Ratio test: basic variable i falls at rate d[i] per unit step.
         let mut leave: Option<usize> = None;
-        let mut leave_to_upper = false;
         let mut theta = f64::INFINITY;
         for i in 0..t.m {
-            let rate = s * d[i]; // decrease rate of x_i per unit step
-            let (ratio, to_upper) = if rate > TOL {
-                ((x[i].max(0.0)) / rate, false)
-            } else if rate < -TOL {
-                let ub = t.upper_of(t.basis[i]);
-                if ub.is_finite() {
-                    (((ub - x[i]).max(0.0)) / -rate, true)
-                } else {
-                    continue;
+            if d[i] > TOL {
+                let ratio = x[i].max(0.0) / d[i];
+                let better = match leave {
+                    None => true,
+                    Some(l) => {
+                        ratio < theta - TOL
+                            || (ratio < theta + TOL
+                                && if bland {
+                                    t.basis[i] < t.basis[l]
+                                } else {
+                                    d[i].abs() > d[l].abs()
+                                })
+                    }
+                };
+                if better {
+                    theta = ratio;
+                    leave = Some(i);
                 }
-            } else {
-                continue;
-            };
-            let better = match leave {
-                None => true,
-                Some(l) => {
-                    ratio < theta - TOL
-                        || (ratio < theta + TOL
-                            && if bland {
-                                t.basis[i] < t.basis[l]
-                            } else {
-                                d[i].abs() > d[l].abs()
-                            })
-                }
-            };
-            if better {
-                theta = ratio;
-                leave = Some(i);
-                leave_to_upper = to_upper;
             }
-        }
-        // The entering column's own range can bind before any basic
-        // variable: a bound flip, no pivot.
-        let u_j = t.upper_of(j);
-        if u_j.is_finite() && u_j <= theta {
-            t.flip_bound(j);
-            continue;
         }
         let Some(r) = leave else {
             break PhaseEnd::Unbounded;
@@ -559,14 +425,7 @@ fn run_phase(
 
         t.iterations += 1;
         pricer.on_pivot(t, r, j, &d, &in_basis);
-        if from_upper {
-            t.clear_at_upper(j);
-        }
-        let leaving = t.basis[r];
         t.pivot(r, j, &d);
-        if leave_to_upper {
-            t.set_at_upper(leaving);
-        }
         since_refactor += 1;
         if since_refactor >= t.refactor_every {
             if let Err(e) = t.refactor() {
@@ -608,15 +467,14 @@ pub(crate) enum DualOutcome {
 }
 
 /// Dual-simplex reoptimization from a dual-feasible warm-start point after
-/// a right-hand-side or bound change.
+/// a right-hand-side change.
 ///
 /// The warm point must come from a previous optimal solve of the same
-/// `prepared` columns (same costs); only the rhs and the bound values may
-/// have changed. Artificials are barred from entering, mirroring phase 2. A
-/// basic variable can violate either of its bounds; the leaving choice
-/// picks the largest devex-weighted violation on either side and the dual
-/// ratio test admits entering candidates from both bounds with the
-/// matching sign condition.
+/// `prepared` columns (same costs); only the rhs may have changed.
+/// Artificials are barred from entering, mirroring phase 2. The leaving
+/// choice picks the basic variable with the largest devex-weighted
+/// negative value, and the dual ratio test admits the nonbasic columns
+/// whose pivot-row entry is negative.
 pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStart) -> DualOutcome {
     let n_cols = prepared.cols.num_cols();
     let Ok(mut t) = State::from_basis(prepared, warm) else {
@@ -635,7 +493,7 @@ pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStar
     // formulas per pivot and are rebuilt from scratch at refactorization
     // points (the same cadence that already bounds eta-file drift):
     //
-    // * `x` (basic values): `x ← x − θ_p·s·d`, entering value at slot `r`;
+    // * `x` (basic values): `x ← x − θ_p·d`, entering value at slot `r`;
     // * `rc` (structural reduced costs): `rc_j ← rc_j − θ_d·α_j` with
     //   `θ_d = rc_q/α_q`, `rc_leaving = −θ_d` — no per-pivot btran for
     //   duals and no second pass over the column nonzeros;
@@ -646,7 +504,7 @@ pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStar
     let mut rc: Vec<f64> = (0..n_cols)
         .map(|j| t.reduced_cost(j, &y, &cost_fn))
         .collect();
-    let mut in_basis = basis_mask(&t, n_cols + t.n_arts);
+    let mut in_basis = basis_mask(&t, n_cols + t.m);
     let mut alphas = vec![0.0f64; n_cols];
     // Reused per-pivot buffers (no per-pivot allocation).
     let mut rho: Vec<f64> = Vec::new();
@@ -661,40 +519,22 @@ pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStar
 
     loop {
         // Dual pricing: the basic variable with the largest weighted
-        // bound violation (below lower, or above a finite upper) leaves.
+        // violation of its bound 0 leaves.
         let mut leave: Option<usize> = None;
         let mut worst = 0.0;
-        let mut above = false;
         for i in 0..t.m {
-            let ub = t.upper_of(t.basis[i]);
-            let (viol, up) = {
-                let viol_low = -x[i];
-                let viol_up = if ub.is_finite() {
-                    x[i] - ub
-                } else {
-                    f64::NEG_INFINITY
-                };
-                if viol_up > viol_low {
-                    (viol_up, true)
-                } else {
-                    (viol_low, false)
-                }
-            };
+            let viol = -x[i];
             if viol > feas_tol {
                 let score = viol * viol / row_w[i];
                 if score > worst {
                     worst = score;
                     leave = Some(i);
-                    above = up;
                 }
             }
         }
         let Some(r) = leave else {
             let sol = extract_solution(&t, prepared, num_vars, true);
-            let warm = WarmStart {
-                basis: t.basis,
-                at_upper: t.at_upper,
-            };
+            let warm = WarmStart { basis: t.basis };
             return DualOutcome::Optimal(sol, warm);
         };
         if budget == 0 {
@@ -703,54 +543,34 @@ pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStar
         budget -= 1;
 
         t.btran_unit_into(r, &mut scratch, &mut rho);
-        // Dual ratio test over structural (non-artificial) columns. With
-        // `σ = +1` (leaving drops to its lower bound) an at-lower column
-        // qualifies when `σ·α < 0` and an at-upper column when `σ·α > 0`;
-        // `σ = −1` (leaving rises to its upper bound) mirrors both. The
+        // Dual ratio test over structural (non-artificial) columns: the
+        // leaving variable rises to 0 as a column with `α < 0` enters. The
         // pivot row is kept for the reduced-cost update below.
-        let sigma = if above { -1.0 } else { 1.0 };
         t.cols.gather_dot(&rho, &mut alphas);
         let mut entering: Option<usize> = None;
         let mut best_ratio = f64::INFINITY;
         let mut best_alpha = 0.0f64;
         for j in 0..n_cols {
-            if in_basis[j] {
-                continue;
-            }
             let alpha = alphas[j];
-            let ae = sigma * alpha;
-            let ratio = if t.is_at_upper(j) {
-                if ae > TOL {
-                    // Dual feasibility keeps rc ≤ 0 at an upper bound.
-                    (-rc[j]).max(0.0) / ae
-                } else {
-                    continue;
+            if !in_basis[j] && alpha < -TOL {
+                let ratio = rc[j].max(0.0) / -alpha;
+                let better = match entering {
+                    None => true,
+                    Some(_) => {
+                        ratio < best_ratio - TOL
+                            || (ratio < best_ratio + TOL && alpha.abs() > best_alpha.abs())
+                    }
+                };
+                if better {
+                    entering = Some(j);
+                    best_ratio = ratio;
+                    best_alpha = alpha;
                 }
-            } else if ae < -TOL {
-                rc[j].max(0.0) / -ae
-            } else {
-                continue;
-            };
-            let better = match entering {
-                None => true,
-                Some(_) => {
-                    ratio < best_ratio - TOL
-                        || (ratio < best_ratio + TOL && alpha.abs() > best_alpha.abs())
-                }
-            };
-            if better {
-                entering = Some(j);
-                best_ratio = ratio;
-                best_alpha = alpha;
             }
         }
         let Some(q) = entering else {
             // Row r cannot be repaired: dual unbounded, primal infeasible.
-            let warm = WarmStart {
-                basis: t.basis,
-                at_upper: t.at_upper,
-            };
-            return DualOutcome::Infeasible(warm);
+            return DualOutcome::Infeasible(WarmStart { basis: t.basis });
         };
 
         t.ftran_into(q, &mut scratch, &mut d);
@@ -771,22 +591,14 @@ pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStar
         }
         rc[q] = 0.0;
 
-        // Update the stored basic values: the entering variable moves off
-        // its bound by `θ_p ≥ 0` until the leaving variable reaches the
-        // bound it violated (`s_q` is the entering direction sign).
+        // Update the stored basic values: the entering variable rises from
+        // 0 by `θ_p ≥ 0` until the leaving variable reaches 0.
         let leaving = t.basis[r];
-        let target = if above { t.upper_of(leaving) } else { 0.0 };
-        let from_upper_q = t.is_at_upper(q);
-        let s_q = if from_upper_q { -1.0 } else { 1.0 };
-        let theta_p = (x[r] - target) / (s_q * d[r]);
+        let theta_p = x[r] / d[r];
         for i in 0..t.m {
-            x[i] -= theta_p * s_q * d[i];
+            x[i] -= theta_p * d[i];
         }
-        x[r] = if from_upper_q {
-            t.upper_of(q) - theta_p
-        } else {
-            theta_p
-        };
+        x[r] = theta_p;
         if leaving < n_cols {
             rc[leaving] = -theta_d;
         }
@@ -805,14 +617,7 @@ pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStar
             }
         }
         row_w[r] = (wr / a2).max(1.0);
-        if from_upper_q {
-            t.clear_at_upper(q);
-        }
         t.pivot(r, q, &d);
-        if above {
-            // The leaving variable settles at the bound it violated.
-            t.set_at_upper(leaving);
-        }
         since_refactor += 1;
         if since_refactor >= t.refactor_every {
             if t.refactor().is_err() {
@@ -834,8 +639,8 @@ pub(crate) fn resolve_dual(prepared: &Prepared, num_vars: usize, warm: &WarmStar
 /// change.
 pub(crate) enum PrimalOutcome {
     /// Reached optimality under the new costs: solution + the warm-start
-    /// point it ended on (boxed — a `WarmStart` dwarfs the other variants).
-    Optimal(Solution, Box<WarmStart>),
+    /// point it ended on.
+    Optimal(Solution, WarmStart),
     /// The new objective is unbounded over the (unchanged) feasible
     /// region; callers should confirm with a cold solve.
     Unbounded,
@@ -848,14 +653,13 @@ pub(crate) enum PrimalOutcome {
 /// after an *objective* change — the mirror image of [`resolve_dual`].
 ///
 /// After costs change, the recorded optimal basis is still primal feasible
-/// (feasibility depends only on `A`, `b`, and bounds) but its reduced
-/// costs are stale, so dual-simplex warm starts are unsound; instead we
-/// resume the phase-2 primal loop from the old basis with artificials
-/// barred.
+/// (feasibility depends only on `A` and `b`) but its reduced costs are
+/// stale, so dual-simplex warm starts are unsound; instead we resume the
+/// phase-2 primal loop from the old basis with artificials barred.
 ///
 /// Primal feasibility of the warm point is verified up front (a caller
-/// that chained rhs/bound edits since the last re-solve may have broken
-/// it); violations return [`PrimalOutcome::Stalled`] for a cold fallback.
+/// that chained rhs edits since the last re-solve may have broken it);
+/// violations return [`PrimalOutcome::Stalled`] for a cold fallback.
 pub(crate) fn resolve_primal(
     prepared: &Prepared,
     num_vars: usize,
@@ -868,14 +672,10 @@ pub(crate) fn resolve_primal(
     let Ok(mut t) = State::from_basis(prepared, warm) else {
         return PrimalOutcome::Stalled;
     };
-    let x = t.basic_values();
     let b_scale: f64 = prepared.b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
     let feas_tol = TOL * (1.0 + b_scale);
-    for (i, &xi) in x.iter().enumerate() {
-        let ub = t.upper_of(t.basis[i]);
-        if xi < -feas_tol || (ub.is_finite() && xi > ub + feas_tol) {
-            return PrimalOutcome::Stalled;
-        }
+    if t.basic_values().iter().any(|&xi| xi < -feas_tol) {
+        return PrimalOutcome::Stalled;
     }
     let costs = &prepared.costs;
     let phase2_cost = move |j: usize| if j < costs.len() { costs[j] } else { 0.0 };
@@ -884,11 +684,7 @@ pub(crate) fn resolve_primal(
     match run_phase(&mut t, &phase2_cost, &phase2_allowed, &mut iter_budget) {
         Ok(PhaseEnd::Optimal) => {
             let sol = extract_solution(&t, prepared, num_vars, true);
-            let warm = WarmStart {
-                basis: t.basis,
-                at_upper: t.at_upper,
-            };
-            PrimalOutcome::Optimal(sol, Box::new(warm))
+            PrimalOutcome::Optimal(sol, WarmStart { basis: t.basis })
         }
         Ok(PhaseEnd::Unbounded) => PrimalOutcome::Unbounded,
         Err(_) => PrimalOutcome::Stalled,
@@ -901,35 +697,29 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
     let n = prepared.cols.num_cols();
     let xb = t.basic_values();
     let mut col_values = vec![0.0; n];
-    for (j, v) in col_values.iter_mut().enumerate() {
-        if t.at_upper[j] {
-            *v = t.upper[j];
-        }
-    }
     for (i, &j) in t.basis.iter().enumerate() {
         if j < n {
-            // Clamp tiny bound overshoots from roundoff.
-            let ub = t.upper[j];
+            // Clamp tiny negative overshoots from roundoff.
             col_values[j] = if xb[i] < 0.0 && xb[i] > -TOL * 100.0 {
                 0.0
-            } else if xb[i] > ub && xb[i] < ub + TOL * 100.0 {
-                ub
             } else {
                 xb[i]
             };
         }
     }
-    let mut values = Vec::with_capacity(prepared.recover.len());
-    for rec in &prepared.recover {
-        values.push(rec.value(&col_values));
-    }
+    // `+ 0.0` reports a −0.0 as +0.0.
+    let values: Vec<f64> = prepared
+        .var_col
+        .iter()
+        .map(|&j| col_values[j] + 0.0)
+        .collect();
     let raw_obj: f64 = prepared
         .costs
         .iter()
         .zip(&col_values)
         .map(|(c, x)| c * x)
         .sum::<f64>()
-        + prepared.obj_offset;
+        + 0.0;
     let objective = if prepared.negated { -raw_obj } else { raw_obj };
 
     // Duals for user rows (phase-2 duals mapped through sign flips).
@@ -945,7 +735,6 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
     let stats = SolveStats {
         iterations: t.iterations,
         refactors: t.refactors,
-        bound_flips: t.bound_flips,
         full_prices: t.full_prices,
         warm,
     };
@@ -953,7 +742,6 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
         qp_obs::counter_add("lp_solves_total", 1);
         qp_obs::counter_add("lp_pivots_total", stats.iterations as u64);
         qp_obs::counter_add("lp_refactors_total", stats.refactors as u64);
-        qp_obs::counter_add("lp_bound_flips_total", stats.bound_flips as u64);
         qp_obs::counter_add("lp_full_prices_total", stats.full_prices as u64);
         qp_obs::observe("lp_pivots_per_solve", stats.iterations as f64);
         qp_obs::point(
@@ -962,10 +750,6 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
                 ("warm", qp_obs::FieldValue::Bool(warm)),
                 ("pivots", qp_obs::FieldValue::U64(stats.iterations as u64)),
                 ("refactors", qp_obs::FieldValue::U64(stats.refactors as u64)),
-                (
-                    "bound_flips",
-                    qp_obs::FieldValue::U64(stats.bound_flips as u64),
-                ),
                 (
                     "full_prices",
                     qp_obs::FieldValue::U64(stats.full_prices as u64),
@@ -977,18 +761,16 @@ fn extract_solution(t: &State<'_>, prepared: &Prepared, num_vars: usize, warm: b
 }
 
 /// Where a cold solve's phase 2 starts: the end state of phase 1 and of
-/// the artificial pivot-outs after it — basis, bound flags, effective
-/// rhs, basis representation with its etas, and the pivot budget left.
+/// the artificial pivot-outs after it — basis, basis representation with
+/// its etas, and the pivot budget left.
 ///
-/// Phase 1 reads only the columns, the bounds and the rhs, never the
-/// costs, so one `Phase1` serves every cost vector over the same
-/// constraints: [`phase_two`] from a clone of it returns, bit for bit,
-/// what a full cold solve under those costs returns.
+/// Phase 1 reads only the columns and the rhs, never the costs, so one
+/// `Phase1` serves every cost vector over the same constraints:
+/// [`phase_two`] from a clone of it returns, bit for bit, what a full cold
+/// solve under those costs returns.
 #[derive(Debug, Clone)]
 pub(crate) struct Phase1 {
     basis: Vec<usize>,
-    at_upper: Vec<bool>,
-    b_eff: Vec<f64>,
     art_sign: Vec<f64>,
     repr: BasisRepr,
     refactor_every: usize,
@@ -996,7 +778,6 @@ pub(crate) struct Phase1 {
     /// Work done so far, carried into the phase-2 solution's counters.
     iterations: usize,
     refactors: usize,
-    bound_flips: usize,
     full_prices: usize,
 }
 
@@ -1007,7 +788,6 @@ impl Phase1 {
         Phase1 {
             iterations: 0,
             refactors: 0,
-            bound_flips: 0,
             full_prices: 0,
             ..self.clone()
         }
@@ -1045,50 +825,38 @@ pub(crate) fn phase_one(prepared: &Prepared, refactor_every: usize) -> Result<Ph
         return Err(LpError::Infeasible);
     }
 
-    // Pivot lingering artificials out of the basis where possible; rows
-    // where no structural pivot exists are redundant and are neutralized by
-    // keeping the artificial basic at value zero but barring it from
-    // re-entering (it also never leaves, since its row is redundant).
+    // Pivot lingering artificials out of the basis where possible: a
+    // nonbasic structural column with a usable pivot in the row enters at
+    // value 0, which leaves the solution untouched. Rows where no such
+    // pivot exists are redundant and are neutralized by keeping the
+    // artificial basic at value zero but barring it from re-entering (it
+    // also never leaves, since its row is redundant).
     for r in 0..m {
         if t.basis[r] < n_cols {
             continue;
         }
-        // Find a nonbasic structural column with a usable pivot in row r.
-        // At-lower columns come first: swapping one in at value zero keeps
-        // the solution (and `b_eff`) untouched. Failing that, an at-upper
-        // column enters at its bound: the row is not redundant then, and
-        // phase 2 moving that column off its bound would move the
-        // artificial, which has no upper bound, off zero.
-        let mask = basis_mask(&t, n_cols + t.n_arts);
-        'search: for from_upper in [false, true] {
-            for j in 0..n_cols {
-                if mask[j] || t.is_at_upper(j) != from_upper {
-                    continue;
-                }
-                let d = t.ftran(j);
-                if d[r].abs() > TOL * 100.0 {
-                    if from_upper {
-                        t.clear_at_upper(j);
-                    }
-                    t.iterations += 1;
-                    t.pivot(r, j, &d);
-                    break 'search;
-                }
+        let mask = basis_mask(&t, n_cols + t.m);
+        for j in 0..n_cols {
+            if mask[j] {
+                continue;
+            }
+            let d = t.ftran(j);
+            if d[r].abs() > TOL * 100.0 {
+                t.iterations += 1;
+                t.pivot(r, j, &d);
+                break;
             }
         }
     }
 
     Ok(Phase1 {
         basis: t.basis,
-        at_upper: t.at_upper,
-        b_eff: t.b_eff,
         art_sign: t.art_sign,
         repr: t.repr,
         refactor_every: t.refactor_every,
         iter_budget,
         iterations: t.iterations,
         refactors: t.refactors,
-        bound_flips: t.bound_flips,
         full_prices: t.full_prices,
     })
 }
@@ -1105,18 +873,14 @@ pub(crate) fn phase_two(
     let mut iter_budget = start.iter_budget;
     let mut t = State {
         cols: &prepared.cols,
-        upper: &prepared.upper,
-        n_arts: start.basis.len(),
+        b: &prepared.b,
         m: start.basis.len(),
-        b_eff: start.b_eff,
-        at_upper: start.at_upper,
         art_sign: start.art_sign,
         basis: start.basis,
         repr: start.repr,
         refactor_every: start.refactor_every,
         iterations: start.iterations,
         refactors: start.refactors,
-        bound_flips: start.bound_flips,
         full_prices: start.full_prices,
     };
     let costs = &prepared.costs;
@@ -1128,11 +892,7 @@ pub(crate) fn phase_two(
     }
 
     let sol = extract_solution(&t, prepared, num_vars, false);
-    let warm = WarmStart {
-        basis: t.basis,
-        at_upper: t.at_upper,
-    };
-    Ok((sol, warm))
+    Ok((sol, WarmStart { basis: t.basis }))
 }
 
 #[cfg(test)]
@@ -1143,8 +903,8 @@ mod tests {
     #[test]
     fn classic_max_example() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
+        let x = m.add_var(3.0);
+        let y = m.add_var(5.0);
         m.add_le(&[(x, 1.0)], 4.0);
         m.add_le(&[(y, 2.0)], 12.0);
         m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
@@ -1159,12 +919,13 @@ mod tests {
 
     #[test]
     fn min_with_ge_constraints() {
-        // Diet-style: min 2x + 3y, x + y ≥ 4, x ≥ 1 → x=4? No: cost of x
-        // is lower, so x=4,y=0 gives 8; but x ≥ 1 already satisfied.
+        // Diet-style: min 2x + 3y, x + y ≥ 4, x ≥ 1: x is cheaper, so
+        // x = 4, y = 0 and the objective is 8.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 1.0, f64::INFINITY, 2.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
+        let x = m.add_var(2.0);
+        let y = m.add_var(3.0);
         m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
+        m.add_ge(&[(x, 1.0)], 1.0);
         let sol = m.solve().unwrap();
         assert!((sol.objective() - 8.0).abs() < 1e-7);
         assert!((sol.value(x) - 4.0).abs() < 1e-7);
@@ -1175,8 +936,8 @@ mod tests {
     fn equality_constraints() {
         // min x + y s.t. x + 2y = 4, x - y = 1 → x=2, y=1, obj 3.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
+        let y = m.add_var(1.0);
         m.add_eq(&[(x, 1.0), (y, 2.0)], 4.0);
         m.add_eq(&[(x, 1.0), (y, -1.0)], 1.0);
         let sol = m.solve().unwrap();
@@ -1189,7 +950,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
         m.add_le(&[(x, 1.0)], 1.0);
         m.add_ge(&[(x, 1.0)], 2.0);
         assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
@@ -1198,68 +959,64 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 0.0);
+        let x = m.add_var(1.0);
+        let y = m.add_var(0.0);
         m.add_ge(&[(x, 1.0), (y, 1.0)], 1.0);
         assert_eq!(m.solve().unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
     fn no_constraints_bounded_by_box() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 7.0, 2.0);
+        // With no rows at all, `x ≥ 0` alone bounds min 2x.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var(2.0);
         let sol = m.solve().unwrap();
-        assert!((sol.value(x) - 7.0).abs() < 1e-7);
-        assert!((sol.objective() - 14.0).abs() < 1e-7);
+        assert_eq!(sol.value(x), 0.0);
+        assert_eq!(sol.objective(), 0.0);
+        sol.certify(&m).unwrap();
     }
 
     #[test]
     fn no_constraints_unbounded() {
         let mut m = Model::new(Sense::Maximize);
-        let _ = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let _ = m.add_var(1.0);
         assert_eq!(m.solve().unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
     fn free_variable_split() {
-        // min |style|: min x s.t. x ≥ -3 as a free var with constraint.
+        // min x s.t. x ≥ -3 with x free, written as x = x⁺ − x⁻.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        m.add_ge(&[(x, 1.0)], -3.0);
+        let pos = m.add_var(1.0);
+        let neg = m.add_var(-1.0);
+        m.add_ge(&[(pos, 1.0), (neg, -1.0)], -3.0);
         let sol = m.solve().unwrap();
-        assert!((sol.value(x) + 3.0).abs() < 1e-7);
+        assert!((sol.value(pos) - sol.value(neg) + 3.0).abs() < 1e-7);
+        assert!((sol.objective() + 3.0).abs() < 1e-7);
         sol.certify(&m).unwrap();
     }
 
     #[test]
     fn negative_lower_bound() {
-        // max x + y, -2 ≤ x ≤ 1, y ≤ 2 - x, y ≥ 0.
+        // max x + y, -2 ≤ x ≤ 1, y ≤ 2 - x, y ≥ 0, with x = x' − 2 for
+        // x' ≥ 0: max x' + y (− 2) s.t. x' ≤ 3, x' + y ≤ 4.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", -2.0, 1.0, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
-        m.add_le(&[(x, 1.0), (y, 1.0)], 2.0);
+        let x = m.add_var(1.0);
+        let y = m.add_var(1.0);
+        m.add_le(&[(x, 1.0)], 3.0);
+        m.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
         let sol = m.solve().unwrap();
-        assert!((sol.objective() - 2.0).abs() < 1e-7);
-        sol.certify(&m).unwrap();
-    }
-
-    #[test]
-    fn upper_bounded_free_below_variable() {
-        // min -x with x ≤ 5 (no lower bound) → x = 5.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", f64::NEG_INFINITY, 5.0, -1.0);
-        let sol = m.solve().unwrap();
-        assert!((sol.value(x) - 5.0).abs() < 1e-7);
-        assert!((sol.objective() + 5.0).abs() < 1e-7);
+        assert!((sol.objective() - 2.0 - 2.0).abs() < 1e-7);
         sol.certify(&m).unwrap();
     }
 
     #[test]
     fn fixed_variable() {
-        // x fixed at 3 by bounds.
+        // x fixed at 3 by an equality row.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 3.0, 3.0, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
+        let y = m.add_var(1.0);
+        m.add_eq(&[(x, 1.0)], 3.0);
         m.add_ge(&[(x, 1.0), (y, 1.0)], 5.0);
         let sol = m.solve().unwrap();
         assert!((sol.value(x) - 3.0).abs() < 1e-7);
@@ -1271,8 +1028,8 @@ mod tests {
     fn redundant_rows_are_tolerated() {
         // Same constraint twice (rank-deficient equality system).
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(1.0);
+        let y = m.add_var(1.0);
         m.add_eq(&[(x, 1.0), (y, 1.0)], 2.0);
         m.add_eq(&[(x, 1.0), (y, 1.0)], 2.0);
         let sol = m.solve().unwrap();
@@ -1286,14 +1043,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let n = 6;
         let xs: Vec<_> = (0..n)
-            .map(|i| {
-                m.add_var(
-                    &format!("x{i}"),
-                    0.0,
-                    f64::INFINITY,
-                    2f64.powi(n as i32 - 1 - i as i32),
-                )
-            })
+            .map(|i| m.add_var(2f64.powi(n as i32 - 1 - i as i32)))
             .collect();
         for i in 0..n {
             let mut terms: Vec<_> = (0..i)
@@ -1310,8 +1060,8 @@ mod tests {
     fn duals_satisfy_strong_duality_on_small_lp() {
         // max 3x+5y st x≤4, 2y≤12, 3x+2y≤18: duals (0, 1.5, 1) → b·y = 36.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
+        let x = m.add_var(3.0);
+        let y = m.add_var(5.0);
         let r0 = m.add_le(&[(x, 1.0)], 4.0);
         let r1 = m.add_le(&[(y, 2.0)], 12.0);
         let r2 = m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
@@ -1326,8 +1076,8 @@ mod tests {
         // with a capacity coupling row.
         // min 10 p1 + 1 p2 st p1 + p2 = 1, p2 ≤ 0.3 → p = (0.7, 0.3).
         let mut m = Model::new(Sense::Minimize);
-        let p1 = m.add_var("p1", 0.0, f64::INFINITY, 10.0);
-        let p2 = m.add_var("p2", 0.0, f64::INFINITY, 1.0);
+        let p1 = m.add_var(10.0);
+        let p2 = m.add_var(1.0);
         m.add_eq(&[(p1, 1.0), (p2, 1.0)], 1.0);
         m.add_le(&[(p2, 1.0)], 0.3);
         let sol = m.solve().unwrap();
@@ -1336,147 +1086,17 @@ mod tests {
         sol.certify(&m).unwrap();
     }
 
-    /// A box-bounded LP solves to the same optimum whether its upper
-    /// bounds are declared on the variables (handled in-solver by the
-    /// bounded-variable ratio test) or spelled out as explicit `≤` rows.
-    #[test]
-    fn native_bounds_match_upper_bound_rows() {
-        let n = 10;
-        let build = |explicit_rows: bool| {
-            let mut m = Model::new(Sense::Minimize);
-            let xs: Vec<_> = (0..n)
-                .map(|j| {
-                    let hi = 2.0 + (j % 4) as f64;
-                    m.add_var(
-                        &format!("x{j}"),
-                        ((j % 3) as f64 - 2.0) / 2.0, // −1, −½, 0: keeps rows feasible
-                        if explicit_rows { f64::INFINITY } else { hi },
-                        ((j * 5 % 13) as f64 - 6.0) / 2.0,
-                    )
-                })
-                .collect();
-            for i in 0..6 {
-                let terms: Vec<_> = xs
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| (i * 2 + j) % 3 != 0)
-                    .map(|(j, &x)| (x, 1.0 + ((i + 2 * j) % 3) as f64))
-                    .collect();
-                m.add_le(&terms, 5.0 + i as f64);
-            }
-            if explicit_rows {
-                for (j, &x) in xs.iter().enumerate() {
-                    m.add_le(&[(x, 1.0)], 2.0 + (j % 4) as f64);
-                }
-            }
-            (m, xs)
-        };
-        let (rows_model, _) = build(true);
-        let (native_model, xs) = build(false);
-        let rows = rows_model.solve().unwrap();
-        let native = native_model.solve().unwrap();
-        rows.certify(&rows_model).unwrap();
-        native.certify(&native_model).unwrap();
-        assert!(
-            (rows.objective() - native.objective()).abs() <= 1e-9 * (1.0 + rows.objective().abs()),
-            "rows {} vs native {}",
-            rows.objective(),
-            native.objective()
-        );
-        // The native point must respect every bound.
-        for (j, &x) in native.values().iter().enumerate() {
-            let (lo, hi) = native_model.var_bounds(xs[j]);
-            assert!(
-                x >= lo - 1e-7 && x <= hi + 1e-7,
-                "x{j} = {x} ∉ [{lo}, {hi}]"
-            );
-        }
-    }
-
-    /// A variable driven to its upper bound by the objective alone is
-    /// resolved by a bound flip, not a pivot, and the counter shows it.
-    #[test]
-    fn bound_flip_replaces_pivot() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 7.0, 2.0);
-        let sol = m.solve().unwrap();
-        assert!((sol.value(x) - 7.0).abs() < 1e-9);
-        assert!((sol.objective() - 14.0).abs() < 1e-9);
-        assert_eq!(sol.stats().iterations, 0, "no basis change expected");
-        assert_eq!(sol.stats().bound_flips, 1);
-        sol.certify(&m).unwrap();
-    }
-
-    /// Bounded variables keep duals meaningful: binding user rows still
-    /// price.
-    #[test]
-    fn native_bounds_preserve_row_duals() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 10.0, 3.0);
-        let y = m.add_var("y", 0.0, 10.0, 5.0);
-        let r = m.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
-        let sol = m.solve().unwrap();
-        assert!((sol.objective() - 20.0).abs() < 1e-7); // y = 4
-        assert!((sol.dual(r) - 5.0).abs() < 1e-7);
-        sol.certify(&m).unwrap();
-    }
-
-    /// A fixed variable (`lo == hi`) next to a box-bounded one: both stay
-    /// in their ranges and the optimum certifies.
-    #[test]
-    fn native_bounds_fixed_variable() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 3.0, 3.0, 1.0);
-        let y = m.add_var("y", 0.0, 10.0, 1.0);
-        m.add_ge(&[(x, 1.0), (y, 1.0)], 5.0);
-        let sol = m.solve().unwrap();
-        assert!((sol.value(x) - 3.0).abs() < 1e-7);
-        assert!((sol.value(y) - 2.0).abs() < 1e-7);
-        sol.certify(&m).unwrap();
-    }
-
-    /// A variable bound and a row that contradict each other are
-    /// infeasible, exactly as two contradicting rows are.
-    #[test]
-    fn native_bounds_detect_infeasible() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, 1.0, 1.0);
-        m.add_ge(&[(x, 1.0)], 2.0); // x ≤ 1 by bound, x ≥ 2 by row
-        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
-    }
-
-    /// An equality row whose only pivot after phase 1 is a column at its
-    /// upper bound is not redundant: phase 2 must keep it, and may not
-    /// pull the column off its bound by letting the row's artificial grow.
-    #[test]
-    fn artificial_pivoted_out_by_an_at_upper_column() {
-        // x0 = 0 twice over; then 0.5·x1 = 1.5 twice over forces x1 = 3,
-        // its upper bound, although the cost pulls it down to 0.5.
-        let mut m = Model::new(Sense::Minimize);
-        let x0 = m.add_var("x0", 0.0, f64::INFINITY, 4.75);
-        let x1 = m.add_var("x1", 0.5, 3.0, 1.75);
-        m.add_le(&[(x0, -2.25), (x1, 2.25)], 9.0);
-        m.add_eq(&[(x0, 0.75)], 0.0);
-        m.add_eq(&[(x0, -1.75)], 0.0);
-        m.add_eq(&[(x0, 1.0), (x1, -0.5)], -1.5);
-        m.add_eq(&[(x0, 2.0), (x1, 0.5)], 1.5);
-        let sol = m.solve().unwrap();
-        sol.certify(&m).unwrap();
-        assert!((sol.value(x1) - 3.0).abs() < 1e-9, "{:?}", sol.values());
-        assert!((sol.objective() - 5.25).abs() < 1e-9);
-    }
-
     /// Frequent refactorization must not change results (it only resets
     /// the eta file).
     #[test]
     fn refactor_cadence_is_result_invariant() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
+        let x = m.add_var(3.0);
+        let y = m.add_var(5.0);
         m.add_le(&[(x, 1.0)], 4.0);
         m.add_le(&[(y, 2.0)], 12.0);
         m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
-        let p = Prepared::from_model(&m).unwrap();
+        let p = Prepared::from_model(&m);
         let start = super::phase_one(&p, 1).unwrap();
         let (every_pivot, _) = super::phase_two(&p, start, m.num_vars()).unwrap();
         let default = m.solve().unwrap();

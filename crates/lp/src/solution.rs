@@ -22,14 +22,10 @@ pub struct SolveStats {
     /// directly comparable across paths (phase 1 + artificial pivot-outs +
     /// phase 2 for a cold solve, phase 2 alone when phase 1 was reused;
     /// dual-simplex pivots for a warm re-solve).
-    /// Pricing rounds that find no entering column are not counted, and
-    /// neither are [`bound flips`](Self::bound_flips).
+    /// Pricing rounds that find no entering column are not counted.
     pub iterations: usize,
     /// Basis factorization (re)builds demanded by the pivot cadence.
     pub refactors: usize,
-    /// Bound flips: a nonbasic variable jumping between its lower and
-    /// upper bound without any basis change.
-    pub bound_flips: usize,
     /// Full pricing passes over every column: the periodic candidate-list
     /// refreshes, the final optimality confirmation, and any Bland's-rule
     /// scans, so `full_prices ≪ iterations` is the observable signature
@@ -43,9 +39,8 @@ pub struct SolveStats {
 
 /// The result of a successful LP solve.
 ///
-/// Holds the optimal value of every variable (in the user's original units,
-/// bound shifts undone), the objective value in the user's optimization
-/// sense, and a dual value per constraint row.
+/// Holds the optimal value of every variable, the objective value in the
+/// user's optimization sense, and a dual value per constraint row.
 ///
 /// # Examples
 ///
@@ -53,7 +48,7 @@ pub struct SolveStats {
 /// use qp_lp::{Model, Sense};
 ///
 /// let mut m = Model::new(Sense::Minimize);
-/// let x = m.add_var("x", 0.0, 10.0, 1.0);
+/// let x = m.add_var(1.0);
 /// let row = m.add_ge(&[(x, 1.0)], 4.0);
 /// let sol = m.solve()?;
 /// assert!((sol.value(x) - 4.0).abs() < 1e-7);
@@ -139,14 +134,13 @@ impl Solution {
     /// everything from the *original* model rather than trusting the
     /// solver's standard form:
     ///
-    /// * primal feasibility of every row and every variable bound, and
-    ///   the reported objective against `c·x`;
+    /// * primal feasibility of every row and of `x ≥ 0`, and the reported
+    ///   objective against `c·x`;
     /// * dual sign feasibility of the row duals, and of the reduced costs
-    ///   `c_j − Σᵢ yᵢ·a_ij` recomputed from the model's columns (a reduced
-    ///   cost may only push a variable toward a finite bound);
+    ///   `c_j − Σᵢ yᵢ·a_ij` recomputed from the model's columns (when
+    ///   minimizing, no reduced cost is negative);
     /// * complementary slackness: a row with a nonzero dual is tight, and
-    ///   a variable with a nonzero reduced cost sits on the bound it
-    ///   prices toward.
+    ///   a variable with a nonzero reduced cost sits at 0.
     ///
     /// Tolerances scale with the magnitude of the terms involved.
     ///
@@ -220,27 +214,19 @@ impl Solution {
             }
         }
 
-        // Columns: bounds, reduced-cost sign, complementary slackness.
-        let (lower, upper) = model.bounds();
+        // Columns: x ≥ 0, reduced-cost sign, complementary slackness.
         for (j, ((&v, &d), &scale)) in x.iter().zip(&rc).zip(&rc_scale).enumerate() {
-            let (lo, hi) = (lower[j], upper[j]);
-            if v < lo - tol(lo.abs()) || v > hi + tol(hi.abs()) {
-                return Err(format!("x{j} = {v} outside [{lo}, {hi}]"));
+            if v < -CERTIFY_TOL {
+                return Err(format!("x{j} = {v} is negative"));
             }
-            // Minimizing, a positive reduced cost pushes x_j down to its
-            // lower bound and a negative one up to its upper bound: that
-            // bound must exist and x_j must sit on it.
-            let gap = if d > tol(scale) {
-                v - lo
-            } else if d < -tol(scale) {
-                hi - v
-            } else {
-                continue;
-            };
-            if !gap.is_finite() || d.abs() * gap > CERTIFY_TOL * (1.0 + d.abs()) * (1.0 + v.abs()) {
-                return Err(format!(
-                    "x{j} = {v} has reduced cost {d} but is not at the bound it prices toward"
-                ));
+            // Minimizing, a positive reduced cost pushes x_j down to 0,
+            // where it must sit, and a negative one would raise it without
+            // bound.
+            if d < -tol(scale) {
+                return Err(format!("x{j} = {v} has negative reduced cost {d}"));
+            }
+            if d > tol(scale) && d * v > CERTIFY_TOL * (1.0 + d) * (1.0 + v.abs()) {
+                return Err(format!("x{j} = {v} has reduced cost {d} but is not at 0"));
             }
         }
         Ok(())
@@ -258,8 +244,8 @@ mod tests {
         let sol = Solution::new(1, vec![0.0], 0.0, vec![], SolveStats::default());
         // A VarId from a different, larger model.
         let mut other = Model::new(Sense::Minimize);
-        let _ = other.add_var("a", 0.0, 1.0, 0.0);
-        let b = other.add_var("b", 0.0, 1.0, 0.0);
+        let _ = other.add_var(0.0);
+        let b = other.add_var(0.0);
         let _ = sol.value(b);
     }
 
@@ -268,7 +254,6 @@ mod tests {
         let stats = SolveStats {
             iterations: 3,
             refactors: 1,
-            bound_flips: 2,
             full_prices: 1,
             warm: true,
         };
@@ -284,8 +269,8 @@ mod tests {
     fn certify_rejects_perturbed_solutions() {
         // max 3x + 5y st x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18: optimum (2, 6).
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
+        let x = m.add_var(3.0);
+        let y = m.add_var(5.0);
         m.add_le(&[(x, 1.0)], 4.0);
         m.add_le(&[(y, 2.0)], 12.0);
         m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);

@@ -3,7 +3,7 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
 use proptest::prelude::*;
-use qp_lp::{Model, Sense};
+use qp_lp::{Model, Sense, VarId};
 
 /// Solves an `n × n` dense linear system by Gaussian elimination with
 /// partial pivoting. Returns `None` if (near-)singular.
@@ -102,6 +102,31 @@ fn lp_instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>, Ve
     })
 }
 
+/// `c·x` over `{0 ≤ x ≤ u, Ax ≤ b}` in the given sense, each upper bound
+/// a `≤` row. Returns the model, its variables and the rows of `A`.
+fn box_model(
+    sense: Sense,
+    c: &[f64],
+    u: &[f64],
+    a: &[Vec<f64>],
+    b: &[f64],
+) -> (Model, Vec<VarId>, Vec<usize>) {
+    let mut m = Model::new(sense);
+    let vars: Vec<_> = c.iter().map(|&cj| m.add_var(cj)).collect();
+    for (&v, &uj) in vars.iter().zip(u) {
+        m.add_le(&[(v, 1.0)], uj);
+    }
+    let rows = a
+        .iter()
+        .zip(b)
+        .map(|(ai, &bi)| {
+            let terms: Vec<_> = vars.iter().copied().zip(ai.iter().copied()).collect();
+            m.add_le(&terms, bi)
+        })
+        .collect();
+    (m, vars, rows)
+}
+
 fn rhs_scales(k: usize) -> impl Strategy<Value = Vec<f64>> {
     // Multiplicative rhs perturbations that keep every b positive (so the
     // perturbed LP stays feasible: x = 0 always satisfies Ax ≤ b).
@@ -118,21 +143,7 @@ proptest! {
         (c, u, a, b) in lp_instance(),
         scales in rhs_scales(8),
     ) {
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = c
-            .iter()
-            .zip(&u)
-            .enumerate()
-            .map(|(j, (&cj, &uj))| m.add_var(&format!("x{j}"), 0.0, uj, cj))
-            .collect();
-        let rows: Vec<usize> = a
-            .iter()
-            .zip(&b)
-            .map(|(ai, &bi)| {
-                let terms: Vec<_> = vars.iter().copied().zip(ai.iter().copied()).collect();
-                m.add_le(&terms, bi)
-            })
-            .collect();
+        let (m, _, rows) = box_model(Sense::Minimize, &c, &u, &a, &b);
 
         // Warm path: solve once, then perturb every row and re-solve.
         let mut inst = m.instance().unwrap();
@@ -166,59 +177,11 @@ proptest! {
         prop_assert_eq!(warm2.certify(inst.model()), Ok(()));
     }
 
-    /// Warm bounded re-solves: after random *bound* perturbations an
-    /// instance's dual-simplex `resolve` matches a cold solve of the same
-    /// perturbed model to 1e-9 relative.
-    #[test]
-    fn warm_native_resolve_matches_cold_after_bound_perturbation(
-        (c, u, a, b) in lp_instance(),
-        scales in rhs_scales(8),
-    ) {
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = c
-            .iter()
-            .zip(&u)
-            .enumerate()
-            .map(|(j, (&cj, &uj))| m.add_var(&format!("x{j}"), 0.0, uj, cj))
-            .collect();
-        for (ai, &bi) in a.iter().zip(&b) {
-            let terms: Vec<_> = vars.iter().copied().zip(ai.iter().copied()).collect();
-            m.add_le(&terms, bi);
-        }
-
-        let mut inst = m.instance().unwrap();
-        inst.solve().expect("feasible bounded LP");
-        let mut cold_model = m.clone();
-        for (j, &v) in vars.iter().enumerate() {
-            let new_u = u[j] * scales[j % scales.len()];
-            inst.set_var_bounds(v, 0.0, new_u).unwrap();
-            cold_model.set_var_bounds(v, 0.0, new_u);
-        }
-        let warm = inst.resolve().expect("box LPs stay feasible");
-        let cold = cold_model.solve().expect("box LPs stay feasible");
-        prop_assert!(
-            (warm.objective() - cold.objective()).abs()
-                <= 1e-9 * (1.0 + cold.objective().abs()),
-            "warm {} vs cold {}", warm.objective(), cold.objective()
-        );
-        prop_assert_eq!(warm.certify(inst.model()), Ok(()));
-    }
-
     /// Solve, certify the solution against the model, and match the
     /// brute-force optimum over every candidate vertex.
     #[test]
     fn simplex_matches_vertex_enumeration((c, u, a, b) in lp_instance()) {
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = c
-            .iter()
-            .zip(&u)
-            .enumerate()
-            .map(|(j, (&cj, &uj))| m.add_var(&format!("x{j}"), 0.0, uj, cj))
-            .collect();
-        for (ai, &bi) in a.iter().zip(&b) {
-            let terms: Vec<_> = vars.iter().copied().zip(ai.iter().copied()).collect();
-            m.add_le(&terms, bi);
-        }
+        let (m, vars, _) = box_model(Sense::Minimize, &c, &u, &a, &b);
         let sol = m.solve().expect("feasible bounded LP");
         prop_assert_eq!(sol.certify(&m), Ok(()));
         let expected = brute_force_min(&c, &u, &a, &b);
@@ -240,68 +203,11 @@ proptest! {
         prop_assert!((recomputed - sol.objective()).abs() < 1e-6);
     }
 
-    /// The box `0 ≤ x ≤ u` held as native column bounds (ratio test with
-    /// bound flips) and the same box written as explicit `x_j ≤ u_j` rows
-    /// over unbounded columns are two formulations of one LP: both solve,
-    /// both certify against their own model, and their optima agree with
-    /// each other to 1e-9 and with the brute-force vertex optimum.
-    #[test]
-    fn devex_and_native_bounds_match_dantzig_rows((c, u, a, b) in lp_instance()) {
-        let build = |bounds_as_rows: bool| {
-            let mut m = Model::new(Sense::Minimize);
-            let vars: Vec<_> = c
-                .iter()
-                .zip(&u)
-                .enumerate()
-                .map(|(j, (&cj, &uj))| {
-                    let hi = if bounds_as_rows { f64::INFINITY } else { uj };
-                    m.add_var(&format!("x{j}"), 0.0, hi, cj)
-                })
-                .collect();
-            if bounds_as_rows {
-                for (&v, &uj) in vars.iter().zip(&u) {
-                    m.add_le(&[(v, 1.0)], uj);
-                }
-            }
-            for (ai, &bi) in a.iter().zip(&b) {
-                let terms: Vec<_> = vars.iter().copied().zip(ai.iter().copied()).collect();
-                m.add_le(&terms, bi);
-            }
-            m
-        };
-        let native = build(false);
-        let rows = build(true);
-        let sol_native = native.solve().expect("feasible bounded LP");
-        let sol_rows = rows.solve().expect("feasible bounded LP");
-        prop_assert_eq!(sol_native.certify(&native), Ok(()));
-        prop_assert_eq!(sol_rows.certify(&rows), Ok(()));
-        prop_assert!(
-            (sol_native.objective() - sol_rows.objective()).abs()
-                <= 1e-9 * (1.0 + sol_rows.objective().abs()),
-            "native {} vs rows {}", sol_native.objective(), sol_rows.objective()
-        );
-        let expected = brute_force_min(&c, &u, &a, &b);
-        prop_assert!(
-            (sol_native.objective() - expected).abs() <= 1e-6 * (1.0 + expected.abs()),
-            "simplex {} vs brute force {}", sol_native.objective(), expected
-        );
-    }
-
     #[test]
     fn maximization_is_negated_minimization((c, u, a, b) in lp_instance()) {
         let build = |sense: Sense, flip: f64| {
-            let mut m = Model::new(sense);
-            let vars: Vec<_> = c
-                .iter()
-                .zip(&u)
-                .enumerate()
-                .map(|(j, (&cj, &uj))| m.add_var(&format!("x{j}"), 0.0, uj, flip * cj))
-                .collect();
-            for (ai, &bi) in a.iter().zip(&b) {
-                let terms: Vec<_> =
-                    vars.iter().copied().zip(ai.iter().copied()).collect();
-                m.add_le(&terms, bi);
-            }
+            let c: Vec<f64> = c.iter().map(|&cj| flip * cj).collect();
+            let (m, _, _) = box_model(sense, &c, &u, &a, &b);
             m.solve().expect("feasible bounded LP").objective()
         };
         let max = build(Sense::Maximize, 1.0);
@@ -314,7 +220,7 @@ proptest! {
         // min Σ cᵢ pᵢ over the probability simplex = min cᵢ.
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = (0..k)
-            .map(|i| m.add_var(&format!("p{i}"), 0.0, f64::INFINITY, seedcosts[i]))
+            .map(|i| m.add_var(seedcosts[i]))
             .collect();
         let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         m.add_eq(&terms, 1.0);

@@ -2,7 +2,6 @@
 //! what the optimal solutions *look like*, beyond their objective values.
 
 use quorumnet::core::strategy_lp;
-use quorumnet::lp::{format_lp, Model, Sense};
 use quorumnet::prelude::*;
 
 #[test]
@@ -69,35 +68,6 @@ fn capacity_constraints_bind_at_the_optimum() {
         "no node saturated ({} < {c}): optimizer left delay on the table",
         eval.max_node_load()
     );
-}
-
-#[test]
-fn strategy_lp_dump_is_wellformed() {
-    // The access-strategy LP, exported to LP text format, has the expected
-    // structure: one convexity row per client plus capacity rows.
-    let net = datasets::euclidean_random(6, 50.0, 3);
-    let mut m = Model::new(Sense::Minimize);
-    let p0 = m.add_var(
-        "p[0,0]",
-        0.0,
-        f64::INFINITY,
-        net.distance(NodeId::new(0), NodeId::new(1)),
-    );
-    let p1 = m.add_var(
-        "p[0,1]",
-        0.0,
-        f64::INFINITY,
-        net.distance(NodeId::new(0), NodeId::new(2)),
-    );
-    m.add_eq(&[(p0, 1.0), (p1, 1.0)], 1.0);
-    m.add_le(&[(p0, 0.5), (p1, 0.5)], 0.8);
-    let text = format_lp(&m);
-    assert!(text.starts_with("Minimize"));
-    assert!(text.contains("= 1"));
-    assert!(text.contains("<= 0.8"));
-    assert!(text.contains("Subject To"));
-    // And the model still solves.
-    assert!(m.solve().is_ok());
 }
 
 #[test]

@@ -120,7 +120,7 @@ fn warm_sweep_is_reproducible() {
 
 // ---------------------------------------------------------------------------
 // Mixed-delta chains against a resident SimplexInstance (the daemon's
-// access pattern): random sequences of rhs, bound, and objective edits
+// access pattern): random sequences of rhs and objective edits
 // must warm-resolve to the same optimum as a from-scratch cold solve of
 // the edited model, agree on infeasibility, and spend strictly fewer
 // pivots in aggregate whenever the warm path actually engaged.
@@ -137,8 +137,6 @@ enum LpDelta {
     Weight { pick: usize, value: f64 },
     /// Capacity re-tune: inequality rhs (dual-simplex territory).
     Cap { pick: usize, value: f64 },
-    /// Variable lower bound (small, so convexity rows stay satisfiable).
-    Bound { pick: usize, lower: f64 },
     /// Objective rescale: slowdown-style cost edit (primal territory).
     Cost { pick: usize, scale: f64 },
 }
@@ -147,7 +145,6 @@ fn lp_delta() -> impl Strategy<Value = LpDelta> {
     prop_oneof![
         (0usize..1000, 0.02f64..0.15).prop_map(|(pick, value)| LpDelta::Weight { pick, value }),
         (0usize..1000, 0.55f64..1.0).prop_map(|(pick, value)| LpDelta::Cap { pick, value }),
-        (0usize..1000, 0.0f64..0.0015).prop_map(|(pick, lower)| LpDelta::Bound { pick, lower }),
         (0usize..1000, 0.5f64..3.0).prop_map(|(pick, scale)| LpDelta::Cost { pick, scale }),
     ]
 }
@@ -204,10 +201,6 @@ proptest! {
                 LpDelta::Cap { pick, value } => {
                     let (_, row) = lp.cap_rows[pick % lp.cap_rows.len()];
                     instance.set_rhs(row, value);
-                }
-                LpDelta::Bound { pick, lower } => {
-                    let v = VarId::from_index(pick % (n * m));
-                    instance.set_var_bounds(v, lower, f64::INFINITY).unwrap();
                 }
                 LpDelta::Cost { pick, scale } => {
                     let v = VarId::from_index(pick % (n * m));
