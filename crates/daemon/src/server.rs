@@ -208,7 +208,7 @@ impl Server {
             persist_error: None,
         }));
         let commands = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut handles = Vec::new();
+        let mut handles: Vec<thread::JoinHandle<()>> = Vec::new();
         let mut connections = 0usize;
         match &self.listener {
             Listener::Tcp(l) => l.set_nonblocking(true)?,
@@ -231,6 +231,16 @@ impl Server {
             };
             match accepted {
                 Some(stream) => {
+                    // Join the threads of finished connections: an
+                    // unjoined thread keeps its stack mapped until
+                    // shutdown.
+                    for h in std::mem::take(&mut handles) {
+                        if h.is_finished() {
+                            let _ = h.join();
+                        } else {
+                            handles.push(h);
+                        }
+                    }
                     connections += 1;
                     let served = Arc::clone(&served);
                     let stop = Arc::clone(&self.stop);
