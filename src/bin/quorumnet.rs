@@ -131,11 +131,11 @@ fn print_help() {
          --dataset planetlab50|daxlist161   built-in synthetic WAN (default planetlab50)\n  \
          --topology FILE                    RTT matrix file (overrides --dataset)\n  \
          --system grid:K | majority:KIND:T  quorum system (KIND: simple|twothirds|fourfifths)\n  \
-         --threads N                        worker threads for parallel sweeps and searches\n  \
-                                            (default: available parallelism; output identical\n  \
+         --threads N                        worker threads for parallel sweeps and searches\n                                     \
+                                            (default: available parallelism; output identical\n                                     \
                                             for any thread count)\n  \
-         --trace FILE                       write a JSONL span/metric trace of the run\n  \
-                                            (logical events only: same seed → byte-identical\n  \
+         --trace FILE                       write a JSONL span/metric trace of the run\n                                     \
+                                            (logical events only: same seed → byte-identical\n                                     \
                                             trace at any --threads; validate with trace-check)\n\n\
          place flags:\n  \
          --strategy closest|balanced|lp|lp-sweep   access strategy (default closest)\n  \
@@ -149,22 +149,22 @@ fn print_help() {
          --requests N               measured requests per client (default 150)\n  \
          --seed N                   PRNG seed (default 0)\n  \
          --strategy closest|balanced (default balanced)\n  \
-         --sim exact|aggregated     DES engine (default exact; aggregated\n  \
-                                    collapses each location's clients into one\n  \
+         --sim exact|aggregated     DES engine (default exact; aggregated\n                             \
+                                    collapses each location's clients into one\n                             \
                                     merged flow — million-client scale)\n\n\
          scenario flags:\n  \
          --spec FILE        scenario spec (repeatable; the set runs as a matrix)\n  \
          --out FILE         also write the reports to FILE\n  \
-         --checkpoint FILE  stream one fsync'd JSONL line per completed spec to\n  \
-                            FILE; a rerun after a crash resumes from it and the\n  \
+         --checkpoint FILE  stream one fsync'd JSONL line per completed spec to\n                     \
+                            FILE; a rerun after a crash resumes from it and the\n                     \
                             merged output is byte-identical to an uninterrupted run\n  \
          --jsonl-out FILE   write the merged machine-readable JSONL report\n\n\
          serve flags:\n  \
          --socket PATH       listen on a Unix-domain socket\n  \
          --listen ADDR       listen on a TCP address (e.g. 127.0.0.1:0)\n  \
          --sweep N           capacity sweep points per re-tune (default 10)\n  \
-         --state-dir DIR     crash-safe persistence: fsync'd delta WAL + atomic\n  \
-                             snapshots in DIR; on start, recover from DIR and\n  \
+         --state-dir DIR     crash-safe persistence: fsync'd delta WAL + atomic\n                      \
+                             snapshots in DIR; on start, recover from DIR and\n                      \
                              cross-check against a cold recompute (≤ 1e-9)\n  \
          --snapshot-every N  WAL entries between snapshots (default 64)\n\n\
          ctl flags:\n  \

@@ -87,6 +87,21 @@ fn help_runs_clean() {
     // `serve` tunes on its resident LP only: no command offers `--colgen`.
     assert!(stdout.contains("serve flags:"), "{stdout}");
     assert!(!stdout.contains("--colgen"), "{stdout}");
+    // A wrapped flag description continues under its first line's
+    // description column.
+    let mut flag_column = None;
+    for line in stdout.lines() {
+        let indent = line.len() - line.trim_start().len();
+        if let Some(flag) = line.strip_prefix("  --") {
+            let gap = flag.find("  ").unwrap_or(flag.len());
+            let desc = &flag[gap..];
+            flag_column = Some(4 + gap + desc.len() - desc.trim_start().len());
+        } else if indent == 0 {
+            flag_column = None;
+        } else if let Some(column) = flag_column {
+            assert_eq!(indent, column, "misaligned help line {line:?}");
+        }
+    }
 }
 
 #[test]
