@@ -401,6 +401,36 @@ mod tests {
     }
 
     #[test]
+    fn bound_change_resolves_warm() {
+        // Upper bounds are rows, so a bound change is a rhs change: the
+        // dual simplex repairs the old optimal basis.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var(2.0);
+        let y = m.add_var(1.0);
+        let x_hi = m.add_le(&[(x, 1.0)], 7.0);
+        m.add_le(&[(y, 1.0)], 3.0);
+        m.add_le(&[(x, 1.0), (y, 1.0)], 8.0);
+        let mut inst = m.instance().unwrap();
+        let cold = inst.solve().unwrap();
+        assert!((cold.objective() - 15.0).abs() < 1e-7); // x=7, y=1
+
+        inst.set_rhs(x_hi, 4.0);
+        let warm = inst.resolve().unwrap();
+        assert!(warm.stats().warm, "expected the dual-simplex path");
+        // x=4, y=3 → 8+3 = 11.
+        assert!(
+            (warm.objective() - 11.0).abs() < 1e-7,
+            "{}",
+            warm.objective()
+        );
+
+        let mut cold_model = m.clone();
+        cold_model.set_rhs(x_hi, 4.0);
+        let re = cold_model.solve().unwrap();
+        assert!((re.objective() - warm.objective()).abs() <= 1e-9 * (1.0 + re.objective().abs()));
+    }
+
+    #[test]
     fn set_objective_rejects_nonfinite() {
         let (m, (x, _), _) = classic();
         let mut inst = m.instance().unwrap();

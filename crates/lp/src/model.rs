@@ -667,32 +667,21 @@ mod tests {
     }
 
     #[test]
-    fn refresh_objective_rewrites_costs() {
-        // The structural costs change; the slack's stays zero.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var(3.0);
-        let y = m.add_var(1.0);
-        m.add_ge(&[(x, 1.0), (y, 1.0)], 2.0);
-        let mut p = Prepared::from_model(&m);
-        assert_eq!(p.costs, vec![3.0, 1.0, 0.0]);
-        m.set_objective(x, 5.0);
-        m.set_objective(y, -2.0);
-        p.refresh_objective(&m);
-        assert_eq!(p.costs, vec![5.0, -2.0, 0.0]);
-    }
-
-    #[test]
-    fn refresh_objective_handles_appended_columns_and_maximize() {
+    fn refresh_objective_handles_split_and_maximize() {
+        // A free variable written as the pair x⁺ − x⁻, a column appended
+        // since, and a slack whose cost stays zero.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var(3.0);
-        let r = m.add_le(&[(x, 1.0)], 4.0);
+        let pos = m.add_var(3.0);
+        let neg = m.add_var(-3.0);
+        let r = m.add_le(&[(pos, 1.0), (neg, -1.0)], 4.0);
         let mut p = Prepared::from_model(&m);
         let z = m.add_column(2.0, &[(r, 1.0)]).unwrap();
         p.append_column(2.0, &[(r, 1.0)]);
-        assert_eq!(p.costs, vec![-3.0, 0.0, -2.0]);
-        m.set_objective(x, -1.5);
+        assert_eq!(p.costs, vec![-3.0, 3.0, 0.0, -2.0]);
+        m.set_objective(pos, -1.5);
+        m.set_objective(neg, 1.5);
         m.set_objective(z, 4.0);
         p.refresh_objective(&m);
-        assert_eq!(p.costs, vec![1.5, 0.0, -4.0]);
+        assert_eq!(p.costs, vec![1.5, -1.5, 0.0, -4.0]);
     }
 }

@@ -1011,6 +1011,20 @@ mod tests {
     }
 
     #[test]
+    fn upper_bounded_free_below_variable() {
+        // min -x with x ≤ 5 and no lower bound, written as x = x⁺ − x⁻
+        // with the row x⁺ − x⁻ ≤ 5 → x = 5.
+        let mut m = Model::new(Sense::Minimize);
+        let pos = m.add_var(-1.0);
+        let neg = m.add_var(1.0);
+        m.add_le(&[(pos, 1.0), (neg, -1.0)], 5.0);
+        let sol = m.solve().unwrap();
+        assert!((sol.value(pos) - sol.value(neg) - 5.0).abs() < 1e-7);
+        assert!((sol.objective() + 5.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
+    }
+
+    #[test]
     fn fixed_variable() {
         // x fixed at 3 by an equality row.
         let mut m = Model::new(Sense::Minimize);
@@ -1084,6 +1098,32 @@ mod tests {
         assert!((sol.value(p1) - 0.7).abs() < 1e-7);
         assert!((sol.value(p2) - 0.3).abs() < 1e-7);
         sol.certify(&m).unwrap();
+    }
+
+    /// Bounded variables keep duals meaningful: with x, y ≥ 0 and their
+    /// upper bounds 10 as rows, the binding row still prices.
+    #[test]
+    fn native_bounds_preserve_row_duals() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var(3.0);
+        let y = m.add_var(5.0);
+        m.add_le(&[(x, 1.0)], 10.0);
+        m.add_le(&[(y, 1.0)], 10.0);
+        let r = m.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
+        let sol = m.solve().unwrap();
+        assert!((sol.objective() - 20.0).abs() < 1e-7); // y = 4
+        assert!((sol.dual(r) - 5.0).abs() < 1e-7);
+        sol.certify(&m).unwrap();
+    }
+
+    /// The variables' own bound `x ≥ 0` and a row that contradict each
+    /// other are infeasible, exactly as two contradicting rows are.
+    #[test]
+    fn native_bounds_detect_infeasible() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var(1.0);
+        m.add_le(&[(x, 1.0)], -1.0); // x ≥ 0 by its kind, x ≤ -1 by row
+        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
     }
 
     /// Frequent refactorization must not change results (it only resets

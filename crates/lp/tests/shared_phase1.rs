@@ -370,8 +370,7 @@ fn set_objectives_is_all_or_nothing() {
 }
 
 /// A refreshed cost vector solves exactly as a fresh build does, down to
-/// the sign of a zero objective (the objective adds a `+ 0.0`, where the
-/// solver once added the constant of its bound shifts).
+/// the sign of a zero objective.
 #[test]
 fn refreshed_offset_keeps_the_sign_of_a_zero_objective() {
     // No slack column adds a +0.0 term to the objective sum.
