@@ -164,7 +164,7 @@ fn search_lp(
     );
     let effective_cap = |w: usize| caps.get(NodeId::new(w)) * config.capacity_slack;
     let (model, vars) = placement_lp(net, weights, &effective_cap);
-    Ok((SimplexInstance::new(model)?, vars))
+    Ok((SimplexInstance::new(model), vars))
 }
 
 /// The pipeline for anchor `v0` on its search's placement LP `lp` (from
@@ -549,7 +549,7 @@ mod tests {
         let weights = element_weights(&uniform_probs(4), &quorums, 4);
         for cap in [0.8, f64::INFINITY] {
             let (model, vars) = placement_lp(&net, &weights, &|_| cap);
-            let mut lp = model.instance().unwrap();
+            let mut lp = model.instance();
             for v0 in 0..4 {
                 lp.set_objectives(&anchor_costs(&net, NodeId::new(v0), &weights, &vars))
                     .unwrap();
@@ -613,7 +613,7 @@ mod tests {
                 }
             };
             let (model, vars) = placement_lp(&net, &weights, &cap);
-            let mut lp = model.instance().unwrap();
+            let mut lp = model.instance();
             for anchor in 0..3 {
                 let v0 = NodeId::new((h(4 + anchor) % v_count as u64) as usize);
                 let (_, x) = match filtered_lp(&mut lp, &vars, &net, v0, &weights) {

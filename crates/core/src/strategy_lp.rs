@@ -471,7 +471,7 @@ impl<'a> ColGenSolver<'a> {
             cap_row_of[w] = Some(row);
             cap_rows.push((w, row, counts[w] as f64 + 1.0));
         }
-        let inst = SimplexInstance::new(model)?;
+        let inst = SimplexInstance::new(model);
         Ok(ColGenSolver {
             pq,
             weights,

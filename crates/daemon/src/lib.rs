@@ -37,10 +37,10 @@
 //! [`server`] wraps a session in a line-protocol service (TCP or Unix
 //! socket, thread-per-connection); [`protocol`] defines the wire
 //! grammar shared with the `quorumnet ctl` client. [`persist`] adds
-//! crash safety: an fsync'd append-only delta WAL plus periodic atomic
-//! snapshots, and [`persist::recover`] replays both on restart and
-//! cross-checks the recovered answer against a cold recompute to
-//! ≤ 1e-9.
+//! crash safety: one append-only log, the session state then every
+//! fsync'd delta, compacted by atomic rename, and [`persist::recover`]
+//! replays it on restart and cross-checks the recovered answer against
+//! a cold recompute to ≤ 1e-9.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,58 +1,58 @@
-//! Crash-safe persistence for `quorumd`: an append-only delta WAL plus
-//! periodic atomic snapshots, and recovery that replays both.
+//! Crash-safe persistence for `quorumd`: one append-only log file,
+//! `state.log`, and recovery that replays it.
 //!
-//! The invariant is simple: **the durable state on disk is always a
-//! snapshot plus the WAL of deltas applied since it was taken.** Every
-//! delta that advances the session's sequence number is appended to the
-//! WAL — its sequence number, then the delta in the exact wire grammar
-//! of the [`crate::protocol`] module, with floats printed by
-//! [`qp_obs::stable_f64`] so they round-trip bit-for-bit — and fsync'd
-//! before the client sees the response. Every `snapshot_every` WAL
-//! entries, the full [`PersistedState`] is written to a temp file,
-//! fsync'd, atomically renamed over the previous snapshot, and the WAL is
-//! truncated.
+//! The log opens with a **base**, the session's whole
+//! [`PersistedState`]: a header line, `seq N`, every `demand v w` and
+//! every `slowdown w f` in index order, each `crash w` ascending, then
+//! `end`. Every delta the session records after that is appended as one
+//! line, `<seq> <delta>`, and fsync'd before the client sees the
+//! response. Each base and tail delta is printed by the one encoder,
+//! [`Delta`]'s `Display` (floats by [`qp_obs::stable_f64`], so they
+//! round-trip bit for bit), and read back by [`parse_command`].
 //!
-//! The sequence stamp is what makes the snapshot-then-truncate pair
-//! crash-safe without being atomic: a kill between the snapshot rename
-//! and the WAL truncation leaves a snapshot at seq `N` *plus* a WAL
-//! still holding deltas `≤ N` already folded into it. Replaying those
-//! would double-apply demand/slowdown deltas and reject crash/restore
-//! ones, so [`recover`] skips every WAL entry stamped `≤` the snapshot's
-//! seq and requires the rest to continue contiguously from it.
+//! Compaction, in [`Persistence::open`] and after every `snapshot_every`
+//! appends, writes the current state as a new base to a temp file,
+//! fsyncs it, renames it over the log, fsyncs the directory and reopens
+//! the log for append. The rename is the one step that changes the
+//! durable state, so a crash leaves either the old log or the new one,
+//! and no delta can be both in a base and after it. A temp file left by a
+//! crash before the rename is never read; the next compaction replaces it.
 //!
 //! [`recover`] rebuilds a session from the directory: open fresh from
-//! the [`SessionConfig`], bulk-restore the snapshot, replay the
-//! still-pending WAL deltas one by one (an infeasible delta degrades the
-//! session exactly as it did live), and — unless the session came back
-//! degraded — cross-check the warm answer against a cold from-scratch
-//! recompute to ≤ 1e-9, the same discipline `check` enforces online. A
-//! torn final WAL line (the process died mid-append) is dropped;
-//! corruption anywhere else is an error naming the line.
+//! the [`SessionConfig`], restore the base in one shot, replay the tail
+//! delta by delta (an infeasible delta degrades the session exactly as it
+//! did live), and — unless the session came back degraded — cross-check
+//! the warm answer against a cold from-scratch recompute to ≤ 1e-9, the
+//! same discipline `check` enforces online. A torn final line (the
+//! process died mid-append) is dropped; corruption anywhere else is an
+//! error naming the line.
 
-use std::fs::{self, File};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-
-use qp_obs::stable_f64;
 
 use crate::protocol::{parse_command, Command, Delta};
 use crate::session::{PersistedState, Session, SessionConfig, SessionError};
 
-/// Snapshot file name inside the state directory.
-const SNAPSHOT_FILE: &str = "state.snap";
-/// Temp name the snapshot is staged under before the atomic rename.
-const SNAPSHOT_TMP: &str = "state.snap.tmp";
-/// WAL file name inside the state directory.
-const WAL_FILE: &str = "deltas.wal";
-/// First line of every snapshot file.
-const SNAPSHOT_HEADER: &str = "quorumd-snapshot v1";
+/// Log file name inside the state directory.
+const LOG_FILE: &str = "state.log";
+/// Temp name a compaction stages the new log under before its rename.
+const LOG_TMP: &str = "state.log.tmp";
+/// First line of the log.
+const LOG_HEADER: &str = "quorumd-log v1";
+/// The files of the earlier two-file layout, a snapshot beside a WAL. A
+/// directory holding one is refused: starting fresh there would drop the
+/// state it holds.
+const OLD_LAYOUT: [&str; 2] = ["state.snap", "deltas.wal"];
+const OLD_LAYOUT_REFUSAL: &str =
+    "left by the earlier snapshot + WAL layout, which is not read; move it away to start fresh";
 
 /// Errors from persistence or recovery.
 #[derive(Debug)]
 pub enum PersistError {
     /// A file operation failed.
     Io(io::Error),
-    /// A snapshot or WAL file holds something unreadable.
+    /// The state directory holds something unreadable.
     Corrupt {
         /// File the corruption was found in.
         file: String,
@@ -102,15 +102,11 @@ impl From<io::Error> for PersistError {
 /// What [`recover`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Sequence number the snapshot carried (0 when none existed).
+    /// Sequence number of the log's base (0 when there was no log).
     pub snapshot_seq: u64,
-    /// Deltas replayed from the WAL.
+    /// Deltas replayed from the log's tail.
     pub wal_deltas: usize,
-    /// WAL entries skipped because their seq was `≤` the snapshot's —
-    /// deltas already folded in by a snapshot whose WAL truncation was
-    /// interrupted by a crash.
-    pub wal_stale: usize,
-    /// Whether a torn final WAL line was dropped.
+    /// Whether a torn final line was dropped.
     pub torn_tail: bool,
     /// Whether the session came back degraded (infeasible live state).
     pub degraded: bool,
@@ -121,40 +117,42 @@ pub struct RecoveryReport {
     pub checked: bool,
 }
 
-/// A live persistence handle: the open WAL plus the snapshot cadence.
+/// A live persistence handle: the log open for append plus the
+/// compaction cadence.
 pub struct Persistence {
     dir: PathBuf,
-    wal: File,
-    wal_entries: usize,
+    log: File,
+    tail_len: usize,
     snapshot_every: usize,
 }
 
 impl Persistence {
-    /// Opens persistence in `dir` (created if missing), writes a fresh
-    /// snapshot of `session`, and truncates the WAL — so the on-disk
-    /// state is exactly the session handed in. Call *after*
+    /// Opens persistence in `dir` (created if missing) and compacts, so
+    /// the log holds exactly the session handed in. Call *after*
     /// [`recover`] (or on a brand-new session).
     ///
     /// # Errors
     ///
-    /// Any file-system failure.
+    /// Any file-system failure, and [`io::ErrorKind::AlreadyExists`] when
+    /// `dir` holds a file of the earlier two-file layout.
     pub fn open(dir: &Path, snapshot_every: usize, session: &Session) -> io::Result<Persistence> {
         fs::create_dir_all(dir)?;
-        write_snapshot(dir, &session.persisted_state())?;
-        let wal = File::create(dir.join(WAL_FILE))?;
-        wal.sync_all()?;
+        if let Some(old) = old_layout_file(dir) {
+            let message = format!("{}: {OLD_LAYOUT_REFUSAL}", old.display());
+            return Err(io::Error::new(io::ErrorKind::AlreadyExists, message));
+        }
         Ok(Persistence {
             dir: dir.to_path_buf(),
-            wal,
-            wal_entries: 0,
+            log: compact(dir, &session.persisted_state())?,
+            tail_len: 0,
             snapshot_every: snapshot_every.max(1),
         })
     }
 
-    /// Appends one applied delta to the WAL and fsyncs it; every
-    /// `snapshot_every` entries the WAL is collapsed into a fresh
-    /// atomic snapshot of `session`. Call only for deltas the session
-    /// actually recorded (its sequence number advanced).
+    /// Appends one applied delta to the log and fsyncs it; every
+    /// `snapshot_every` appends the log is compacted to a base holding
+    /// `session`. Call only for deltas the session actually recorded
+    /// (its sequence number advanced).
     ///
     /// # Errors
     ///
@@ -163,9 +161,9 @@ impl Persistence {
     /// behind the live one).
     pub fn record(&mut self, delta: &Delta, session: &Session) -> io::Result<()> {
         let t0 = qp_obs::enabled().then(std::time::Instant::now);
-        self.wal
-            .write_all(wire_line(session.seq(), delta).as_bytes())?;
-        self.wal.sync_data()?;
+        self.log
+            .write_all(format!("{} {delta}\n", session.seq()).as_bytes())?;
+        self.log.sync_data()?;
         if let Some(t0) = t0 {
             qp_obs::counter_add("quorumd_wal_appends_total", 1);
             qp_obs::observe(
@@ -173,278 +171,205 @@ impl Persistence {
                 t0.elapsed().as_secs_f64() * 1e3,
             );
         }
-        self.wal_entries += 1;
-        if self.wal_entries >= self.snapshot_every {
-            self.snapshot(session)?;
+        self.tail_len += 1;
+        if self.tail_len >= self.snapshot_every {
+            let t0 = qp_obs::enabled().then(std::time::Instant::now);
+            self.log = compact(&self.dir, &session.persisted_state())?;
+            self.tail_len = 0;
+            if let Some(t0) = t0 {
+                qp_obs::counter_add("quorumd_snapshots_total", 1);
+                qp_obs::observe("quorumd_snapshot_wall_ms", t0.elapsed().as_secs_f64() * 1e3);
+            }
         }
         Ok(())
     }
 
-    /// Collapses the WAL into a fresh atomic snapshot of `session`.
-    ///
-    /// # Errors
-    ///
-    /// Any file-system failure.
-    pub fn snapshot(&mut self, session: &Session) -> io::Result<()> {
-        let t0 = qp_obs::enabled().then(std::time::Instant::now);
-        write_snapshot(&self.dir, &session.persisted_state())?;
-        self.wal = File::create(self.dir.join(WAL_FILE))?;
-        self.wal.sync_all()?;
-        self.wal_entries = 0;
-        if let Some(t0) = t0 {
-            qp_obs::counter_add("quorumd_snapshots_total", 1);
-            qp_obs::observe("quorumd_snapshot_wall_ms", t0.elapsed().as_secs_f64() * 1e3);
-        }
-        Ok(())
-    }
-
-    /// WAL entries appended since the last snapshot.
-    pub fn wal_entries(&self) -> usize {
-        self.wal_entries
+    /// Deltas appended since the last compaction.
+    pub fn tail_len(&self) -> usize {
+        self.tail_len
     }
 }
 
-/// One WAL entry: the session seq the delta advanced to, then the delta
-/// in the wire grammar, newline-terminated, floats printed so they
-/// round-trip bit-for-bit.
-fn wire_line(seq: u64, delta: &Delta) -> String {
-    match *delta {
-        Delta::Slowdown { site, factor } => {
-            format!("{seq} slowdown {site} {}\n", stable_f64(factor))
-        }
-        Delta::Demand { loc, weight } => format!("{seq} demand {loc} {}\n", stable_f64(weight)),
-        Delta::Crash { node } => format!("{seq} crash {node}\n"),
-        Delta::Restore { node } => format!("{seq} restore {node}\n"),
-    }
+/// The first file of the earlier two-file layout present in `dir`.
+fn old_layout_file(dir: &Path) -> Option<PathBuf> {
+    OLD_LAYOUT.iter().map(|f| dir.join(f)).find(|p| p.exists())
 }
 
-/// Writes `state` to the snapshot file: temp file, fsync, atomic
-/// rename, directory fsync.
-fn write_snapshot(dir: &Path, state: &PersistedState) -> io::Result<()> {
-    let mut text = String::new();
-    text.push_str(SNAPSHOT_HEADER);
-    text.push('\n');
-    text.push_str(&format!("seq {}\n", state.seq));
-    for (v, w) in state.raw_weights.iter().enumerate() {
-        text.push_str(&format!("demand {v} {}\n", stable_f64(*w)));
-    }
-    for (w, f) in state.slowdown.iter().enumerate() {
-        text.push_str(&format!("slowdown {w} {}\n", stable_f64(*f)));
-    }
-    for &w in &state.crashed {
-        text.push_str(&format!("crash {w}\n"));
+/// Writes `state` as the base of a fresh log: temp file, fsync, atomic
+/// rename over the log, directory fsync. Returns the new log opened for
+/// append.
+fn compact(dir: &Path, state: &PersistedState) -> io::Result<File> {
+    let demands = state.raw_weights.iter().enumerate();
+    let slowdowns = state.slowdown.iter().enumerate();
+    let base = (demands.map(|(loc, &weight)| Delta::Demand { loc, weight }))
+        .chain(slowdowns.map(|(site, &factor)| Delta::Slowdown { site, factor }))
+        .chain(state.crashed.iter().map(|&node| Delta::Crash { node }));
+    let mut text = format!("{LOG_HEADER}\nseq {}\n", state.seq);
+    for d in base {
+        text.push_str(&format!("{d}\n"));
     }
     text.push_str("end\n");
 
-    let tmp = dir.join(SNAPSHOT_TMP);
+    let (tmp, log) = (dir.join(LOG_TMP), dir.join(LOG_FILE));
     {
         let mut f = File::create(&tmp)?;
         f.write_all(text.as_bytes())?;
         f.sync_all()?;
     }
-    fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+    fs::rename(&tmp, &log)?;
     // Persist the rename itself.
     #[cfg(unix)]
     File::open(dir)?.sync_all()?;
-    Ok(())
+    OpenOptions::new().append(true).open(&log)
 }
 
-/// Reads the snapshot, if one exists. The write path is atomic
-/// (temp + rename), so a half-written snapshot never has the canonical
-/// name — anything unreadable under it is corruption, not a torn write.
-fn read_snapshot(dir: &Path) -> Result<Option<PersistedState>, PersistError> {
-    let path = dir.join(SNAPSHOT_FILE);
-    let text = match fs::read_to_string(&path) {
+/// A log as read back: its base, and each tail delta with its 1-based
+/// line.
+struct Log {
+    base: PersistedState,
+    tail: Vec<(usize, Delta)>,
+    torn: bool,
+}
+
+/// Reads the log at `path`, if one exists. A torn final line (no
+/// trailing newline — the process died mid-append) is dropped and
+/// flagged; anything else unreadable is corruption naming the line: a
+/// bad header or `seq` line, a base delta out of order, a missing `end`,
+/// a tail line without a seq stamp or whose stamp does not follow the
+/// one before it.
+fn read_log(path: &Path) -> Result<Option<Log>, PersistError> {
+    let mut text = match fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let file = path.display().to_string();
+    let torn = !text.is_empty() && !text.ends_with('\n');
+    text.truncate(text.rfind('\n').map_or(0, |pos| pos + 1));
     let corrupt = |line: usize, message: String| PersistError::Corrupt {
-        file: file.clone(),
+        file: path.display().to_string(),
         line,
         message,
     };
-    let mut lines = text.lines().enumerate();
-    let header = lines.next().map(|(_, l)| l);
-    if header != Some(SNAPSHOT_HEADER) {
-        return Err(corrupt(1, format!("expected `{SNAPSHOT_HEADER}` header")));
+    let delta = |line: usize, text: &str| match parse_command(text) {
+        Ok(Some(Command::Delta(d))) => Ok(d),
+        Ok(Some(_)) => Err(corrupt(line, format!("non-delta entry '{text}'"))),
+        Ok(None) => Err(corrupt(line, "blank entry".into())),
+        Err(msg) => Err(corrupt(line, msg)),
+    };
+    let mut lines = text.lines().zip(1..);
+    if lines.next().map(|(l, _)| l) != Some(LOG_HEADER) {
+        return Err(corrupt(1, format!("expected `{LOG_HEADER}` header")));
     }
-    let mut seq: Option<u64> = None;
-    let mut raw_weights = Vec::new();
-    let mut slowdown = Vec::new();
-    let mut crashed = Vec::new();
+    let seq = match lines.next() {
+        Some((l, n)) => (l.strip_prefix("seq ").and_then(|t| t.parse().ok()))
+            .ok_or_else(|| corrupt(n, format!("expected `seq <n>`, found '{l}'")))?,
+        None => return Err(corrupt(0, "missing `seq` entry".into())),
+    };
+    let mut base = PersistedState {
+        seq,
+        raw_weights: Vec::new(),
+        slowdown: Vec::new(),
+        crashed: Vec::new(),
+    };
     let mut ended = false;
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        if ended {
-            return Err(corrupt(lineno, "content after `end` marker".into()));
+    for (l, n) in lines.by_ref() {
+        if l == "end" {
+            ended = true;
+            break;
         }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("seq") => {
-                let tok = parts
-                    .next()
-                    .ok_or_else(|| corrupt(lineno, "seq: missing value".into()))?;
-                seq = Some(
-                    tok.parse::<u64>()
-                        .map_err(|_| corrupt(lineno, format!("seq: bad value '{tok}'")))?,
-                );
+        match delta(n, l)? {
+            Delta::Demand { loc, weight } if loc == base.raw_weights.len() => {
+                base.raw_weights.push(weight);
             }
-            Some(kind @ ("demand" | "slowdown")) => {
-                let idx_tok = parts
-                    .next()
-                    .ok_or_else(|| corrupt(lineno, format!("{kind}: missing index")))?;
-                let val_tok = parts
-                    .next()
-                    .ok_or_else(|| corrupt(lineno, format!("{kind}: missing value")))?;
-                let i: usize = idx_tok
-                    .parse()
-                    .map_err(|_| corrupt(lineno, format!("{kind}: bad index '{idx_tok}'")))?;
-                let v: f64 = val_tok
-                    .parse()
-                    .map_err(|_| corrupt(lineno, format!("{kind}: bad value '{val_tok}'")))?;
-                let out = if kind == "demand" {
-                    &mut raw_weights
-                } else {
-                    &mut slowdown
-                };
-                if i != out.len() {
-                    return Err(corrupt(
-                        lineno,
-                        format!("{kind}: index {i} out of order (expected {})", out.len()),
-                    ));
-                }
-                out.push(v);
+            Delta::Slowdown { site, factor } if site == base.slowdown.len() => {
+                base.slowdown.push(factor);
             }
-            Some("crash") => {
-                let tok = parts
-                    .next()
-                    .ok_or_else(|| corrupt(lineno, "crash: missing node".into()))?;
-                crashed.push(
-                    tok.parse::<usize>()
-                        .map_err(|_| corrupt(lineno, format!("crash: bad node '{tok}'")))?,
-                );
+            Delta::Crash { node } if base.crashed.last().is_none_or(|&w| node > w) => {
+                base.crashed.push(node);
             }
-            Some("end") => ended = true,
-            Some(other) => return Err(corrupt(lineno, format!("unknown entry '{other}'"))),
-            None => {}
-        }
-        if parts.next().is_some() {
-            return Err(corrupt(lineno, "trailing tokens".into()));
+            _ => {
+                return Err(corrupt(
+                    n,
+                    format!(
+                        "'{l}' out of order: the base holds demands and slowdowns in index \
+                         order (next {} and {}), then crashes ascending",
+                        base.raw_weights.len(),
+                        base.slowdown.len()
+                    ),
+                ))
+            }
         }
     }
     if !ended {
-        return Err(corrupt(
-            0,
-            "missing `end` marker (truncated snapshot)".into(),
-        ));
+        return Err(corrupt(0, "missing `end` marker (truncated base)".into()));
     }
-    let seq = seq.ok_or_else(|| corrupt(0, "missing `seq` entry".into()))?;
-    Ok(Some(PersistedState {
-        seq,
-        raw_weights,
-        slowdown,
-        crashed,
-    }))
-}
-
-/// Reads the WAL into seq-stamped deltas. A torn final line (no
-/// trailing newline — the process died mid-append) is dropped and
-/// flagged; anything else unparseable is corruption naming the line.
-fn read_wal(dir: &Path) -> Result<(Vec<(u64, Delta)>, bool), PersistError> {
-    let path = dir.join(WAL_FILE);
-    let mut text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
-        Err(e) => return Err(e.into()),
-    };
-    let mut torn = false;
-    if !text.is_empty() && !text.ends_with('\n') {
-        torn = true;
-        match text.rfind('\n') {
-            Some(pos) => text.truncate(pos + 1),
-            None => text.clear(),
-        }
-    }
-    let file = path.display().to_string();
-    let mut deltas = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let corrupt = |message: String| PersistError::Corrupt {
-            file: file.clone(),
-            line: idx + 1,
-            message,
-        };
-        let (seq_tok, rest) = line
+    let (mut tail, mut prev) = (Vec::new(), seq);
+    for (l, n) in lines {
+        let (stamp, rest) = l
             .split_once(' ')
-            .ok_or_else(|| corrupt(format!("entry without seq stamp '{line}'")))?;
-        let seq: u64 = seq_tok
+            .ok_or_else(|| corrupt(n, format!("entry without seq stamp '{l}'")))?;
+        let stamp: u64 = stamp
             .parse()
-            .map_err(|_| corrupt(format!("bad seq stamp '{seq_tok}'")))?;
-        match parse_command(rest) {
-            Ok(Some(Command::Delta(d))) => deltas.push((seq, d)),
-            Ok(Some(_)) => return Err(corrupt(format!("non-delta entry '{line}'"))),
-            Ok(None) => return Err(corrupt("blank entry".into())),
-            Err(msg) => return Err(corrupt(msg)),
+            .map_err(|_| corrupt(n, format!("bad seq stamp '{stamp}'")))?;
+        if prev.checked_add(1) != Some(stamp) {
+            return Err(corrupt(
+                n,
+                format!("seq {stamp} does not follow seq {prev}"),
+            ));
         }
+        prev = stamp;
+        tail.push((n, delta(n, rest)?));
     }
-    Ok((deltas, torn))
+    Ok(Some(Log { base, tail, torn }))
 }
 
 /// Rebuilds a session from a state directory: open fresh from `cfg`,
-/// restore the snapshot (if any), replay the WAL delta by delta, and —
-/// unless the recovered state is degraded — cross-check the warm answer
-/// against a cold from-scratch recompute at the session's 1e-9
-/// discipline. An empty or missing directory recovers to a fresh
+/// restore the log's base (if there is a log), replay its tail delta by
+/// delta, and — unless the recovered state is degraded — cross-check the
+/// warm answer against a cold from-scratch recompute at the session's
+/// 1e-9 discipline. An empty or missing directory recovers to a fresh
 /// session with an all-pass report.
 ///
 /// # Errors
 ///
-/// [`PersistError::Corrupt`] on unreadable files (a torn *final* WAL
-/// line is tolerated, not an error), [`PersistError::Session`] when the
-/// state doesn't fit `cfg`, [`PersistError::Mismatch`] when the
+/// [`PersistError::Corrupt`] on an unreadable log (a torn *final* line
+/// is tolerated, not an error) and on a directory holding a file of the
+/// earlier two-file layout, naming that file; [`PersistError::Session`]
+/// when the state doesn't fit `cfg`; [`PersistError::Mismatch`] when the
 /// recovered answer diverges from the cold recompute.
 pub fn recover(cfg: SessionConfig, dir: &Path) -> Result<(Session, RecoveryReport), PersistError> {
-    let mut session = Session::new(cfg).map_err(PersistError::Session)?;
-    let mut snapshot_seq = 0;
-    if let Some(state) = read_snapshot(dir)? {
-        snapshot_seq = state.seq;
-        session
-            .restore_state(&state)
-            .map_err(PersistError::Session)?;
+    if let Some(old) = old_layout_file(dir) {
+        return Err(PersistError::Corrupt {
+            file: old.display().to_string(),
+            line: 0,
+            message: OLD_LAYOUT_REFUSAL.into(),
+        });
     }
-    let (deltas, torn_tail) = read_wal(dir)?;
-    let mut wal_deltas = 0;
-    let mut wal_stale = 0;
-    for (i, (seq, delta)) in deltas.iter().enumerate() {
-        let corrupt = |message: String| PersistError::Corrupt {
-            file: dir.join(WAL_FILE).display().to_string(),
-            line: i + 1,
-            message,
-        };
-        if *seq <= snapshot_seq {
-            // Already folded into the snapshot: the process died between
-            // the snapshot rename and the WAL truncation. Replaying it
-            // would double-apply the delta.
-            wal_stale += 1;
-            continue;
-        }
-        if *seq != session.seq() + 1 {
-            return Err(corrupt(format!(
-                "seq {seq} does not follow session seq {}",
-                session.seq()
-            )));
-        }
-        match session.apply(delta) {
-            // Ok, or recorded-but-infeasible: both advanced seq, both
-            // are exactly what happened live.
-            Ok(_) | Err(SessionError::Infeasible(_)) | Err(SessionError::Lp(_)) => wal_deltas += 1,
-            Err(e) => {
-                // A rejected delta can never have been logged: the WAL
-                // disagrees with the snapshot it extends.
-                return Err(corrupt(format!("replay rejected: {e}")));
+    let path = dir.join(LOG_FILE);
+    let log = read_log(&path)?;
+    let mut session = Session::new(cfg).map_err(PersistError::Session)?;
+    let (mut snapshot_seq, mut wal_deltas, mut torn_tail) = (0, 0, false);
+    if let Some(log) = log {
+        session
+            .restore_state(&log.base)
+            .map_err(PersistError::Session)?;
+        for &(line, delta) in &log.tail {
+            match session.apply(&delta) {
+                // Ok, or recorded-but-infeasible: both advanced seq, both
+                // are exactly what happened live.
+                Ok(_) | Err(SessionError::Infeasible(_)) | Err(SessionError::Lp(_)) => {}
+                Err(e) => {
+                    // A rejected delta can never have been logged: the
+                    // tail disagrees with the base it extends.
+                    return Err(PersistError::Corrupt {
+                        file: path.display().to_string(),
+                        line,
+                        message: format!("replay rejected: {e}"),
+                    });
+                }
             }
         }
+        (snapshot_seq, wal_deltas, torn_tail) = (log.base.seq, log.tail.len(), log.torn);
     }
     let degraded = session.degraded();
     let mut checked = false;
@@ -470,14 +395,12 @@ pub fn recover(cfg: SessionConfig, dir: &Path) -> Result<(Session, RecoveryRepor
     // what recovery found instead of only printing a banner.
     if qp_obs::enabled() {
         qp_obs::counter_add("quorumd_recoveries_total", 1);
-        qp_obs::counter_add("quorumd_recovery_wal_stale_total", wal_stale as u64);
         qp_obs::counter_add("quorumd_recovery_torn_tail_total", u64::from(torn_tail));
         qp_obs::point(
             "daemon.recovery",
             &[
                 ("snapshot_seq", qp_obs::FieldValue::U64(snapshot_seq)),
                 ("wal_deltas", qp_obs::FieldValue::U64(wal_deltas as u64)),
-                ("wal_stale", qp_obs::FieldValue::U64(wal_stale as u64)),
                 ("torn_tail", qp_obs::FieldValue::Bool(torn_tail)),
                 ("degraded", qp_obs::FieldValue::Bool(degraded)),
                 ("checked", qp_obs::FieldValue::Bool(checked)),
@@ -489,7 +412,6 @@ pub fn recover(cfg: SessionConfig, dir: &Path) -> Result<(Session, RecoveryRepor
         RecoveryReport {
             snapshot_seq,
             wal_deltas,
-            wal_stale,
             torn_tail,
             degraded,
             checked,
@@ -528,6 +450,32 @@ mod tests {
         dir
     }
 
+    /// The names of the files in `dir`, sorted.
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The log's text, and the number of its lines up to and including
+    /// `end` (the header, `seq` and the base).
+    fn log_and_base_lines(dir: &Path) -> (String, usize) {
+        let text = fs::read_to_string(dir.join(LOG_FILE)).unwrap();
+        let base = text.lines().position(|l| l == "end").unwrap() + 1;
+        (text, base)
+    }
+
+    /// Replaces the log's tail with `tail`, keeping its base.
+    fn write_tail(dir: &Path, tail: &str) -> usize {
+        let (text, base) = log_and_base_lines(dir);
+        let kept: String = text.lines().take(base).map(|l| format!("{l}\n")).collect();
+        fs::write(dir.join(LOG_FILE), kept + tail).unwrap();
+        base
+    }
+
     fn assert_same_answer(a: &Session, b: &Session) {
         let (x, y) = (a.answer(), b.answer());
         assert_eq!(x.capacity, y.capacity);
@@ -546,6 +494,7 @@ mod tests {
         let dir = state_dir("roundtrip");
         let mut live = Session::new(config()).unwrap();
         let mut persist = Persistence::open(&dir, 3, &live).unwrap();
+        assert_eq!(files(&dir), [LOG_FILE]);
         let deltas = [
             Delta::Demand {
                 loc: 1,
@@ -571,8 +520,9 @@ mod tests {
             assert!(live.seq() > before);
             persist.record(d, &live).unwrap();
         }
-        // snapshot_every = 3 → snapshot at delta 3, two WAL entries since.
-        assert_eq!(persist.wal_entries(), 2);
+        // snapshot_every = 3 → compaction at delta 3, two tail lines since.
+        assert_eq!(persist.tail_len(), 2);
+        assert_eq!(files(&dir), [LOG_FILE]);
         drop(persist); // kill -9: nothing flushed beyond what fsync already made durable
 
         let (recovered, report) = recover(config(), &dir).unwrap();
@@ -581,6 +531,9 @@ mod tests {
         assert_eq!(report.wal_deltas, 2);
         assert!(!report.torn_tail && !report.degraded && report.checked);
         assert_same_answer(&live, &recovered);
+        let persist = Persistence::open(&dir, 3, &recovered).unwrap();
+        assert_eq!(persist.tail_len(), 0);
+        assert_eq!(files(&dir), [LOG_FILE]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -641,7 +594,6 @@ mod tests {
             RecoveryReport {
                 snapshot_seq: 0,
                 wal_deltas: 0,
-                wal_stale: 0,
                 torn_tail: false,
                 degraded: false,
                 // Nothing was recovered, so nothing is cross-checked.
@@ -666,12 +618,12 @@ mod tests {
         persist.record(&d, &live).unwrap();
         drop(persist);
         // The process died mid-append of a second delta.
-        let mut wal = fs::OpenOptions::new()
+        let mut log = OpenOptions::new()
             .append(true)
-            .open(dir.join(WAL_FILE))
+            .open(dir.join(LOG_FILE))
             .unwrap();
-        wal.write_all(b"2 slowdown 4 1.9").unwrap();
-        drop(wal);
+        log.write_all(b"2 slowdown 4 1.9").unwrap();
+        drop(log);
 
         let (recovered, report) = recover(config(), &dir).unwrap();
         assert!(report.torn_tail);
@@ -681,12 +633,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A tail line whose stamp jumps past the seq before it is
+    /// corruption, not something to replay, and so is one that repeats
+    /// a seq the base already holds.
     #[test]
-    fn stale_wal_after_interrupted_truncation_is_skipped() {
-        let dir = state_dir("stale");
+    fn seq_gap_in_the_tail_is_corruption() {
+        let dir = state_dir("gap");
         let mut live = Session::new(config()).unwrap();
-        let mut persist = Persistence::open(&dir, 100, &live).unwrap();
-        let deltas = [
+        let mut persist = Persistence::open(&dir, 3, &live).unwrap();
+        for d in [
             Delta::Demand {
                 loc: 1,
                 weight: 4.0,
@@ -696,37 +651,27 @@ mod tests {
                 site: 3,
                 factor: 2.5,
             },
-        ];
-        for d in &deltas {
-            live.apply(d).unwrap();
-            persist.record(d, &live).unwrap();
+        ] {
+            live.apply(&d).unwrap();
+            persist.record(&d, &live).unwrap();
         }
-        // Simulate a kill -9 between the snapshot's atomic rename and
-        // the WAL truncation: snapshot at seq 3, WAL still holding the
-        // three deltas it already folded in.
-        let wal_before = fs::read(dir.join(WAL_FILE)).unwrap();
-        persist.snapshot(&live).unwrap();
         drop(persist);
-        fs::write(dir.join(WAL_FILE), &wal_before).unwrap();
-
-        let (recovered, report) = recover(config(), &dir).unwrap();
-        assert_eq!(report.snapshot_seq, 3);
-        assert_eq!(report.wal_stale, 3, "folded-in deltas must be skipped");
-        assert_eq!(report.wal_deltas, 0);
-        assert!(report.checked);
-        assert_eq!(recovered.seq(), live.seq());
-        assert_same_answer(&live, &recovered);
-
-        // A WAL entry that jumps past the session seq is corruption, not
-        // something to replay.
-        fs::write(dir.join(WAL_FILE), b"5 demand 1 2.0\n").unwrap();
-        match recover(config(), &dir) {
-            Err(PersistError::Corrupt { line, message, .. }) => {
-                assert_eq!(line, 1);
-                assert!(message.contains("does not follow"), "{message}");
+        // The third delta compacted the log: its base is at seq 3.
+        for (tail, message) in [
+            ("5 demand 1 2.0\n", "seq 5 does not follow seq 3"),
+            ("3 slowdown 3 2.5\n", "seq 3 does not follow seq 3"),
+        ] {
+            let base = write_tail(&dir, tail);
+            match recover(config(), &dir) {
+                Err(PersistError::Corrupt {
+                    line, message: m, ..
+                }) => {
+                    assert_eq!(line, base + 1);
+                    assert!(m.contains(message), "{m}");
+                }
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("expected seq-gap corruption"),
             }
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("expected seq-gap corruption"),
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -736,26 +681,40 @@ mod tests {
         let dir = state_dir("corrupt");
         let live = Session::new(config()).unwrap();
         let _persist = Persistence::open(&dir, 100, &live).unwrap();
-        fs::write(
-            dir.join(WAL_FILE),
-            "1 demand 1 2.0\n2 warp speed 9\n3 demand 2 1.0\n",
-        )
-        .unwrap();
+        let base = write_tail(&dir, "1 demand 1 2.0\n2 warp speed 9\n3 demand 2 1.0\n");
         match recover(config(), &dir) {
-            Err(PersistError::Corrupt { line, .. }) => assert_eq!(line, 2),
+            Err(PersistError::Corrupt { line, .. }) => assert_eq!(line, base + 2),
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("expected corruption error"),
         }
-        // A WAL that contradicts its snapshot (crash of a crashed node)
-        // is corruption too.
-        fs::write(dir.join(WAL_FILE), "1 crash 5\n2 crash 5\n").unwrap();
+        // A tail that contradicts its base (crash of a crashed node) is
+        // corruption too.
+        let base = write_tail(&dir, "1 crash 5\n2 crash 5\n");
         match recover(config(), &dir) {
             Err(PersistError::Corrupt { line, message, .. }) => {
-                assert_eq!(line, 2);
+                assert_eq!(line, base + 2);
                 assert!(message.contains("replay rejected"), "{message}");
             }
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("expected replay rejection"),
+        }
+        // Base lines out of index order, crashes out of ascending order
+        // and a restore in the base name their line.
+        let (text, _) = log_and_base_lines(&dir);
+        for (from, to, culprit) in [
+            ("demand 1 ", "demand 2 ", "demand 2 "),
+            ("slowdown 0 ", "slowdown 1 ", "slowdown 1 "),
+            ("\nend\n", "\nrestore 3\nend\n", "restore 3"),
+            ("\nend\n", "\ncrash 4\ncrash 3\nend\n", "crash 3"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            let line = bad.lines().position(|l| l.starts_with(culprit)).unwrap() + 1;
+            fs::write(dir.join(LOG_FILE), bad).unwrap();
+            match recover(config(), &dir) {
+                Err(PersistError::Corrupt { line: l, .. }) => assert_eq!(l, line),
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("expected corruption for '{to}'"),
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -765,14 +724,80 @@ mod tests {
         let dir = state_dir("snap-trunc");
         let live = Session::new(config()).unwrap();
         let _persist = Persistence::open(&dir, 100, &live).unwrap();
-        let text = fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
+        let text = fs::read_to_string(dir.join(LOG_FILE)).unwrap();
         let cut = text.len() - "end\n".len();
-        fs::write(dir.join(SNAPSHOT_FILE), &text[..cut]).unwrap();
+        fs::write(dir.join(LOG_FILE), &text[..cut]).unwrap();
         assert!(matches!(
             recover(config(), &dir),
             Err(PersistError::Corrupt { .. })
         ));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A compaction killed before its rename leaves its temp file beside
+    /// the old log: recovery reads the old log alone, and the next
+    /// compaction replaces the temp file.
+    #[test]
+    fn leftover_temp_from_a_killed_compaction_leaves_the_old_log_recoverable() {
+        let dir = state_dir("leftover-tmp");
+        let mut live = Session::new(config()).unwrap();
+        let mut persist = Persistence::open(&dir, 100, &live).unwrap();
+        let d = Delta::Crash { node: 5 };
+        live.apply(&d).unwrap();
+        persist.record(&d, &live).unwrap();
+        drop(persist);
+        let (text, base) = log_and_base_lines(&dir);
+        let half: String = text
+            .lines()
+            .take(base / 2)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        fs::write(dir.join(LOG_TMP), half).unwrap();
+
+        let (recovered, report) = recover(config(), &dir).unwrap();
+        assert_eq!((report.snapshot_seq, report.wal_deltas), (0, 1));
+        assert!(report.checked);
+        assert_eq!(recovered.persisted_state(), live.persisted_state());
+        assert_same_answer(&live, &recovered);
+        let _persist = Persistence::open(&dir, 100, &recovered).unwrap();
+        assert_eq!(files(&dir), [LOG_FILE]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A directory holding a file of the earlier two-file layout is
+    /// refused with the file named, by recovery and by `open` alike; it
+    /// is never started fresh.
+    #[test]
+    fn old_layout_directory_is_refused_naming_the_file() {
+        // Files as the earlier layout wrote them for this session: a
+        // snapshot of its fresh state, and a WAL holding one crash.
+        let mut snapshot = "quorumd-snapshot v1\nseq 0\n".to_string();
+        for kind in ["demand", "slowdown"] {
+            for v in 0..12 {
+                snapshot.push_str(&format!("{kind} {v} 1\n"));
+            }
+        }
+        snapshot.push_str("end\n");
+        for (old, contents) in OLD_LAYOUT
+            .into_iter()
+            .zip([snapshot.as_str(), "1 crash 5\n"])
+        {
+            let dir = state_dir(&format!("old-{old}"));
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(old), contents).unwrap();
+            match recover(config(), &dir) {
+                Err(e @ PersistError::Corrupt { .. }) => {
+                    assert!(e.to_string().contains(old), "{e}");
+                }
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("recovered a directory holding {old}"),
+            }
+            let fresh = Session::new(config()).unwrap();
+            let err = Persistence::open(&dir, 100, &fresh).err().unwrap();
+            assert!(err.to_string().contains(old), "{err}");
+            assert_eq!(files(&dir), [old]);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -781,7 +806,7 @@ mod tests {
         let mut live = Session::new(config()).unwrap();
         let mut persist = Persistence::open(&dir, 100, &live).unwrap();
         // Crash loaded nodes until the tune goes infeasible; every one
-        // of those crashes advanced seq, so every one is WAL-logged.
+        // of those crashes advanced seq, so every one is logged.
         let victims: Vec<usize> = live
             .persisted_state()
             .raw_weights

@@ -20,9 +20,14 @@
 //! terminator. Blank request lines and `#` comments are ignored (no
 //! response), so delta scripts can be piped in verbatim.
 
+use std::fmt;
 use std::io::{self, BufRead};
 
-/// An online change to a deployed system.
+use qp_obs::stable_f64;
+
+/// An online change to a deployed system. Its `Display` is the request
+/// line [`parse_command`] reads back, floats printed by [`stable_f64`] so
+/// they round-trip bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delta {
     /// Site `site`'s service time inflates all its distances by `factor`.
@@ -51,6 +56,17 @@ pub enum Delta {
         /// Node index.
         node: usize,
     },
+}
+
+impl fmt::Display for Delta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Delta::Slowdown { site, factor } => write!(f, "slowdown {site} {}", stable_f64(factor)),
+            Delta::Demand { loc, weight } => write!(f, "demand {loc} {}", stable_f64(weight)),
+            Delta::Crash { node } => write!(f, "crash {node}"),
+            Delta::Restore { node } => write!(f, "restore {node}"),
+        }
+    }
 }
 
 /// A parsed protocol command.
@@ -271,6 +287,29 @@ mod tests {
         assert_eq!(parse_command("health").unwrap(), Some(Command::Health));
         assert_eq!(parse_command("metrics").unwrap(), Some(Command::Metrics));
         assert_eq!(parse_command("shutdown").unwrap(), Some(Command::Shutdown));
+    }
+
+    #[test]
+    fn deltas_print_as_lines_that_parse_back_bit_for_bit() {
+        for x in [2.5, 0.1, 1.0 / 3.0, 1e5, 5e-324, 1e-300, f64::MAX, 0.0] {
+            for d in [
+                Delta::Slowdown { site: 3, factor: x },
+                Delta::Demand { loc: 0, weight: x },
+            ] {
+                let Some(Command::Delta(back)) = parse_command(&d.to_string()).unwrap() else {
+                    panic!("{d} did not parse as a delta");
+                };
+                let bits = |d: Delta| match d {
+                    Delta::Slowdown { factor, .. } => factor.to_bits(),
+                    Delta::Demand { weight, .. } => weight.to_bits(),
+                    _ => unreachable!(),
+                };
+                assert_eq!(back, d);
+                assert_eq!(bits(back), bits(d), "{d}");
+            }
+        }
+        assert_eq!(Delta::Crash { node: 7 }.to_string(), "crash 7");
+        assert_eq!(Delta::Restore { node: 7 }.to_string(), "restore 7");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! around the session.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
@@ -94,6 +94,16 @@ impl Stream {
             Stream::Unix(s) => s.set_read_timeout(dur),
         }
     }
+
+    /// Shuts both directions of the connection, for every handle on it:
+    /// a blocked read or write on any of them returns at once.
+    fn shutdown(&self) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
 }
 
 /// Everything a connection thread touches under the one server mutex:
@@ -170,7 +180,8 @@ impl Server {
     }
 
     /// Serves `session` until a `shutdown` command (or the stop flag).
-    /// Blocks; returns after all connection threads drain.
+    /// Blocks; on stop it shuts every connection still open, idle ones
+    /// included, and returns once all connection threads are joined.
     ///
     /// # Errors
     ///
@@ -181,12 +192,12 @@ impl Server {
     }
 
     /// Like [`run`](Self::run), but every delta that advances the
-    /// session is also fsync'd to `persistence`'s WAL before the client
+    /// session is also fsync'd to `persistence`'s log before the client
     /// sees the response, so while persistence is healthy a `kill -9`
     /// loses nothing acknowledged. A persistence I/O failure does not
     /// drop the delta from the live session (it is already applied),
     /// but the durability guarantee lapses until the next successful
-    /// snapshot: the failure is surfaced as a `warning persist failed`
+    /// compaction: the failure is surfaced as a `warning persist failed`
     /// detail line on the delta's own response, and through the
     /// `health` command thereafter.
     ///
@@ -208,7 +219,8 @@ impl Server {
             persist_error: None,
         }));
         let commands = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut handles: Vec<thread::JoinHandle<()>> = Vec::new();
+        // Each live connection's thread, beside a handle on its stream.
+        let mut handles: Vec<(thread::JoinHandle<()>, Arc<Stream>)> = Vec::new();
         let mut connections = 0usize;
         match &self.listener {
             Listener::Tcp(l) => l.set_nonblocking(true)?,
@@ -234,26 +246,41 @@ impl Server {
                     // Join the threads of finished connections: an
                     // unjoined thread keeps its stack mapped until
                     // shutdown.
-                    for h in std::mem::take(&mut handles) {
+                    for (h, peer) in std::mem::take(&mut handles) {
                         if h.is_finished() {
                             let _ = h.join();
                         } else {
-                            handles.push(h);
+                            handles.push((h, peer));
                         }
                     }
+                    // Without a handle for shutdown to close, the
+                    // connection is dropped rather than served.
+                    let Ok(peer) = stream.try_clone().map(Arc::new) else {
+                        continue;
+                    };
                     connections += 1;
                     let served = Arc::clone(&served);
                     let stop = Arc::clone(&self.stop);
                     let commands = Arc::clone(&commands);
                     let idle = self.idle_timeout;
-                    handles.push(thread::spawn(move || {
+                    let closer = Arc::clone(&peer);
+                    let h = thread::spawn(move || {
                         let _ = handle_connection(stream, &served, &stop, &commands, idle);
-                    }));
+                        // The loop's handle keeps the socket open until
+                        // this thread is joined: close it for the client now.
+                        closer.shutdown();
+                    });
+                    handles.push((h, peer));
                 }
                 None => thread::sleep(Duration::from_millis(20)),
             }
         }
-        for h in handles {
+        // Wake every thread still waiting on its client (an idle one sits
+        // in a read for up to the idle timeout), then join them all.
+        for (_, peer) in &handles {
+            peer.shutdown();
+        }
+        for (h, _) in handles {
             let _ = h.join();
         }
         #[cfg(unix)]
@@ -751,6 +778,34 @@ mod tests {
 
         stop.store(true, Ordering::SeqCst);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_idle_clients() {
+        let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let endpoint = Endpoint::Tcp(server.local_addr());
+        let session = test_session();
+        let (done, finished) = std::sync::mpsc::channel();
+        let daemon = std::thread::spawn(move || done.send(server.run(session).unwrap()));
+
+        // A client that is served once and then stays connected, silent.
+        let mut idle = BufReader::new(connect(&endpoint).unwrap());
+        idle.get_mut().write_all(b"health\n").unwrap();
+        assert!(read_response(&mut idle).unwrap().ok);
+        let mut conn = BufReader::new(connect(&endpoint).unwrap());
+        conn.get_mut().write_all(b"shutdown\n").unwrap();
+        assert!(read_response(&mut conn).unwrap().ok);
+
+        let summary = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run still waits for the idle client");
+        daemon.join().unwrap().unwrap();
+        assert_eq!(summary.connections, 2);
+        // The idle client sees its connection closed.
+        assert_eq!(
+            read_response(&mut idle).unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof
+        );
     }
 
     #[test]

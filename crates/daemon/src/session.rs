@@ -201,8 +201,8 @@ pub struct CheckReport {
     pub cold_pivots: u64,
 }
 
-/// The minimal mutable state a persisted snapshot must carry to
-/// reproduce a session: everything else is a pure function of the
+/// The minimal mutable state the base of the persisted log must carry
+/// to reproduce a session: everything else is a pure function of the
 /// [`SessionConfig`]. Replaying this through
 /// [`Session::restore_state`] and re-tuning lands on the identical
 /// answer (the jittered optimum is unique).
@@ -365,7 +365,7 @@ impl Session {
             .collect();
         let lp = build_weighted_strategy_model(&delta_eff, &weights, &node_counts, n, &cap_rhs)
             .map_err(|e| SessionError::Config(e.to_string()))?;
-        let instance = SimplexInstance::new(lp.model)?;
+        let instance = SimplexInstance::new(lp.model);
 
         let mut session = Session {
             quorums: cfg.quorums,
@@ -430,7 +430,7 @@ impl Session {
         self.degraded
     }
 
-    /// The minimal mutable state a snapshot needs to reproduce this
+    /// The minimal mutable state a log's base needs to reproduce this
     /// session (see [`PersistedState`]).
     pub fn persisted_state(&self) -> PersistedState {
         PersistedState {
@@ -444,18 +444,20 @@ impl Session {
     }
 
     /// Restores a freshly opened session to a persisted state in one
-    /// shot: bulk-edits the resident LP (demand rhs, slowdown
-    /// objectives, crash capacities), forces the sequence number, and
-    /// re-tunes once. An infeasible restored state is not an error —
-    /// the session comes back [`degraded`](Self::degraded), pinned on
-    /// its pre-restore answer, exactly as if the deltas had been
-    /// applied live.
+    /// shot: bulk-edits the resident LP (slowdown objectives, demand rhs,
+    /// crash capacities) through the helpers [`apply`](Self::apply)
+    /// uses, forces the sequence number, and re-tunes once. An infeasible
+    /// restored state is not an error — the session comes back
+    /// [`degraded`](Self::degraded), pinned on its pre-restore answer,
+    /// exactly as if the deltas had been applied live.
     ///
     /// # Errors
     ///
     /// [`SessionError::Config`] when the state's dimensions or values
-    /// don't fit this session; [`SessionError::Lp`] only on solver
-    /// failures outside the tune itself.
+    /// don't fit this session (refused slowdowns leave the session
+    /// untouched; refused demand weights leave the slowdowns written, so
+    /// discard the session); [`SessionError::Lp`] only on solver failures
+    /// outside the tune itself.
     pub fn restore_state(&mut self, state: &PersistedState) -> Result<(), SessionError> {
         let n = self.weights.len();
         let bad = |m: String| Err(SessionError::Config(m));
@@ -466,35 +468,20 @@ impl Session {
                 state.slowdown.len()
             ));
         }
-        if state.raw_weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return bad("persisted demand weight must be finite and ≥ 0".into());
-        }
-        let total = demand_total(&state.raw_weights)
-            .map_err(|m| SessionError::Config(format!("persisted {m}")))?;
-        if let Some(f) = state.slowdown.iter().find(|&&f| !slowdown_ok(f)) {
-            return bad(format!(
-                "persisted slowdown factor {f:e} must be > 0 and ≤ {MAX_SLOWDOWN:e}"
-            ));
-        }
         if state.crashed.iter().any(|&w| w >= n) {
             return bad(format!("persisted crashed node out of range for {n} nodes"));
         }
 
+        let persisted = |e| match e {
+            SessionError::BadDelta(m) => SessionError::Config(format!("persisted {m}")),
+            e => e,
+        };
         self.set_slowdown(state.slowdown.clone())
-            .map_err(|e| match e {
-                SessionError::BadDelta(m) => SessionError::Config(format!("persisted {m}")),
-                e => e,
-            })?;
-        self.raw_weights = state.raw_weights.clone();
-        for v in 0..n {
-            self.weights[v] = self.raw_weights[v] / total;
-            self.instance.set_rhs(self.conv_rows[v], self.weights[v]);
-        }
+            .map_err(persisted)?;
+        self.set_demand(state.raw_weights.clone())
+            .map_err(persisted)?;
         for &w in &state.crashed {
-            self.crashed[w] = true;
-            if let Some(row) = self.cap_row_of(w) {
-                self.instance.set_rhs(row, 0.0);
-            }
+            self.set_crashed(w, true);
         }
         self.seq = state.seq;
 
@@ -545,71 +532,40 @@ impl Session {
     /// answer is kept.
     pub fn apply(&mut self, delta: &Delta) -> Result<DeltaReport, SessionError> {
         let n = self.weights.len();
+        let (what, index) = match *delta {
+            Delta::Slowdown { site, .. } => ("site", site),
+            Delta::Demand { loc, .. } => ("client", loc),
+            Delta::Crash { node } | Delta::Restore { node } => ("node", node),
+        };
+        if index >= n {
+            return Err(SessionError::BadDelta(format!(
+                "{what} {index} out of range for {n} nodes"
+            )));
+        }
         match *delta {
             Delta::Slowdown { site, factor } => {
-                if site >= n {
-                    return Err(SessionError::BadDelta(format!(
-                        "site {site} out of range for {n} nodes"
-                    )));
-                }
-                if !slowdown_ok(factor) {
-                    return Err(SessionError::BadDelta(format!(
-                        "slowdown factor {factor:e} must be > 0 and ≤ {MAX_SLOWDOWN:e}"
-                    )));
-                }
                 let mut slowdown = self.slowdown.clone();
                 slowdown[site] = factor;
                 self.set_slowdown(slowdown)?;
             }
             Delta::Demand { loc, weight } => {
-                if loc >= n {
-                    return Err(SessionError::BadDelta(format!(
-                        "client {loc} out of range for {n} nodes"
-                    )));
-                }
-                if !weight.is_finite() || weight < 0.0 {
-                    return Err(SessionError::BadDelta(format!(
-                        "demand weight {weight} must be finite and ≥ 0"
-                    )));
-                }
                 let mut raw_weights = self.raw_weights.clone();
                 raw_weights[loc] = weight;
-                let total = demand_total(&raw_weights).map_err(SessionError::BadDelta)?;
-                self.raw_weights = raw_weights;
-                for v in 0..n {
-                    self.weights[v] = self.raw_weights[v] / total;
-                    self.instance.set_rhs(self.conv_rows[v], self.weights[v]);
-                }
+                self.set_demand(raw_weights)?;
             }
             Delta::Crash { node } => {
-                if node >= n {
-                    return Err(SessionError::BadDelta(format!(
-                        "node {node} out of range for {n} nodes"
-                    )));
-                }
                 if self.crashed[node] {
                     return Err(SessionError::BadDelta(format!(
                         "node {node} is already crashed"
                     )));
                 }
-                self.crashed[node] = true;
-                if let Some(row) = self.cap_row_of(node) {
-                    self.instance.set_rhs(row, 0.0);
-                }
+                self.set_crashed(node, true);
             }
             Delta::Restore { node } => {
-                if node >= n {
-                    return Err(SessionError::BadDelta(format!(
-                        "node {node} out of range for {n} nodes"
-                    )));
-                }
                 let mut slowdown = self.slowdown.clone();
                 slowdown[node] = 1.0;
                 self.set_slowdown(slowdown)?;
-                self.crashed[node] = false;
-                if let Some(row) = self.cap_row_of(node) {
-                    self.instance.set_rhs(row, self.capacity);
-                }
+                self.set_crashed(node, false);
             }
         }
         self.seq += 1;
@@ -710,9 +666,15 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::BadDelta`] if a coefficient would not be finite (a
-    /// factor so large that a delay overflows). Nothing is written then.
+    /// [`SessionError::BadDelta`] if a factor is not in
+    /// `(0, MAX_SLOWDOWN]` (NaN included) or a coefficient would not be
+    /// finite (a delay overflows). Nothing is written then.
     fn set_slowdown(&mut self, slowdown: Vec<f64>) -> Result<(), SessionError> {
+        if let Some(f) = slowdown.iter().find(|&&f| !(f > 0.0 && f <= MAX_SLOWDOWN)) {
+            return Err(SessionError::BadDelta(format!(
+                "slowdown factor {f:e} must be > 0 and ≤ {MAX_SLOWDOWN:e}"
+            )));
+        }
         let m = self.quorums.len();
         let n = self.weights.len();
         let sites: Vec<usize> = (0..n)
@@ -750,6 +712,54 @@ impl Session {
         }
         self.slowdown = slowdown;
         Ok(())
+    }
+
+    /// Adopts the raw demand weights `raw`: normalizes them into the
+    /// shares the convexity rows take.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::BadDelta`] if a weight is negative or not finite,
+    /// or the weights cannot be normalized into shares the LP resolves:
+    /// their total is zero or overflows, or a positive weight's share of
+    /// it is below [`MIN_DEMAND_SHARE`]. Nothing is written then.
+    fn set_demand(&mut self, raw: Vec<f64>) -> Result<(), SessionError> {
+        let bad = |m: String| Err(SessionError::BadDelta(m));
+        if let Some(w) = raw.iter().find(|w| !w.is_finite() || **w < 0.0) {
+            return bad(format!("demand weight {w} must be finite and ≥ 0"));
+        }
+        let total: f64 = raw.iter().sum();
+        if total <= 0.0 {
+            return bad("demand weights sum to zero".into());
+        }
+        if !total.is_finite() {
+            return bad(format!("demand weights sum to {total}"));
+        }
+        if let Some(v) = raw
+            .iter()
+            .position(|&w| w > 0.0 && w / total < MIN_DEMAND_SHARE)
+        {
+            return bad(format!(
+                "client {v}'s demand share {:e} is below {MIN_DEMAND_SHARE:e}",
+                raw[v] / total
+            ));
+        }
+        self.raw_weights = raw;
+        for v in 0..self.weights.len() {
+            self.weights[v] = self.raw_weights[v] / total;
+            self.instance.set_rhs(self.conv_rows[v], self.weights[v]);
+        }
+        Ok(())
+    }
+
+    /// Marks `node` crashed (its capacity row, if it has one, drops to 0)
+    /// or back in service (the row takes the tuned capacity again).
+    fn set_crashed(&mut self, node: usize, crashed: bool) {
+        self.crashed[node] = crashed;
+        if let Some(row) = self.cap_row_of(node) {
+            self.instance
+                .set_rhs(row, if crashed { 0.0 } else { self.capacity });
+        }
     }
 
     /// Re-solves at the current right-hand sides (clearing any pending
@@ -989,33 +999,6 @@ fn strategies(q: &[Vec<f64>]) -> Vec<Vec<f64>> {
             }
         })
         .collect()
-}
-
-/// Whether `factor` is a slowdown factor the LP resolves: in
-/// `(0, MAX_SLOWDOWN]`, which also refuses NaN and infinities.
-fn slowdown_ok(factor: f64) -> bool {
-    factor > 0.0 && factor <= MAX_SLOWDOWN
-}
-
-/// The total of the raw demand weights `raw` (each finite and ≥ 0), or
-/// why they cannot be normalized into shares the LP resolves: the total
-/// is zero or overflows, or a positive weight's share of it is below
-/// [`MIN_DEMAND_SHARE`].
-fn demand_total(raw: &[f64]) -> Result<f64, String> {
-    let total: f64 = raw.iter().sum();
-    if total <= 0.0 {
-        return Err("demand weights sum to zero".into());
-    }
-    if !total.is_finite() {
-        return Err(format!("demand weights sum to {total}"));
-    }
-    if let Some(v) = (0..raw.len()).find(|&v| raw[v] > 0.0 && raw[v] / total < MIN_DEMAND_SHARE) {
-        return Err(format!(
-            "client {v}'s demand share {:e} is below {MIN_DEMAND_SHARE:e}",
-            raw[v] / total
-        ));
-    }
-    Ok(total)
 }
 
 /// Replays a [`ColdInputs`] snapshot from scratch: fresh model per sweep

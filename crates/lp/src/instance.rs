@@ -54,7 +54,7 @@ use crate::{LpError, Model, Solution, VarId};
 /// let x = m.add_var(2.0);
 /// let y = m.add_var(3.0);
 /// let demand = m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
-/// let mut inst = m.instance()?;
+/// let mut inst = m.instance();
 /// let cold = inst.solve()?;
 /// assert!((cold.objective() - 8.0).abs() < 1e-7);
 ///
@@ -85,19 +85,15 @@ pub struct SimplexInstance {
 impl SimplexInstance {
     /// Builds an instance owning `model`, performing the standard-form
     /// conversion once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates standard-form construction failures.
-    pub fn new(model: Model) -> Result<Self, LpError> {
+    pub fn new(model: Model) -> Self {
         let prepared = Prepared::from_model(&model);
-        Ok(SimplexInstance {
+        SimplexInstance {
             model,
             prepared,
             warm: None,
             costs_dirty: false,
             phase1: None,
-        })
+        }
     }
 
     /// The model snapshot this instance solves (reflecting any mutations
@@ -334,7 +330,7 @@ mod tests {
     #[test]
     fn warm_resolve_matches_cold_after_rhs_change() {
         let (m, _, rows) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         inst.solve().unwrap();
 
         let mut cold_model = m.clone();
@@ -354,7 +350,7 @@ mod tests {
     #[test]
     fn tightening_rhs_reoptimizes_with_dual_pivots() {
         let (m, (x, y), rows) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 36.0).abs() < 1e-7);
 
@@ -374,7 +370,7 @@ mod tests {
     #[test]
     fn unchanged_rhs_resolves_in_zero_iterations() {
         let (m, _, _) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let cold = inst.solve().unwrap();
         let warm = inst.resolve().unwrap();
         assert_eq!(warm.stats().iterations, 0);
@@ -390,7 +386,7 @@ mod tests {
         let x = m.add_var(1.0);
         let lo = m.add_ge(&[(x, 1.0)], 1.0);
         let _hi = m.add_le(&[(x, 1.0)], 5.0);
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         inst.solve().unwrap();
         inst.set_rhs(lo, 6.0);
         assert_eq!(inst.resolve().unwrap_err(), LpError::Infeasible);
@@ -410,7 +406,7 @@ mod tests {
         let x_hi = m.add_le(&[(x, 1.0)], 7.0);
         m.add_le(&[(y, 1.0)], 3.0);
         m.add_le(&[(x, 1.0), (y, 1.0)], 8.0);
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 15.0).abs() < 1e-7); // x=7, y=1
 
@@ -433,7 +429,7 @@ mod tests {
     #[test]
     fn set_objective_rejects_nonfinite() {
         let (m, (x, _), _) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         inst.solve().unwrap();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let err = inst.set_objectives(&[(x, bad)]).unwrap_err();
@@ -446,7 +442,7 @@ mod tests {
     #[test]
     fn objective_change_resolves_warm_with_primal_pivots() {
         let (m, (x, y), _) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 36.0).abs() < 1e-7);
 
@@ -473,7 +469,7 @@ mod tests {
     #[test]
     fn unchanged_objective_resolves_in_zero_iterations() {
         let (m, (x, _), _) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let cold = inst.solve().unwrap();
         // Setting the same coefficient keeps the dual warm path (no dirty
         // flag), and the re-solve costs zero pivots.
@@ -486,7 +482,7 @@ mod tests {
     #[test]
     fn mixed_rhs_and_objective_deltas_match_cold() {
         let (m, (_, y), rows) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         inst.solve().unwrap();
 
         inst.set_rhs(rows[2], 24.0);
@@ -520,7 +516,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(1.0);
         m.add_ge(&[(x, 1.0)], 1.0);
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         inst.solve().unwrap();
         inst.set_objectives(&[(x, -1.0)]).unwrap();
         assert_eq!(inst.resolve().unwrap_err(), LpError::Unbounded);
@@ -537,7 +533,7 @@ mod tests {
         let x = m.add_var(2.0);
         let y = m.add_var(3.0);
         let demand = m.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let before = inst.solve().unwrap();
         assert!((before.objective() - 8.0).abs() < 1e-7);
 
@@ -569,7 +565,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var(3.0);
         let r = m.add_le(&[(x, 1.0)], 4.0);
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let cold = inst.solve().unwrap();
         assert!((cold.objective() - 12.0).abs() < 1e-7);
         let z = inst.add_column(5.0, &[(r, 1.0)]).unwrap();
@@ -588,7 +584,7 @@ mod tests {
         let x = m.add_var(1.0);
         let r0 = m.add_eq(&[(x, 1.0)], 2.0);
         let r1 = m.add_eq(&[(x, 1.0)], 2.0);
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let first = inst.solve().unwrap();
         assert!((first.objective() - 2.0).abs() < 1e-7);
 
@@ -602,7 +598,7 @@ mod tests {
     #[test]
     fn add_column_rejects_bad_inputs_without_mutating() {
         let (m, _, rows) = classic();
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         inst.solve().unwrap();
         assert!(matches!(
             inst.add_column(f64::NAN, &[(rows[0], 1.0)]),
@@ -624,7 +620,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(10.0);
         let cover = m.add_ge(&[(x, 1.0)], 6.0);
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         let mut obj = inst.solve().unwrap().objective();
         assert!((obj - 60.0).abs() < 1e-7);
         for (cost, expect) in [(6.0, 36.0), (3.0, 18.0), (1.5, 9.0)] {
@@ -639,7 +635,7 @@ mod tests {
     #[test]
     fn clone_is_independent() {
         let (m, _, rows) = classic();
-        let mut base = m.instance().unwrap();
+        let mut base = m.instance();
         base.solve().unwrap();
         let mut a = base.clone();
         let mut b = base.clone();

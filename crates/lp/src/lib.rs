@@ -111,7 +111,7 @@
 //! m.add_le(&[(y, 2.0)], 12.0);
 //! let coupling = m.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
 //!
-//! let mut inst = m.instance()?;
+//! let mut inst = m.instance();
 //! inst.solve()?; // cold once
 //! for rhs in [15.0, 16.5, 18.0, 21.0] {
 //!     inst.set_rhs(coupling, rhs);

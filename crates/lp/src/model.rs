@@ -276,11 +276,7 @@ impl Model {
 
     /// Builds a reusable [`SimplexInstance`] from a snapshot of this model
     /// — the entry point of the warm-start layer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates standard-form construction failures.
-    pub fn instance(&self) -> Result<SimplexInstance, LpError> {
+    pub fn instance(&self) -> SimplexInstance {
         SimplexInstance::new(self.clone())
     }
 

@@ -146,7 +146,7 @@ proptest! {
         let (m, _, rows) = box_model(Sense::Minimize, &c, &u, &a, &b);
 
         // Warm path: solve once, then perturb every row and re-solve.
-        let mut inst = m.instance().unwrap();
+        let mut inst = m.instance();
         inst.solve().expect("feasible bounded LP");
         let mut cold_model = m.clone();
         for (i, &row) in rows.iter().enumerate() {

@@ -218,7 +218,7 @@ fn set_objectives_then_solve_matches_a_fresh_model_solve() {
     for seed in 0..400 {
         let mut rng = Rng(seed);
         let (model, layout) = random_model(&mut rng);
-        let mut inst = model.instance().unwrap();
+        let mut inst = model.instance();
         for k in 0..4 {
             let case = format!("seed {seed} cost vector {k}");
             let costs = random_costs(&mut rng, &layout, model.num_vars());
@@ -303,7 +303,7 @@ fn shared_phase1_survives_rhs_bound_and_column_edits() {
     for seed in 0..300 {
         let mut rng = Rng(0x5eed_0000 + seed);
         let (model, layout) = random_model(&mut rng);
-        let mut inst = model.instance().unwrap();
+        let mut inst = model.instance();
         let mut log: Vec<Edit> = Vec::new();
         // Whether the next cold solve runs phase 1 itself.
         let mut runs_phase1 = true;
@@ -327,7 +327,7 @@ fn shared_phase1_survives_rhs_bound_and_column_edits() {
             let got = inst.solve();
             // The oracle replays the same edits on a new instance, whose
             // one solve runs phase 1 afresh.
-            let mut replay = model.instance().unwrap();
+            let mut replay = model.instance();
             for edit in &log {
                 edit.apply(&mut replay);
             }
@@ -357,7 +357,7 @@ fn set_objectives_is_all_or_nothing() {
     let x = m.add_var(1.0);
     let y = m.add_var(2.0);
     m.add_ge(&[(x, 1.0), (y, 1.0)], 3.0);
-    let mut inst = m.instance().unwrap();
+    let mut inst = m.instance();
     let before = inst.solve().unwrap();
     for bad in [f64::NAN, INF, -INF] {
         let err = inst.set_objectives(&[(x, 5.0), (y, bad)]).unwrap_err();
@@ -377,7 +377,7 @@ fn refreshed_offset_keeps_the_sign_of_a_zero_objective() {
     let mut m = Model::new(Sense::Maximize);
     let x = m.add_var(0.0);
     m.add_eq(&[(x, 1.0)], 0.0);
-    let mut inst = m.instance().unwrap();
+    let mut inst = m.instance();
     inst.set_objectives(&[(x, 1.0)]).unwrap();
     let got = inst.solve();
     m.set_objective(x, 1.0);
@@ -398,7 +398,7 @@ fn chained_rhs_resolves_match_a_fresh_model_solve() {
         for (v, c) in random_costs(&mut rng, &layout, model.num_vars()) {
             model.set_objective(v, c);
         }
-        let mut inst = model.instance().unwrap();
+        let mut inst = model.instance();
         let _ = inst.solve();
         let inequalities: Vec<usize> = model
             .constraint_rows()

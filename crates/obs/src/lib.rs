@@ -36,10 +36,10 @@
 //!    agree), which suppresses event emission; worker-side results reach
 //!    the trace through reports merged in deterministic order instead.
 //!
-//! Wall-clock timings are **opt-in and tagged**: histogram names carry a
-//! `_wall_` segment (e.g. `quorumd_delta_wall_ms`) and the
-//! [`TraceWriter`] only stamps `wall_ns` fields when explicitly enabled
-//! — they never appear in golden traces.
+//! Wall-clock timings are **opt-in and tagged**: only histograms carry
+//! them, under names with a `_wall_` segment (e.g.
+//! `quorumd_delta_wall_ms`), and [`TraceWriter`] records hold none — so
+//! they never appear in golden traces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,6 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::registry::Registry;
 use crate::{escape_json, stable_f64, Field, FieldValue, Recorder};
@@ -185,15 +184,10 @@ struct TraceOut {
 /// begin). Floats render `{:.17e}`. Events only ever arrive from the
 /// main thread (the facade suppresses worker-context emission), so the
 /// record order — and therefore the bytes — of a logical trace is
-/// deterministic at any `--threads` count. With
-/// [`TraceWriter::with_wall_clock`] every record additionally carries a
-/// `"wall_ns"` stamp; wall stamps are nondeterministic by nature and are
-/// excluded from the byte-identity contract, which is why they are
-/// opt-in.
+/// deterministic at any `--threads` count.
 pub struct TraceWriter {
     registry: Registry,
     out: Mutex<TraceOut>,
-    wall: Option<Instant>,
 }
 
 impl TraceWriter {
@@ -208,7 +202,6 @@ impl TraceWriter {
                 depth: 0,
                 err: None,
             }),
-            wall: None,
         }
     }
 
@@ -219,15 +212,6 @@ impl TraceWriter {
     /// Any file-system failure creating the file.
     pub fn create(path: &Path) -> io::Result<Self> {
         Ok(TraceWriter::new(Box::new(File::create(path)?)))
-    }
-
-    /// Enables wall-clock stamping: every record gains a `"wall_ns"`
-    /// field measured from this call. Wall stamps are tagged
-    /// nondeterministic — never enable them for golden traces.
-    #[must_use]
-    pub fn with_wall_clock(mut self) -> Self {
-        self.wall = Some(Instant::now());
-        self
     }
 
     /// The backing registry.
@@ -268,9 +252,6 @@ impl TraceWriter {
             escape_json(name),
             g.depth
         );
-        if let Some(start) = &self.wall {
-            line.push_str(&format!(",\"wall_ns\":{}", start.elapsed().as_nanos()));
-        }
         line.push_str(",\"fields\":{");
         for (i, (k, v)) in fields.iter().enumerate() {
             if i > 0 {

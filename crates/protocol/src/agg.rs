@@ -28,6 +28,7 @@
 //! apportioned to integer client counts by largest remainder — so runs
 //! are bit-identical regardless of seed or thread count.
 
+use qp_core::response::closest_choices;
 use qp_core::Placement;
 use qp_des::{LogHistogram, ServiceStation, SimTime, Tally, TimeWheel};
 use qp_quorum::{Quorum, QuorumSystem};
@@ -199,17 +200,7 @@ fn location_rows(
             Ok((quorums.clone(), rows))
         }
         QuorumChoice::Closest => {
-            let quorums: Vec<Quorum> = locations
-                .iter()
-                .map(|&v| {
-                    let costs: Vec<f64> = placement
-                        .as_slice()
-                        .iter()
-                        .map(|&w| net.distance(v, w))
-                        .collect();
-                    system.min_max_quorum(&costs)
-                })
-                .collect();
+            let quorums = closest_choices(net, locations, system, placement);
             let rows = (0..locations.len())
                 .map(|l| {
                     let mut row = vec![0.0; quorums.len()];

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use qp_core::response::closest_choices;
 use qp_core::Placement;
 use qp_des::{Sample, ServiceStation, SimTime, Tally, Ticket, TimeWheel};
 use qp_quorum::{ElementId, Quorum, QuorumSystem, StrategyMatrix};
@@ -506,18 +507,7 @@ pub fn simulate(
     let per_client_total = config.warmup_requests + config.measured_requests;
 
     // Precompute closest quorums per location (Closest strategy).
-    let closest_by_location: Vec<Quorum> = clients
-        .locations()
-        .iter()
-        .map(|&v| {
-            let costs: Vec<f64> = placement
-                .as_slice()
-                .iter()
-                .map(|&w| net.distance(v, w))
-                .collect();
-            system.min_max_quorum(&costs)
-        })
-        .collect();
+    let closest_by_location = closest_choices(net, clients.locations(), system, placement);
 
     // The wheel pops in the heap's order — time, then FIFO — whatever its
     // quantum; a tenth of the service time keeps level-0 slots short.

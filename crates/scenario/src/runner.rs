@@ -66,11 +66,10 @@ impl ScenarioRunner {
     pub fn run(&self, spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
         spec.validate()?;
         let pipeline = &spec.pipeline;
-        // Stage spans are logical markers (no timing data by themselves;
-        // a wall-clock-enabled TraceWriter stamps them). They emit only
-        // from the main thread — inside a `run_matrix` worker they are
-        // suppressed by `qp_obs::worker_scope`, keeping traces identical
-        // at any thread count.
+        // Stage spans are logical markers and carry no timing data. They
+        // emit only from the main thread — inside a `run_matrix` worker
+        // they are suppressed by `qp_obs::worker_scope`, keeping traces
+        // identical at any thread count.
         let run_span = qp_obs::span(
             "scenario.run",
             &[("name", qp_obs::FieldValue::Str(&spec.name))],

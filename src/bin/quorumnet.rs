@@ -163,10 +163,12 @@ fn print_help() {
          --socket PATH       listen on a Unix-domain socket\n  \
          --listen ADDR       listen on a TCP address (e.g. 127.0.0.1:0)\n  \
          --sweep N           capacity sweep points per re-tune (default 10)\n  \
-         --state-dir DIR     crash-safe persistence: fsync'd delta WAL + atomic\n                      \
-                             snapshots in DIR; on start, recover from DIR and\n                      \
-                             cross-check against a cold recompute (≤ 1e-9)\n  \
-         --snapshot-every N  WAL entries between snapshots (default 64)\n\n\
+         --state-dir DIR     crash-safe persistence: one log, DIR/state.log, of\n                      \
+                             the state then each fsync'd delta; on start,\n                      \
+                             recover from DIR and cross-check against a cold\n                      \
+                             recompute (≤ 1e-9)\n  \
+         --snapshot-every N  deltas appended between compactions of the log\n                      \
+                             into a fresh base (default 64)\n\n\
          ctl flags:\n  \
          --socket PATH   connect to a Unix-domain socket\n  \
          --connect ADDR  connect to a TCP address\n  \
@@ -731,16 +733,11 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             let (session, report) =
                 quorumnet::daemon::recover(cfg, dir).map_err(|e| format!("recover: {e}"))?;
             println!(
-                "quorumd recovered seq {} from {} (snapshot seq {}, {} WAL deltas{}{}{}{})",
+                "quorumd recovered seq {} from {} (snapshot seq {}, {} WAL deltas{}{}{})",
                 session.seq(),
                 dir.display(),
                 report.snapshot_seq,
                 report.wal_deltas,
-                if report.wal_stale > 0 {
-                    format!(", {} stale WAL entries skipped", report.wal_stale)
-                } else {
-                    String::new()
-                },
                 if report.torn_tail {
                     ", torn tail dropped"
                 } else {

@@ -187,7 +187,7 @@ proptest! {
         deltas in proptest::collection::vec(lp_delta(), 3..=10)
     ) {
         let (lp, n, m) = resident_lp();
-        let mut instance = SimplexInstance::new(lp.model.clone()).unwrap();
+        let mut instance = SimplexInstance::new(lp.model.clone());
         instance.solve().unwrap();
 
         let mut warm_total = 0usize;
