@@ -233,23 +233,28 @@ struct Log {
 
 /// Reads the log at `path`, if one exists. A torn final line (no
 /// trailing newline — the process died mid-append) is dropped and
-/// flagged; anything else unreadable is corruption naming the line: a
-/// bad header or `seq` line, a base delta out of order, a missing `end`,
-/// a tail line without a seq stamp or whose stamp does not follow the
-/// one before it.
+/// flagged; anything else unreadable is corruption naming the line:
+/// bytes that are not UTF-8, a bad header or `seq` line, a base delta out
+/// of order, a missing `end`, a tail line without a seq stamp or whose
+/// stamp does not follow the one before it.
 fn read_log(path: &Path) -> Result<Option<Log>, PersistError> {
-    let mut text = match fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let torn = !text.is_empty() && !text.ends_with('\n');
-    text.truncate(text.rfind('\n').map_or(0, |pos| pos + 1));
     let corrupt = |line: usize, message: String| PersistError::Corrupt {
         file: path.display().to_string(),
         line,
         message,
     };
+    let mut text = String::from_utf8(bytes).map_err(|e| {
+        let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+        let line = valid.iter().filter(|&&b| b == b'\n').count() + 1;
+        corrupt(line, "not valid UTF-8".into())
+    })?;
+    let torn = !text.is_empty() && !text.ends_with('\n');
+    text.truncate(text.rfind('\n').map_or(0, |pos| pos + 1));
     let delta = |line: usize, text: &str| match parse_command(text) {
         Ok(Some(Command::Delta(d))) => Ok(d),
         Ok(Some(_)) => Err(corrupt(line, format!("non-delta entry '{text}'"))),
@@ -715,6 +720,20 @@ mod tests {
                 Err(e) => panic!("wrong error: {e}"),
                 Ok(_) => panic!("expected corruption for '{to}'"),
             }
+        }
+        // Bytes that are not UTF-8 name their line too.
+        fs::write(dir.join(LOG_FILE), &text).unwrap();
+        let base = write_tail(&dir, "1 demand 1 2.0\n");
+        let mut bytes = fs::read(dir.join(LOG_FILE)).unwrap();
+        bytes.extend_from_slice(b"2 demand 2 1\xff\n");
+        fs::write(dir.join(LOG_FILE), bytes).unwrap();
+        match recover(config(), &dir) {
+            Err(PersistError::Corrupt { line, message, .. }) => {
+                assert_eq!(line, base + 2);
+                assert!(message.contains("UTF-8"), "{message}");
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("expected corruption error"),
         }
         let _ = fs::remove_dir_all(&dir);
     }
