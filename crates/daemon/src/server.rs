@@ -1,14 +1,14 @@
 //! Thread-per-connection line-protocol server over std::net — no async
-//! runtime, just blocking sockets, a poll-accept loop, and one mutex
-//! around the session.
+//! runtime, just blocking sockets, a blocking accept loop on scoped
+//! threads, and one mutex around the session.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -25,7 +25,7 @@ use crate::session::Session;
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Default idle-connection timeout: a connection that sends nothing for
-/// this long is told so and closed (see [`Server::set_idle_timeout`]).
+/// this long is told so and closed.
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Where a server listens.
@@ -44,49 +44,65 @@ enum Listener {
     Unix(UnixListener, PathBuf),
 }
 
+impl Listener {
+    fn accept(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
+            #[cfg(unix)]
+            Listener::Unix(l, _) => Stream::Unix(l.accept()?.0),
+        })
+    }
+}
+
 enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
 }
 
-impl io::Read for Stream {
+impl io::Read for &Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.read(buf),
+            Stream::Tcp(s) => (&*s).read(buf),
             #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
+            Stream::Unix(s) => (&*s).read(buf),
         }
+    }
+}
+
+impl io::Write for &Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => (&*s).write(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => (&*s).write(buf),
+        }
+    }
+
+    /// A socket buffers nothing in user space.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+// A client (see [`connect`]) owns its stream outright.
+impl io::Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self).read(buf)
     }
 }
 
 impl io::Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
+        (&*self).write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 
 impl Stream {
-    fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            #[cfg(unix)]
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
-    }
-
     fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(dur),
@@ -95,14 +111,19 @@ impl Stream {
         }
     }
 
-    /// Shuts both directions of the connection, for every handle on it:
-    /// a blocked read or write on any of them returns at once.
+    /// Shuts both directions of the connection: a blocked read or write
+    /// on it returns at once.
     fn shutdown(&self) {
         let _ = match self {
             Stream::Tcp(s) => s.shutdown(Shutdown::Both),
             #[cfg(unix)]
             Stream::Unix(s) => s.shutdown(Shutdown::Both),
         };
+    }
+
+    /// Writes one response.
+    fn send(mut self: &Self, response: &Response) -> io::Result<()> {
+        self.write_all(response.to_wire().as_bytes())
     }
 }
 
@@ -118,7 +139,7 @@ struct Served {
 /// Totals reported by [`Server::run`] after shutdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Connections accepted.
+    /// Connections served.
     pub connections: usize,
     /// Commands answered (ok or err).
     pub commands: u64,
@@ -127,7 +148,6 @@ pub struct ServeSummary {
 /// A bound but not yet running `quorumd` server.
 pub struct Server {
     listener: Listener,
-    stop: Arc<AtomicBool>,
     idle_timeout: Duration,
 }
 
@@ -150,15 +170,8 @@ impl Server {
         };
         Ok(Server {
             listener,
-            stop: Arc::new(AtomicBool::new(false)),
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
         })
-    }
-
-    /// Overrides the idle-connection timeout (default
-    /// [`DEFAULT_IDLE_TIMEOUT`]).
-    pub fn set_idle_timeout(&mut self, timeout: Duration) {
-        self.idle_timeout = timeout;
     }
 
     /// The bound address: `host:port` for TCP, the socket path for Unix.
@@ -173,15 +186,9 @@ impl Server {
         }
     }
 
-    /// A flag that stops the accept loop when set (the `shutdown`
-    /// command sets it too).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Serves `session` until a `shutdown` command (or the stop flag).
-    /// Blocks; on stop it shuts every connection still open, idle ones
-    /// included, and returns once all connection threads are joined.
+    /// Serves `session` until a `shutdown` command. Blocks; on stop it
+    /// shuts every connection still open, idle ones included, and
+    /// returns once all connection threads are joined.
     ///
     /// # Errors
     ///
@@ -213,83 +220,89 @@ impl Server {
     }
 
     fn run_inner(self, session: Session, persist: Option<Persistence>) -> io::Result<ServeSummary> {
-        let served = Arc::new(Mutex::new(Served {
+        let Server {
+            listener,
+            idle_timeout,
+        } = self;
+        // `shutdown` wakes the accept below by connecting here; a
+        // wildcard address is not one a client can connect to.
+        let wake = match &listener {
+            Listener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Endpoint::Tcp(addr.to_string())
+            }
+            #[cfg(unix)]
+            Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
+        };
+        let served = Mutex::new(Served {
             session,
             persist,
             persist_error: None,
-        }));
-        let commands = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        // Each live connection's thread, beside a handle on its stream.
-        let mut handles: Vec<(thread::JoinHandle<()>, Arc<Stream>)> = Vec::new();
+        });
+        let stop = AtomicBool::new(false);
+        let commands = AtomicU64::new(0);
         let mut connections = 0usize;
-        match &self.listener {
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(true)?,
-        }
-        while !self.stop.load(Ordering::SeqCst) {
-            let accepted: Option<Stream> = match &self.listener {
-                Listener::Tcp(l) => match l.accept() {
-                    Ok((s, _)) => Some(Stream::Tcp(s)),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) => return Err(e),
-                },
-                #[cfg(unix)]
-                Listener::Unix(l, _) => match l.accept() {
-                    Ok((s, _)) => Some(Stream::Unix(s)),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) => return Err(e),
-                },
-            };
-            match accepted {
-                Some(stream) => {
-                    // Join the threads of finished connections: an
-                    // unjoined thread keeps its stack mapped until
-                    // shutdown.
-                    for (h, peer) in std::mem::take(&mut handles) {
-                        if h.is_finished() {
-                            let _ = h.join();
-                        } else {
-                            handles.push((h, peer));
-                        }
-                    }
-                    // Without a handle for shutdown to close, the
-                    // connection is dropped rather than served.
-                    let Ok(peer) = stream.try_clone().map(Arc::new) else {
-                        continue;
-                    };
-                    connections += 1;
-                    let served = Arc::clone(&served);
-                    let stop = Arc::clone(&self.stop);
-                    let commands = Arc::clone(&commands);
-                    let idle = self.idle_timeout;
-                    let closer = Arc::clone(&peer);
-                    let h = thread::spawn(move || {
-                        let _ = handle_connection(stream, &served, &stop, &commands, idle);
-                        // The loop's handle keeps the socket open until
-                        // this thread is joined: close it for the client now.
-                        closer.shutdown();
-                    });
-                    handles.push((h, peer));
+        let accepted = thread::scope(|scope| {
+            // Each live connection's thread, beside its stream: the
+            // thread reads and writes it, the loop shuts it on stop.
+            let mut handles: Vec<(thread::ScopedJoinHandle<'_, ()>, Arc<Stream>)> = Vec::new();
+            let accepted = loop {
+                let stream = match listener.accept() {
+                    Ok(stream) => stream,
+                    Err(e) => break Err(e),
+                };
+                if stop.load(Ordering::SeqCst) {
+                    break Ok(());
                 }
-                None => thread::sleep(Duration::from_millis(20)),
+                // Join the threads of finished connections: an unjoined
+                // thread keeps its stack mapped until shutdown.
+                for (h, stream) in std::mem::take(&mut handles) {
+                    if h.is_finished() {
+                        let _ = h.join();
+                    } else {
+                        handles.push((h, stream));
+                    }
+                }
+                connections += 1;
+                let stream = Arc::new(stream);
+                let conn = Arc::clone(&stream);
+                let (served, stop, commands, wake) = (&served, &stop, &commands, &wake);
+                let h = scope.spawn(move || {
+                    let _ = handle_connection(&conn, served, stop, commands, wake, idle_timeout);
+                    // The loop's handle keeps the socket open until this
+                    // thread is joined: close it for the client now.
+                    conn.shutdown();
+                });
+                handles.push((h, stream));
+            };
+            // Stop taking connections before waiting on any: a wake
+            // `connect` still queued on a full backlog fails at once.
+            #[cfg(unix)]
+            if let Listener::Unix(_, path) = &listener {
+                let _ = std::fs::remove_file(path);
             }
-        }
-        // Wake every thread still waiting on its client (an idle one sits
-        // in a read for up to the idle timeout), then join them all.
-        for (_, peer) in &handles {
-            peer.shutdown();
-        }
-        for (h, _) in handles {
-            let _ = h.join();
-        }
-        #[cfg(unix)]
-        if let Listener::Unix(_, path) = &self.listener {
-            let _ = std::fs::remove_file(path);
-        }
+            drop(listener);
+            // Wake every thread still waiting on its client (an idle one
+            // sits in a read for up to the idle timeout), then join them
+            // all.
+            for (_, stream) in &handles {
+                stream.shutdown();
+            }
+            for (h, _) in handles {
+                let _ = h.join();
+            }
+            accepted
+        });
+        accepted?;
         Ok(ServeSummary {
             connections,
-            commands: commands.load(Ordering::SeqCst),
+            commands: commands.into_inner(),
         })
     }
 }
@@ -357,21 +370,20 @@ fn read_request(reader: &mut impl BufRead, max: usize) -> io::Result<RequestLine
 }
 
 fn handle_connection(
-    stream: Stream,
+    stream: &Stream,
     served: &Mutex<Served>,
     stop: &AtomicBool,
-    commands: &std::sync::atomic::AtomicU64,
+    commands: &AtomicU64,
+    wake: &Endpoint,
     idle: Duration,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(idle))?;
-    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     // Closes the connection after a structured error the client can act
     // on: the stream state past a framing violation is unknowable.
-    let refuse = |writer: &mut Stream, message: String| -> io::Result<()> {
+    let refuse = |message: String| -> io::Result<()> {
         commands.fetch_add(1, Ordering::SeqCst);
-        writer.write_all(Response::err(message).to_wire().as_bytes())?;
-        writer.flush()
+        stream.send(&Response::err(message))
     };
     loop {
         let request = match read_request(&mut reader, MAX_LINE_BYTES) {
@@ -379,10 +391,7 @@ fn handle_connection(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                let _ = refuse(
-                    &mut writer,
-                    format!("idle for {}s: closing connection", idle.as_secs()),
-                );
+                let _ = refuse(format!("idle for {}s: closing connection", idle.as_secs()));
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -391,19 +400,11 @@ fn handle_connection(
             RequestLine::Eof => return Ok(()),
             RequestLine::Line(line) => line,
             RequestLine::Oversized => {
-                return refuse(
-                    &mut writer,
-                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                );
+                return refuse(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
             }
-            RequestLine::BadUtf8 => {
-                return refuse(&mut writer, "request is not valid UTF-8".into());
-            }
+            RequestLine::BadUtf8 => return refuse("request is not valid UTF-8".into()),
             RequestLine::PartialEof(bytes) => {
-                return refuse(
-                    &mut writer,
-                    format!("connection closed mid-line after {bytes} bytes"),
-                );
+                return refuse(format!("connection closed mid-line after {bytes} bytes"));
             }
         };
         let response = match parse_command(&line) {
@@ -442,19 +443,20 @@ fn handle_connection(
                 }
                 drop(guard);
                 if cmd == Command::Shutdown {
+                    // Answered first: once the accept loop wakes, it shuts
+                    // this stream too.
                     commands.fetch_add(1, Ordering::SeqCst);
-                    writer.write_all(resp.to_wire().as_bytes())?;
-                    writer.flush()?;
+                    let sent = stream.send(&resp);
                     stop.store(true, Ordering::SeqCst);
-                    return Ok(());
+                    let _ = connect(wake);
+                    return sent;
                 }
                 resp
             }
             Err(msg) => Response::err(msg),
         };
         commands.fetch_add(1, Ordering::SeqCst);
-        writer.write_all(response.to_wire().as_bytes())?;
-        writer.flush()?;
+        stream.send(&response)?;
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -760,14 +762,12 @@ mod tests {
     #[test]
     fn idle_connections_are_closed_with_a_notice() {
         let mut server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-        server.set_idle_timeout(Duration::from_millis(100));
-        let addr = server.local_addr();
-        let stop = server.stop_flag();
+        server.idle_timeout = Duration::from_millis(100);
+        let endpoint = Endpoint::Tcp(server.local_addr());
         let session = test_session();
         let handle = std::thread::spawn(move || server.run(session).unwrap());
 
-        let stream = connect(&Endpoint::Tcp(addr)).unwrap();
-        let mut conn = BufReader::new(stream);
+        let mut conn = BufReader::new(connect(&endpoint).unwrap());
         // Say nothing; the server should hang up with an err notice.
         let r = read_response(&mut conn).unwrap();
         assert!(!r.ok && r.summary.contains("idle"), "{r:?}");
@@ -776,7 +776,9 @@ mod tests {
             std::io::ErrorKind::UnexpectedEof
         );
 
-        stop.store(true, Ordering::SeqCst);
+        let mut conn = BufReader::new(connect(&endpoint).unwrap());
+        conn.get_mut().write_all(b"shutdown\n").unwrap();
+        assert!(read_response(&mut conn).unwrap().ok);
         handle.join().unwrap();
     }
 

@@ -11,6 +11,7 @@
 
 use std::io::{BufReader, Write};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use qp_core::one_to_one;
 use qp_daemon::protocol::read_response;
@@ -46,32 +47,43 @@ fn session() -> Session {
     .unwrap()
 }
 
-/// One short connection: `health`, its answer, and close.
-fn health(endpoint: &Endpoint) {
+/// One short connection: `command`, its answer, and close.
+fn request(endpoint: &Endpoint, command: &str) {
     let mut stream = BufReader::new(connect(endpoint).unwrap());
-    stream.get_mut().write_all(b"health\n").unwrap();
+    stream
+        .get_mut()
+        .write_all(format!("{command}\n").as_bytes())
+        .unwrap();
     let r = read_response(&mut stream).unwrap();
-    assert!(r.ok, "health failed: {}", r.summary);
+    assert!(r.ok, "{command} failed: {}", r.summary);
 }
 
 #[test]
 fn finished_connection_threads_are_joined() {
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
     let endpoint = Endpoint::Tcp(server.local_addr());
-    let stop = server.stop_flag();
     let daemon = thread::spawn(move || server.run(session()).unwrap());
 
-    health(&endpoint);
+    let t0 = Instant::now();
+    request(&endpoint, "health");
     let before = vm_size_kib();
     let connections = 1_000;
     for _ in 0..connections {
-        health(&endpoint);
+        request(&endpoint, "health");
     }
     let grown_mib = vm_size_kib().saturating_sub(before) / 1024;
+    let elapsed = t0.elapsed();
 
-    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    request(&endpoint, "shutdown");
     let summary = daemon.join().unwrap();
-    assert_eq!(summary.connections, connections + 1);
+    assert_eq!(summary.connections, connections + 2);
+    // An accept loop that polls, rather than blocks, makes every
+    // connection wait out its sleep: 20 ms each took 20 s here.
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "{} sequential connections took {elapsed:?}",
+        connections + 1
+    );
     // Unjoined, the threads' stacks alone would add about 2 GiB.
     assert!(
         grown_mib < 512,
