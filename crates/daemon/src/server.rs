@@ -7,7 +7,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream}
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -152,19 +152,22 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds to `endpoint`. A stale Unix socket file from a previous
-    /// run is removed first; TCP port `0` picks a free port (see
-    /// [`Server::local_addr`]).
+    /// Binds to `endpoint`. A stale Unix socket, one nobody answers on
+    /// (a server killed with `kill -9` leaves one), is removed first;
+    /// TCP port `0` picks a free port (see [`Server::local_addr`]).
     ///
     /// # Errors
     ///
-    /// Any bind failure from the OS.
+    /// Any bind failure from the OS. A Unix path holding anything but a
+    /// socket is refused with [`io::ErrorKind::AlreadyExists`], and a
+    /// socket a server answers on with [`io::ErrorKind::AddrInUse`];
+    /// both name the path, and neither touches it.
     pub fn bind(endpoint: &Endpoint) -> io::Result<Server> {
         let listener = match endpoint {
             Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
             #[cfg(unix)]
             Endpoint::Unix(path) => {
-                let _ = std::fs::remove_file(path);
+                remove_stale_socket(path)?;
                 Listener::Unix(UnixListener::bind(path)?, path.clone())
             }
         };
@@ -282,7 +285,10 @@ impl Server {
                 handles.push((h, stream));
             };
             // Stop taking connections before waiting on any: a wake
-            // `connect` still queued on a full backlog fails at once.
+            // `connect` still queued on a full backlog fails at once. The
+            // path goes first, while its socket still answers, so a server
+            // starting on it meanwhile refuses it rather than binding a
+            // socket this one would then remove.
             #[cfg(unix)]
             if let Listener::Unix(_, path) = &listener {
                 let _ = std::fs::remove_file(path);
@@ -304,6 +310,27 @@ impl Server {
             connections,
             commands: commands.into_inner(),
         })
+    }
+}
+
+/// Clears `path` for a new socket: removes a socket nobody answers on,
+/// refuses anything else that is there.
+#[cfg(unix)]
+fn remove_stale_socket(path: &Path) -> io::Result<()> {
+    use std::os::unix::fs::FileTypeExt;
+    let refuse = |kind, what| io::Error::new(kind, format!("{} {what}", path.display()));
+    match std::fs::symlink_metadata(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
+        Ok(meta) if !meta.file_type().is_socket() => Err(refuse(
+            io::ErrorKind::AlreadyExists,
+            "exists and is not a socket",
+        )),
+        Ok(_) if UnixStream::connect(path).is_ok() => Err(refuse(
+            io::ErrorKind::AddrInUse,
+            "is the socket of a running server",
+        )),
+        Ok(_) => std::fs::remove_file(path),
     }
 }
 
@@ -876,6 +903,60 @@ mod tests {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn bind_removes_only_a_stale_socket() {
+        let dir = std::env::temp_dir().join(format!("quorumd-bind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let refused = |path: &PathBuf, kind: io::ErrorKind| {
+            let Err(e) = Server::bind(&Endpoint::Unix(path.clone())) else {
+                panic!("bound over {}", path.display());
+            };
+            assert_eq!(e.kind(), kind, "{e}");
+            assert!(e.to_string().contains(&*path.to_string_lossy()), "{e}");
+        };
+        let serve = |path: &PathBuf| {
+            let server = Server::bind(&Endpoint::Unix(path.clone())).unwrap();
+            let session = test_session();
+            std::thread::spawn(move || server.run(session).unwrap())
+        };
+        let ask = |path: &PathBuf, command: &str| {
+            let mut conn = BufReader::new(connect(&Endpoint::Unix(path.clone())).unwrap());
+            conn.get_mut()
+                .write_all(format!("{command}\n").as_bytes())
+                .unwrap();
+            let r = read_response(&mut conn).unwrap();
+            assert!(r.ok, "{command}: {r:?}");
+        };
+
+        // A file that is not a socket is refused and kept byte for byte.
+        let file = dir.join("precious.txt");
+        std::fs::write(&file, b"keep me\n").unwrap();
+        refused(&file, io::ErrorKind::AlreadyExists);
+        assert_eq!(std::fs::read(&file).unwrap(), b"keep me\n");
+
+        // A socket a server answers on is refused, and that server keeps
+        // answering on it.
+        let live = dir.join("live.sock");
+        let daemon = serve(&live);
+        refused(&live, io::ErrorKind::AddrInUse);
+        ask(&live, "health");
+        ask(&live, "shutdown");
+        daemon.join().unwrap();
+
+        // The socket a dropped listener leaves behind, as `kill -9` does,
+        // is replaced.
+        let stale = dir.join("stale.sock");
+        drop(UnixListener::bind(&stale).unwrap());
+        assert!(stale.exists());
+        let daemon = serve(&stale);
+        ask(&stale, "health");
+        ask(&stale, "shutdown");
+        daemon.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
