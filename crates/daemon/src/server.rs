@@ -28,6 +28,15 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// this long is told so and closed.
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
+/// Most connections served at once. One more is answered `err busy` and
+/// closed, with no thread of its own. Each connection holds a thread,
+/// whose stack is mapped until it is joined, and a descriptor: 128 of
+/// them keep the stacks bounded and the descriptors far below the
+/// common soft limit of 1,024, where a client that opened connections
+/// until `accept` failed would stop the server. e2ebench's stream holds
+/// at most three at once.
+pub const MAX_CONNECTIONS: usize = 128;
+
 /// Where a server listens.
 #[derive(Debug, Clone)]
 pub enum Endpoint {
@@ -139,7 +148,7 @@ struct Served {
 /// Totals reported by [`Server::run`] after shutdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Connections served.
+    /// Connections served (one refused as busy is not counted).
     pub connections: usize,
     /// Commands answered (ok or err).
     pub commands: u64,
@@ -271,6 +280,11 @@ impl Server {
                     } else {
                         handles.push((h, stream));
                     }
+                }
+                if handles.len() >= MAX_CONNECTIONS {
+                    let busy = format!("busy: {MAX_CONNECTIONS} connections open");
+                    let _ = stream.send(&Response::err(busy));
+                    continue;
                 }
                 connections += 1;
                 let stream = Arc::new(stream);
@@ -835,6 +849,55 @@ mod tests {
             read_response(&mut idle).unwrap_err().kind(),
             std::io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn connections_past_the_cap_are_told_busy() {
+        let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let endpoint = Endpoint::Tcp(server.local_addr());
+        let session = test_session();
+        let daemon = std::thread::spawn(move || server.run(session).unwrap());
+        let health = || {
+            let mut conn = BufReader::new(connect(&endpoint).unwrap());
+            conn.get_mut().write_all(b"health\n").unwrap();
+            (read_response(&mut conn), conn)
+        };
+
+        // Each held connection is served once, so its thread is live.
+        let mut held: Vec<_> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let (r, conn) = health();
+                assert!(r.unwrap().ok);
+                conn
+            })
+            .collect();
+        let mut extra = BufReader::new(connect(&endpoint).unwrap());
+        let r = read_response(&mut extra).unwrap();
+        assert!(!r.ok, "{r:?}");
+        assert_eq!(
+            r.summary,
+            format!("busy: {MAX_CONNECTIONS} connections open")
+        );
+        assert_eq!(
+            read_response(&mut extra).unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof
+        );
+
+        // Once one closes, a new connection is served as soon as that
+        // connection's thread has finished.
+        drop(held.pop());
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            match health() {
+                (Ok(r), _) if r.ok => break,
+                (r, _) => assert!(std::time::Instant::now() < deadline, "{r:?}"),
+            }
+        }
+
+        held[0].get_mut().write_all(b"shutdown\n").unwrap();
+        assert!(read_response(&mut held[0]).unwrap().ok);
+        let summary = daemon.join().unwrap();
+        assert_eq!(summary.connections, MAX_CONNECTIONS + 1);
     }
 
     #[test]
