@@ -10,7 +10,6 @@ use qp_par::ParPool;
 use qp_quorum::QuorumSystem;
 use qp_topology::{Network, NodeId};
 
-use crate::capacity::CapacityProfile;
 use crate::eval::EvalContext;
 use crate::response::{evaluate_balanced, evaluate_closest, ResponseModel};
 use crate::{CoreError, Placement};
@@ -143,39 +142,6 @@ fn ball_nodes_placement(
         });
     }
     Ok(Placement::new(ball(v0, n), num_nodes).expect("ball nodes are in range"))
-}
-
-/// Capacity-aware variant of [`ball_placement`]: uses the `n` closest nodes
-/// whose capacity is at least `required_load` (the per-element load the
-/// access strategy will induce, a constant for Majorities under uniform
-/// access).
-///
-/// # Errors
-///
-/// [`CoreError::SizeMismatch`] if fewer than `n` nodes have sufficient
-/// capacity.
-pub fn ball_placement_capacitated(
-    net: &Network,
-    v0: NodeId,
-    n: usize,
-    caps: &CapacityProfile,
-    required_load: f64,
-) -> Result<Placement, CoreError> {
-    let eligible: Vec<NodeId> = net
-        .ball(v0, net.len())
-        .into_iter()
-        .filter(|&v| caps.get(v) >= required_load)
-        .take(n)
-        .collect();
-    if eligible.len() < n {
-        return Err(CoreError::SizeMismatch {
-            reason: format!(
-                "only {} nodes have capacity ≥ {required_load}, need {n}",
-                eligible.len()
-            ),
-        });
-    }
-    Placement::new(eligible, net.len())
 }
 
 /// The Grid sorted-shell placement for anchor `v₀` (§4.1.1).
@@ -365,23 +331,6 @@ mod tests {
         let net = datasets::euclidean_random(5, 10.0, 0);
         assert!(ball_placement(&net, NodeId::new(0), 6).is_err());
         assert!(ball_placement(&net, NodeId::new(0), 0).is_err());
-    }
-
-    #[test]
-    fn capacitated_ball_skips_small_nodes() {
-        let net = datasets::euclidean_random(6, 10.0, 1);
-        let mut caps = vec![1.0; 6];
-        // Disqualify the two nodes closest to v0.
-        let ball = net.ball(NodeId::new(0), 6);
-        caps[ball[0].index()] = 0.1;
-        caps[ball[1].index()] = 0.1;
-        let profile = CapacityProfile::from_values(caps);
-        let p = ball_placement_capacitated(&net, NodeId::new(0), 4, &profile, 0.5).unwrap();
-        assert!(p.is_one_to_one());
-        assert!(!p.support_set().contains(&ball[0]));
-        assert!(!p.support_set().contains(&ball[1]));
-        // Asking for more nodes than have capacity fails.
-        assert!(ball_placement_capacitated(&net, NodeId::new(0), 5, &profile, 0.5).is_err());
     }
 
     #[test]
