@@ -852,6 +852,25 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_wakes_a_server_bound_to_a_wildcard() {
+        let server = Server::bind(&Endpoint::Tcp("0.0.0.0:0".into())).unwrap();
+        let addr = server.local_addr();
+        let (_, port) = addr.rsplit_once(':').unwrap();
+        let endpoint = Endpoint::Tcp(format!("127.0.0.1:{port}"));
+        let session = test_session();
+        let (done, finished) = std::sync::mpsc::channel();
+        let daemon = std::thread::spawn(move || done.send(server.run(session).unwrap()));
+
+        let mut conn = BufReader::new(connect(&endpoint).unwrap());
+        conn.get_mut().write_all(b"shutdown\n").unwrap();
+        assert!(read_response(&mut conn).unwrap().ok);
+        finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run still blocks in accept after shutdown");
+        daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn connections_past_the_cap_are_told_busy() {
         let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
         let endpoint = Endpoint::Tcp(server.local_addr());
