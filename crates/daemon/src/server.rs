@@ -29,12 +29,12 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Most connections served at once. One more is answered `err busy` and
-/// closed, with no thread of its own. Each connection holds a thread,
-/// whose stack is mapped until it is joined, and a descriptor: 128 of
-/// them keep the stacks bounded and the descriptors far below the
-/// common soft limit of 1,024, where a client that opened connections
-/// until `accept` failed would stop the server. e2ebench's stream holds
-/// at most three at once.
+/// closed without a thread. Each served connection holds a thread (a
+/// 2 MiB stack mapped) and a descriptor, so 128 of them bound the stacks
+/// at 256 MiB and keep the descriptors far below the common soft limit
+/// of 1,024: past that limit `accept` fails, and an `accept` error ends
+/// [`Server::run`]. e2ebench's stream holds at most three connections at
+/// once.
 pub const MAX_CONNECTIONS: usize = 128;
 
 /// Where a server listens.
@@ -236,8 +236,9 @@ impl Server {
             listener,
             idle_timeout,
         } = self;
-        // `shutdown` wakes the accept below by connecting here; a
-        // wildcard address is not one a client can connect to.
+        // `shutdown` wakes the accept below by connecting here: to a
+        // wildcard address through loopback, since not every platform
+        // connects to a wildcard.
         let wake = match &listener {
             Listener::Tcp(l) => {
                 let mut addr = l.local_addr()?;

@@ -733,7 +733,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             let (session, report) =
                 quorumnet::daemon::recover(cfg, dir).map_err(|e| format!("recover: {e}"))?;
             println!(
-                "quorumd recovered seq {} from {} (snapshot seq {}, {} WAL deltas{}{}{})",
+                "quorumd recovered seq {} from {} (log base seq {}, {} tail deltas{}{}{})",
                 session.seq(),
                 dir.display(),
                 report.snapshot_seq,
