@@ -53,16 +53,6 @@ enum Listener {
     Unix(UnixListener, PathBuf),
 }
 
-impl Listener {
-    fn accept(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
-            #[cfg(unix)]
-            Listener::Unix(l, _) => Stream::Unix(l.accept()?.0),
-        })
-    }
-}
-
 enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -266,7 +256,12 @@ impl Server {
             // thread reads and writes it, the loop shuts it on stop.
             let mut handles: Vec<(thread::ScopedJoinHandle<'_, ()>, Arc<Stream>)> = Vec::new();
             let accepted = loop {
-                let stream = match listener.accept() {
+                let accepted = match &listener {
+                    Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                    #[cfg(unix)]
+                    Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
+                };
+                let stream = match accepted {
                     Ok(stream) => stream,
                     Err(e) => break Err(e),
                 };
